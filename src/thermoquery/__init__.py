@@ -13,7 +13,6 @@ from .detuning import (
     ExperimentConfig,
     bv3_sweep,
     detuned_probe_temperature,
-    detuned_probe_temperature_machine_denominator,
     flip_probability,
     suppression_factor,
 )

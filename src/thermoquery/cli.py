@@ -1,7 +1,9 @@
 """Command-line surface: figure-data emitters and the verification suite.
 
 Grammar: ``thermoquery <subcommand> [--param value]... --out PATH --format csv|json --seed INT``.
-Exit codes: 0 success, 1 validation error, 2 verification failure.
+Exit codes: 0 success, 1 validation error, 2 verification failure. A value
+grid that starts with a minus sign may follow its flag after a space or an
+``=`` (``--beta-s -1:1:5`` or ``--beta-s=-1:1:5``).
 
 Every output starts with a config echo (CSV comment lines / a JSON "config"
 object) so runs are reproducible from their artifacts alone. All subcommands
@@ -16,6 +18,7 @@ import contextlib
 import csv
 import json
 import math
+import re
 import sys
 from typing import IO, Sequence
 
@@ -23,14 +26,13 @@ import numpy as np
 
 from . import __version__
 from .detuning import ExperimentConfig, bv3_sweep
-from .problems import constant_functions, enumerate_balanced_functions
 from .query import kickback_outcome
 from .readout import (
     chernoff_stein_samples,
     crossover_analysis,
     distinguishability_report,
 )
-from .thermal import ThermalQubit, build_dj_oracle
+from .thermal import BooleanFunctionTable, ThermalQubit, build_dj_oracle
 from .verify import run_verification
 
 __all__ = ["main", "DEFAULTS"]
@@ -73,6 +75,11 @@ class CliError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # Value grids such as -1:1:5, -0.5,1 and -.5 are values, not options.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message: str) -> None:  # noqa: D102  (argparse hook)
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -132,14 +139,17 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
         raise CliError("gaps and omega must be positive")
     if args.n < 1:
         raise CliError("n must be >= 1")
-    const0, const1 = constant_functions(args.n)
-    balanced = next(enumerate_balanced_functions(args.n))
-    cases = [("balanced", balanced), ("constant0", const0), ("constant1", const1)]
+    half = 1 << (args.n - 1)
+    tables = {
+        "balanced": BooleanFunctionTable(args.n, (1,) * half + (0,) * half),
+        "constant0": BooleanFunctionTable.constant(args.n, 0),
+        "constant1": BooleanFunctionTable.constant(args.n, 1),
+    }
     rows = []
     for beta_m in beta_m_values:
         oracles = {
-            name: build_dj_oracle(inst.function, args.e1, args.e2, beta_m)
-            for name, inst in cases
+            name: build_dj_oracle(table, args.e1, args.e2, beta_m)
+            for name, table in tables.items()
         }
         for beta_s in beta_s_values:
             probe = ThermalQubit(args.omega, beta_s)

@@ -6,13 +6,9 @@ a per-secret detuning delta(s). A detuning suppresses the population transfer
 of the kickback by eta = g^2/(g^2 + delta^2), the short-time envelope of the
 flip-flop probability.
 
-The post-query inverse temperature under suppression is computed by
-substituting delta_p0 -> eta*delta_p0 into the verified closed form. A
-variant with the machine partition function in place of the probe's in the
-denominator circulates for this quantity; it is exposed as
-:func:`detuned_probe_temperature_machine_denominator` so the discrepancy can
-be inspected, but it does not reduce to the verified kickback temperature at
-eta = 1 and is not used by the sweep.
+The post-query inverse temperature under suppression is the kickback's,
+with delta_p0 -> eta*delta_p0 substituted before the population is turned
+into a temperature; at eta = 1 it is the undetuned kickback temperature.
 """
 
 from __future__ import annotations
@@ -20,8 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import IO, Sequence
+from typing import Sequence
 
+from .query import QueryOutcome, kickback_shift
 from .thermal import ThermalMachineOracle, ThermalQubit, build_custom_oracle
 
 __all__ = [
@@ -31,12 +28,8 @@ __all__ = [
     "flip_probability",
     "suppression_factor",
     "detuned_probe_temperature",
-    "detuned_probe_temperature_machine_denominator",
     "bv3_sweep",
 ]
-
-SWEEP_CSV_HEADER = "secret,beta_S,delta_s,eta,beta_S_prime"
-
 
 def flip_probability(g: float, detuning: float, time: float) -> float:
     """Rabi flip-flop probability g^2/(g^2+d^2) * sin^2(sqrt(g^2+d^2)*t/2)."""
@@ -54,50 +47,26 @@ def suppression_factor(g: float, detuning: float) -> float:
     return g * g / (g * g + detuning * detuning)
 
 
-def _scaled_population_shift(probe: ThermalQubit, oracle: ThermalMachineOracle) -> tuple[float, float]:
-    # Returns (a, Z_S * delta_p0) for the all-ones kickback.
-    a = probe.inverse_temperature * probe.gap
-    b = oracle.machine_inverse_temperature * oracle.gap_vector.total
-    log_zf = oracle.log_partition_function
-    return a, math.exp(-a - log_zf) - math.exp(-b - log_zf)
-
-
 def detuned_probe_temperature(
     probe: ThermalQubit, oracle: ThermalMachineOracle, eta: float
 ) -> float | None:
     """Post-query inverse temperature with the population transfer scaled by eta.
 
-    beta' = (1/omega) log((1 + eta*Z_S*delta_p0) / (e^{-beta_S*omega} - eta*Z_S*delta_p0)).
-    At eta = 1 this is the undetuned kickback temperature. Returns None when
-    the log argument is non-positive.
+    beta' = (1/omega) log((p0 + eta*delta_p0) / (1 - p0 - eta*delta_p0)) for
+    the all-ones kickback shift delta_p0; at eta = 1 it equals the kickback
+    temperature exactly. Returns None when the log argument is non-positive.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
-    a, shift = _scaled_population_shift(probe, oracle)
-    numerator = 1.0 + eta * shift
-    denominator = math.exp(-a) - eta * shift
-    if numerator <= 0.0 or denominator <= 0.0:
-        return None
-    return (math.log(numerator) - math.log(denominator)) / probe.gap
-
-
-def detuned_probe_temperature_machine_denominator(
-    probe: ThermalQubit, oracle: ThermalMachineOracle, eta: float
-) -> float | None:
-    """Denominator variant using the machine partition function instead of the probe's.
-
-    Disagrees with :func:`detuned_probe_temperature` whenever Z_f != Z_S, and
-    does not reduce to the verified kickback temperature at eta = 1; kept only
-    so the discrepancy can be inspected.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    a, shift = _scaled_population_shift(probe, oracle)
-    numerator = 1.0 + eta * shift
-    denominator = math.exp(oracle.log_partition_function) - eta * shift - 1.0
-    if numerator <= 0.0 or denominator <= 0.0:
-        return None
-    return (math.log(numerator) - math.log(denominator)) / probe.gap
+    a = probe.inverse_temperature * probe.gap
+    delta = kickback_shift(
+        a,
+        oracle.machine_inverse_temperature,
+        oracle.gap_vector.total,
+        0.0,
+        oracle.log_partition_function,
+    )
+    return QueryOutcome.from_shift(a, probe.gap, eta * delta).beta_after
 
 
 @dataclass(frozen=True)
@@ -176,12 +145,6 @@ class DetuningSweep:
             if p.secret not in seen:
                 seen.append(p.secret)
         return seen
-
-    def to_csv(self, stream: IO[str]) -> None:
-        stream.write(SWEEP_CSV_HEADER + "\n")
-        for p in self.points:
-            prime = "" if p.beta_s_prime is None else repr(p.beta_s_prime)
-            stream.write(f"{p.secret},{p.beta_s!r},{p.delta_s!r},{p.eta!r},{prime}\n")
 
 
 def _min_separation(curves: dict[str, list[float | None]]) -> float:

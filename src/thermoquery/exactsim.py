@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "kickback_level_indices",
     "probe_mean_energy",
     "machine_mean_energy",
-    "dump_populations_csv",
 ]
 
 DEFAULT_MAX_QUBITS = 20
@@ -157,13 +155,3 @@ def machine_mean_energy(state: DiagonalJointState) -> float:
     machine_energies[half:] -= state.probe_gap
     return float(np.dot(state.populations, machine_energies))
 
-
-def dump_populations_csv(state: DiagonalJointState, stream: IO[str]) -> None:
-    """Debug dump: one row per level as ``index,bitstring,energy,population``."""
-    stream.write("index,bitstring,energy,population\n")
-    width = state.n_machine + 1
-    for i in range(state.size):
-        bits = format(i, f"0{width}b")
-        energy = float(state.level_energies[i])
-        population = float(state.populations[i])
-        stream.write(f"{i},{bits},{energy!r},{population!r}\n")

@@ -9,6 +9,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .query import kickback_shift
 from .thermal import (
     BooleanFunctionTable,
     Classification,
@@ -132,9 +133,7 @@ def hamming_weight_population(
     n = len(instance.secret)
     log_zf = k * log1pexp(-beta_m * gamma) + (n - k) * math.log(2.0)
     a = probe.inverse_temperature * probe.gap
-    log_norm = log1pexp(-a) + log_zf
-    delta = math.exp(-a - log_norm) - math.exp(-beta_m * (k * gamma) - log_norm)
-    return logistic(a) + delta
+    return logistic(a) + kickback_shift(a, beta_m, k * gamma, 0.0, log_zf)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ swaps, and the level-exchange kickback V(X) which swaps the joint level
 
 which for the all-ones mask (the virtual-qubit subspace swap) reduces to
 (e^{-beta_S*omega} - e^{-beta_M*|G|}) / (Z_S Z_f). All exponent sums are
-evaluated in log-domain and exponentiated once.
+evaluated in log-domain and exponentiated once, in :func:`kickback_shift`,
+which the detuned and Hamming-weight closed forms call too;
+:meth:`QueryOutcome.from_shift` turns a shift into the post-query population
+and temperature.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "SensitivityReport",
     "swap_query",
     "mixed_input_query",
+    "kickback_shift",
     "kickback_outcome",
     "classify_regime",
     "sensitivity_check",
@@ -81,10 +85,6 @@ class QueryMask:
             raise ValueError(f"not a bit string: {bits!r}")
         return cls(tuple(int(c) for c in bits))
 
-    @property
-    def is_all_ones(self) -> bool:
-        return all(b == 1 for b in self.bits)
-
     def dot(self, gaps: Sequence[float]) -> float:
         """Masked gap sum X.G; summed with the same reduction as GapVector.total."""
         g = np.asarray(gaps, dtype=float)
@@ -107,6 +107,27 @@ class QueryOutcome:
     delta_p0: float
     beta_after: float | None
     regime: Regime
+
+    @classmethod
+    def from_shift(cls, a: float, omega: float, delta: float) -> "QueryOutcome":
+        """Outcome of moving ``delta`` into the ground level of a probe with
+        gap ``omega`` and a = beta_S*omega."""
+        p0 = logistic(a)
+        p0_after = p0 + delta
+        # logistic(-a) is 1 - p0 without cancellation; the log argument of the
+        # post-query temperature is p0_after / (that - delta).
+        excited_after = logistic(-a) - delta
+        if p0_after > 0.0 and excited_after > 0.0:
+            beta_after = (math.log(p0_after) - math.log(excited_after)) / omega
+        else:
+            beta_after = None
+        if delta > 0.0:
+            regime = Regime.COOLING
+        elif delta < 0.0:
+            regime = Regime.HEATING
+        else:
+            regime = Regime.NEUTRAL
+        return cls(p0, p0_after, delta, beta_after, regime)
 
 
 def outcome_to_dict(outcome: QueryOutcome) -> dict:
@@ -155,41 +176,19 @@ def mixed_input_query(probe: ThermalQubit, oracle: ThermalMachineOracle) -> Bina
     return BinaryDistribution(p0)
 
 
-def _exchange_outcome(
-    probe: ThermalQubit,
-    oracle: ThermalMachineOracle,
-    masked_sum: float,
-    remainder: float,
-) -> QueryOutcome:
-    a = probe.inverse_temperature * probe.gap
-    beta_m = oracle.machine_inverse_temperature
-    log_norm = log1pexp(-a) + oracle.log_partition_function
+def kickback_shift(
+    a: float, beta_m: float, masked_sum: float, remainder: float, log_zf: float
+) -> float:
+    """Probe ground-population change of the kickback, from scalars only.
+
+    (e^{-a - beta_M*remainder} - e^{-beta_M*X.G}) / (Z_S Z_f) with
+    a = beta_S*omega, X.G = ``masked_sum``, remainder = |G| - X.G and
+    log Z_f = ``log_zf``.
+    """
+    log_norm = log1pexp(-a) + log_zf
     gained = math.exp(-(a + beta_m * remainder) - log_norm)
     lost = math.exp(-beta_m * masked_sum - log_norm)
-    delta = gained - lost
-    p0 = logistic(a)
-    p0_after = p0 + delta
-    # logistic(-a) is 1 - p0 without cancellation; the log argument of the
-    # post-query temperature is p0_after / (that - delta).
-    excited_after = logistic(-a) - delta
-    if p0_after > 0.0 and excited_after > 0.0:
-        beta_after = (math.log(p0_after) - math.log(excited_after)) / probe.gap
-    else:
-        beta_after = None
-    if delta > 0.0:
-        regime = Regime.COOLING
-    elif delta < 0.0:
-        regime = Regime.HEATING
-    else:
-        regime = Regime.NEUTRAL
-    return QueryOutcome(p0, p0_after, delta, beta_after, regime)
-
-
-def _general_mask_outcome(
-    probe: ThermalQubit, oracle: ThermalMachineOracle, mask: QueryMask
-) -> QueryOutcome:
-    masked_sum = mask.dot(oracle.gap_vector.gaps)
-    return _exchange_outcome(probe, oracle, masked_sum, oracle.gap_vector.total - masked_sum)
+    return gained - lost
 
 
 def kickback_outcome(
@@ -197,17 +196,20 @@ def kickback_outcome(
 ) -> QueryOutcome:
     """Outcome of the level-exchange kickback V(mask); default mask is all ones.
 
-    The all-ones mask is the virtual-qubit subspace swap and uses the
-    specialized closed form; general masks use the masked-sum generalization.
-    An undefined post-query temperature is flagged, not raised.
+    The default is the virtual-qubit subspace swap, with X.G = |G| and no
+    remainder; an explicit mask contributes X.G and |G| - X.G. An undefined
+    post-query temperature is flagged, not raised.
     """
     if mask is None:
-        mask = QueryMask.all_ones(oracle.n_machine_qubits)
-    if len(mask.bits) != oracle.n_machine_qubits:
-        raise ValueError("mask length does not match the oracle")
-    if mask.is_all_ones:
-        return _exchange_outcome(probe, oracle, oracle.gap_vector.total, 0.0)
-    return _general_mask_outcome(probe, oracle, mask)
+        masked_sum, remainder = oracle.gap_vector.total, 0.0
+    else:
+        masked_sum = mask.dot(oracle.gap_vector.gaps)
+        remainder = oracle.gap_vector.total - masked_sum
+    a = probe.inverse_temperature * probe.gap
+    delta = kickback_shift(
+        a, oracle.machine_inverse_temperature, masked_sum, remainder, oracle.log_partition_function
+    )
+    return QueryOutcome.from_shift(a, probe.gap, delta)
 
 
 def classify_regime(probe: ThermalQubit, oracle: ThermalMachineOracle) -> Regime:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,9 +39,6 @@ __all__ = [
     "deterministic_classical_queries",
     "crossover_analysis",
 ]
-
-CROSSOVER_CSV_HEADER = "delta,t,n_star,k_classical,n_crossover,thermal_beats_probabilistic"
-
 
 @dataclass(frozen=True)
 class BinaryDistribution:
@@ -365,14 +362,6 @@ class CrossoverTable:
 
     def __iter__(self):
         return iter(self.rows)
-
-    def to_csv(self, stream: IO[str]) -> None:
-        stream.write(CROSSOVER_CSV_HEADER + "\n")
-        for row in self.rows:
-            stream.write(
-                f"{row.delta!r},{row.t!r},{row.n_star},{row.k_classical},"
-                f"{row.n_crossover},{'true' if row.thermal_beats_probabilistic else 'false'}\n"
-            )
 
 
 def crossover_analysis(delta_grid: Iterable[float], t_grid: Iterable[float]) -> CrossoverTable:

@@ -31,7 +31,6 @@ from .query import (
     swap_query,
     temperature_well_defined,
 )
-from .query import _general_mask_outcome
 from .thermal import (
     BooleanFunctionTable,
     ThermalQubit,
@@ -227,9 +226,8 @@ def run_verification(
                 exact_beta = inverse_temperature_from_population(exact_p0, probe.gap)
                 error = max(error, abs(outcome.beta_after - exact_beta))
             tracker.record(error, f"mask={mask.bits} machine={oracle.gap_vector.gaps}")
-            full = QueryMask.all_ones(n_machine)
-            specialized = kickback_outcome(probe, oracle, full)
-            generalized = _general_mask_outcome(probe, oracle, full)
+            specialized = kickback_outcome(probe, oracle)
+            generalized = kickback_outcome(probe, oracle, QueryMask.all_ones(n_machine))
             red_err = abs(specialized.p0_after - generalized.p0_after)
             if specialized.beta_after is not None and generalized.beta_after is not None:
                 red_err = max(red_err, abs(specialized.beta_after - generalized.beta_after))

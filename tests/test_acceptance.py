@@ -113,8 +113,6 @@ def test_criterion_01_oracle_equivalence_suite():
 
 
 def test_criterion_02_general_mask_suite():
-    from thermoquery.query import _general_mask_outcome
-
     rng = np.random.default_rng(SEED + 1)
     worst_exact = 0.0
     worst_reduction = 0.0
@@ -141,9 +139,8 @@ def test_criterion_02_general_mask_suite():
             if outcome.beta_after is not None:
                 exact_beta = inverse_temperature_from_population(exact_p0, probe.gap)
                 worst_exact = max(worst_exact, abs(outcome.beta_after - exact_beta))
-            full = QueryMask.all_ones(n_machine)
-            specialized = kickback_outcome(probe, oracle, full)
-            general = _general_mask_outcome(probe, oracle, full)
+            specialized = kickback_outcome(probe, oracle)
+            general = kickback_outcome(probe, oracle, QueryMask.all_ones(n_machine))
             worst_reduction = max(worst_reduction, abs(specialized.p0_after - general.p0_after))
             if specialized.beta_after is not None:
                 worst_reduction = max(

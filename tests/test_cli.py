@@ -83,6 +83,24 @@ class TestDJKickback:
         assert main(["dj-kickback", "--e1", "-1.0", "--out", str(tmp_path / "x.csv")]) == 1
         assert main(["dj-kickback", "--beta-s", "junk", "--out", str(tmp_path / "y.csv")]) == 1
 
+    def test_beyond_exhaustive_enumeration(self, tmp_path):
+        out = tmp_path / "n5.csv"
+        assert main(["dj-kickback", "--n", "5", "--beta-m", "1,2", "--beta-s", "0:1:4",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 3 * 2 * 4
+
+    def test_negative_grid_in_either_form(self, tmp_path):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert main(["dj-kickback", "--beta-s", "-1:1:5", "--out", str(spaced)]) == 0
+        assert main(["dj-kickback", "--beta-s=-1:1:5", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        for grid in ("-0.5,1", "-.5"):
+            assert main(["dj-kickback", "--beta-s", grid, "--out", str(tmp_path / "x.csv")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["dj-kickback", "--flag", "--out", str(tmp_path / "y.csv")])
+        assert exc.value.code == 1
+
 
 class TestDistinguishability:
     def test_diagonal_cells_are_zero(self, tmp_path):

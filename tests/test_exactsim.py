@@ -1,4 +1,3 @@
-import io
 import math
 from itertools import product
 
@@ -10,7 +9,6 @@ from thermoquery.exactsim import (
     apply_level_exchange,
     apply_swap_with_machine_qubit,
     build_joint_state,
-    dump_populations_csv,
     kickback_level_indices,
     machine_mean_energy,
     probe_mean_energy,
@@ -189,22 +187,3 @@ class TestMarginalAndDump:
         state = build_joint_state(ThermalQubit(1.0, 0.0), build_custom_oracle([0.7], 0.0))
         marginal = probe_marginal(state)
         assert marginal.p0 == pytest.approx(0.5, abs=1e-15)
-
-    def test_dump_csv(self):
-        _, _, state = worked_state()
-        buffer = io.StringIO()
-        dump_populations_csv(state, buffer)
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0] == "index,bitstring,energy,population"
-        assert len(lines) == 9
-        populations = [float(line.split(",")[3]) for line in lines[1:]]
-        assert sum(populations) == pytest.approx(1.0, abs=1e-12)
-        assert lines[1].split(",")[1] == "000"
-
-    def test_dump_bitstrings_match_indices(self):
-        _, _, state = worked_state()
-        buffer = io.StringIO()
-        dump_populations_csv(state, buffer)
-        for line in buffer.getvalue().strip().splitlines()[1:]:
-            index, bits, _, _ = line.split(",")
-            assert int(bits, 2) == int(index)

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermoquery.cli import main
 from thermoquery.query import kickback_outcome
 from thermoquery.readout import (
-    CROSSOVER_CSV_HEADER,
     BinaryDistribution,
     Decision,
     chernoff_stein_samples,
@@ -353,12 +352,14 @@ class TestCrossoverAnalysis:
         assert winning, "expected a crossover inside the grid"
         assert 0.52 < min(winning) < 0.56
 
-    def test_csv_format(self):
-        table = crossover_analysis([0.1], [0.1, 0.55])
-        buffer = io.StringIO()
-        table.to_csv(buffer)
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0] == CROSSOVER_CSV_HEADER
+    def test_csv_format(self, tmp_path):
+        # The table's CSV form is the sample-complexity subcommand's output.
+        out = tmp_path / "table.csv"
+        assert main(["sample-complexity", "--delta-grid", "0.1", "--t-grid", "0.1,0.55",
+                     "--out", str(out)]) == 0
+        lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert lines[0] == ("delta,t,n_star,k_classical,n_mixed_query,"
+                            "n_crossover,thermal_beats_probabilistic")
         assert len(lines) == 3
         assert lines[1].split(",")[2] == "116"
 
