@@ -2,7 +2,13 @@
 
 Materializes every population of probe + machine, applies exchanges as exact
 permutations, and extracts marginals. Ground truth for the analytic formulas;
-capped at a configurable qubit count since the vector is dense.
+capped at a configurable qubit count (20 by default) since the vector is dense.
+
+Every operation is O(2^N) in time and memory for N joint qubits: level
+energies are built by doubling, one ``exp`` covers the machine half, a SWAP is
+one reshape-transpose copy, and mean energies are dot products over the two
+halves. Nothing here calls the analytic kickback code in ``query`` or the
+closed-form partition functions of ``thermal``.
 
 Index convention: the probe bit is the most significant bit; machine bit
 strings are big-endian, matching the oracle serialization (machine qubit 0 is
@@ -55,12 +61,19 @@ class DiagonalJointState:
         return self.populations.size
 
 
-def _machine_level_energies(oracle: ThermalMachineOracle) -> np.ndarray:
-    n = oracle.n_machine_qubits
-    idx = np.arange(1 << n)
-    shifts = np.arange(n - 1, -1, -1)
-    bits = (idx[:, None] >> shifts[None, :]) & 1
-    return bits @ oracle.gap_vector.as_array()
+def _level_energies(gaps: tuple[float, ...]) -> np.ndarray:
+    """Energies of every level of independent qubits with these gaps, built by doubling.
+
+    The last gap is added first, so it becomes the least significant bit and
+    qubit 0 the most significant one.
+    """
+    energies = np.empty(1 << len(gaps))
+    energies[0] = 0.0
+    size = 1
+    for gap in reversed(gaps):
+        np.add(energies[:size], gap, out=energies[size:2 * size])
+        size *= 2
+    return energies
 
 
 def build_joint_state(
@@ -72,21 +85,30 @@ def build_joint_state(
     n = oracle.n_machine_qubits
     if n + 1 > max_qubits:
         raise ValueError(f"{n + 1} qubits exceed the configured limit of {max_qubits}")
-    machine_energies = _machine_level_energies(oracle)
-    log_w_machine = -oracle.machine_inverse_temperature * machine_energies
+    # The probe is the most significant qubit of the joint index.
+    energies = _level_energies((probe.gap, *oracle.gap_vector.gaps))
+    half = 1 << n
+    # Fresh arrays cost page faults; every step below writes into the output.
+    populations = np.empty(2 * half)
+    ground, excited = populations[:half], populations[half:]
+    np.multiply(energies[:half], -oracle.machine_inverse_temperature, out=ground)
     probe_exponent = -probe.inverse_temperature * probe.gap
-    log_w = np.concatenate([log_w_machine, log_w_machine + probe_exponent])
-    shift = float(log_w.max())
-    weights = np.exp(log_w - shift)
-    total = float(weights.sum())
-    populations = weights / total
-    energies = np.concatenate([machine_energies, machine_energies + probe.gap])
+    # Shifting by the largest log weight of either probe level keeps both
+    # probe factors <= 1 whatever the signs of beta_S and beta_M.
+    machine_shift = float(ground.max())
+    probe_shift = max(0.0, probe_exponent)
+    ground -= machine_shift
+    np.exp(ground, out=ground)
+    np.multiply(ground, math.exp(probe_exponent - probe_shift), out=excited)
+    ground *= math.exp(-probe_shift)
+    total = float(populations.sum())
+    populations /= total
     return DiagonalJointState(
         populations=populations,
         level_energies=energies,
         n_machine=n,
         probe_gap=probe.gap,
-        log_partition_sum=shift + math.log(total),
+        log_partition_sum=machine_shift + probe_shift + math.log(total),
     )
 
 
@@ -113,14 +135,12 @@ def apply_swap_with_machine_qubit(state: DiagonalJointState, machine_index: int)
     n = state.n_machine
     if not 0 <= machine_index < n:
         raise IndexError(f"machine index {machine_index} out of range")
-    idx = np.arange(state.size)
-    probe_bits = (idx >> n) & 1
-    machine_shift = n - 1 - machine_index
-    machine_bits = (idx >> machine_shift) & 1
-    differ = probe_bits ^ machine_bits
-    partner = idx ^ (differ << n) ^ (differ << machine_shift)
+    # Axes: probe bit, machine bits above the swapped one, swapped bit, bits below.
+    above = 1 << machine_index
+    below = 1 << (n - 1 - machine_index)
+    populations = state.populations.reshape(2, above, 2, below).transpose(2, 1, 0, 3).reshape(-1)
     return DiagonalJointState(
-        populations=state.populations[partner],
+        populations=populations,
         level_energies=state.level_energies,
         n_machine=state.n_machine,
         probe_gap=state.probe_gap,
@@ -151,7 +171,8 @@ def probe_mean_energy(state: DiagonalJointState) -> float:
 
 def machine_mean_energy(state: DiagonalJointState) -> float:
     half = 1 << state.n_machine
-    machine_energies = state.level_energies.copy()
-    machine_energies[half:] -= state.probe_gap
-    return float(np.dot(state.populations, machine_energies))
-
+    machine_energies = state.level_energies[:half]
+    populations = state.populations
+    return float(
+        np.dot(populations[:half], machine_energies) + np.dot(populations[half:], machine_energies)
+    )

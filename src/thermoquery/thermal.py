@@ -161,9 +161,6 @@ class GapVector:
         """Sum of all gaps; the exponent scale of the full-machine Boltzmann factor."""
         return float(np.sum(np.asarray(self.gaps, dtype=float)))
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.gaps, dtype=float)
-
 
 class Classification(Enum):
     CONSTANT0 = "constant0"

@@ -29,6 +29,7 @@ from thermoquery.query import (
     classify_regime,
     kickback_outcome,
     sensitivity_check,
+    swap_query,
 )
 from thermoquery.readout import (
     BinaryDistribution,
@@ -110,6 +111,40 @@ def test_criterion_01_oracle_equivalence_suite():
     assert elapsed < 10.0
     _passed(1, f"{cases} cases, max errors p0={worst['p0']:.2e} "
                f"delta={worst['delta']:.2e} beta={worst['beta']:.2e}, {elapsed:.2f}s")
+
+
+def test_criterion_01_oracle_equivalence_at_n4():
+    started = time.perf_counter()
+    rng = np.random.default_rng(SEED + 4)
+    instances = list(constant_functions(4)) + list(enumerate_balanced_functions(4, limit=64))
+    worst = {"kickback": 0.0, "mask": 0.0, "swap": 0.0}
+    for instance in instances:
+        probe = _sample_probe(rng)
+        oracle = build_dj_oracle(
+            instance.function, _uniform(rng, "gap"), _uniform(rng, "gap"), _uniform(rng, "beta_m")
+        )
+        state = exactsim.build_joint_state(probe, oracle)
+        assert state.size == 1 << 17
+        random_mask = QueryMask(tuple(int(b) for b in rng.integers(0, 2, 16)))
+        cases = (
+            ("kickback", QueryMask.all_ones(16), kickback_outcome(probe, oracle)),
+            ("mask", random_mask, kickback_outcome(probe, oracle, random_mask)),
+        )
+        for key, mask, closed_form in cases:
+            a, b = exactsim.kickback_level_indices(mask, 16)
+            exact_p0 = exactsim.probe_marginal(exactsim.apply_level_exchange(state, a, b)).p0
+            worst[key] = max(worst[key], abs(closed_form.p0_after - exact_p0))
+        x = int(rng.integers(0, 16))
+        swapped = exactsim.probe_marginal(exactsim.apply_swap_with_machine_qubit(state, x)).p0
+        taken = swap_query(probe, oracle, x).probe.ground_population
+        worst["swap"] = max(worst["swap"], abs(taken - swapped))
+    elapsed = time.perf_counter() - started
+    assert len(instances) == 66
+    assert max(worst.values()) <= 1e-12
+    assert elapsed < 10.0
+    _passed("1 (n=4)", f"{len(instances)} 17-qubit tables, max errors kickback="
+                       f"{worst['kickback']:.2e} mask={worst['mask']:.2e} "
+                       f"swap={worst['swap']:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_02_general_mask_suite():

@@ -4,7 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import reference_joint_populations
+from conftest import reference_joint_populations, reference_swap_ground_population
+from thermoquery import exactsim, query, thermal
 from thermoquery.exactsim import (
     apply_level_exchange,
     apply_swap_with_machine_qubit,
@@ -17,7 +18,9 @@ from thermoquery.exactsim import (
 from thermoquery.query import QueryMask, kickback_outcome, reset_costs
 from thermoquery.thermal import (
     BooleanFunctionTable,
+    ThermalMachineOracle,
     ThermalQubit,
+    build_bv_oracle,
     build_custom_oracle,
     build_dj_oracle,
 )
@@ -187,3 +190,99 @@ class TestMarginalAndDump:
         state = build_joint_state(ThermalQubit(1.0, 0.0), build_custom_oracle([0.7], 0.0))
         marginal = probe_marginal(state)
         assert marginal.p0 == pytest.approx(0.5, abs=1e-15)
+
+
+def reference_case(n):
+    """Random probe and n-qubit machine whose gaps 0, 3, 6 are zero, as in secret-string machines."""
+    rng = np.random.default_rng(20251015 + n)
+    gaps = rng.uniform(0.2, 2.0, n)
+    gaps[::3] = 0.0
+    probe = ThermalQubit(float(rng.uniform(0.25, 2.0)), float(rng.uniform(-1.2, 1.2)))
+    return probe, build_custom_oracle(gaps, float(rng.uniform(-1.5, 1.5)))
+
+
+def reference_machine_energy(machine, gaps):
+    return sum(b * g for b, g in zip(machine, gaps))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+class TestAgainstReference:
+    def test_levels_in_big_endian_order(self, n):
+        probe, oracle = reference_case(n)
+        state = build_joint_state(probe, oracle)
+        reference = reference_joint_populations(probe, oracle)
+        assert state.size == len(reference) == 1 << (n + 1)
+        for (s_bit, machine), expected in reference.items():
+            index = int("".join(str(b) for b in (s_bit, *machine)), 2)
+            energy = s_bit * probe.gap + reference_machine_energy(machine, oracle.gap_vector.gaps)
+            assert state.populations[index] == pytest.approx(expected, abs=1e-14)
+            assert state.level_energies[index] == pytest.approx(energy, abs=1e-13)
+
+    def test_swap_with_every_machine_qubit(self, n):
+        probe, oracle = reference_case(n)
+        state = build_joint_state(probe, oracle)
+        for index in range(n):
+            once = apply_swap_with_machine_qubit(state, index)
+            expected = reference_swap_ground_population(probe, oracle, index)
+            assert probe_marginal(once).p0 == pytest.approx(expected, abs=1e-13)
+            assert not np.shares_memory(once.populations, state.populations)
+            twice = apply_swap_with_machine_qubit(once, index)
+            assert np.array_equal(twice.populations, state.populations)
+
+    def test_machine_mean_energy(self, n):
+        probe, oracle = reference_case(n)
+        expected = sum(
+            p * reference_machine_energy(machine, oracle.gap_vector.gaps)
+            for (_, machine), p in reference_joint_populations(probe, oracle).items()
+        )
+        state = build_joint_state(probe, oracle)
+        assert machine_mean_energy(state) == pytest.approx(expected, abs=1e-12)
+
+
+class TestExtremeTemperatures:
+    # At |beta| = 500 the unshifted log weights reach 1,000 (probe) and at
+    # least 1,200 (machine), past the 709 at which exp overflows.
+    @pytest.mark.parametrize("beta_s", (-500.0, -50.0, 50.0, 500.0))
+    @pytest.mark.parametrize("beta_m", (-500.0, -50.0, 50.0, 500.0))
+    def test_populations_and_partition_sum(self, beta_s, beta_m, rng):
+        probe = ThermalQubit(2.0, beta_s)
+        oracle = build_custom_oracle(rng.uniform(0.2, 2.0, 12), beta_m)
+        state = build_joint_state(probe, oracle)
+        populations = state.populations
+        assert np.all(np.isfinite(populations))
+        assert np.all(populations >= 0.0)
+        assert float(populations.sum()) == pytest.approx(1.0, abs=1e-12)
+        expected = probe.log_partition_function + oracle.log_partition_function
+        assert abs(state.log_partition_sum - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+class TestIndependenceFromAnalyticCode:
+    def test_exact_path_never_calls_the_closed_forms(self, monkeypatch):
+        analytic = {"thermoquery.query", "thermoquery.thermal"}
+        imported = {
+            name
+            for name, value in vars(exactsim).items()
+            if value is query or value is thermal or getattr(value, "__module__", None) in analytic
+        }
+        assert imported <= {"QueryMask", "ThermalMachineOracle", "ThermalQubit"}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exact simulator called the analytic code")
+
+        monkeypatch.setattr(query, "kickback_shift", forbidden)
+        monkeypatch.setattr(query, "kickback_outcome", forbidden)
+        monkeypatch.setattr(ThermalMachineOracle, "log_partition_function", property(forbidden))
+        probe = ThermalQubit(1.2, 0.4)
+        dj = build_dj_oracle(BooleanFunctionTable(2, (0, 1, 1, 0)), 1.1, 0.6, 0.8)
+        secret_string = build_bv_oracle("1011", 0.7, 0.9)
+        with pytest.raises(AssertionError):
+            dj.log_partition_function
+        for oracle in (dj, secret_string):
+            n = oracle.n_machine_qubits
+            state = build_joint_state(probe, oracle)
+            exchanged = apply_level_exchange(state, *kickback_level_indices(QueryMask.all_ones(n), n))
+            swapped = apply_swap_with_machine_qubit(state, n - 1)
+            for each in (state, exchanged, swapped):
+                probe_marginal(each)
+                probe_mean_energy(each)
+                machine_mean_energy(each)
