@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .detuning import ExperimentConfig, bv3_sweep
-from .query import kickback_outcome
+from .query import oracle_shift, shift_outcome
 from .readout import (
     chernoff_stein_samples,
     crossover_analysis,
@@ -145,24 +145,26 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
         "constant0": BooleanFunctionTable.constant(args.n, 0),
         "constant1": BooleanFunctionTable.constant(args.n, 1),
     }
+    for beta_s in beta_s_values:
+        ThermalQubit(args.omega, beta_s)  # rejects a non-finite probe gap or temperature
+    grid = np.array(beta_s_values)
     rows = []
     for beta_m in beta_m_values:
-        oracles = {
-            name: build_dj_oracle(table, args.e1, args.e2, beta_m)
-            for name, table in tables.items()
-        }
-        for beta_s in beta_s_values:
-            probe = ThermalQubit(args.omega, beta_s)
-            for name in sorted(oracles):
-                outcome = kickback_outcome(probe, oracles[name])
+        curves = {}
+        for name, table in sorted(tables.items()):
+            delta = oracle_shift(build_dj_oracle(table, args.e1, args.e2, beta_m), args.omega, grid)
+            _, p0_after, beta_after = shift_outcome(grid * args.omega, args.omega, delta)
+            curves[name] = (delta, p0_after, beta_after)
+        for i, beta_s in enumerate(beta_s_values):
+            for name, (delta, p0_after, beta_after) in curves.items():
                 rows.append(
                     {
                         "beta_M": beta_m,
                         "beta_S": beta_s,
                         "case": name,
-                        "delta_p0": outcome.delta_p0,
-                        "p0_after": outcome.p0_after,
-                        "beta_S_prime": outcome.beta_after,
+                        "delta_p0": float(delta[i]),
+                        "p0_after": float(p0_after[i]),
+                        "beta_S_prime": None if math.isnan(beta_after[i]) else float(beta_after[i]),
                     }
                 )
     config = {

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .query import QueryOutcome, kickback_shift
+import numpy as np
+
+from .query import oracle_shift, shift_outcome
 from .thermal import ThermalMachineOracle, ThermalQubit, build_custom_oracle
 
 __all__ = [
@@ -58,15 +60,14 @@ def detuned_probe_temperature(
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
-    a = probe.inverse_temperature * probe.gap
-    delta = kickback_shift(
-        a,
-        oracle.machine_inverse_temperature,
-        oracle.gap_vector.total,
-        0.0,
-        oracle.log_partition_function,
-    )
-    return QueryOutcome.from_shift(a, probe.gap, eta * delta).beta_after
+    beta_after = float(_detuned_inverse_temperatures(oracle, probe.gap, probe.inverse_temperature, eta))
+    return None if math.isnan(beta_after) else beta_after
+
+
+def _detuned_inverse_temperatures(oracle: ThermalMachineOracle, omega: float, beta_s, eta: float):
+    """detuned_probe_temperature for a float or an array of ``beta_s``, NaN where undefined."""
+    delta = oracle_shift(oracle, omega, beta_s)
+    return shift_outcome(beta_s * omega, omega, eta * delta)[2]
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,8 @@ def bv3_sweep(config: ExperimentConfig, beta_s_grid: Sequence[float]) -> Detunin
     grid = tuple(float(b) for b in beta_s_grid)
     if len(grid) == 0:
         raise ValueError("beta_s grid must be nonempty")
+    for beta_s in grid:
+        ThermalQubit(config.omega, beta_s)  # rejects a non-finite probe gap or temperature
     points: list[SweepPoint] = []
     curves: dict[str, list[float | None]] = {}
     for bits in product("01", repeat=3):
@@ -176,12 +179,9 @@ def bv3_sweep(config: ExperimentConfig, beta_s_grid: Sequence[float]) -> Detunin
         delta_s = config.detuning_for_secret(secret)
         eta = suppression_factor(config.coupling, delta_s)
         oracle = config.oracle_for_secret(secret)
-        values: list[float | None] = []
-        for beta_s in grid:
-            probe = ThermalQubit(config.omega, beta_s)
-            value = detuned_probe_temperature(probe, oracle, eta)
-            values.append(value)
-            points.append(SweepPoint(secret, beta_s, delta_s, eta, value))
+        betas = _detuned_inverse_temperatures(oracle, config.omega, np.array(grid), eta)
+        values = [None if math.isnan(b) else float(b) for b in betas]
+        points += [SweepPoint(secret, b, delta_s, eta, v) for b, v in zip(grid, values)]
         curves[secret] = values
     return DetuningSweep(
         points=tuple(points),

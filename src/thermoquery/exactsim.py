@@ -7,7 +7,9 @@ capped at a configurable qubit count (20 by default) since the vector is dense.
 Every operation is O(2^N) in time and memory for N joint qubits: level
 energies are built by doubling, one ``exp`` covers the machine half, a SWAP is
 one reshape-transpose copy, and mean energies are dot products over the two
-halves. Nothing here calls the analytic kickback code in ``query`` or the
+halves. One builder takes a leading batch axis of T states; a single state
+is its T = 1 row, and :func:`kickback_batch` runs the kickback on T states at
+once. Nothing here calls the analytic kickback code in ``query`` or the
 closed-form partition functions of ``thermal``.
 
 Index convention: the probe bit is the most significant bit; machine bit
@@ -30,6 +32,7 @@ __all__ = [
     "DEFAULT_MAX_QUBITS",
     "DiagonalJointState",
     "build_joint_state",
+    "kickback_batch",
     "apply_level_exchange",
     "apply_swap_with_machine_qubit",
     "probe_marginal",
@@ -39,6 +42,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_QUBITS = 20
+# Joint levels built at once by kickback_batch: two 64 KiB arrays.
+_BATCH_LEVELS = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,19 +66,50 @@ class DiagonalJointState:
         return self.populations.size
 
 
-def _level_energies(gaps: tuple[float, ...]) -> np.ndarray:
-    """Energies of every level of independent qubits with these gaps, built by doubling.
+def _joint_levels(n_machine: int, max_qubits: int) -> int:
+    """Number of levels of a probe and ``n_machine`` machine qubits, within the limit."""
+    if n_machine + 1 > max_qubits:
+        raise ValueError(f"{n_machine + 1} qubits exceed the configured limit of {max_qubits}")
+    return 2 << n_machine
 
-    The last gap is added first, so it becomes the least significant bit and
-    qubit 0 the most significant one.
+
+def _fill_joint_states(
+    gaps: np.ndarray,
+    beta_s: np.ndarray,
+    beta_m: np.ndarray,
+    energies: np.ndarray,
+    populations: np.ndarray,
+) -> np.ndarray:
+    """Write the level energies and populations of T joint states, and return
+    their log weight sums.
+
+    Row t of the (T, N+1) ``gaps`` holds the probe gap, then the machine
+    gaps; ``beta_s[t]`` and ``beta_m[t]`` are the probe and machine inverse
+    temperatures. ``energies`` and ``populations`` are (T, 2^(N+1)) outputs:
+    fresh arrays cost page faults, so every step writes into them.
     """
-    energies = np.empty(1 << len(gaps))
-    energies[0] = 0.0
+    # Level energies by doubling. The last gap is added first, so it becomes
+    # the least significant bit and the probe (column 0) the most significant.
+    energies[:, 0] = 0.0
     size = 1
-    for gap in reversed(gaps):
-        np.add(energies[:size], gap, out=energies[size:2 * size])
+    for column in range(gaps.shape[1] - 1, -1, -1):
+        np.add(energies[:, :size], gaps[:, column:column + 1], out=energies[:, size:2 * size])
         size *= 2
-    return energies
+    half = size // 2
+    ground, excited = populations[:, :half], populations[:, half:]
+    np.multiply(energies[:, :half], -beta_m[:, None], out=ground)
+    probe_exponent = -beta_s * gaps[:, 0]
+    # Shifting by the largest log weight of either probe level keeps both
+    # probe factors <= 1 whatever the signs of beta_S and beta_M.
+    machine_shift = ground.max(axis=1)
+    probe_shift = np.maximum(0.0, probe_exponent)
+    ground -= machine_shift[:, None]
+    np.exp(ground, out=ground)
+    np.multiply(ground, np.exp(probe_exponent - probe_shift)[:, None], out=excited)
+    ground *= np.exp(-probe_shift)[:, None]
+    total = populations.sum(axis=1)
+    populations /= total[:, None]
+    return machine_shift + probe_shift + np.log(total)
 
 
 def build_joint_state(
@@ -82,34 +118,56 @@ def build_joint_state(
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> DiagonalJointState:
     """Normalized product populations e^{-beta_S*omega*i_S} e^{-beta_M*(i_M.G)} / (Z_S Z_f)."""
-    n = oracle.n_machine_qubits
-    if n + 1 > max_qubits:
-        raise ValueError(f"{n + 1} qubits exceed the configured limit of {max_qubits}")
-    # The probe is the most significant qubit of the joint index.
-    energies = _level_energies((probe.gap, *oracle.gap_vector.gaps))
-    half = 1 << n
-    # Fresh arrays cost page faults; every step below writes into the output.
-    populations = np.empty(2 * half)
-    ground, excited = populations[:half], populations[half:]
-    np.multiply(energies[:half], -oracle.machine_inverse_temperature, out=ground)
-    probe_exponent = -probe.inverse_temperature * probe.gap
-    # Shifting by the largest log weight of either probe level keeps both
-    # probe factors <= 1 whatever the signs of beta_S and beta_M.
-    machine_shift = float(ground.max())
-    probe_shift = max(0.0, probe_exponent)
-    ground -= machine_shift
-    np.exp(ground, out=ground)
-    np.multiply(ground, math.exp(probe_exponent - probe_shift), out=excited)
-    ground *= math.exp(-probe_shift)
-    total = float(populations.sum())
-    populations /= total
-    return DiagonalJointState(
-        populations=populations,
-        level_energies=energies,
-        n_machine=n,
-        probe_gap=probe.gap,
-        log_partition_sum=machine_shift + probe_shift + math.log(total),
+    levels = _joint_levels(oracle.n_machine_qubits, max_qubits)
+    energies, populations = np.empty((1, levels)), np.empty((1, levels))
+    log_partition_sum = _fill_joint_states(
+        np.array([(probe.gap, *oracle.gap_vector.gaps)]),
+        np.array([probe.inverse_temperature]),
+        np.array([oracle.machine_inverse_temperature]),
+        energies,
+        populations,
     )
+    return DiagonalJointState(
+        populations=populations[0],
+        level_energies=energies[0],
+        n_machine=oracle.n_machine_qubits,
+        probe_gap=probe.gap,
+        log_partition_sum=float(log_partition_sum[0]),
+    )
+
+
+def kickback_batch(
+    omega: np.ndarray,
+    beta_s: np.ndarray,
+    gaps: np.ndarray,
+    beta_m: np.ndarray,
+    mask: QueryMask,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probe ground population before and after the kickback V(mask), and the
+    log weight sum, of T joint states: row t is a probe with gap ``omega[t]``
+    at ``beta_s[t]`` and machine gaps ``gaps[t]`` at ``beta_m[t]``.
+
+    The exchange touches two levels, so p0' = p0 - p[a] + p[b] without a
+    copy of the state. The states are built a chunk of rows at a time, in
+    the same two arrays of at most 2^13 levels or one state.
+    """
+    rows, n = gaps.shape
+    levels = _joint_levels(n, DEFAULT_MAX_QUBITS)
+    level_a, level_b = kickback_level_indices(mask, n)
+    joint_gaps = np.column_stack((omega, gaps))
+    step = max(1, min(rows, _BATCH_LEVELS // levels))
+    energies, populations = np.empty((step, levels)), np.empty((step, levels))
+    p0, p0_after, log_partition_sum = np.empty(rows), np.empty(rows), np.empty(rows)
+    for start in range(0, rows, step):
+        chunk = slice(start, min(start + step, rows))
+        size = chunk.stop - start
+        states = populations[:size]
+        log_partition_sum[chunk] = _fill_joint_states(
+            joint_gaps[chunk], beta_s[chunk], beta_m[chunk], energies[:size], states
+        )
+        p0[chunk] = states[:, : levels // 2].sum(axis=1)
+        p0_after[chunk] = p0[chunk] - states[:, level_a] + states[:, level_b]
+    return p0, p0_after, log_partition_sum
 
 
 def apply_level_exchange(state: DiagonalJointState, level_a: int, level_b: int) -> DiagonalJointState:

@@ -9,13 +9,12 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .query import kickback_shift
+from .query import kickback_shift, shift_outcome
 from .thermal import (
     BooleanFunctionTable,
     Classification,
     ThermalQubit,
     log1pexp,
-    logistic,
 )
 
 __all__ = [
@@ -133,7 +132,8 @@ def hamming_weight_population(
     n = len(instance.secret)
     log_zf = k * log1pexp(-beta_m * gamma) + (n - k) * math.log(2.0)
     a = probe.inverse_temperature * probe.gap
-    return logistic(a) + kickback_shift(a, beta_m, k * gamma, 0.0, log_zf)
+    delta = kickback_shift(a, beta_m, k * gamma, 0.0, log_zf)
+    return float(shift_outcome(a, probe.gap, delta)[1])
 
 
 @dataclass(frozen=True)

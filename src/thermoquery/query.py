@@ -11,8 +11,19 @@ which for the all-ones mask (the virtual-qubit subspace swap) reduces to
 (e^{-beta_S*omega} - e^{-beta_M*|G|}) / (Z_S Z_f). All exponent sums are
 evaluated in log-domain and exponentiated once, in :func:`kickback_shift`,
 which the detuned and Hamming-weight closed forms call too;
-:meth:`QueryOutcome.from_shift` turns a shift into the post-query population
-and temperature.
+:func:`shift_outcome` turns a shift into the post-query population and
+temperature.
+
+The arithmetic is written once, over numpy arrays: :func:`kickback_shift`,
+:func:`shift_outcome`, :func:`regime_sign`, :func:`sensitivity_bound` and
+:func:`temperature_defined` take floats or arrays that broadcast together,
+and an undefined temperature is NaN; :func:`oracle_shift` evaluates one
+oracle for an array of probe temperatures. The functions on probe and oracle
+objects (:func:`kickback_outcome`, :func:`classify_regime`,
+:func:`sensitivity_check`, :func:`temperature_well_defined`) read scalars off
+the objects, call them, and convert the result to ``float``, ``None``,
+``bool`` and :class:`Regime`; the verify suite and the figure sweeps call
+them on whole arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +41,6 @@ from .thermal import (
     ThermalMachineOracle,
     ThermalQubit,
     bits_to_index,
-    log1pexp,
     logistic,
 )
 
@@ -45,6 +55,11 @@ __all__ = [
     "swap_query",
     "mixed_input_query",
     "kickback_shift",
+    "oracle_shift",
+    "shift_outcome",
+    "regime_sign",
+    "sensitivity_bound",
+    "temperature_defined",
     "kickback_outcome",
     "classify_regime",
     "sensitivity_check",
@@ -56,11 +71,25 @@ __all__ = [
 # Equality convention for the measure-zero boundary beta_S*omega == beta_M*|G|.
 NEUTRAL_TOLERANCE = 1e-14
 
+# Indexed by a condition: NaN where it is false, 0.0 where it is true. Adding
+# it before a log marks a non-positive argument as NaN without a floating-point
+# warning; indexing costs less than np.where on the scalars of a single query.
+_NAN_UNLESS = np.array([np.nan, 0.0])
+
 
 class Regime(Enum):
     COOLING = "cooling"
     HEATING = "heating"
     NEUTRAL = "neutral"
+
+    @classmethod
+    def from_sign(cls, sign: float) -> "Regime":
+        """Cooling for a positive sign (a gain in ground population), heating for a negative one."""
+        if sign > 0.0:
+            return cls.COOLING
+        if sign < 0.0:
+            return cls.HEATING
+        return cls.NEUTRAL
 
 
 @dataclass(frozen=True)
@@ -112,22 +141,15 @@ class QueryOutcome:
     def from_shift(cls, a: float, omega: float, delta: float) -> "QueryOutcome":
         """Outcome of moving ``delta`` into the ground level of a probe with
         gap ``omega`` and a = beta_S*omega."""
-        p0 = logistic(a)
-        p0_after = p0 + delta
-        # logistic(-a) is 1 - p0 without cancellation; the log argument of the
-        # post-query temperature is p0_after / (that - delta).
-        excited_after = logistic(-a) - delta
-        if p0_after > 0.0 and excited_after > 0.0:
-            beta_after = (math.log(p0_after) - math.log(excited_after)) / omega
-        else:
-            beta_after = None
-        if delta > 0.0:
-            regime = Regime.COOLING
-        elif delta < 0.0:
-            regime = Regime.HEATING
-        else:
-            regime = Regime.NEUTRAL
-        return cls(p0, p0_after, delta, beta_after, regime)
+        p0, p0_after, beta_after = shift_outcome(a, omega, delta)
+        delta, beta_after = float(delta), float(beta_after)
+        return cls(
+            float(p0),
+            float(p0_after),
+            delta,
+            None if math.isnan(beta_after) else beta_after,
+            Regime.from_sign(delta),
+        )
 
 
 def outcome_to_dict(outcome: QueryOutcome) -> dict:
@@ -176,40 +198,104 @@ def mixed_input_query(probe: ThermalQubit, oracle: ThermalMachineOracle) -> Bina
     return BinaryDistribution(p0)
 
 
-def kickback_shift(
-    a: float, beta_m: float, masked_sum: float, remainder: float, log_zf: float
-) -> float:
-    """Probe ground-population change of the kickback, from scalars only.
+def kickback_shift(a, beta_m, masked_sum, remainder, log_zf):
+    """Probe ground-population change of the kickback, from floats or arrays.
 
     (e^{-a - beta_M*remainder} - e^{-beta_M*X.G}) / (Z_S Z_f) with
     a = beta_S*omega, X.G = ``masked_sum``, remainder = |G| - X.G and
     log Z_f = ``log_zf``.
     """
-    log_norm = log1pexp(-a) + log_zf
-    gained = math.exp(-(a + beta_m * remainder) - log_norm)
-    lost = math.exp(-beta_m * masked_sum - log_norm)
+    log_norm = np.logaddexp(0.0, -a) + log_zf
+    gained = np.exp(-(a + beta_m * remainder) - log_norm)
+    lost = np.exp(-beta_m * masked_sum - log_norm)
     return gained - lost
 
 
-def kickback_outcome(
-    probe: ThermalQubit, oracle: ThermalMachineOracle, mask: QueryMask | None = None
-) -> QueryOutcome:
-    """Outcome of the level-exchange kickback V(mask); default mask is all ones.
+def shift_outcome(a, omega, delta):
+    """(p0, p0', beta') of a probe with a = beta_S*omega and gap ``omega``
+    after ``delta`` moves into its ground level; floats or arrays.
 
-    The default is the virtual-qubit subspace swap, with X.G = |G| and no
-    remainder; an explicit mask contributes X.G and |G| - X.G. An undefined
-    post-query temperature is flagged, not raised.
+    p0 = 1/Z_S and p1 = e^{-a}/Z_S, and beta' = (log p0' - log p1')/omega is
+    NaN where p0' or p1' = p1 - delta is not positive.
+    """
+    log_zs = np.logaddexp(0.0, -a)
+    p0 = np.exp(-log_zs)
+    p0_after = p0 + delta
+    excited_after = np.exp(-a - log_zs) - delta
+    defined = (p0_after > 0.0) & (excited_after > 0.0)
+    undefined = _NAN_UNLESS[defined.astype(np.intp)]
+    beta_after = (np.log(p0_after + undefined) - np.log(excited_after + undefined)) / omega
+    return p0, p0_after, beta_after
+
+
+def regime_sign(a, b):
+    """+1 (cooling) where a = beta_S*omega < b = beta_M*|G|, -1 (heating) where
+    a > b, 0 where they differ by at most NEUTRAL_TOLERANCE; floats or arrays."""
+    difference = b - a
+    return np.sign(difference) * (np.abs(difference) > NEUTRAL_TOLERANCE)
+
+
+def sensitivity_bound(a, b, log_zf, c, delta):
+    """Closed-form log test of |delta_p0| > c and whether its precondition
+    holds, as two boolean arrays (or numpy bools for floats).
+
+    a = beta_S*omega, b = beta_M*|G|; the sign of ``delta`` picks the cooling
+    (a < -log(c Z_S Z_f + e^{-b})) or heating (a > -log(e^{-b} - c Z_S Z_f))
+    form; at delta = 0 the test fails and its precondition holds.
+    """
+    scaled_threshold = c * np.exp(np.logaddexp(0.0, -a) + log_zf)
+    boltzmann = np.exp(-b)
+    # numpy comparisons, so that ~ is a logical not for a float delta too.
+    cooling, heating = np.greater(delta, 0.0), np.less(delta, 0.0)
+    arg = np.where(cooling, scaled_threshold + boltzmann, boltzmann - scaled_threshold)
+    positive = arg > 0.0
+    log_arg = np.log(arg + _NAN_UNLESS[positive.astype(np.intp)])
+    closed = np.where(cooling, a < -log_arg, heating & (a > -log_arg))
+    precondition = np.where(cooling, arg <= 1.0, ~heating | positive)
+    return closed, precondition
+
+
+def temperature_defined(a, delta):
+    """Whether a probe with a = beta_S*omega has a temperature after the
+    shift ``delta``: e^{-a} > Z_S*delta when cooling, 1 + Z_S*delta > 0
+    otherwise; floats or arrays."""
+    boltzmann = np.exp(-a)
+    scaled_delta = (1.0 + boltzmann) * delta
+    return np.where(delta > 0.0, boltzmann > scaled_delta, 1.0 + scaled_delta > 0.0)
+
+
+def oracle_shift(
+    oracle: ThermalMachineOracle, omega, beta_s, mask: QueryMask | None = None
+):
+    """Kickback shift delta_p0 of ``oracle`` under V(mask) for probes of gap
+    ``omega`` at inverse temperatures ``beta_s``, floats or arrays.
+
+    The default mask is all ones, with X.G = |G| and no remainder; an
+    explicit mask contributes X.G and |G| - X.G.
     """
     if mask is None:
         masked_sum, remainder = oracle.gap_vector.total, 0.0
     else:
         masked_sum = mask.dot(oracle.gap_vector.gaps)
         remainder = oracle.gap_vector.total - masked_sum
-    a = probe.inverse_temperature * probe.gap
-    delta = kickback_shift(
-        a, oracle.machine_inverse_temperature, masked_sum, remainder, oracle.log_partition_function
+    return kickback_shift(
+        beta_s * omega,
+        oracle.machine_inverse_temperature,
+        masked_sum,
+        remainder,
+        oracle.log_partition_function,
     )
-    return QueryOutcome.from_shift(a, probe.gap, delta)
+
+
+def kickback_outcome(
+    probe: ThermalQubit, oracle: ThermalMachineOracle, mask: QueryMask | None = None
+) -> QueryOutcome:
+    """Outcome of the level-exchange kickback V(mask); default mask is all ones
+    (the virtual-qubit subspace swap). An undefined post-query temperature is
+    flagged, not raised.
+    """
+    delta = oracle_shift(oracle, probe.gap, probe.inverse_temperature, mask)
+    return QueryOutcome.from_shift(probe.inverse_temperature * probe.gap, probe.gap, delta)
 
 
 def classify_regime(probe: ThermalQubit, oracle: ThermalMachineOracle) -> Regime:
@@ -218,11 +304,11 @@ def classify_regime(probe: ThermalQubit, oracle: ThermalMachineOracle) -> Regime
     Equality is taken with an absolute tolerance of NEUTRAL_TOLERANCE on the
     difference of the two Boltzmann exponents.
     """
-    probe_exponent = probe.inverse_temperature * probe.gap
-    machine_exponent = oracle.machine_inverse_temperature * oracle.gap_vector.total
-    if abs(probe_exponent - machine_exponent) <= NEUTRAL_TOLERANCE:
-        return Regime.NEUTRAL
-    return Regime.COOLING if probe_exponent < machine_exponent else Regime.HEATING
+    sign = regime_sign(
+        probe.inverse_temperature * probe.gap,
+        oracle.machine_inverse_temperature * oracle.gap_vector.total,
+    )
+    return Regime.from_sign(sign)
 
 
 @dataclass(frozen=True)
@@ -251,20 +337,14 @@ def sensitivity_check(
     if not 0.0 < c < 1.0 - outcome.p0_before:
         raise ValueError(f"threshold c={c} must lie in (0, 1 - p0) = (0, {1.0 - outcome.p0_before})")
     direct = abs(outcome.delta_p0) > c
-    a = probe.inverse_temperature * probe.gap
-    b = oracle.machine_inverse_temperature * oracle.gap_vector.total
-    scaled_threshold = c * math.exp(log1pexp(-a) + oracle.log_partition_function)
-    if outcome.delta_p0 > 0.0:
-        arg = scaled_threshold + math.exp(-b)
-        closed = a < -math.log(arg)
-        precondition = arg <= 1.0
-    elif outcome.delta_p0 < 0.0:
-        arg = math.exp(-b) - scaled_threshold
-        precondition = arg > 0.0
-        closed = precondition and a > -math.log(arg)
-    else:
-        closed = False
-        precondition = True
+    closed, precondition = sensitivity_bound(
+        probe.inverse_temperature * probe.gap,
+        oracle.machine_inverse_temperature * oracle.gap_vector.total,
+        oracle.log_partition_function,
+        c,
+        outcome.delta_p0,
+    )
+    closed, precondition = bool(closed), bool(precondition)
     return SensitivityReport(
         satisfied=direct,
         delta_p0=outcome.delta_p0,
@@ -283,13 +363,7 @@ def temperature_well_defined(outcome: QueryOutcome, probe: ThermalQubit) -> bool
     1 + Z_S*delta_p0 > 0 (always true in this model). Equivalent to the
     log argument of the post-query inverse temperature being positive.
     """
-    a = probe.inverse_temperature * probe.gap
-    scaled_delta = (1.0 + math.exp(-a)) * outcome.delta_p0
-    if outcome.delta_p0 > 0.0:
-        return math.exp(-a) > scaled_delta
-    if outcome.delta_p0 < 0.0:
-        return 1.0 + scaled_delta > 0.0
-    return True
+    return bool(temperature_defined(probe.inverse_temperature * probe.gap, outcome.delta_p0))
 
 
 def reset_costs(

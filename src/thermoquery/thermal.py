@@ -2,8 +2,8 @@
 
 Units: k_B = hbar = 1. Energies are dimensionless, inverse temperatures carry
 units of 1/energy, and every qubit's ground level sits at energy 0. Inverse
-temperatures may be zero (maximally mixed) or negative (population inverted);
-only energy gaps must be positive.
+temperatures may be zero (maximally mixed) or negative (population inverted)
+but must be finite; qubit gaps must be positive and finite.
 
 Partition functions are accumulated and stored in log-domain throughout, so
 machines with exponentially many qubits never overflow or underflow.
@@ -37,6 +37,7 @@ __all__ = [
     "index_to_bits",
     "ground_state_population",
     "inverse_temperature_from_population",
+    "population_inverse_temperature",
     "build_dj_oracle",
     "build_bv_oracle",
     "build_custom_oracle",
@@ -110,7 +111,13 @@ def inverse_temperature_from_population(p0: float, gap: float) -> float:
         raise PureStatePopulationError(
             f"population {p0} is a pure state; no finite inverse temperature exists"
         )
-    return (math.log(p0) - math.log1p(-p0)) / gap
+    return float(population_inverse_temperature(p0, gap))
+
+
+def population_inverse_temperature(p0, gap):
+    """log(p0/(1-p0)) / gap for floats or arrays of populations in (0, 1),
+    unvalidated; :func:`inverse_temperature_from_population` checks its input."""
+    return (np.log(p0) - np.log1p(-p0)) / gap
 
 
 @dataclass(frozen=True)
@@ -121,8 +128,10 @@ class ThermalQubit:
     inverse_temperature: float
 
     def __post_init__(self) -> None:
-        if not self.gap > 0.0:
-            raise ValueError(f"gap must be positive, got {self.gap}")
+        if not (self.gap > 0.0 and math.isfinite(self.gap)):
+            raise ValueError(f"gap must be positive and finite, got {self.gap}")
+        if not math.isfinite(self.inverse_temperature):
+            raise ValueError(f"inverse temperature must be finite, got {self.inverse_temperature}")
 
     @property
     def ground_population(self) -> float:
@@ -241,6 +250,12 @@ class ThermalMachineOracle:
     gap_vector: GapVector
     machine_inverse_temperature: float
     problem: DJProblem | BVProblem | CustomProblem
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.machine_inverse_temperature):
+            raise ValueError(
+                f"machine inverse temperature must be finite, got {self.machine_inverse_temperature}"
+            )
 
     @property
     def n_machine_qubits(self) -> int:

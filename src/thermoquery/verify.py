@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -23,13 +24,16 @@ from .problems import (
 )
 from .query import (
     QueryMask,
-    classify_regime,
+    Regime,
     kickback_outcome,
+    kickback_shift,
     mixed_input_query,
+    regime_sign,
     reset_costs,
-    sensitivity_check,
+    sensitivity_bound,
+    shift_outcome,
     swap_query,
-    temperature_well_defined,
+    temperature_defined,
 )
 from .thermal import (
     BooleanFunctionTable,
@@ -37,9 +41,13 @@ from .thermal import (
     build_bv_oracle,
     build_dj_oracle,
     inverse_temperature_from_population,
+    population_inverse_temperature,
 )
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "PARAMETER_RANGES"]
+
+# Tuples evaluated together in the Deutsch-Jozsa and the regime sections.
+_BLOCK_ROWS = 512
 
 # Sampling ranges for randomized tuples (omega, beta_S, beta_M, gaps).
 PARAMETER_RANGES = {
@@ -59,6 +67,7 @@ class CheckResult:
     tolerance: float
     passed: bool
     first_failure: str = ""
+    worst_case: str = ""
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -96,6 +105,7 @@ class VerificationReport:
                     "tolerance": c.tolerance,
                     "passed": c.passed,
                     "first_failure": c.first_failure,
+                    "worst_case": c.worst_case,
                 }
                 for c in self.checks
             ],
@@ -103,7 +113,8 @@ class VerificationReport:
 
 
 class _Tracker:
-    """Accumulates the max error of a check and remembers the first offender."""
+    """Accumulates the max error of a check and remembers the first offender
+    and the case with the largest error."""
 
     def __init__(self, name: str, tolerance: float):
         self.name = name
@@ -111,13 +122,26 @@ class _Tracker:
         self.cases = 0
         self.max_error = 0.0
         self.first_failure = ""
+        self.worst_case = ""
 
     def record(self, error: float, context: str) -> None:
-        self.cases += 1
-        if error > self.max_error:
-            self.max_error = error
-        if error > self.tolerance and not self.first_failure:
-            self.first_failure = f"{context} (error {error:.3e})"
+        self.record_block(np.array([error]), lambda _: context)
+
+    def record_block(self, errors: np.ndarray, context) -> None:
+        """Record one case per entry of ``errors``; ``context(i)`` describes
+        case i and is called only for the first failure and a new worst case.
+        A NaN error, like in a comparison, never counts as large."""
+        if errors.size == 0:
+            return
+        self.cases += errors.size
+        comparable = np.fmax(errors, -np.inf)
+        worst = int(comparable.argmax())
+        if comparable[worst] > self.max_error:
+            self.max_error = float(comparable[worst])
+            self.worst_case = f"{context(worst)} (error {self.max_error:.3e})"
+        if comparable[worst] > self.tolerance and not self.first_failure:
+            first = int((comparable > self.tolerance).argmax())
+            self.first_failure = f"{context(first)} (error {comparable[first]:.3e})"
 
     def result(self) -> CheckResult:
         return CheckResult(
@@ -127,6 +151,7 @@ class _Tracker:
             tolerance=self.tolerance,
             passed=self.max_error <= self.tolerance,
             first_failure=self.first_failure,
+            worst_case=self.worst_case,
         )
 
 
@@ -135,26 +160,80 @@ def _uniform(rng: np.random.Generator, key: str) -> float:
     return float(rng.uniform(low, high))
 
 
+def _scaled(block: np.ndarray, keys: tuple[str, ...]) -> list[np.ndarray]:
+    """Columns of uniform [0, 1) draws, column j scaled into PARAMETER_RANGES[keys[j]].
+
+    ``_scaled(rng.random((T, k)), keys)`` gives, row by row, the values of
+    T*k scalar ``_uniform`` calls over ``keys`` and leaves the generator in
+    the same state: both scale the same doubles by low + (high - low) * u.
+    """
+    columns = []
+    for j, key in enumerate(keys):
+        low, high = PARAMETER_RANGES[key]
+        columns.append(low + (high - low) * block[:, j])
+    return columns
+
+
 def _sample_probe(rng: np.random.Generator) -> ThermalQubit:
     return ThermalQubit(_uniform(rng, "omega"), _uniform(rng, "beta_s"))
 
 
-def _dj_instances(max_n: int):
+def _dj_table_blocks(max_n: int, tuples_per_instance: int):
+    """Every constant and balanced truth table with n <= max_n, in lists of
+    tables of one n holding at most _BLOCK_ROWS tuples (or one table)."""
+    per_block = max(1, _BLOCK_ROWS // max(1, tuples_per_instance))
     for n in range(1, max_n + 1):
-        yield from constant_functions(n)
-        yield from enumerate_balanced_functions(n)
+        block = []
+        for instance in chain(constant_functions(n), enumerate_balanced_functions(n)):
+            block.append(instance.function.outputs)
+            if len(block) == per_block:
+                yield block
+                block = []
+        if block:
+            yield block
+
+
+def _dj_outputs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A truth table on n bits drawn uniformly until it is constant or balanced."""
+    size = 1 << n
+    while True:
+        outputs = rng.integers(0, 2, size)
+        ones = np.count_nonzero(outputs)
+        if ones in (0, size) or 2 * ones == size:
+            return outputs
 
 
 def _random_dj_oracle(rng: np.random.Generator, n: int):
-    size = 1 << n
-    while True:
-        outputs = tuple(int(b) for b in rng.integers(0, 2, size))
-        table = BooleanFunctionTable(n, outputs)
-        if table.classification.value != "other" or n == 1:
-            break
+    table = BooleanFunctionTable(n, tuple(int(b) for b in _dj_outputs(rng, n)))
     gap_one = _uniform(rng, "gap")
     gap_zero = _uniform(rng, "gap")
     return build_dj_oracle(table, gap_one, gap_zero, _uniform(rng, "beta_m"))
+
+
+def _regime_draws(
+    rng: np.random.Generator, rows: int, max_n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Table sizes, counts of ones and (rows, 6) uniform draws of regime tuples.
+
+    Each tuple draws, as a scalar section would: n, a table by rejection,
+    then gap_one, gap_zero, beta_M, omega and beta_S (unscaled, for
+    :func:`_scaled`) and the draw for the sensitivity threshold.
+    """
+    sizes, ones, draws = np.empty(rows), np.empty(rows), np.empty((rows, 6))
+    for i in range(rows):
+        outputs = _dj_outputs(rng, int(rng.integers(1, max_n + 1)))
+        sizes[i], ones[i] = outputs.size, np.count_nonzero(outputs)
+        rng.random(out=draws[i])
+    return sizes, ones, draws
+
+
+def _dj_machine(ones, size, gap_one, gap_zero, beta_m):
+    """|G| and log Z_f of Deutsch-Jozsa machines whose tables have ``ones``
+    ones among ``size`` outputs; floats or arrays."""
+    zeros = size - ones
+    total = ones * gap_one + zeros * gap_zero
+    log_zf = ones * np.logaddexp(0.0, -beta_m * gap_one) + zeros * np.logaddexp(0.0, -beta_m * gap_zero)
+    return total, log_zf
 
 
 def _exact_kickback_p0(probe, oracle, mask: QueryMask) -> float:
@@ -179,27 +258,34 @@ def run_verification(
     shift = _Tracker("dj-kickback-delta-vs-exact", 1e-12)
     temp = _Tracker("dj-kickback-temperature-vs-exact", 1e-12)
     partition = _Tracker("dj-log-partition-vs-direct-sum", 1e-12)
-    for instance in _dj_instances(max_dj_n):
-        for _ in range(tuples_per_instance):
-            probe = _sample_probe(rng)
-            oracle = build_dj_oracle(
-                instance.function, _uniform(rng, "gap"), _uniform(rng, "gap"), _uniform(rng, "beta_m")
-            )
-            outcome = kickback_outcome(probe, oracle)
-            state = exactsim.build_joint_state(probe, oracle)
-            mask = QueryMask.all_ones(oracle.n_machine_qubits)
-            a, b = exactsim.kickback_level_indices(mask, oracle.n_machine_qubits)
-            exact_p0 = exactsim.probe_marginal(exactsim.apply_level_exchange(state, a, b)).p0
-            exact_before = exactsim.probe_marginal(state).p0
-            context = f"instance={instance.function.outputs} probe=({probe.gap:.4f},{probe.inverse_temperature:.4f})"
-            pop.record(abs(outcome.p0_after - exact_p0), context)
-            shift.record(abs(outcome.delta_p0 - (exact_p0 - exact_before)), context)
-            if outcome.beta_after is not None:
-                exact_beta = inverse_temperature_from_population(exact_p0, probe.gap)
-                temp.record(abs(outcome.beta_after - exact_beta), context)
-            rel = abs(math.expm1(state.log_partition_sum
-                                 - (probe.log_partition_function + oracle.log_partition_function)))
-            partition.record(rel, context)
+    for tables in _dj_table_blocks(max_dj_n, tuples_per_instance):
+        # Each table's tuples are consecutive rows, drawn as scalar draws would be.
+        rows = len(tables) * tuples_per_instance
+        outputs = np.repeat(np.array(tables, dtype=bool), tuples_per_instance, axis=0)
+        size = outputs.shape[1]
+        omega, beta_s, gap_one, gap_zero, beta_m = _scaled(
+            rng.random((rows, 5)), ("omega", "beta_s", "gap", "gap", "beta_m")
+        )
+        total, log_zf = _dj_machine(np.count_nonzero(outputs, axis=1), size, gap_one, gap_zero, beta_m)
+        a = beta_s * omega
+        delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
+        _, p0_after, beta_after = shift_outcome(a, omega, delta)
+        gaps = np.where(outputs, gap_one[:, None], gap_zero[:, None])
+        exact_before, exact_p0, log_partition_sum = exactsim.kickback_batch(
+            omega, beta_s, gaps, beta_m, QueryMask.all_ones(size)
+        )
+
+        def context(i: int) -> str:
+            table = tables[i // tuples_per_instance]
+            return f"instance={table} probe=({omega[i]:.4f},{beta_s[i]:.4f})"
+
+        pop.record_block(np.abs(p0_after - exact_p0), context)
+        shift.record_block(np.abs(delta - (exact_p0 - exact_before)), context)
+        defined = np.flatnonzero(~np.isnan(beta_after))
+        exact_beta = population_inverse_temperature(exact_p0[defined], omega[defined])
+        temp.record_block(np.abs(beta_after[defined] - exact_beta), lambda i: context(defined[i]))
+        log_zs = np.logaddexp(0.0, -a)
+        partition.record_block(np.abs(np.expm1(log_partition_sum - (log_zs + log_zf))), context)
     report.checks += [pop.result(), shift.result(), temp.result(), partition.result()]
 
     # General-mask kickback on DJ and BV oracles, plus the all-ones reduction.
@@ -273,41 +359,49 @@ def run_verification(
         swap.record(abs(taken.ground_population - branches[x]), f"x={x}")
     report.checks += [mixture.result(), swap.result()]
 
-    # Regime label vs the sign of the population shift.
+    # Regime label vs the sign of the population shift, in chunks of tuples.
     regime = _Tracker("regime-sign-consistency", 0.0)
     sensitivity = _Tracker("sensitivity-closed-form-agreement", 0.0)
     well_defined = _Tracker("well-definedness-flag-consistency", 0.0)
     roundtrip = _Tracker("temperature-roundtrip", 1e-10)
-    for _ in range(regime_cases):
-        oracle = _random_dj_oracle(rng, int(rng.integers(1, max_dj_n + 1)))
-        probe = _sample_probe(rng)
-        outcome = kickback_outcome(probe, oracle)
-        label = classify_regime(probe, oracle)
-        if outcome.delta_p0 > 0:
-            consistent = label.value == "cooling"
-        elif outcome.delta_p0 < 0:
-            consistent = label.value == "heating"
-        else:
-            consistent = label.value == "neutral"
-        regime.record(0.0 if consistent else 1.0, f"label={label} delta={outcome.delta_p0:.3e}")
-        ceiling = 1.0 - outcome.p0_before
-        c = 0.5 * ceiling * float(rng.random()) + 0.25 * ceiling
-        sens = sensitivity_check(probe, oracle, c)
-        if sens.closed_form_precondition:
-            sensitivity.record(0.0 if sens.tests_agree else 1.0, f"c={c:.4f}")
-        flag = temperature_well_defined(outcome, probe)
-        well_defined.record(
-            0.0 if flag == (outcome.beta_after is not None) else 1.0,
-            f"delta={outcome.delta_p0:.3e}",
+    for start in range(0, regime_cases, _BLOCK_ROWS):
+        sizes, ones, draws = _regime_draws(rng, min(_BLOCK_ROWS, regime_cases - start), max_dj_n)
+        gap_one, gap_zero, beta_m, omega, beta_s = _scaled(
+            draws, ("gap", "gap", "beta_m", "omega", "beta_s")
         )
-        if outcome.beta_after is not None:
-            if 0.0 < outcome.p0_after < 1.0:
-                recomputed = inverse_temperature_from_population(outcome.p0_after, probe.gap)
-                roundtrip.record(abs(outcome.beta_after - recomputed), "roundtrip")
-            else:
-                # A finite temperature with a population outside (0, 1) is a
-                # contradiction; count it as a hard mismatch.
-                roundtrip.record(math.inf, f"p0_after={outcome.p0_after}")
+        total, log_zf = _dj_machine(ones, sizes, gap_one, gap_zero, beta_m)
+        a, b = beta_s * omega, beta_m * total
+        delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
+        p0, p0_after, beta_after = shift_outcome(a, omega, delta)
+
+        label = regime_sign(a, b)
+        regime.record_block(
+            (label != np.sign(delta)).astype(float),
+            lambda i: f"label={Regime.from_sign(label[i])} delta={delta[i]:.3e}",
+        )
+        ceiling = 1.0 - p0
+        c = 0.5 * ceiling * draws[:, 5] + 0.25 * ceiling
+        closed, precondition = sensitivity_bound(a, b, log_zf, c, delta)
+        compared = np.flatnonzero(precondition)
+        sensitivity.record_block(
+            ((np.abs(delta) > c) != closed)[compared].astype(float),
+            lambda i: f"c={c[compared[i]]:.4f}",
+        )
+        defined = ~np.isnan(beta_after)
+        well_defined.record_block(
+            (temperature_defined(a, delta) != defined).astype(float),
+            lambda i: f"delta={delta[i]:.3e}",
+        )
+        # A finite temperature with a population outside (0, 1) is a
+        # contradiction; count it as a hard mismatch.
+        rows_defined = np.flatnonzero(defined)
+        p = p0_after[rows_defined]
+        inside = (p > 0.0) & (p < 1.0)
+        recomputed = population_inverse_temperature(np.where(inside, p, 0.5), omega[rows_defined])
+        roundtrip.record_block(
+            np.where(inside, np.abs(beta_after[rows_defined] - recomputed), np.inf),
+            lambda i: "roundtrip" if inside[i] else f"p0_after={p[i]}",
+        )
     report.checks += [regime.result(), sensitivity.result(), well_defined.result(), roundtrip.result()]
 
     # Reset energetics vs the exact population-weighted energy changes.

@@ -83,6 +83,13 @@ class TestDJKickback:
         assert main(["dj-kickback", "--e1", "-1.0", "--out", str(tmp_path / "x.csv")]) == 1
         assert main(["dj-kickback", "--beta-s", "junk", "--out", str(tmp_path / "y.csv")]) == 1
 
+    @pytest.mark.parametrize("flag", ["--beta-s", "--beta-m", "--omega"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_input_exits_one(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        assert main(["dj-kickback", "--n", "2", f"{flag}={value}", "--out", str(out)]) == 1
+        assert "thermoquery: error:" in capsys.readouterr().err
+
     def test_beyond_exhaustive_enumeration(self, tmp_path):
         out = tmp_path / "n5.csv"
         assert main(["dj-kickback", "--n", "5", "--beta-m", "1,2", "--beta-s", "0:1:4",

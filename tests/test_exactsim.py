@@ -269,8 +269,9 @@ class TestIndependenceFromAnalyticCode:
         def forbidden(*args, **kwargs):
             raise AssertionError("the exact simulator called the analytic code")
 
-        monkeypatch.setattr(query, "kickback_shift", forbidden)
-        monkeypatch.setattr(query, "kickback_outcome", forbidden)
+        for name in ("kickback_shift", "oracle_shift", "shift_outcome", "kickback_outcome"):
+            monkeypatch.setattr(query, name, forbidden)
+        monkeypatch.setattr(thermal, "population_inverse_temperature", forbidden)
         monkeypatch.setattr(ThermalMachineOracle, "log_partition_function", property(forbidden))
         probe = ThermalQubit(1.2, 0.4)
         dj = build_dj_oracle(BooleanFunctionTable(2, (0, 1, 1, 0)), 1.1, 0.6, 0.8)
@@ -286,3 +287,43 @@ class TestIndependenceFromAnalyticCode:
                 probe_marginal(each)
                 probe_mean_energy(each)
                 machine_mean_energy(each)
+            gaps = np.array([oracle.gap_vector.gaps] * 3)
+            exactsim.kickback_batch(
+                np.full(3, probe.gap), np.linspace(-1.0, 1.0, 3), gaps,
+                np.full(3, oracle.machine_inverse_temperature), QueryMask.all_ones(n),
+            )
+
+
+class TestKickbackBatch:
+    @staticmethod
+    def rows_against_single_states(rng, n, rows, mask):
+        omega = rng.uniform(0.25, 2.0, rows)
+        beta_s = rng.uniform(-1.2, 1.2, rows)
+        beta_m = rng.uniform(0.1, 1.5, rows)
+        gaps = rng.uniform(0.2, 2.0, (rows, n))
+        p0, p0_after, log_z = exactsim.kickback_batch(omega, beta_s, gaps, beta_m, mask)
+        a, b = kickback_level_indices(mask, n)
+        for t in range(rows):
+            state = build_joint_state(ThermalQubit(omega[t], beta_s[t]), build_custom_oracle(gaps[t], beta_m[t]))
+            assert p0[t] == probe_marginal(state).p0
+            assert log_z[t] == state.log_partition_sum
+            assert p0_after[t] == pytest.approx(
+                probe_marginal(apply_level_exchange(state, a, b)).p0, rel=0.0, abs=1e-15
+            )
+
+    def test_rows_across_chunk_boundaries(self, rng):
+        """One chunk holds 2^13 levels: 64 rows of 7 qubits, 4 rows of 11
+        qubits (70 rows need 17 full chunks and a part of the buffers)."""
+        for n, rows in ((1, 20), (6, 20), (10, 70)):
+            mask = QueryMask(tuple(int(b) for b in rng.integers(0, 2, n)))
+            self.rows_against_single_states(rng, n, rows, mask)
+
+    def test_seventeen_qubit_rows_one_chunk_each(self, rng):
+        """A 17-qubit state exceeds a chunk: each row is written over the last."""
+        mask = QueryMask(tuple(int(b) for b in rng.integers(0, 2, 16)))
+        self.rows_against_single_states(rng, 16, 3, mask)
+
+    def test_qubit_limit(self):
+        n = exactsim.DEFAULT_MAX_QUBITS
+        with pytest.raises(ValueError, match="exceed"):
+            exactsim.kickback_batch(np.ones(1), np.ones(1), np.ones((1, n)), np.ones(1), QueryMask.all_ones(n))

@@ -13,11 +13,16 @@ from thermoquery.query import (
     Regime,
     classify_regime,
     kickback_outcome,
+    kickback_shift,
     mixed_input_query,
     outcome_to_dict,
+    regime_sign,
     reset_costs,
+    sensitivity_bound,
     sensitivity_check,
+    shift_outcome,
     swap_query,
+    temperature_defined,
     temperature_well_defined,
 )
 from thermoquery.thermal import (
@@ -289,6 +294,15 @@ class TestSensitivity:
         assert not report.closed_form_satisfied
         assert report.tests_agree
 
+    def test_neutral_exchange_fails_the_bound_with_its_precondition(self):
+        # beta_S*omega == beta_M*|G|: delta_p0 is exactly 0, so neither test
+        # holds, and the precondition holds although the heating-form log
+        # argument e^{-beta_M|G|} - c*Z_S*Z_f is negative here.
+        report = sensitivity_check(ThermalQubit(1.0, 0.5), build_custom_oracle([0.5], 1.0), 0.3)
+        assert report.delta_p0 == 0.0 and report.regime is Regime.NEUTRAL
+        assert report.closed_form_precondition
+        assert not report.closed_form_satisfied and not report.satisfied
+
     def test_agreement_on_sweep(self, rng):
         checked = 0
         for _ in range(2000):
@@ -392,3 +406,68 @@ def test_property_kickback_population_is_probability(omega, beta_s, beta_m, gap_
     outcome = kickback_outcome(ThermalQubit(omega, beta_s), oracle)
     assert 0.0 < outcome.p0_after < 1.0
     assert outcome.beta_after is not None
+
+
+class TestArrayKernel:
+    """The array functions on a vector equal the scalar wrappers element by element."""
+
+    @staticmethod
+    def cases(rng):
+        cases = [random_dj_case(rng) for _ in range(60)]
+        # Neutral (a = b exactly), and a temperature undefined because both
+        # probe populations of the excited level underflow (delta = 0).
+        cases.append((ThermalQubit(1.0, 0.5), build_custom_oracle([0.5], 1.0)))
+        cases.append((ThermalQubit(800.0, 1.0), build_custom_oracle([900.0], 1.0)))
+        return cases
+
+    @staticmethod
+    def columns(cases):
+        probes, oracles = zip(*cases)
+        omega = np.array([p.gap for p in probes])
+        a = np.array([p.inverse_temperature for p in probes]) * omega
+        beta_m = np.array([o.machine_inverse_temperature for o in oracles])
+        total = np.array([o.gap_vector.total for o in oracles])
+        log_zf = np.array([o.log_partition_function for o in oracles])
+        return omega, a, beta_m, total, log_zf
+
+    def test_kickback_outcome(self, rng):
+        cases = self.cases(rng)
+        omega, a, beta_m, total, log_zf = self.columns(cases)
+        delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
+        p0, p0_after, beta_after = shift_outcome(a, omega, delta)
+        assert np.isnan(beta_after[-1]) and delta[-1] == 0.0
+        for i, (probe, oracle) in enumerate(cases):
+            outcome = kickback_outcome(probe, oracle)
+            assert outcome.delta_p0 == delta[i]
+            assert outcome.p0_before == p0[i]
+            assert outcome.p0_after == p0_after[i]
+            if outcome.beta_after is None:
+                assert np.isnan(beta_after[i])
+            else:
+                assert outcome.beta_after == beta_after[i]
+            assert outcome.regime is Regime.from_sign(delta[i])
+
+    def test_regime_sensitivity_and_well_definedness(self, rng):
+        cases = self.cases(rng)
+        omega, a, beta_m, total, log_zf = self.columns(cases)
+        b = beta_m * total
+        delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
+        p0, _, _ = shift_outcome(a, omega, delta)
+        c = (0.25 + 0.5 * rng.random(len(cases))) * (1.0 - p0)
+        labels = regime_sign(a, b)
+        closed, precondition = sensitivity_bound(a, b, log_zf, c, delta)
+        flags = temperature_defined(a, delta)
+        assert labels[-2] == 0.0
+        for i, (probe, oracle) in enumerate(cases):
+            assert classify_regime(probe, oracle) is Regime.from_sign(labels[i])
+            outcome = kickback_outcome(probe, oracle)
+            if c[i] > 0.0:
+                report = sensitivity_check(probe, oracle, float(c[i]))
+                assert report.closed_form_satisfied == closed[i]
+                assert report.closed_form_precondition == precondition[i]
+            assert temperature_well_defined(outcome, probe) == flags[i]
+
+    def test_scalar_arguments_give_scalars(self):
+        delta = kickback_shift(0.5, 1.0, 2.0, 0.0, 1.2)
+        assert np.ndim(delta) == 0
+        assert all(np.ndim(x) == 0 for x in shift_outcome(0.5, 1.0, delta))

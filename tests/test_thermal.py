@@ -114,6 +114,24 @@ class TestThermalQubit:
         with pytest.raises(ValueError):
             ThermalQubit(0.0, 1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gap_or_beta_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            ThermalQubit(value, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ThermalQubit(1.0, value)
+
+
+class TestNonFiniteMachineTemperature:
+    @pytest.mark.parametrize("beta_m", [math.nan, math.inf, -math.inf])
+    def test_every_builder_rejects_it(self, beta_m):
+        with pytest.raises(ValueError, match="finite"):
+            build_dj_oracle(BooleanFunctionTable(1, (0, 1)), 1.0, 0.5, beta_m)
+        with pytest.raises(ValueError, match="finite"):
+            build_bv_oracle("101", 1.0, beta_m)
+        with pytest.raises(ValueError, match="finite"):
+            build_custom_oracle([0.5, 1.0], beta_m)
+
 
 class TestGapVector:
     def test_total(self):
