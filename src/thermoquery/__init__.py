@@ -73,8 +73,6 @@ from .thermal import (
     build_dj_oracle,
     ground_state_population,
     inverse_temperature_from_population,
-    oracle_from_json,
-    oracle_to_json,
     prepare_via_conditional_thermalization,
 )
 from .verify import run_verification

@@ -13,7 +13,7 @@ once. Nothing here calls the analytic kickback code in ``query`` or the
 closed-form partition functions of ``thermal``.
 
 Index convention: the probe bit is the most significant bit; machine bit
-strings are big-endian, matching the oracle serialization (machine qubit 0 is
+strings are big-endian, as in ``thermal.bits_to_index`` (machine qubit 0 is
 the leftmost, most significant machine bit).
 """
 

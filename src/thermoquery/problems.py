@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .query import kickback_shift, shift_outcome
 from .thermal import (
@@ -27,8 +25,6 @@ __all__ = [
     "dj_gap_magnitude",
     "hamming_weight_population",
     "solve_dj_deterministic_classical",
-    "write_corpus",
-    "read_corpus",
 ]
 
 MAX_EXHAUSTIVE_N = 4
@@ -158,36 +154,3 @@ def solve_dj_deterministic_classical(function: BooleanFunctionTable) -> Classica
             return ClassicalSolveResult(Classification.BALANCED, i + 1)
     constant = Classification.CONSTANT1 if first else Classification.CONSTANT0
     return ClassicalSolveResult(constant, worst_case)
-
-
-def write_corpus(path: str | Path, instances: Iterable[DJInstance | BVInstance]) -> int:
-    """Write instances as one JSON object per line; returns the count written."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as stream:
-        for instance in instances:
-            if isinstance(instance, DJInstance):
-                record = {"n": instance.function.n, "outputs": list(instance.function.outputs)}
-            else:
-                record = {"secret": instance.secret}
-            stream.write(json.dumps(record) + "\n")
-            count += 1
-    return count
-
-
-def read_corpus(path: str | Path) -> list[DJInstance | BVInstance]:
-    """Read a JSONL corpus; tables violating the promise raise PromiseViolationError."""
-    instances: list[DJInstance | BVInstance] = []
-    with open(path, "r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "secret" in record:
-                instances.append(BVInstance.from_secret(str(record["secret"])))
-            else:
-                table = BooleanFunctionTable(
-                    int(record["n"]), tuple(int(o) for o in record["outputs"])
-                )
-                instances.append(DJInstance.from_table(table))
-    return instances

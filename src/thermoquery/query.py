@@ -65,7 +65,6 @@ __all__ = [
     "sensitivity_check",
     "temperature_well_defined",
     "reset_costs",
-    "outcome_to_dict",
 ]
 
 # Equality convention for the measure-zero boundary beta_S*omega == beta_M*|G|.
@@ -122,9 +121,6 @@ class QueryMask:
         b = np.asarray(self.bits, dtype=bool)
         return float(np.sum(np.where(b, g, 0.0)))
 
-    def complement(self) -> "QueryMask":
-        return QueryMask(tuple(1 - b for b in self.bits))
-
 
 @dataclass(frozen=True)
 class QueryOutcome:
@@ -150,16 +146,6 @@ class QueryOutcome:
             None if math.isnan(beta_after) else beta_after,
             Regime.from_sign(delta),
         )
-
-
-def outcome_to_dict(outcome: QueryOutcome) -> dict:
-    return {
-        "p0_before": outcome.p0_before,
-        "p0_after": outcome.p0_after,
-        "delta_p0": outcome.delta_p0,
-        "beta_after": outcome.beta_after,
-        "regime": outcome.regime.value,
-    }
 
 
 class SwapResult(NamedTuple):

@@ -15,21 +15,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .thermal import ThermalQubit, log1pexp
+from .thermal import log1pexp
 
 __all__ = [
     "BinaryDistribution",
     "Decision",
     "HypothesisTestReport",
     "DistinguishabilityReport",
-    "ConstantHypothesisChoice",
     "CrossoverRow",
     "CrossoverTable",
     "relative_entropy",
     "total_variation",
     "chernoff_stein_samples",
     "sample_bound_from_threshold",
-    "select_constant_hypothesis",
     "distinguishability_report",
     "likelihood_ratio_test",
     "monte_carlo_readout",
@@ -53,10 +51,6 @@ class BinaryDistribution:
     @property
     def p1(self) -> float:
         return 1.0 - self.p0
-
-    @classmethod
-    def from_qubit(cls, qubit: ThermalQubit) -> "BinaryDistribution":
-        return cls(qubit.ground_population)
 
 
 class Decision(Enum):
@@ -113,28 +107,6 @@ def sample_bound_from_threshold(delta: float, t: float) -> int:
     if not 0.0 < t <= 0.5:
         raise ValueError("t must lie in (0, 0.5]")
     return _pinsker_bound(delta, t)
-
-
-@dataclass(frozen=True)
-class ConstantHypothesisChoice:
-    """Which of the two constant-outcome distributions minimizes D(balanced||const)."""
-
-    distribution: BinaryDistribution
-    label: str
-    divergence_const1: float
-    divergence_const2: float
-
-
-def select_constant_hypothesis(
-    balanced: BinaryDistribution,
-    const1: BinaryDistribution,
-    const2: BinaryDistribution,
-) -> ConstantHypothesisChoice:
-    d1 = relative_entropy(balanced, const1)
-    d2 = relative_entropy(balanced, const2)
-    if d1 <= d2:
-        return ConstantHypothesisChoice(const1, "const1", d1, d2)
-    return ConstantHypothesisChoice(const2, "const2", d1, d2)
 
 
 @dataclass(frozen=True)

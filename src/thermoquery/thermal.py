@@ -11,7 +11,6 @@ machines with exponentially many qubits never overflow or underflow.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +33,6 @@ __all__ = [
     "log1pexp",
     "logistic",
     "bits_to_index",
-    "index_to_bits",
     "ground_state_population",
     "inverse_temperature_from_population",
     "population_inverse_temperature",
@@ -42,11 +40,6 @@ __all__ = [
     "build_bv_oracle",
     "build_custom_oracle",
     "prepare_via_conditional_thermalization",
-    "sample_energy_measurements",
-    "oracle_to_dict",
-    "oracle_from_dict",
-    "oracle_to_json",
-    "oracle_from_json",
 ]
 
 
@@ -74,13 +67,6 @@ def bits_to_index(bits: str) -> int:
     if not bits or any(c not in "01" for c in bits):
         raise ValueError(f"not a bit string: {bits!r}")
     return int(bits, 2)
-
-
-def index_to_bits(index: int, n: int) -> str:
-    """Big-endian n-character bit string for an integer in [0, 2^n)."""
-    if not 0 <= index < (1 << n):
-        raise ValueError(f"index {index} out of range for {n} bits")
-    return format(index, f"0{n}b")
 
 
 def ground_state_population(gap: float, beta: float) -> float:
@@ -144,10 +130,6 @@ class ThermalQubit:
     @property
     def log_partition_function(self) -> float:
         return log1pexp(-self.inverse_temperature * self.gap)
-
-    @property
-    def partition_function(self) -> float:
-        return math.exp(self.log_partition_function)
 
 
 @dataclass(frozen=True)
@@ -357,54 +339,3 @@ def prepare_via_conditional_thermalization(
         excited_probability=p_excited,
         samples=samples,
     )
-
-
-def sample_energy_measurements(qubit: ThermalQubit, n_samples: int, rng_seed: int) -> np.ndarray:
-    """Draw energy-basis measurement outcomes from a thermal qubit (1 = excited)."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    return (rng.random(n_samples) < qubit.excited_population).astype(np.uint8)
-
-
-def oracle_to_dict(oracle: ThermalMachineOracle) -> dict:
-    beta_m = oracle.machine_inverse_temperature
-    problem = oracle.problem
-    if isinstance(problem, DJProblem):
-        return {
-            "kind": "dj",
-            "n": problem.function.n,
-            "outputs": list(problem.function.outputs),
-            "E1": problem.gap_one,
-            "E2": problem.gap_zero,
-            "beta_M": beta_m,
-        }
-    if isinstance(problem, BVProblem):
-        return {
-            "kind": "bv",
-            "n": len(problem.secret),
-            "secret": problem.secret,
-            "gamma": problem.gamma,
-            "beta_M": beta_m,
-        }
-    return {"kind": "custom", "gaps": list(oracle.gap_vector.gaps), "beta_M": beta_m}
-
-
-def oracle_from_dict(data: dict) -> ThermalMachineOracle:
-    kind = data.get("kind")
-    if kind == "dj":
-        table = BooleanFunctionTable(int(data["n"]), tuple(int(o) for o in data["outputs"]))
-        return build_dj_oracle(table, float(data["E1"]), float(data["E2"]), float(data["beta_M"]))
-    if kind == "bv":
-        return build_bv_oracle(str(data["secret"]), float(data["gamma"]), float(data["beta_M"]))
-    if kind == "custom":
-        return build_custom_oracle([float(g) for g in data["gaps"]], float(data["beta_M"]))
-    raise ValueError(f"unknown oracle kind: {kind!r}")
-
-
-def oracle_to_json(oracle: ThermalMachineOracle) -> str:
-    return json.dumps(oracle_to_dict(oracle), sort_keys=True)
-
-
-def oracle_from_json(text: str) -> ThermalMachineOracle:
-    return oracle_from_dict(json.loads(text))

@@ -130,18 +130,18 @@ class _Tracker:
     def record_block(self, errors: np.ndarray, context) -> None:
         """Record one case per entry of ``errors``; ``context(i)`` describes
         case i and is called only for the first failure and a new worst case.
-        A NaN error, like in a comparison, never counts as large."""
+        A NaN error fails the check and is worse than any number."""
         if errors.size == 0:
             return
         self.cases += errors.size
-        comparable = np.fmax(errors, -np.inf)
-        worst = int(comparable.argmax())
-        if comparable[worst] > self.max_error:
-            self.max_error = float(comparable[worst])
-            self.worst_case = f"{context(worst)} (error {self.max_error:.3e})"
-        if comparable[worst] > self.tolerance and not self.first_failure:
-            first = int((comparable > self.tolerance).argmax())
-            self.first_failure = f"{context(first)} (error {comparable[first]:.3e})"
+        worst = int(errors.argmax())  # the first NaN, if there is one
+        error = float(errors[worst])
+        if error > self.max_error or (math.isnan(error) and not math.isnan(self.max_error)):
+            self.max_error = error
+            self.worst_case = f"{context(worst)} (error {error:.3e})"
+        if not error <= self.tolerance and not self.first_failure:
+            first = int((~(errors <= self.tolerance)).argmax())
+            self.first_failure = f"{context(first)} (error {errors[first]:.3e})"
 
     def result(self) -> CheckResult:
         return CheckResult(

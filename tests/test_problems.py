@@ -12,11 +12,10 @@ from thermoquery.problems import (
     dj_gap_magnitude,
     enumerate_balanced_functions,
     hamming_weight_population,
-    read_corpus,
     solve_dj_deterministic_classical,
-    write_corpus,
 )
 from thermoquery.query import QueryMask, kickback_outcome
+from thermoquery.readout import deterministic_classical_queries
 from thermoquery.thermal import (
     BooleanFunctionTable,
     Classification,
@@ -80,10 +79,14 @@ class TestGapMagnitude:
             dj_gap_magnitude(Classification.BALANCED, 3, 1.0, 0.5)
 
     def test_agrees_with_built_oracles(self):
-        instances = list(constant_functions(2)) + list(enumerate_balanced_functions(2))
-        for inst in instances:
-            oracle = build_dj_oracle(inst.function, 2.0, 1.0, 1.0)
-            assert oracle.gap_vector.total == dj_gap_magnitude(inst.classification, 4, 2.0, 1.0)
+        # Dyadic gaps make every partial sum exact, so the two totals must be equal.
+        for n in (1, 2, 3):
+            instances = list(constant_functions(n)) + list(enumerate_balanced_functions(n))
+            for gap_one, gap_zero in ((2.0, 1.0), (0.75, 1.5), (0.125, 3.25)):
+                for inst in instances:
+                    oracle = build_dj_oracle(inst.function, gap_one, gap_zero, 1.0)
+                    expected = dj_gap_magnitude(inst.classification, 1 << n, gap_one, gap_zero)
+                    assert oracle.gap_vector.total == expected
 
 
 class TestHammingWeightPopulation:
@@ -140,33 +143,21 @@ class TestClassicalSolver:
         assert result.queries == 2
 
     def test_exhaustive_small_instances(self):
-        for n in (1, 2, 3):
-            bound = (1 << (n - 1)) + 1
+        # The worst case over every table is the paper's 2^{n-1} + 1. A balanced
+        # table reaches it only when its first 2^{n-1} outputs agree.
+        for n in (1, 2, 3, 4):
+            worst = deterministic_classical_queries(n)
+            most = 0
             instances = list(constant_functions(n)) + list(enumerate_balanced_functions(n))
             for inst in instances:
                 result = solve_dj_deterministic_classical(inst.function)
                 assert result.classification is inst.classification
-                assert result.queries <= bound
+                first_half_agrees = len(set(inst.function.outputs[: worst - 1])) == 1
+                assert (result.queries == worst) == first_half_agrees
+                most = max(most, result.queries)
+            assert most == worst
 
     def test_promise_violation_flagged(self):
         with pytest.raises(PromiseViolationError):
             solve_dj_deterministic_classical(BooleanFunctionTable(2, (1, 0, 0, 0)))
 
-
-class TestCorpus:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "instances.jsonl"
-        instances = [
-            DJInstance.from_table(BooleanFunctionTable(2, (0, 1, 1, 0))),
-            BVInstance.from_secret("1011"),
-            DJInstance.from_table(BooleanFunctionTable.constant(1, 1)),
-        ]
-        assert write_corpus(path, instances) == 3
-        restored = read_corpus(path)
-        assert restored == instances
-
-    def test_promise_violation_on_read(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"n": 2, "outputs": [1, 0, 0, 0]}\n')
-        with pytest.raises(PromiseViolationError):
-            read_corpus(path)

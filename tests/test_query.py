@@ -15,7 +15,6 @@ from thermoquery.query import (
     kickback_outcome,
     kickback_shift,
     mixed_input_query,
-    outcome_to_dict,
     regime_sign,
     reset_costs,
     sensitivity_bound,
@@ -66,7 +65,6 @@ class TestQueryMask:
     def test_from_string_and_complement(self):
         mask = QueryMask.from_string("101")
         assert mask.bits == (1, 0, 1)
-        assert mask.complement().bits == (0, 1, 0)
 
     def test_dot(self):
         assert QueryMask.from_string("101").dot([1.0, 2.0, 4.0]) == 5.0
@@ -231,12 +229,6 @@ class TestKickbackOutcome:
         probe, oracle = worked_example()
         with pytest.raises(ValueError):
             kickback_outcome(probe, oracle, QueryMask.from_string("101"))
-
-    def test_outcome_serialization_keys(self):
-        probe, oracle = worked_example()
-        data = outcome_to_dict(kickback_outcome(probe, oracle))
-        assert set(data) == {"p0_before", "p0_after", "delta_p0", "beta_after", "regime"}
-        assert data["regime"] == "cooling"
 
 
 class TestClassifyRegime:

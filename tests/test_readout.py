@@ -21,7 +21,6 @@ from thermoquery.readout import (
     monte_carlo_readout,
     relative_entropy,
     sample_bound_from_threshold,
-    select_constant_hypothesis,
     total_variation,
 )
 from thermoquery.thermal import BooleanFunctionTable, ThermalQubit, build_dj_oracle
@@ -109,17 +108,6 @@ class TestSampleBounds:
     @given(delta=st.floats(0.01, 0.9), tv=st.floats(0.01, 0.5))
     def test_two_bound_paths_consistent(self, delta, tv):
         assert chernoff_stein_samples(delta, 2.0 * tv * tv) == sample_bound_from_threshold(delta, tv)
-
-
-class TestConstantHypothesisChoice:
-    def test_minimizer_selected(self):
-        balanced = BinaryDistribution(0.7)
-        const1 = BinaryDistribution(0.8)
-        const2 = BinaryDistribution(0.45)
-        choice = select_constant_hypothesis(balanced, const1, const2)
-        assert choice.label == "const1"
-        assert choice.divergence_const1 <= choice.divergence_const2
-        assert choice.distribution == const1
 
 
 class TestDistinguishability:
