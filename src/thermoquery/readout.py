@@ -9,6 +9,7 @@ base its closed form is usually quoted in.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -37,6 +38,10 @@ __all__ = [
     "deterministic_classical_queries",
     "crossover_analysis",
 ]
+
+# Cap on the doubles one Monte Carlo block draws: 2^13 doubles, 64 KiB.
+_BLOCK_DOUBLES = 2**13
+
 
 @dataclass(frozen=True)
 class BinaryDistribution:
@@ -80,14 +85,19 @@ def chernoff_stein_samples(delta: float, divergence: float) -> int | float:
     """Sample lower bound ceil(log(1/delta)/divergence) for error rate ``delta``.
 
     Returns ``math.inf`` when the divergence is zero (the hypotheses are
-    indistinguishable and no sample count suffices).
+    indistinguishable and no sample count suffices) and 1 when it is infinite
+    (one sample can rule a hypothesis out, but none decides nothing).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    if math.isnan(divergence):
+        raise ValueError("divergence must not be NaN")
     if divergence < 0.0:
         raise ValueError("divergence must be >= 0")
     if divergence == 0.0:
         return math.inf
+    if divergence == math.inf:
+        return 1
     return math.ceil(math.log(1.0 / delta) / divergence)
 
 
@@ -164,15 +174,24 @@ def distinguishability_report(
     return DistinguishabilityReport(t, lhs, chi, lhs > 2.0 * t)
 
 
-def _log_likelihood(n0: int, n1: int, hypothesis: BinaryDistribution) -> float:
+def _log_likelihood(n0, n1, hypothesis: BinaryDistribution):
+    """Log-likelihood of ``n0`` ground and ``n1`` excited outcomes; counts may be arrays.
+
+    A zero count adds nothing and a positive count on a zero probability
+    gives -inf, so no 0 * log(0) is ever formed.
+    """
     total = 0.0
     for count, prob in ((n0, hypothesis.p0), (n1, hypothesis.p1)):
-        if count == 0:
-            continue
         if prob == 0.0:
-            return -math.inf
-        total += count * math.log(prob)
+            total = total + np.where(count > 0, -math.inf, 0.0)
+        else:
+            total = total + count * math.log(prob)
     return total
+
+
+def _prefers_balanced(n0, n1, hyp_balanced: BinaryDistribution, hyp_constant: BinaryDistribution):
+    """The likelihood-ratio rule on outcome counts (arrays allowed); ties go to BALANCED."""
+    return _log_likelihood(n0, n1, hyp_balanced) >= _log_likelihood(n0, n1, hyp_constant)
 
 
 def likelihood_ratio_test(
@@ -182,17 +201,19 @@ def likelihood_ratio_test(
 ) -> Decision:
     """Decide between the two hypotheses by comparing product likelihoods.
 
-    Samples are energy outcomes (0 = ground, 1 = excited). Ties go to
-    BALANCED, deterministically.
+    Samples are energy outcomes (0 = ground, 1 = excited; booleans are
+    accepted) and any other value is rejected. Ties go to BALANCED,
+    deterministically.
     """
     arr = np.asarray(samples)
     if arr.size == 0:
         raise ValueError("need at least one sample")
-    n1 = int(np.count_nonzero(arr))
-    n0 = int(arr.size) - n1
-    ll_bal = _log_likelihood(n0, n1, hyp_balanced)
-    ll_const = _log_likelihood(n0, n1, hyp_constant)
-    return Decision.BALANCED if ll_bal >= ll_const else Decision.CONSTANT
+    n0 = int(np.count_nonzero(arr == 0))
+    n1 = int(np.count_nonzero(arr == 1))
+    if n0 + n1 != arr.size:
+        raise ValueError("samples must be 0 (ground) or 1 (excited)")
+    balanced = _prefers_balanced(n0, n1, hyp_balanced, hyp_constant)
+    return Decision.BALANCED if balanced else Decision.CONSTANT
 
 
 @dataclass(frozen=True)
@@ -241,19 +262,29 @@ def monte_carlo_readout(
 ) -> HypothesisTestReport:
     """Repeat sampling + likelihood-ratio testing; deterministic under a fixed seed.
 
+    Trials are evaluated in blocks: one ``rng.random((rows, n_samples))``
+    draw of at most ``_BLOCK_DOUBLES`` doubles (one row when a trial alone
+    is larger), then the likelihood-ratio rule on each row's outcome counts.
+    Row i of a block is the same sequence of doubles as the i-th
+    ``rng.random(n_samples)`` call of a per-trial loop, so the report is
+    identical to that loop's at any seed.
+
     ``delta`` only parameterizes the Chernoff-Stein bound echoed in the
     report; it does not affect the decisions.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    for name, value in (("n_samples", n_samples), ("trials", trials)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
     rng = np.random.default_rng(seed)
+    rows = max(1, _BLOCK_DOUBLES // n_samples)
     balanced_decisions = 0
-    for _ in range(trials):
-        samples = (rng.random(n_samples) < true_dist.p1).astype(np.uint8)
-        if likelihood_ratio_test(samples, hyp_balanced, hyp_constant) is Decision.BALANCED:
-            balanced_decisions += 1
+    for start in range(0, trials, rows):
+        draws = rng.random((min(rows, trials - start), n_samples))
+        n1 = np.count_nonzero(draws < true_dist.p1, axis=1)
+        balanced = _prefers_balanced(n_samples - n1, n1, hyp_balanced, hyp_constant)
+        balanced_decisions += int(np.count_nonzero(balanced))
     balanced_fraction = balanced_decisions / trials
     if true_dist.p0 == hyp_constant.p0:
         error_rate = balanced_fraction

@@ -10,6 +10,7 @@ from thermoquery.query import kickback_outcome
 from thermoquery.readout import (
     BinaryDistribution,
     Decision,
+    HypothesisTestReport,
     chernoff_stein_samples,
     classical_sample_complexity,
     classical_with_replacement_error,
@@ -36,6 +37,33 @@ def exact_lrt_error(true_p0, hyp_p0, other_p0, n, decide_hyp_when):
     llr = ks * l0 + (n - ks) * l1
     region = llr >= 0 if decide_hyp_when == "ge" else llr < 0
     return float(binom.pmf(ks, n, true_p0)[region].sum())
+
+
+def per_trial_readout(true_dist, hyp_balanced, hyp_constant, n_samples, trials, seed, delta=0.1):
+    """Reference Monte Carlo readout: one draw and one likelihood-ratio test per trial."""
+    rng = np.random.default_rng(seed)
+    balanced_decisions = 0
+    for _ in range(trials):
+        samples = (rng.random(n_samples) < true_dist.p1).astype(np.uint8)
+        if likelihood_ratio_test(samples, hyp_balanced, hyp_constant) is Decision.BALANCED:
+            balanced_decisions += 1
+    balanced_fraction = balanced_decisions / trials
+    if true_dist.p0 == hyp_constant.p0 or true_dist.p0 != hyp_balanced.p0:
+        error_rate = balanced_fraction
+    else:
+        error_rate = 1.0 - balanced_fraction
+    divergence = relative_entropy(hyp_balanced, hyp_constant)
+    tv = total_variation(hyp_balanced, hyp_constant)
+    return HypothesisTestReport(
+        n_samples=n_samples,
+        trials=trials,
+        decision=Decision.BALANCED if 2 * balanced_decisions >= trials else Decision.CONSTANT,
+        divergence=divergence,
+        pinsker_lower=2.0 * tv * tv,
+        chernoff_stein_bound=chernoff_stein_samples(delta, divergence),
+        empirical_false_positive=error_rate,
+        seed=seed,
+    )
 
 
 class TestDivergences:
@@ -90,6 +118,14 @@ class TestSampleBounds:
             chernoff_stein_samples(1.5, 1.0)
         with pytest.raises(ValueError):
             chernoff_stein_samples(0.1, -1.0)
+
+    def test_infinite_divergence_needs_one_sample(self):
+        assert chernoff_stein_samples(0.1, math.inf) == 1
+        assert chernoff_stein_samples(1e-12, math.inf) == 1
+
+    def test_nan_divergence_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            chernoff_stein_samples(0.1, math.nan)
 
     def test_threshold_bound_at_one_tenth(self):
         assert sample_bound_from_threshold(0.1, 0.1) == 116
@@ -177,8 +213,70 @@ class TestLikelihoodRatioTest:
         assert likelihood_ratio_test([0] * 9 + [1], balanced, constant) is Decision.CONSTANT
         assert likelihood_ratio_test([0, 1] * 5, balanced, constant) is Decision.BALANCED
 
+    @pytest.mark.parametrize("samples", [[0, 2, 1], [-1, 0], [0.5], [math.nan], [0, 1, math.nan]])
+    def test_non_binary_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="0 .ground. or 1 .excited."):
+            likelihood_ratio_test(samples, BinaryDistribution(0.6), BinaryDistribution(0.9))
+
+    def test_booleans_accepted(self):
+        balanced = BinaryDistribution(0.6)
+        constant = BinaryDistribution(0.9)
+        for samples in ([0] * 9 + [1], [0, 1] * 5):
+            assert likelihood_ratio_test(np.array(samples, dtype=bool), balanced, constant) is (
+                likelihood_ratio_test(samples, balanced, constant)
+            )
+
 
 class TestMonteCarloReadout:
+    # (true p0, balanced p0, constant p0, n_samples, trials): hypotheses at the
+    # support edges, equal hypotheses, a truth matching neither, blocks of one
+    # row (n_samples at and above 2^13) and last blocks only partly filled.
+    BLOCK_CASES = [
+        (0.85, 0.8, 0.9, 116, 1000),
+        (0.9, 0.8, 0.9, 116, 70),
+        (0.8, 0.8, 1.0, 5, 300),
+        (1.0, 0.6, 1.0, 4, 100),
+        (0.0, 0.0, 0.3, 3, 50),
+        (0.3, 0.0, 0.3, 3, 50),
+        (0.2, 1.0, 0.0, 2, 40),
+        (0.7, 0.7, 0.7, 10, 100),
+        (0.5, 0.8, 0.9, 40, 333),
+        (0.85, 0.8, 0.9, 1, 10_000),
+        (0.85, 0.8, 0.9, 8191, 3),
+        (0.85, 0.8, 0.9, 8192, 3),
+        (0.52, 0.5, 0.55, 9000, 4),
+        (0.5, 0.5, 0.51, 300, 61),
+    ]
+
+    @pytest.mark.parametrize("true_p0,bal_p0,const_p0,n_samples,trials", BLOCK_CASES)
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+    def test_block_path_matches_per_trial_loop(self, true_p0, bal_p0, const_p0, n_samples, trials, seed):
+        args = (BinaryDistribution(true_p0), BinaryDistribution(bal_p0), BinaryDistribution(const_p0),
+                n_samples, trials, seed)
+        assert monte_carlo_readout(*args) == per_trial_readout(*args)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_samples", True), ("n_samples", 3.0), ("n_samples", "5"),
+        ("trials", False), ("trials", 3.7), ("trials", np.float64(4.0)),
+    ])
+    def test_non_integer_counts_rejected(self, field, value):
+        kwargs = dict(true_dist=BinaryDistribution(0.85), hyp_balanced=BinaryDistribution(0.8),
+                      hyp_constant=BinaryDistribution(0.9), n_samples=5, trials=10, seed=1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            monte_carlo_readout(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        args = (BinaryDistribution(0.85), BinaryDistribution(0.8), BinaryDistribution(0.9))
+        report = monte_carlo_readout(*args, n_samples=np.int64(20), trials=np.int32(30), seed=3)
+        assert report == per_trial_readout(*args, 20, 30, 3)
+
+    def test_point_mass_hypothesis_bound_is_one_sample(self):
+        report = monte_carlo_readout(BinaryDistribution(0.8), BinaryDistribution(0.8),
+                                     BinaryDistribution(1.0), n_samples=5, trials=50, seed=2)
+        assert report.divergence == math.inf
+        assert report.chernoff_stein_bound == 1
+
     def test_identical_seeds_identical_reports(self):
         kwargs = dict(
             true_dist=BinaryDistribution(0.85),
