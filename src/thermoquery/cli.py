@@ -9,6 +9,11 @@ Every output starts with a config echo (CSV comment lines / a JSON "config"
 object) so runs are reproducible from their artifacts alone. All subcommands
 are deterministic under a fixed seed and config; sweep rows are emitted in
 canonical sorted order.
+
+Each subcommand builds its rows as tuples in ``fieldnames`` order. CSV goes
+through one ``csv.writer``; JSON is written one row at a time, in exactly the
+layout of ``json.dump(..., indent=2)`` followed by a newline, so no output
+document is ever held as one string.
 """
 
 from __future__ import annotations
@@ -16,10 +21,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import IO, Sequence
 
 import numpy as np
@@ -97,16 +104,22 @@ def parse_values(text: str) -> list[float]:
             if count < 1:
                 raise ValueError
             return [float(v) for v in np.linspace(start, stop, count)]
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise CliError(f"cannot parse value grid {text!r}; use start:stop:count or v1,v2,...")
+    if not values:
+        raise CliError(f"value grid {text!r} is empty")
+    return values
 
 
 def parse_int_list(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise CliError(f"cannot parse integer list {text!r}")
+    if not values:
+        raise CliError(f"integer list {text!r} is empty")
+    return values
 
 
 @contextlib.contextmanager
@@ -118,18 +131,52 @@ def _open_out(path: str | None):
             yield stream
 
 
-def _emit(stream: IO[str], fmt: str, config: dict, fieldnames: list[str], rows: list[dict]) -> None:
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+# json.dumps text keyed on a value's exact type; any other type (a numpy float
+# included) goes through json.dumps itself, which raises for unsupported types.
+_JSON_SCALARS = {
+    float: _json_float,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _emit(stream: IO[str], fmt: str, config: dict, fieldnames: Sequence[str], rows: Sequence[tuple]) -> None:
+    """Write the config echo and ``rows``, tuples in ``fieldnames`` order, as CSV or JSON.
+
+    JSON is ``json.dump({"version", "config", "rows"}, stream, indent=2)`` and a
+    newline, written row by row. Row values must be scalars: a container would
+    not get the nested indent.
+    """
     if fmt == "json":
-        json.dump({"version": __version__, "config": config, "rows": rows}, stream, indent=2)
-        stream.write("\n")
+        head = json.dumps({"version": __version__, "config": config}, indent=2)
+        stream.write(head[: -len("\n}")] + ',\n  "rows": [')
+        keys = [encode_basestring_ascii(name) + ": " for name in fieldnames]
+        prefixes = ["\n      " + keys[0]] + [",\n      " + key for key in keys[1:]]
+        text = _JSON_SCALARS.get
+        opener = "\n    {"
+        for row in rows:
+            body = "".join([p + text(type(v), json.dumps)(v) for p, v in zip(prefixes, row)])
+            stream.write(opener + body + "\n    }")
+            opener = ",\n    {"
+        stream.write("\n  ]\n}\n" if rows else "]\n}\n")
         return
     stream.write(f"# thermoquery {__version__}\n")
     for key in sorted(config):
         stream.write(f"# {key} = {config[key]}\n")
-    writer = csv.DictWriter(stream, fieldnames=fieldnames)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: ("" if row[k] is None else row[k]) for k in fieldnames})
+    # csv writes None as an empty field and a float as its repr.
+    writer = csv.writer(stream)
+    writer.writerow(fieldnames)
+    writer.writerows(rows)
 
 
 def cmd_dj_kickback(args: argparse.Namespace) -> int:
@@ -150,23 +197,15 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
     grid = np.array(beta_s_values)
     rows = []
     for beta_m in beta_m_values:
-        curves = {}
+        curves = []
         for name, table in sorted(tables.items()):
             delta = oracle_shift(build_dj_oracle(table, args.e1, args.e2, beta_m), args.omega, grid)
             _, p0_after, beta_after = shift_outcome(grid * args.omega, args.omega, delta)
-            curves[name] = (delta, p0_after, beta_after)
+            beta_after = [None if b != b else b for b in beta_after.tolist()]
+            curves.append((name, delta.tolist(), p0_after.tolist(), beta_after))
         for i, beta_s in enumerate(beta_s_values):
-            for name, (delta, p0_after, beta_after) in curves.items():
-                rows.append(
-                    {
-                        "beta_M": beta_m,
-                        "beta_S": beta_s,
-                        "case": name,
-                        "delta_p0": float(delta[i]),
-                        "p0_after": float(p0_after[i]),
-                        "beta_S_prime": None if math.isnan(beta_after[i]) else float(beta_after[i]),
-                    }
-                )
+            for name, delta, p0_after, beta_after in curves:
+                rows.append((beta_m, beta_s, name, delta[i], p0_after[i], beta_after[i]))
     config = {
         "subcommand": "dj-kickback",
         "n": args.n,
@@ -200,16 +239,7 @@ def cmd_distinguishability(args: argparse.Namespace) -> int:
                 if e1 < e2:
                     continue
                 report = distinguishability_report(e1, e2, args.beta_m, n, args.t)
-                rows.append(
-                    {
-                        "N": n,
-                        "E1": e1,
-                        "E2": e2,
-                        "lhs": report.lhs,
-                        "chi": report.chi,
-                        "satisfied": report.satisfied,
-                    }
-                )
+                rows.append((n, e1, e2, report.lhs, report.chi, report.satisfied))
     config = {
         "subcommand": "distinguishability",
         "beta_M": args.beta_m,
@@ -228,19 +258,9 @@ def cmd_sample_complexity(args: argparse.Namespace) -> int:
     deltas = parse_values(args.delta_grid)
     ts = parse_values(args.t_grid)
     table = crossover_analysis(deltas, ts)
-    rows = []
-    for row in table:
-        rows.append(
-            {
-                "delta": row.delta,
-                "t": row.t,
-                "n_star": row.n_star,
-                "k_classical": row.k_classical,
-                "n_mixed_query": chernoff_stein_samples(row.delta, MIXED_QUERY_DIVERGENCE),
-                "n_crossover": row.n_crossover,
-                "thermal_beats_probabilistic": row.thermal_beats_probabilistic,
-            }
-        )
+    rows = [(row.delta, row.t, row.n_star, row.k_classical,
+             chernoff_stein_samples(row.delta, MIXED_QUERY_DIVERGENCE),
+             row.n_crossover, row.thermal_beats_probabilistic) for row in table]
     config = {
         "subcommand": "sample-complexity",
         "delta_grid": args.delta_grid,
@@ -271,16 +291,7 @@ def cmd_detuning_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
     sweep = bv3_sweep(config_obj, sorted(beta_s_values))
-    rows = [
-        {
-            "secret": p.secret,
-            "beta_S": p.beta_s,
-            "delta_s": p.delta_s,
-            "eta": p.eta,
-            "beta_S_prime": p.beta_s_prime,
-        }
-        for p in sweep.points
-    ]
+    rows = [(p.secret, p.beta_s, p.delta_s, p.eta, p.beta_s_prime) for p in sweep.points]
     config = {
         "subcommand": "detuning-sweep",
         "gamma": gammas,
@@ -320,7 +331,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULTS["seed"])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = _Parser(prog="thermoquery",
                      description="Thermal-machine oracle queries: figure data and verification")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -382,7 +395,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"thermoquery: error: {exc}", file=sys.stderr)
         return 1
 

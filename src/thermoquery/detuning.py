@@ -148,16 +148,16 @@ class DetuningSweep:
         return seen
 
 
-def _min_separation(curves: dict[str, list[float | None]]) -> float:
-    secrets = sorted(curves)
-    best = math.inf
-    for i, si in enumerate(secrets):
-        for sj in secrets[i + 1 :]:
-            for vi, vj in zip(curves[si], curves[sj]):
-                if vi is None or vj is None:
-                    continue
-                best = min(best, abs(vi - vj))
-    return best if best < math.inf else math.nan
+def _min_separation(curves: np.ndarray) -> float:
+    """Smallest finite |curve_i - curve_j| over pairs i < j of rows of ``curves``.
+
+    ``curves`` holds NaN where a temperature is undefined; NaN when no pair is defined.
+    """
+    i, j = np.triu_indices(len(curves), 1)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN and is dropped with it
+        gaps = np.abs(curves[i] - curves[j])
+    gaps = gaps[gaps < math.inf]
+    return float(gaps.min()) if gaps.size else math.nan
 
 
 def bv3_sweep(config: ExperimentConfig, beta_s_grid: Sequence[float]) -> DetuningSweep:
@@ -173,18 +173,18 @@ def bv3_sweep(config: ExperimentConfig, beta_s_grid: Sequence[float]) -> Detunin
     for beta_s in grid:
         ThermalQubit(config.omega, beta_s)  # rejects a non-finite probe gap or temperature
     points: list[SweepPoint] = []
-    curves: dict[str, list[float | None]] = {}
+    curves = []
     for bits in product("01", repeat=3):
         secret = "".join(bits)
         delta_s = config.detuning_for_secret(secret)
         eta = suppression_factor(config.coupling, delta_s)
         oracle = config.oracle_for_secret(secret)
         betas = _detuned_inverse_temperatures(oracle, config.omega, np.array(grid), eta)
-        values = [None if math.isnan(b) else float(b) for b in betas]
+        values = [None if b != b else b for b in betas.tolist()]
         points += [SweepPoint(secret, b, delta_s, eta, v) for b, v in zip(grid, values)]
-        curves[secret] = values
+        curves.append(betas)
     return DetuningSweep(
         points=tuple(points),
         beta_s_grid=grid,
-        min_pairwise_separation=_min_separation(curves),
+        min_pairwise_separation=_min_separation(np.array(curves)),
     )

@@ -73,7 +73,10 @@ def _kl_term(p: float, q: float) -> float:
 
 def relative_entropy(p: BinaryDistribution, q: BinaryDistribution) -> float:
     """KL divergence D(p||q) in nats; infinite when q lacks support where p has mass."""
-    return _kl_term(p.p0, q.p0) + _kl_term(p.p1, q.p1)
+    divergence = _kl_term(p.p0, q.p0) + _kl_term(p.p1, q.p1)
+    # Gibbs' inequality makes D >= 0, so a negative sum is the two terms
+    # cancelling in rounding for nearly equal distributions.
+    return 0.0 if divergence < 0.0 else divergence
 
 
 def total_variation(p: BinaryDistribution, q: BinaryDistribution) -> float:

@@ -1,12 +1,16 @@
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import thermoquery.verify
-from thermoquery.cli import main, parse_values
+from thermoquery import __version__
+from thermoquery.cli import _emit, main, parse_values
 
 
 def read_csv(path):
@@ -21,6 +25,91 @@ def read_csv(path):
             else:
                 rows.append(dict(zip(header, next(csv.reader([line])))))
     return comments, rows
+
+
+def dictwriter_csv(config, fieldnames, rows):
+    """The CSV form through csv.DictWriter, one dict per row (reference)."""
+    stream = io.StringIO(newline="")
+    stream.write(f"# thermoquery {__version__}\n")
+    for key in sorted(config):
+        stream.write(f"# {key} = {config[key]}\n")
+    writer = csv.DictWriter(stream, fieldnames=fieldnames)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: ("" if v is None else v) for k, v in zip(fieldnames, row)})
+    return stream.getvalue()
+
+
+def json_dump_reference(config, fieldnames, rows):
+    document = {"version": __version__, "config": config, "rows": [dict(zip(fieldnames, r)) for r in rows]}
+    return json.dumps(document, indent=2) + "\n"
+
+
+def emitted(fmt, config, fieldnames, rows):
+    stream = io.StringIO(newline="")
+    _emit(stream, fmt, config, fieldnames, rows)
+    return stream.getvalue()
+
+
+WRITER_CONFIG = {"subcommand": "test", "grid": [1.0, 2.5], "name": "caf\u00e9", "seed": 7}
+WRITER_FIELDS = ["value", "quote\"d", "caf\u00e9", "n"]
+WRITER_ROWS = [
+    (None, True, False, 3),
+    (math.nan, math.inf, -math.inf, -12),
+    (np.float64(0.1), 1e-300, -0.0, 2**70),
+    ('tab\t "quote" back\\slash\n\x01', "\u00e9t\u00e9 \u2603 \U0001d11e", "", 0),
+    (0.1 + 0.2, 1.0, 5e-324, True),
+]
+
+
+class TestWriters:
+    def test_json_rows_match_json_dumps(self):
+        assert emitted("json", WRITER_CONFIG, WRITER_FIELDS, WRITER_ROWS) == json_dump_reference(
+            WRITER_CONFIG, WRITER_FIELDS, WRITER_ROWS
+        )
+
+    def test_json_each_value_alone(self):
+        for value in [v for row in WRITER_ROWS for v in row]:
+            rows = [(value,)]
+            assert emitted("json", WRITER_CONFIG, ["x"], rows) == json_dump_reference(WRITER_CONFIG, ["x"], rows)
+
+    def test_json_zero_rows(self):
+        out = emitted("json", WRITER_CONFIG, WRITER_FIELDS, [])
+        assert out == json_dump_reference(WRITER_CONFIG, WRITER_FIELDS, [])
+        assert '"rows": []' in out
+
+    def test_json_unsupported_type_raises(self):
+        with pytest.raises(TypeError):
+            emitted("json", WRITER_CONFIG, ["x"], [(object(),)])
+
+    def test_csv_matches_dictwriter(self):
+        assert emitted("csv", WRITER_CONFIG, WRITER_FIELDS, WRITER_ROWS) == dictwriter_csv(
+            WRITER_CONFIG, WRITER_FIELDS, WRITER_ROWS
+        )
+        assert emitted("csv", WRITER_CONFIG, WRITER_FIELDS, []) == dictwriter_csv(
+            WRITER_CONFIG, WRITER_FIELDS, []
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dj-kickback"],
+            ["dj-kickback", "--beta-m=-2:2:5", "--beta-s=-300:300:61", "--omega", "3"],
+            ["distinguishability"],
+            ["distinguishability", "--n-qubits", "2,4,8", "--e1-grid", "0.5:3:30", "--e2-grid", "0.4:2:30"],
+            ["distinguishability", "--e1-grid", "0.1", "--e2-grid", "1,2"],
+            ["sample-complexity"],
+            ["sample-complexity", "--delta-grid", "0.001:0.999:40", "--t-grid", "0.001:0.99:15"],
+            ["detuning-sweep"],
+            ["detuning-sweep", "--beta-s=-0.5:3.5:201", "--epsilon", "0.08"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_subcommand_json_is_json_dump_layout(self, tmp_path, argv):
+        out = tmp_path / "out.json"
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text
 
 
 class TestParseValues:
@@ -82,6 +171,27 @@ class TestDJKickback:
     def test_validation_error_exit_code(self, tmp_path):
         assert main(["dj-kickback", "--e1", "-1.0", "--out", str(tmp_path / "x.csv")]) == 1
         assert main(["dj-kickback", "--beta-s", "junk", "--out", str(tmp_path / "y.csv")]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dj-kickback", "--beta-m", ","],
+            ["dj-kickback", "--beta-s", ""],
+            ["distinguishability", "--n-qubits", ","],
+            ["sample-complexity", "--delta-grid", ","],
+        ],
+    )
+    def test_empty_grid_exits_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_path_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.csv"
+        assert main(["dj-kickback", "--beta-s", "0:1:3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("thermoquery: error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--beta-s", "--beta-m", "--omega"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -190,6 +300,12 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["passed"] is True
         assert report["seed"] == 7
+
+    def test_unwritable_out_path_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "report.json"
+        code = main(["verify", "--max-n", "1", "--bv-max-n", "1", "--trials", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("thermoquery: error:")
 
     def test_fixed_seed_reproducible(self):
         a = thermoquery.verify.run_verification(

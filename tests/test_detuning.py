@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from thermoquery.detuning import (
     ExperimentConfig,
+    _min_separation,
     bv3_sweep,
     detuned_probe_temperature,
     flip_probability,
@@ -21,6 +22,23 @@ from thermoquery.thermal import (
     build_dj_oracle,
     inverse_temperature_from_population,
 )
+
+def triple_loop_min_separation(curves: dict[str, list[float | None]]) -> float:
+    """Closest approach of two curves, pair by pair and point by point (reference)."""
+    secrets = sorted(curves)
+    best = math.inf
+    for i, si in enumerate(secrets):
+        for sj in secrets[i + 1 :]:
+            for vi, vj in zip(curves[si], curves[sj]):
+                if vi is None or vj is None:
+                    continue
+                best = min(best, abs(vi - vj))
+    return best if best < math.inf else math.nan
+
+
+def as_curves(values: np.ndarray) -> dict[str, list[float | None]]:
+    return {f"{i:03b}": [None if math.isnan(v) else float(v) for v in row] for i, row in enumerate(values)}
+
 
 DEFAULT_CONFIG = ExperimentConfig(
     machine_gaps=(1.0, 1.13, 1.31), bias=0.05, coupling=4.0, machine_inverse_temperature=1.0
@@ -183,3 +201,41 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             bv3_sweep(DEFAULT_CONFIG, [])
+
+
+class TestMinSeparation:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_triple_loop_with_gaps(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(8, 13))
+        values[rng.random(values.shape) < 0.3] = math.nan
+        values[rng.random(values.shape) < 0.05] = math.inf
+        expected = triple_loop_min_separation(as_curves(values))
+        assert _min_separation(values) == expected
+
+    def test_sweep_with_undefined_points(self):
+        # A cold machine and a cold probe: the probe's excited population
+        # underflows and the temperature is undefined at some points.
+        config = ExperimentConfig(
+            machine_gaps=(1.0, 1.13, 1.31), bias=0.3, coupling=4.0, machine_inverse_temperature=300.0
+        )
+        sweep = bv3_sweep(config, np.linspace(-300.0, 300.0, 31))
+        curves = {s: sweep.curve(s) for s in sweep.secrets()}
+        assert any(v is None for curve in curves.values() for v in curve)
+        assert sweep.min_pairwise_separation == triple_loop_min_separation(curves)
+
+    def test_all_undefined_is_nan(self):
+        values = np.full((8, 4), math.nan)
+        assert math.isnan(triple_loop_min_separation(as_curves(values)))
+        assert math.isnan(_min_separation(values))
+
+    def test_only_one_curve_defined_is_nan(self):
+        values = np.full((8, 4), math.nan)
+        values[2] = 1.0
+        assert math.isnan(_min_separation(values))
+
+    def test_only_infinite_gaps_is_nan(self):
+        values = np.full((8, 4), math.nan)
+        values[2], values[3] = 1.0, math.inf
+        assert math.isnan(triple_loop_min_separation(as_curves(values)))
+        assert math.isnan(_min_separation(values))

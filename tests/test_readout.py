@@ -78,6 +78,14 @@ class TestDivergences:
     def test_infinite_when_support_violated(self):
         assert relative_entropy(BinaryDistribution(0.5), BinaryDistribution(1.0)) == math.inf
 
+    def test_nearly_equal_distributions_not_negative(self):
+        # The two p*log(p/q) terms cancel here and their float sum rounds below zero.
+        p, q = BinaryDistribution(0.5), BinaryDistribution(0.5 + 1e-12)
+        assert relative_entropy(p, q) >= 0.0
+        report = monte_carlo_readout(p, p, q, n_samples=10, trials=100, seed=1)
+        assert report.divergence == 0.0
+        assert report.chernoff_stein_bound == math.inf
+
     def test_total_variation(self):
         assert total_variation(BinaryDistribution(0.9), BinaryDistribution(0.6)) == pytest.approx(0.3)
         p, q = BinaryDistribution(0.7), BinaryDistribution(0.2)
