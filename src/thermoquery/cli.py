@@ -24,6 +24,7 @@ import csv
 import functools
 import json
 import math
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -123,12 +124,22 @@ def parse_int_list(text: str) -> list[int]:
 
 
 @contextlib.contextmanager
-def _open_out(path: str | None):
+def _open_out(path: str | None, newline: str | None = ""):
+    """Standard output for no path or '-', else ``path`` opened for writing.
+
+    Subcommands open their output before the work, so an unwritable path
+    fails at once; a file whose writer raises is removed, not left partial.
+    """
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as stream:
+        return
+    with open(path, "w", encoding="utf-8", newline=newline) as stream:
+        try:
             yield stream
+        except BaseException:
+            stream.close()
+            os.remove(path)
+            raise
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -194,18 +205,6 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
     }
     for beta_s in beta_s_values:
         ThermalQubit(args.omega, beta_s)  # rejects a non-finite probe gap or temperature
-    grid = np.array(beta_s_values)
-    rows = []
-    for beta_m in beta_m_values:
-        curves = []
-        for name, table in sorted(tables.items()):
-            delta = oracle_shift(build_dj_oracle(table, args.e1, args.e2, beta_m), args.omega, grid)
-            _, p0_after, beta_after = shift_outcome(grid * args.omega, args.omega, delta)
-            beta_after = [None if b != b else b for b in beta_after.tolist()]
-            curves.append((name, delta.tolist(), p0_after.tolist(), beta_after))
-        for i, beta_s in enumerate(beta_s_values):
-            for name, delta, p0_after, beta_after in curves:
-                rows.append((beta_m, beta_s, name, delta[i], p0_after[i], beta_after[i]))
     config = {
         "subcommand": "dj-kickback",
         "n": args.n,
@@ -216,7 +215,19 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
         "beta_S": args.beta_s,
         "seed": args.seed,
     }
+    grid = np.array(beta_s_values)
+    rows = []
     with _open_out(args.out) as stream:
+        for beta_m in beta_m_values:
+            curves = []
+            for name, table in sorted(tables.items()):
+                delta = oracle_shift(build_dj_oracle(table, args.e1, args.e2, beta_m), args.omega, grid)
+                _, p0_after, beta_after = shift_outcome(grid * args.omega, args.omega, delta)
+                beta_after = [None if b != b else b for b in beta_after.tolist()]
+                curves.append((name, delta.tolist(), p0_after.tolist(), beta_after))
+            for i, beta_s in enumerate(beta_s_values):
+                for name, delta, p0_after, beta_after in curves:
+                    rows.append((beta_m, beta_s, name, delta[i], p0_after[i], beta_after[i]))
         _emit(stream, args.format, config,
               ["beta_M", "beta_S", "case", "delta_p0", "p0_after", "beta_S_prime"], rows)
     return 0
@@ -232,14 +243,6 @@ def cmd_distinguishability(args: argparse.Namespace) -> int:
         raise CliError("grid energies must be positive")
     if not args.t > 0:
         raise CliError("t must be positive")
-    rows = []
-    for n in n_values:
-        for e1 in sorted(e1_values):
-            for e2 in sorted(e2_values):
-                if e1 < e2:
-                    continue
-                report = distinguishability_report(e1, e2, args.beta_m, n, args.t)
-                rows.append((n, e1, e2, report.lhs, report.chi, report.satisfied))
     config = {
         "subcommand": "distinguishability",
         "beta_M": args.beta_m,
@@ -249,7 +252,15 @@ def cmd_distinguishability(args: argparse.Namespace) -> int:
         "t": args.t,
         "seed": args.seed,
     }
+    rows = []
     with _open_out(args.out) as stream:
+        for n in n_values:
+            for e1 in sorted(e1_values):
+                for e2 in sorted(e2_values):
+                    if e1 < e2:
+                        continue
+                    report = distinguishability_report(e1, e2, args.beta_m, n, args.t)
+                    rows.append((n, e1, e2, report.lhs, report.chi, report.satisfied))
         _emit(stream, args.format, config, ["N", "E1", "E2", "lhs", "chi", "satisfied"], rows)
     return 0
 
@@ -257,10 +268,6 @@ def cmd_distinguishability(args: argparse.Namespace) -> int:
 def cmd_sample_complexity(args: argparse.Namespace) -> int:
     deltas = parse_values(args.delta_grid)
     ts = parse_values(args.t_grid)
-    table = crossover_analysis(deltas, ts)
-    rows = [(row.delta, row.t, row.n_star, row.k_classical,
-             chernoff_stein_samples(row.delta, MIXED_QUERY_DIVERGENCE),
-             row.n_crossover, row.thermal_beats_probabilistic) for row in table]
     config = {
         "subcommand": "sample-complexity",
         "delta_grid": args.delta_grid,
@@ -271,6 +278,10 @@ def cmd_sample_complexity(args: argparse.Namespace) -> int:
     fields = ["delta", "t", "n_star", "k_classical", "n_mixed_query",
               "n_crossover", "thermal_beats_probabilistic"]
     with _open_out(args.out) as stream:
+        table = crossover_analysis(deltas, ts)
+        rows = [(row.delta, row.t, row.n_star, row.k_classical,
+                 chernoff_stein_samples(row.delta, MIXED_QUERY_DIVERGENCE),
+                 row.n_crossover, row.thermal_beats_probabilistic) for row in table]
         _emit(stream, args.format, config, fields, rows)
     return 0
 
@@ -290,36 +301,41 @@ def cmd_detuning_sweep(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc))
-    sweep = bv3_sweep(config_obj, sorted(beta_s_values))
-    rows = [(p.secret, p.beta_s, p.delta_s, p.eta, p.beta_s_prime) for p in sweep.points]
-    config = {
-        "subcommand": "detuning-sweep",
-        "gamma": gammas,
-        "epsilon": args.epsilon,
-        "g": args.g,
-        "omega": config_obj.omega,
-        "beta_M": args.beta_m,
-        "beta_S": args.beta_s,
-        "min_pairwise_separation": sweep.min_pairwise_separation,
-        "seed": args.seed,
-    }
     with _open_out(args.out) as stream:
+        sweep = bv3_sweep(config_obj, sorted(beta_s_values))
+        rows = [(p.secret, p.beta_s, p.delta_s, p.eta, p.beta_s_prime) for p in sweep.points]
+        config = {
+            "subcommand": "detuning-sweep",
+            "gamma": gammas,
+            "epsilon": args.epsilon,
+            "g": args.g,
+            "omega": config_obj.omega,
+            "beta_M": args.beta_m,
+            "beta_S": args.beta_s,
+            "min_pairwise_separation": sweep.min_pairwise_separation,
+            "seed": args.seed,
+        }
         _emit(stream, args.format, config,
               ["secret", "beta_S", "delta_s", "eta", "beta_S_prime"], rows)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = run_verification(
-        max_dj_n=args.max_n,
-        max_bv_n=args.bv_max_n,
-        tuples_per_instance=args.trials,
-        seed=args.seed,
-    )
-    for line in report.lines():
-        print(line)
-    if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as stream:
+    for flag, value in (("--max-n", args.max_n), ("--bv-max-n", args.bv_max_n), ("--trials", args.trials)):
+        if value < 1:
+            raise CliError(f"{flag} must be >= 1, got {value}")
+    # The report goes to standard output; --out adds it as JSON.
+    to_file = args.out not in (None, "-")
+    with (_open_out(args.out, newline=None) if to_file else contextlib.nullcontext()) as stream:
+        report = run_verification(
+            max_dj_n=args.max_n,
+            max_bv_n=args.bv_max_n,
+            tuples_per_instance=args.trials,
+            seed=args.seed,
+        )
+        for line in report.lines():
+            print(line)
+        if to_file:
             json.dump({"version": __version__, "seed": args.seed, **report.to_dict()}, stream, indent=2)
             stream.write("\n")
     return 0 if report.passed else 2

@@ -141,19 +141,28 @@ def kickback_batch(
     beta_s: np.ndarray,
     gaps: np.ndarray,
     beta_m: np.ndarray,
-    mask: QueryMask,
+    masks: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probe ground population before and after the kickback V(mask), and the
-    log weight sum, of T joint states: row t is a probe with gap ``omega[t]``
-    at ``beta_s[t]`` and machine gaps ``gaps[t]`` at ``beta_m[t]``.
+    """Probe ground population before and after the kickback V(masks[t]), and
+    the log weight sum, of T joint states: row t is a probe with gap
+    ``omega[t]`` at ``beta_s[t]`` and machine gaps ``gaps[t]`` at ``beta_m[t]``,
+    and ``masks`` holds one 0/1 mask row per state, shaped like ``gaps``.
 
     The exchange touches two levels, so p0' = p0 - p[a] + p[b] without a
-    copy of the state. The states are built a chunk of rows at a time, in
-    the same two arrays of at most 2^13 levels or one state.
+    copy of the state; one matrix product gives the machine index a of every
+    row, and b = 2^(N+1) - 1 - a (see :func:`kickback_level_indices`). The
+    states are built a chunk of rows at a time, in the same two arrays of at
+    most 2^13 levels or one state.
     """
     rows, n = gaps.shape
     levels = _joint_levels(n, DEFAULT_MAX_QUBITS)
-    level_a, level_b = kickback_level_indices(mask, n)
+    masks = np.asarray(masks)
+    if masks.shape != gaps.shape:
+        raise ValueError("mask rows do not match the machines")
+    if np.any((masks != 0) & (masks != 1)):
+        raise ValueError("mask bits must be 0/1")
+    level_a = masks.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+    level_b = levels - 1 - level_a
     joint_gaps = np.column_stack((omega, gaps))
     step = max(1, min(rows, _BATCH_LEVELS // levels))
     energies, populations = np.empty((step, levels)), np.empty((step, levels))
@@ -166,7 +175,8 @@ def kickback_batch(
             joint_gaps[chunk], beta_s[chunk], beta_m[chunk], energies[:size], states
         )
         p0[chunk] = states[:, : levels // 2].sum(axis=1)
-        p0_after[chunk] = p0[chunk] - states[:, level_a] + states[:, level_b]
+        row = np.arange(size)
+        p0_after[chunk] = p0[chunk] - states[row, level_a[chunk]] + states[row, level_b[chunk]]
     return p0, p0_after, log_partition_sum
 
 

@@ -4,6 +4,13 @@ Parameter tuples are drawn from documented ranges chosen so that the 1e-12
 comparisons are honestly attainable in double precision: post-query
 populations stay away from 0 and 1, where the log amplification of rounding
 error would exceed the tolerance.
+
+Every section draws its tuples in the order of one scalar draw after
+another, so a seed fixes the cases whatever the evaluation. The Deutsch-Jozsa,
+general-mask and regime sections evaluate their tuples as arrays. The regime
+section parses its integer draws from the generator's raw words
+(:func:`_regime_draws`): that depends on numpy's PCG64 and its Lemire
+bounded integers, and tests/test_verify.py pins it against the numpy calls.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from .thermal import (
     ThermalQubit,
     build_bv_oracle,
     build_dj_oracle,
-    inverse_temperature_from_population,
     population_inverse_temperature,
 )
 
@@ -48,6 +54,10 @@ __all__ = ["CheckResult", "VerificationReport", "run_verification", "PARAMETER_R
 
 # Tuples evaluated together in the Deutsch-Jozsa and the regime sections.
 _BLOCK_ROWS = 512
+# Raw generator words fetched at a time by _RawWords: table tries are
+# rejected without bound, so words come in small blocks, 8 KiB each.
+_RAW_WORDS = 1024
+_LOW_HALF = 0xFFFFFFFF
 
 # Sampling ranges for randomized tuples (omega, beta_S, beta_M, gaps).
 PARAMETER_RANGES = {
@@ -210,20 +220,133 @@ def _random_dj_oracle(rng: np.random.Generator, n: int):
     return build_dj_oracle(table, gap_one, gap_zero, _uniform(rng, "beta_m"))
 
 
+class _RawWords:
+    """The draws of a PCG64 ``Generator``, parsed from its raw 64-bit words.
+
+    Reproduces numpy's streams for the draws the regime section makes:
+
+    - a 32-bit draw returns the low half of a fresh word and keeps the high
+      half (``has_uint32``, ``uinteger``) for the next 32-bit draw;
+    - ``integers(low, low + s)`` takes 32-bit draws u by Lemire's method:
+      the value is low + (u*s) >> 32, and a draw is rejected while
+      (u*s) mod 2^32 < (2^32 - s) mod s; a span s = 1 draws nothing, and a
+      bit of ``integers(0, 2, size)`` is u >> 31;
+    - ``random()`` takes a whole word w as (w >> 11) * 2^-53 and leaves the
+      kept half alone.
+
+    Words are fetched a block at a time and :meth:`finish` rewinds the
+    generator to just after the last word used, with the kept half as the
+    scalar calls would leave it.
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        self.bit_generator = bit_generator
+        self.start = bit_generator.state
+        self.kept = self.start["has_uint32"]
+        # The high half of the last fresh word a 32-bit draw took, consumed or not.
+        self.high = self.start["uinteger"]
+        self.block = np.empty(0, dtype=np.uint64)
+        self.halves: list[int] = []
+        self.top_bits_before: list[int] = [0]
+        self.used = 0  # words of earlier blocks used
+        self.next = 0  # next fresh word of the current block
+        self.end = 0  # words in the current block
+
+    def _refill(self, count: int) -> None:
+        """Fetch a block that holds the unused words and at least ``count`` more."""
+        fresh = self.bit_generator.random_raw(max(_RAW_WORDS, count))
+        self.block = np.concatenate((self.block[self.next:], fresh))
+        self.used += self.next
+        self.next = 0
+        halves = np.empty(2 * self.block.size, dtype=np.uint64)
+        halves[0::2] = self.block & _LOW_HALF
+        halves[1::2] = self.block >> 32
+        self.halves = halves.tolist()
+        self.end = self.block.size
+        # top_bits_before[h]: ones among the top bits of halves[:h].
+        self.top_bits_before = [0, *np.cumsum(halves >> 31).tolist()]
+
+    def _next32(self) -> int:
+        if self.kept:
+            self.kept = 0
+            return self.high
+        if self.next == self.end:
+            self._refill(1)
+        low, self.high = self.halves[2 * self.next], self.halves[2 * self.next + 1]
+        self.next += 1
+        self.kept = 1
+        return low
+
+    def bounded(self, span: int) -> int:
+        """``integers(0, span)``."""
+        if span == 1:
+            return 0
+        threshold = ((1 << 32) - span) % span
+        while True:
+            scaled = self._next32() * span
+            if scaled & _LOW_HALF >= threshold:
+                return scaled >> 32
+
+    def ones(self, size: int) -> int:
+        """The number of ones among ``integers(0, 2, size)``."""
+        ones = 0
+        if self.kept:
+            ones, size, self.kept = self.high >> 31, size - 1, 0
+        if size:
+            words = (size + 1) // 2
+            if self.next + words > self.end:
+                self._refill(words)
+            first = 2 * self.next
+            ones += self.top_bits_before[first + size] - self.top_bits_before[first]
+            self.next += words
+            self.high, self.kept = self.halves[2 * self.next - 1], size & 1
+        return ones
+
+    def doubles(self, count: int) -> np.ndarray:
+        """The raw words of ``random(count)``."""
+        if self.next + count > self.end:
+            self._refill(count)
+        words = self.block[self.next:self.next + count]
+        self.next += count
+        return words
+
+    def finish(self) -> None:
+        """Leave the generator as the parsed draws would have."""
+        self.bit_generator.state = self.start
+        self.bit_generator.advance(self.used + self.next)  # clears the kept half
+        state = self.bit_generator.state
+        state["has_uint32"], state["uinteger"] = self.kept, self.high
+        self.bit_generator.state = state
+
+
 def _regime_draws(
     rng: np.random.Generator, rows: int, max_n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Table sizes, counts of ones and (rows, 6) uniform draws of regime tuples.
 
-    Each tuple draws, as a scalar section would: n, a table by rejection,
-    then gap_one, gap_zero, beta_M, omega and beta_S (unscaled, for
-    :func:`_scaled`) and the draw for the sensitivity threshold.
+    Each tuple draws, as a scalar section would: n = ``rng.integers(1,
+    max_n + 1)``, a table by rejection (:func:`_dj_outputs`), then
+    ``rng.random(6)``: gap_one, gap_zero, beta_M, omega and beta_S
+    (unscaled, for :func:`_scaled`) and the draw for the sensitivity
+    threshold.
+
+    One numpy call per table try costs far more than the draw itself, so the
+    values are parsed from the raw words of the generator by
+    :class:`_RawWords`. That depends on numpy's PCG64 and its Lemire bounded
+    integers; tests/test_verify.py pins it against the scalar calls, values
+    and generator state both.
     """
-    sizes, ones, draws = np.empty(rows), np.empty(rows), np.empty((rows, 6))
+    stream = _RawWords(rng.bit_generator)
+    sizes, ones, raw = np.empty(rows), np.empty(rows), np.empty((rows, 6), dtype=np.uint64)
     for i in range(rows):
-        outputs = _dj_outputs(rng, int(rng.integers(1, max_n + 1)))
-        sizes[i], ones[i] = outputs.size, np.count_nonzero(outputs)
-        rng.random(out=draws[i])
+        size = 2 << stream.bounded(max_n)
+        count = stream.ones(size)
+        while not (count in (0, size) or 2 * count == size):
+            count = stream.ones(size)
+        sizes[i], ones[i] = size, count
+        raw[i] = stream.doubles(6)
+    stream.finish()
+    draws = (raw >> 11) * 2.0**-53
     return sizes, ones, draws
 
 
@@ -234,6 +357,54 @@ def _dj_machine(ones, size, gap_one, gap_zero, beta_m):
     total = ones * gap_one + zeros * gap_zero
     log_zf = ones * np.logaddexp(0.0, -beta_m * gap_one) + zeros * np.logaddexp(0.0, -beta_m * gap_zero)
     return total, log_zf
+
+
+def _masked_sum(gaps: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """X.G of every row."""
+    return np.where(masks == 1, gaps, 0.0).sum(axis=1)
+
+
+def _general_mask_errors(cases) -> tuple[np.ndarray, np.ndarray]:
+    """Errors of the general-mask check and of the all-ones reduction, one per
+    (machine gaps, beta_M, omega, beta_S, mask bits) case, in case order.
+
+    The cases are evaluated a machine size at a time. The general-mask error
+    is the larger of the p0' and beta' errors against the exact simulator
+    (the p0' error alone where beta' is undefined); the reduction compares
+    the kernel with no remainder against the kernel with X.G taken from an
+    all-ones row, where both temperatures are defined.
+    """
+    errors, reduction = np.empty(len(cases)), np.empty(len(cases))
+    by_size: dict[int, list[int]] = {}
+    for i, case in enumerate(cases):
+        by_size.setdefault(len(case[0]), []).append(i)
+    for rows in by_size.values():
+        gaps, beta_m, omega, beta_s, masks = (np.array(column) for column in zip(*(cases[i] for i in rows)))
+        a = beta_s * omega
+        total = gaps.sum(axis=1)
+        log_zf = np.logaddexp(0.0, -beta_m[:, None] * gaps).sum(axis=1)
+
+        def outcome(masked_sum, remainder):
+            delta = kickback_shift(a, beta_m, masked_sum, remainder, log_zf)
+            return shift_outcome(a, omega, delta)[1:]
+
+        masked_sum = _masked_sum(gaps, masks)
+        p0_after, beta_after = outcome(masked_sum, total - masked_sum)
+        _, exact_p0, _ = exactsim.kickback_batch(omega, beta_s, gaps, beta_m, masks)
+        error = np.abs(p0_after - exact_p0)
+        defined = np.flatnonzero(~np.isnan(beta_after))
+        exact_beta = population_inverse_temperature(exact_p0[defined], omega[defined])
+        error[defined] = np.maximum(error[defined], np.abs(beta_after[defined] - exact_beta))
+        errors[rows] = error
+
+        specialized_p0, specialized_beta = outcome(total, 0.0)
+        all_ones_sum = _masked_sum(gaps, np.ones_like(masks))
+        generalized_p0, generalized_beta = outcome(all_ones_sum, total - all_ones_sum)
+        # fmax skips the NaN of an undefined temperature on either side.
+        reduction[rows] = np.fmax(
+            np.abs(specialized_p0 - generalized_p0), np.abs(specialized_beta - generalized_beta)
+        )
+    return errors, reduction
 
 
 def _exact_kickback_p0(probe, oracle, mask: QueryMask) -> float:
@@ -272,7 +443,7 @@ def run_verification(
         _, p0_after, beta_after = shift_outcome(a, omega, delta)
         gaps = np.where(outputs, gap_one[:, None], gap_zero[:, None])
         exact_before, exact_p0, log_partition_sum = exactsim.kickback_batch(
-            omega, beta_s, gaps, beta_m, QueryMask.all_ones(size)
+            omega, beta_s, gaps, beta_m, np.ones_like(outputs)
         )
 
         def context(i: int) -> str:
@@ -293,6 +464,7 @@ def run_verification(
     general_bv = _Tracker("general-mask-bv-vs-exact", 1e-12)
     reduction = _Tracker("all-ones-mask-reduction", 1e-14)
     for tracker, is_bv in ((general_dj, False), (general_bv, True)):
+        cases = []
         for _ in range(mask_cases):
             if is_bv:
                 n = int(rng.integers(1, max_bv_n + 1))
@@ -303,21 +475,12 @@ def run_verification(
             else:
                 oracle = _random_dj_oracle(rng, int(rng.integers(1, max_dj_n + 1)))
             probe = _sample_probe(rng)
-            n_machine = oracle.n_machine_qubits
-            mask = QueryMask(tuple(int(b) for b in rng.integers(0, 2, n_machine)))
-            outcome = kickback_outcome(probe, oracle, mask)
-            exact_p0 = _exact_kickback_p0(probe, oracle, mask)
-            error = abs(outcome.p0_after - exact_p0)
-            if outcome.beta_after is not None:
-                exact_beta = inverse_temperature_from_population(exact_p0, probe.gap)
-                error = max(error, abs(outcome.beta_after - exact_beta))
-            tracker.record(error, f"mask={mask.bits} machine={oracle.gap_vector.gaps}")
-            specialized = kickback_outcome(probe, oracle)
-            generalized = kickback_outcome(probe, oracle, QueryMask.all_ones(n_machine))
-            red_err = abs(specialized.p0_after - generalized.p0_after)
-            if specialized.beta_after is not None and generalized.beta_after is not None:
-                red_err = max(red_err, abs(specialized.beta_after - generalized.beta_after))
-            reduction.record(red_err, f"machine={oracle.gap_vector.gaps}")
+            mask = tuple(int(b) for b in rng.integers(0, 2, oracle.n_machine_qubits))
+            cases.append((oracle.gap_vector.gaps, oracle.machine_inverse_temperature,
+                          probe.gap, probe.inverse_temperature, mask))
+        errors, reduction_errors = _general_mask_errors(cases)
+        tracker.record_block(errors, lambda i: f"mask={cases[i][4]} machine={cases[i][0]}")
+        reduction.record_block(reduction_errors, lambda i: f"machine={cases[i][0]}")
     report.checks += [general_dj.result(), general_bv.result(), reduction.result()]
 
     # Hamming-weight readout formula vs exact, and vs the kickback path.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import thermoquery.verify
-from thermoquery import __version__
+from thermoquery import __version__, cli
 from thermoquery.cli import _emit, main, parse_values
 
 
@@ -198,6 +198,9 @@ class TestDJKickback:
     def test_non_finite_input_exits_one(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x.csv"
         assert main(["dj-kickback", "--n", "2", f"{flag}={value}", "--out", str(out)]) == 1
+        # --beta-m is rejected by the oracle, after the output is opened: the
+        # file is removed again.
+        assert not out.exists()
         assert "thermoquery: error:" in capsys.readouterr().err
 
     def test_beyond_exhaustive_enumeration(self, tmp_path):
@@ -289,6 +292,26 @@ class TestDetuningSweep:
                      "--out", str(tmp_path / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["dj-kickback"], "oracle_shift"),
+        (["distinguishability"], "distinguishability_report"),
+        (["sample-complexity"], "crossover_analysis"),
+        (["detuning-sweep"], "bv3_sweep"),
+    ],
+)
+def test_figure_out_path_opened_before_the_work(tmp_path, capsys, monkeypatch, argv, work):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(cli, work, forbidden)
+    assert main(argv + ["--out", str(tmp_path / "no" / "such" / "x.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("thermoquery: error:") and captured.err.count("\n") == 1
+
+
 class TestVerify:
     def test_small_run_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -301,11 +324,47 @@ class TestVerify:
         assert report["passed"] is True
         assert report["seed"] == 7
 
-    def test_unwritable_out_path_exits_one(self, tmp_path, capsys):
+    @staticmethod
+    def forbid_run(monkeypatch):
+        def run_verification(**kwargs):
+            raise AssertionError("the verification ran")
+
+        monkeypatch.setattr(cli, "run_verification", run_verification)
+
+    def test_unwritable_out_path_exits_one(self, tmp_path, capsys, monkeypatch):
+        """The output is opened before the run: nothing is computed or printed."""
+        self.forbid_run(monkeypatch)
         out = tmp_path / "no" / "such" / "report.json"
-        code = main(["verify", "--max-n", "1", "--bv-max-n", "1", "--trials", "2", "--out", str(out)])
+        code = main(["verify", "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("thermoquery: error:")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("thermoquery: error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--max-n", "--bv-max-n", "--trials"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_counts_below_one_exit_one(self, tmp_path, capsys, monkeypatch, flag, value):
+        self.forbid_run(monkeypatch)
+        out = tmp_path / "report.json"
+        assert main(["verify", flag, value, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"thermoquery: error: {flag} must be >= 1, got {value}\n"
+        assert not out.exists()
+
+    def test_report_bytes_on_stdout_and_file(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["verify", "--max-n", "1", "--bv-max-n", "2", "--trials", "3", "--seed", "5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        report = thermoquery.verify.run_verification(
+            max_dj_n=1, max_bv_n=2, tuples_per_instance=3, seed=5
+        )
+        assert printed == "".join(line + "\n" for line in report.lines())
+        expected = json.dumps({"version": __version__, "seed": 5, **report.to_dict()}, indent=2) + "\n"
+        assert out.read_bytes() == expected.encode("utf-8")
+        assert main(argv + ["--out", "-"]) == 0
+        assert capsys.readouterr().out == printed
 
     def test_fixed_seed_reproducible(self):
         a = thermoquery.verify.run_verification(

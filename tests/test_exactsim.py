@@ -288,23 +288,28 @@ class TestIndependenceFromAnalyticCode:
                 probe_mean_energy(each)
                 machine_mean_energy(each)
             gaps = np.array([oracle.gap_vector.gaps] * 3)
+            masks = np.array([[1] * n, [0] * n, [i % 2 for i in range(n)]])  # one mask per state
             exactsim.kickback_batch(
                 np.full(3, probe.gap), np.linspace(-1.0, 1.0, 3), gaps,
-                np.full(3, oracle.machine_inverse_temperature), QueryMask.all_ones(n),
+                np.full(3, oracle.machine_inverse_temperature), masks,
             )
 
 
 class TestKickbackBatch:
     @staticmethod
-    def rows_against_single_states(rng, n, rows, mask):
+    def rows_against_single_states(rng, n, rows, masks=None):
+        """Every row against build_joint_state and apply_level_exchange; a
+        random mask per row unless ``masks`` is given."""
         omega = rng.uniform(0.25, 2.0, rows)
         beta_s = rng.uniform(-1.2, 1.2, rows)
         beta_m = rng.uniform(0.1, 1.5, rows)
         gaps = rng.uniform(0.2, 2.0, (rows, n))
-        p0, p0_after, log_z = exactsim.kickback_batch(omega, beta_s, gaps, beta_m, mask)
-        a, b = kickback_level_indices(mask, n)
+        if masks is None:
+            masks = rng.integers(0, 2, (rows, n))
+        p0, p0_after, log_z = exactsim.kickback_batch(omega, beta_s, gaps, beta_m, masks)
         for t in range(rows):
             state = build_joint_state(ThermalQubit(omega[t], beta_s[t]), build_custom_oracle(gaps[t], beta_m[t]))
+            a, b = kickback_level_indices(QueryMask(tuple(int(bit) for bit in masks[t])), n)
             assert p0[t] == probe_marginal(state).p0
             assert log_z[t] == state.log_partition_sum
             assert p0_after[t] == pytest.approx(
@@ -314,16 +319,29 @@ class TestKickbackBatch:
     def test_rows_across_chunk_boundaries(self, rng):
         """One chunk holds 2^13 levels: 64 rows of 7 qubits, 4 rows of 11
         qubits (70 rows need 17 full chunks and a part of the buffers)."""
-        for n, rows in ((1, 20), (6, 20), (10, 70)):
-            mask = QueryMask(tuple(int(b) for b in rng.integers(0, 2, n)))
-            self.rows_against_single_states(rng, n, rows, mask)
+        for n, rows in ((1, 20), (6, 20), (6, 150), (10, 70)):
+            self.rows_against_single_states(rng, n, rows)
+
+    def test_all_ones_and_all_zeros_rows(self, rng):
+        """The extreme masks exchange the first and last levels of each half."""
+        masks = np.array([[1] * 5, [0] * 5] * 40)
+        self.rows_against_single_states(rng, 5, 80, masks)
+
+    def test_boolean_mask_rows(self, rng):
+        self.rows_against_single_states(rng, 4, 9, rng.integers(0, 2, (9, 4)).astype(bool))
 
     def test_seventeen_qubit_rows_one_chunk_each(self, rng):
         """A 17-qubit state exceeds a chunk: each row is written over the last."""
-        mask = QueryMask(tuple(int(b) for b in rng.integers(0, 2, 16)))
-        self.rows_against_single_states(rng, 16, 3, mask)
+        self.rows_against_single_states(rng, 16, 3)
+
+    def test_mask_rows_validated(self):
+        ones = np.ones(2)
+        with pytest.raises(ValueError, match="do not match"):
+            exactsim.kickback_batch(ones, ones, np.ones((2, 3)), ones, np.ones((2, 2), dtype=int))
+        with pytest.raises(ValueError, match="0/1"):
+            exactsim.kickback_batch(ones, ones, np.ones((2, 3)), ones, np.full((2, 3), 2))
 
     def test_qubit_limit(self):
         n = exactsim.DEFAULT_MAX_QUBITS
         with pytest.raises(ValueError, match="exceed"):
-            exactsim.kickback_batch(np.ones(1), np.ones(1), np.ones((1, n)), np.ones(1), QueryMask.all_ones(n))
+            exactsim.kickback_batch(np.ones(1), np.ones(1), np.ones((1, n)), np.ones(1), np.ones((1, n)))

@@ -1,8 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
-from thermoquery import verify
+from thermoquery import exactsim, verify
 
 DJ_CASES = 100 * (4 + 8 + 72)  # 100 tuples for each constant or balanced table with n <= 3
 
@@ -37,6 +38,39 @@ def test_default_run_is_pinned():
     worst = {c["name"]: c["worst_case"] for c in report.to_dict()["checks"]}
     assert worst["dj-kickback-population-vs-exact"].startswith("instance=")
     assert worst["regime-sign-consistency"] == ""  # no case has an error above 0
+    assert worst["general-mask-dj-vs-exact"].startswith("mask=(")
+    assert " machine=(" in worst["general-mask-bv-vs-exact"]
+    assert worst["all-ones-mask-reduction"] == ""
+
+
+def test_general_mask_errors_follow_each_mask(monkeypatch):
+    """Grouped by machine size, every case keeps its own mask: the errors
+    are rounding-sized, and complementing the exact side's masks fails
+    every case where that changes X.G."""
+    rng = np.random.default_rng(3)
+    cases = []
+    for _ in range(60):
+        oracle = verify._random_dj_oracle(rng, int(rng.integers(1, 4)))
+        probe = verify._sample_probe(rng)
+        mask = tuple(int(b) for b in rng.integers(0, 2, oracle.n_machine_qubits))
+        cases.append((oracle.gap_vector.gaps, oracle.machine_inverse_temperature,
+                      probe.gap, probe.inverse_temperature, mask))
+    errors, reduction = verify._general_mask_errors(cases)
+    assert errors.shape == reduction.shape == (60,)
+    assert errors.max() < 1e-13 and reduction.max() == 0.0
+
+    kickback_batch = exactsim.kickback_batch
+    monkeypatch.setattr(
+        exactsim, "kickback_batch",
+        lambda omega, beta_s, gaps, beta_m, masks: kickback_batch(omega, beta_s, gaps, beta_m, 1 - masks),
+    )
+    errors, _ = verify._general_mask_errors(cases)
+    changed = [
+        abs(sum(g if bit else -g for g, bit in zip(gaps, mask))) > 1e-9
+        for gaps, _, _, _, mask in cases
+    ]
+    assert sum(changed) > 40
+    assert (errors > 1e-6).tolist() == changed
 
 
 def scalar_uniforms(rng, keys, rows):
@@ -72,6 +106,53 @@ def test_regime_draws_equal_scalar_draws():
     actual = np.column_stack((sizes, ones, *scaled, draws[:, 5]))
     assert np.array_equal(actual, np.array(expected))
     assert chunk_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def scalar_regime_draws(rng, rows, max_n):
+    """The regime section's draws made one numpy call at a time."""
+    sizes, ones, draws = np.empty(rows), np.empty(rows), np.empty((rows, 6))
+    for i in range(rows):
+        outputs = verify._dj_outputs(rng, int(rng.integers(1, max_n + 1)))
+        sizes[i], ones[i] = outputs.size, np.count_nonzero(outputs)
+        rng.random(out=draws[i])
+    return sizes, ones, draws
+
+
+@pytest.mark.parametrize("seed", (0, 11, 2024))
+@pytest.mark.parametrize("rows", (1, 2, 7, 301))
+@pytest.mark.parametrize("max_n", (1, 3, 5))
+@pytest.mark.parametrize("kept_half", (False, True))
+def test_raw_word_draws_equal_numpy_calls(seed, rows, max_n, kept_half):
+    """Raw-word parsing gives the values of the numpy calls and leaves the same
+    generator state, the kept 32-bit half included. 301 rows take more than
+    one block of raw words (each row takes six doubles), n = 5 tables 16
+    words per try; a kept half at the start is taken by the first draw."""
+    scalar_rng, raw_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if kept_half:
+        scalar_rng.integers(0, 2, 3)
+        raw_rng.integers(0, 2, 3)
+        assert raw_rng.bit_generator.state["has_uint32"] == 1
+    expected = scalar_regime_draws(scalar_rng, rows, max_n)
+    actual = verify._regime_draws(raw_rng, rows, max_n)
+    for a, b in zip(actual, expected):
+        assert np.array_equal(a, b)
+    assert raw_rng.bit_generator.state == scalar_rng.bit_generator.state
+    assert raw_rng.integers(0, 2, 5).tolist() == scalar_rng.integers(0, 2, 5).tolist()
+    assert raw_rng.random() == scalar_rng.random()
+    assert raw_rng.integers(1, 6) == scalar_rng.integers(1, 6)
+    assert raw_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def test_raw_words_refill_and_rejection():
+    """A span that rejects often (2^31 + 1, about half the draws) across
+    many blocks of raw words, against numpy's bounded integers."""
+    scalar_rng, raw_rng = np.random.default_rng(5), np.random.default_rng(5)
+    span = (1 << 31) + 1
+    words = verify._RawWords(raw_rng.bit_generator)
+    values = [words.bounded(span) for _ in range(3 * verify._RAW_WORDS)]
+    words.finish()
+    assert values == [int(scalar_rng.integers(0, span)) for _ in values]
+    assert raw_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 class TestTrackerBlocks:
