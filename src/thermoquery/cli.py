@@ -24,7 +24,6 @@ import csv
 import functools
 import json
 import math
-import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -124,22 +123,17 @@ def parse_int_list(text: str) -> list[int]:
 
 
 @contextlib.contextmanager
-def _open_out(path: str | None, newline: str | None = ""):
+def _open_out(path: str | None):
     """Standard output for no path or '-', else ``path`` opened for writing.
 
-    Subcommands open their output before the work, so an unwritable path
-    fails at once; a file whose writer raises is removed, not left partial.
+    Subcommands validate their inputs and then open their output before the
+    work, so an unwritable path fails at once.
     """
     if path is None or path == "-":
         yield sys.stdout
         return
-    with open(path, "w", encoding="utf-8", newline=newline) as stream:
-        try:
-            yield stream
-        except BaseException:
-            stream.close()
-            os.remove(path)
-            raise
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        yield stream
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -205,6 +199,9 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
     }
     for beta_s in beta_s_values:
         ThermalQubit(args.omega, beta_s)  # rejects a non-finite probe gap or temperature
+    for beta_m in beta_m_values:
+        for gap in (args.e1, args.e2):
+            ThermalQubit(gap, beta_m)  # rejects a non-finite machine gap or temperature
     config = {
         "subcommand": "dj-kickback",
         "n": args.n,
@@ -268,6 +265,8 @@ def cmd_distinguishability(args: argparse.Namespace) -> int:
 def cmd_sample_complexity(args: argparse.Namespace) -> int:
     deltas = parse_values(args.delta_grid)
     ts = parse_values(args.t_grid)
+    if any(not 0.0 < v < 1.0 for v in deltas + ts):
+        raise CliError("delta and t values must lie in (0, 1)")
     config = {
         "subcommand": "sample-complexity",
         "delta_grid": args.delta_grid,
@@ -301,6 +300,8 @@ def cmd_detuning_sweep(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc))
+    for beta_s in beta_s_values:
+        ThermalQubit(config_obj.omega, beta_s)  # rejects a non-finite probe gap or temperature
     with _open_out(args.out) as stream:
         sweep = bv3_sweep(config_obj, sorted(beta_s_values))
         rows = [(p.secret, p.beta_s, p.delta_s, p.eta, p.beta_s_prime) for p in sweep.points]
@@ -326,7 +327,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise CliError(f"{flag} must be >= 1, got {value}")
     # The report goes to standard output; --out adds it as JSON.
     to_file = args.out not in (None, "-")
-    with (_open_out(args.out, newline=None) if to_file else contextlib.nullcontext()) as stream:
+    with (_open_out(args.out) if to_file else contextlib.nullcontext()) as stream:
         report = run_verification(
             max_dj_n=args.max_n,
             max_bv_n=args.bv_max_n,

@@ -88,8 +88,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if len(self.machine_gaps) != 3:
             raise ValueError("the experiment models exactly three machine qubits")
-        if any(not g > 0.0 for g in self.machine_gaps):
-            raise ValueError("machine gaps must be positive")
+        if any(not (g > 0.0 and math.isfinite(g)) for g in self.machine_gaps):
+            raise ValueError("machine gaps must be positive and finite")
+        if not math.isfinite(self.machine_inverse_temperature):
+            raise ValueError("machine inverse temperature must be finite")
         if not 0.0 <= self.bias < 1.0:
             raise ValueError("bias must lie in [0, 1) so both multipliers stay positive")
         if not self.coupling > 0.0:

@@ -148,21 +148,17 @@ def kickback_batch(
     ``omega[t]`` at ``beta_s[t]`` and machine gaps ``gaps[t]`` at ``beta_m[t]``,
     and ``masks`` holds one 0/1 mask row per state, shaped like ``gaps``.
 
-    The exchange touches two levels, so p0' = p0 - p[a] + p[b] without a
-    copy of the state; one matrix product gives the machine index a of every
-    row, and b = 2^(N+1) - 1 - a (see :func:`kickback_level_indices`). The
-    states are built a chunk of rows at a time, in the same two arrays of at
-    most 2^13 levels or one state.
+    The exchange touches two levels a and b of each row
+    (:func:`kickback_level_indices`), so p0' = p0 - p[a] + p[b] without a
+    copy of the state. The states are built a chunk of rows at a time, in
+    the same two arrays of at most 2^13 levels or one state.
     """
     rows, n = gaps.shape
     levels = _joint_levels(n, DEFAULT_MAX_QUBITS)
     masks = np.asarray(masks)
     if masks.shape != gaps.shape:
         raise ValueError("mask rows do not match the machines")
-    if np.any((masks != 0) & (masks != 1)):
-        raise ValueError("mask bits must be 0/1")
-    level_a = masks.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
-    level_b = levels - 1 - level_a
+    level_a, level_b = kickback_level_indices(masks, n)
     joint_gaps = np.column_stack((omega, gaps))
     step = max(1, min(rows, _BATCH_LEVELS // levels))
     energies, populations = np.empty((step, levels)), np.empty((step, levels))
@@ -222,15 +218,23 @@ def probe_marginal(state: DiagonalJointState) -> BinaryDistribution:
     return BinaryDistribution(float(np.sum(state.populations[:half])))
 
 
-def kickback_level_indices(mask: QueryMask, n_machine: int) -> tuple[int, int]:
-    """Joint level indices (|0_S, X>, |1_S, X xor 1>) exchanged by the kickback V(X)."""
-    if len(mask.bits) != n_machine:
+def kickback_level_indices(mask, n_machine: int):
+    """Joint level indices (|0_S, X>, |1_S, X xor 1>) exchanged by the kickback V(X).
+
+    ``mask`` is a :class:`QueryMask`, which gives two ints, or an array of
+    0/1 mask rows shaped (T, n_machine), which gives two index arrays: the
+    big-endian machine index a of every row and b = 2^(N+1) - 1 - a.
+    """
+    single = isinstance(mask, QueryMask)
+    masks = np.array(mask.bits) if single else np.asarray(mask)
+    if masks.ndim != (1 if single else 2) or masks.shape[-1] != n_machine:
         raise ValueError("mask length does not match the machine")
-    machine_index = 0
-    for bit in mask.bits:
-        machine_index = (machine_index << 1) | bit
-    full = (1 << n_machine) - 1
-    return machine_index, (1 << n_machine) | (machine_index ^ full)
+    # A QueryMask has checked its own bits.
+    if not single and np.any((masks != 0) & (masks != 1)):
+        raise ValueError("mask bits must be 0/1")
+    level_a = masks.astype(np.int64) @ (1 << np.arange(n_machine - 1, -1, -1, dtype=np.int64))
+    level_b = (2 << n_machine) - 1 - level_a
+    return (int(level_a), int(level_b)) if single else (level_a, level_b)
 
 
 def probe_mean_energy(state: DiagonalJointState) -> float:

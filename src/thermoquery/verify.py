@@ -237,6 +237,9 @@ class _RawWords:
     Words are fetched a block at a time and :meth:`finish` rewinds the
     generator to just after the last word used, with the kept half as the
     scalar calls would leave it.
+
+    This copies numpy's algorithms, checked against numpy 2.4.6;
+    tests/test_verify.py fails if an installed numpy draws otherwise.
     """
 
     def __init__(self, bit_generator: np.random.BitGenerator):
@@ -359,36 +362,42 @@ def _dj_machine(ones, size, gap_one, gap_zero, beta_m):
     return total, log_zf
 
 
-def _masked_sum(gaps: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """X.G of every row."""
-    return np.where(masks == 1, gaps, 0.0).sum(axis=1)
+def _mask_case(oracle, probe, mask: QueryMask) -> tuple:
+    """A general-mask case: machine gaps, beta_M, omega, beta_S and mask
+    bits, then the library's X.G, |G|, log Z_f and all-ones X.G."""
+    gaps = oracle.gap_vector
+    return (
+        gaps.gaps, oracle.machine_inverse_temperature, probe.gap, probe.inverse_temperature,
+        mask.bits, mask.dot(gaps.gaps), gaps.total, oracle.log_partition_function,
+        QueryMask.all_ones(len(mask.bits)).dot(gaps.gaps),
+    )
 
 
 def _general_mask_errors(cases) -> tuple[np.ndarray, np.ndarray]:
     """Errors of the general-mask check and of the all-ones reduction, one per
-    (machine gaps, beta_M, omega, beta_S, mask bits) case, in case order.
+    :func:`_mask_case`, in case order.
 
-    The cases are evaluated a machine size at a time. The general-mask error
+    The cases are evaluated a machine size at a time, with X.G and
+    |G| - X.G as ``oracle_shift`` passes them. The general-mask error
     is the larger of the p0' and beta' errors against the exact simulator
     (the p0' error alone where beta' is undefined); the reduction compares
-    the kernel with no remainder against the kernel with X.G taken from an
-    all-ones row, where both temperatures are defined.
+    the kernel with |G| and no remainder against the kernel with an all-ones
+    mask, where both temperatures are defined.
     """
     errors, reduction = np.empty(len(cases)), np.empty(len(cases))
     by_size: dict[int, list[int]] = {}
     for i, case in enumerate(cases):
         by_size.setdefault(len(case[0]), []).append(i)
     for rows in by_size.values():
-        gaps, beta_m, omega, beta_s, masks = (np.array(column) for column in zip(*(cases[i] for i in rows)))
+        gaps, beta_m, omega, beta_s, masks, masked_sum, total, log_zf, all_ones_sum = (
+            np.array(column) for column in zip(*(cases[i] for i in rows))
+        )
         a = beta_s * omega
-        total = gaps.sum(axis=1)
-        log_zf = np.logaddexp(0.0, -beta_m[:, None] * gaps).sum(axis=1)
 
         def outcome(masked_sum, remainder):
             delta = kickback_shift(a, beta_m, masked_sum, remainder, log_zf)
             return shift_outcome(a, omega, delta)[1:]
 
-        masked_sum = _masked_sum(gaps, masks)
         p0_after, beta_after = outcome(masked_sum, total - masked_sum)
         _, exact_p0, _ = exactsim.kickback_batch(omega, beta_s, gaps, beta_m, masks)
         error = np.abs(p0_after - exact_p0)
@@ -398,7 +407,6 @@ def _general_mask_errors(cases) -> tuple[np.ndarray, np.ndarray]:
         errors[rows] = error
 
         specialized_p0, specialized_beta = outcome(total, 0.0)
-        all_ones_sum = _masked_sum(gaps, np.ones_like(masks))
         generalized_p0, generalized_beta = outcome(all_ones_sum, total - all_ones_sum)
         # fmax skips the NaN of an undefined temperature on either side.
         reduction[rows] = np.fmax(
@@ -475,9 +483,8 @@ def run_verification(
             else:
                 oracle = _random_dj_oracle(rng, int(rng.integers(1, max_dj_n + 1)))
             probe = _sample_probe(rng)
-            mask = tuple(int(b) for b in rng.integers(0, 2, oracle.n_machine_qubits))
-            cases.append((oracle.gap_vector.gaps, oracle.machine_inverse_temperature,
-                          probe.gap, probe.inverse_temperature, mask))
+            mask = QueryMask(tuple(int(b) for b in rng.integers(0, 2, oracle.n_machine_qubits)))
+            cases.append(_mask_case(oracle, probe, mask))
         errors, reduction_errors = _general_mask_errors(cases)
         tracker.record_block(errors, lambda i: f"mask={cases[i][4]} machine={cases[i][0]}")
         reduction.record_block(reduction_errors, lambda i: f"machine={cases[i][0]}")

@@ -193,13 +193,12 @@ class TestDJKickback:
         err = capsys.readouterr().err
         assert err.startswith("thermoquery: error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("flag", ["--beta-s", "--beta-m", "--omega"])
+    @pytest.mark.parametrize("flag", ["--beta-s", "--beta-m", "--omega", "--e1"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_input_exits_one(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x.csv"
         assert main(["dj-kickback", "--n", "2", f"{flag}={value}", "--out", str(out)]) == 1
-        # --beta-m is rejected by the oracle, after the output is opened: the
-        # file is removed again.
+        # Every input is checked before the output is opened.
         assert not out.exists()
         assert "thermoquery: error:" in capsys.readouterr().err
 
@@ -310,6 +309,41 @@ def test_figure_out_path_opened_before_the_work(tmp_path, capsys, monkeypatch, a
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("thermoquery: error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dj-kickback", "--beta-m=1,nan"],
+        ["dj-kickback", "--e2=inf"],
+        ["sample-complexity", "--delta-grid=0.5,1.5"],
+        ["sample-complexity", "--t-grid=nan"],
+        ["detuning-sweep", "--beta-s=0,inf"],
+        ["detuning-sweep", "--beta-m=nan"],
+        ["detuning-sweep", "--gamma=1,inf,1"],
+    ],
+)
+def test_rejected_input_leaves_the_out_path_alone(tmp_path, capsys, argv):
+    """Inputs the work would reject are rejected before the output is opened."""
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"kept\n")
+    assert main(argv + ["--out", str(out)]) == 1
+    assert out.read_bytes() == b"kept\n"
+    assert capsys.readouterr().err.startswith("thermoquery: error:")
+
+
+def test_failed_work_never_removes_the_out_path(tmp_path, monkeypatch):
+    """A failure during the work leaves the path, here a symlink, in place."""
+    def failing(*args, **kwargs):
+        raise ValueError("the work failed")
+
+    monkeypatch.setattr(cli, "oracle_shift", failing)
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["dj-kickback", "--out", str(link)]) == 1
+    assert link.is_symlink() and target.exists()
 
 
 class TestVerify:

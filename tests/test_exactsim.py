@@ -131,6 +131,21 @@ class TestLevelExchange:
             expected = reference_kickback_ground_population(probe, oracle, bits)
             assert probe_marginal(after).p0 == pytest.approx(expected, abs=1e-13)
 
+    def test_level_indices_of_mask_rows(self, rng):
+        """Rows of masks give, row by row, |0_S, X> and |1_S, X xor 1> in big-endian order."""
+        masks = rng.integers(0, 2, (40, 5))
+        level_a, level_b = kickback_level_indices(masks, 5)
+        for bits, a, b in zip(masks.tolist(), level_a.tolist(), level_b.tolist()):
+            x = int("".join(map(str, bits)), 2)
+            assert (a, b) == (x, 0b100000 | (x ^ 0b11111))
+            assert kickback_level_indices(QueryMask(tuple(bits)), 5) == (a, b)
+        with pytest.raises(ValueError, match="does not match"):
+            kickback_level_indices(masks, 4)
+        with pytest.raises(ValueError, match="does not match"):
+            kickback_level_indices(QueryMask.all_ones(3), 4)
+        with pytest.raises(ValueError, match="0/1"):
+            kickback_level_indices(masks + 1, 5)
+
 
 class TestSwapWithMachineQubit:
     def test_marginal_is_machine_qubit(self):

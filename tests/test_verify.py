@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from thermoquery import exactsim, verify
+from thermoquery.query import QueryMask
+from thermoquery.thermal import GapVector
 
 DJ_CASES = 100 * (4 + 8 + 72)  # 100 tuples for each constant or balanced table with n <= 3
 
@@ -52,9 +54,8 @@ def test_general_mask_errors_follow_each_mask(monkeypatch):
     for _ in range(60):
         oracle = verify._random_dj_oracle(rng, int(rng.integers(1, 4)))
         probe = verify._sample_probe(rng)
-        mask = tuple(int(b) for b in rng.integers(0, 2, oracle.n_machine_qubits))
-        cases.append((oracle.gap_vector.gaps, oracle.machine_inverse_temperature,
-                      probe.gap, probe.inverse_temperature, mask))
+        mask = QueryMask(tuple(int(b) for b in rng.integers(0, 2, oracle.n_machine_qubits)))
+        cases.append(verify._mask_case(oracle, probe, mask))
     errors, reduction = verify._general_mask_errors(cases)
     assert errors.shape == reduction.shape == (60,)
     assert errors.max() < 1e-13 and reduction.max() == 0.0
@@ -67,10 +68,34 @@ def test_general_mask_errors_follow_each_mask(monkeypatch):
     errors, _ = verify._general_mask_errors(cases)
     changed = [
         abs(sum(g if bit else -g for g, bit in zip(gaps, mask))) > 1e-9
-        for gaps, _, _, _, mask in cases
+        for gaps, _, _, _, mask, *_ in cases
     ]
     assert sum(changed) > 40
     assert (errors > 1e-6).tolist() == changed
+
+
+MASK_CHECKS = ("general-mask-dj-vs-exact", "general-mask-bv-vs-exact", "all-ones-mask-reduction")
+
+
+@pytest.mark.parametrize("owner, name", [(QueryMask, "dot"), (GapVector, "total")])
+def test_mask_section_checks_the_library_mask_path(monkeypatch, owner, name):
+    """X.G and |G| come from the library: a slightly wrong masked sum or gap
+    total fails the general-mask checks and the all-ones reduction."""
+    def report():
+        return verify.run_verification(
+            max_dj_n=2, max_bv_n=3, tuples_per_instance=1, mask_cases=30, regime_cases=1, seed=5
+        )
+
+    def failed(checks):
+        return {c.name for c in checks.checks if not c.passed} & set(MASK_CHECKS)
+
+    assert failed(report()) == set()
+    original = owner.__dict__[name]
+    if isinstance(original, property):
+        monkeypatch.setattr(owner, name, property(lambda self: original.fget(self) * (1.0 + 1e-9)))
+    else:
+        monkeypatch.setattr(owner, name, lambda self, gaps: original(self, gaps) * (1.0 + 1e-9))
+    assert failed(report()) == set(MASK_CHECKS)
 
 
 def scalar_uniforms(rng, keys, rows):
