@@ -33,6 +33,8 @@ import numpy as np
 
 from . import __version__
 from .detuning import ExperimentConfig, bv3_sweep
+from .exactsim import DEFAULT_MAX_QUBITS
+from .problems import MAX_EXHAUSTIVE_N
 from .query import oracle_shift, shift_outcome
 from .readout import (
     chernoff_stein_samples,
@@ -325,6 +327,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for flag, value in (("--max-n", args.max_n), ("--bv-max-n", args.bv_max_n), ("--trials", args.trials)):
         if value < 1:
             raise CliError(f"{flag} must be >= 1, got {value}")
+    # Tables are enumerated up to MAX_EXHAUSTIVE_N bits; an n-bit secret and
+    # the probe take n + 1 qubits of the exact simulator.
+    for flag, value, most in (("--max-n", args.max_n, MAX_EXHAUSTIVE_N),
+                              ("--bv-max-n", args.bv_max_n, DEFAULT_MAX_QUBITS - 1)):
+        if value > most:
+            raise CliError(f"{flag} must be <= {most}, got {value}")
     # The report goes to standard output; --out adds it as JSON.
     to_file = args.out not in (None, "-")
     with (_open_out(args.out) if to_file else contextlib.nullcontext()) as stream:

@@ -5,12 +5,15 @@ comparisons are honestly attainable in double precision: post-query
 populations stay away from 0 and 1, where the log amplification of rounding
 error would exceed the tolerance.
 
-Every section draws its tuples in the order of one scalar draw after
-another, so a seed fixes the cases whatever the evaluation. The Deutsch-Jozsa,
-general-mask and regime sections evaluate their tuples as arrays. The regime
-section parses its integer draws from the generator's raw words
-(:func:`_regime_draws`): that depends on numpy's PCG64 and its Lemire
-bounded integers, and tests/test_verify.py pins it against the numpy calls.
+Random Deutsch-Jozsa tables come from the promise law: a uniform table
+conditioned on being constant or balanced (:func:`_promise_ones`). At table
+size s each constant table has weight 1 and the balanced class C(s, s/2), so
+no table is ever drawn and rejected.
+
+A seed fixes the cases whatever the evaluation. The Deutsch-Jozsa and
+general-mask sections draw their tuples in the order of one scalar draw after
+another and evaluate them as arrays. The regime section draws each block of
+tuples in three bulk calls (:func:`_regime_draws`).
 """
 
 from __future__ import annotations
@@ -54,10 +57,6 @@ __all__ = ["CheckResult", "VerificationReport", "run_verification", "PARAMETER_R
 
 # Tuples evaluated together in the Deutsch-Jozsa and the regime sections.
 _BLOCK_ROWS = 512
-# Raw generator words fetched at a time by _RawWords: table tries are
-# rejected without bound, so words come in small blocks, 8 KiB each.
-_RAW_WORDS = 1024
-_LOW_HALF = 0xFFFFFFFF
 
 # Sampling ranges for randomized tuples (omega, beta_S, beta_M, gaps).
 PARAMETER_RANGES = {
@@ -203,123 +202,30 @@ def _dj_table_blocks(max_n: int, tuples_per_instance: int):
             yield block
 
 
-def _dj_outputs(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A truth table on n bits drawn uniformly until it is constant or balanced."""
-    size = 1 << n
-    while True:
-        outputs = rng.integers(0, 2, size)
-        ones = np.count_nonzero(outputs)
-        if ones in (0, size) or 2 * ones == size:
-            return outputs
+def _promise_ones(u, n):
+    """Counts of ones of truth tables on n bits, uniform among the constant
+    and balanced tables, from uniform [0, 1) draws ``u``; arrays or scalars.
+
+    At size s = 2^n the balanced class holds C = C(s, s/2) tables, so a
+    table is all zeros with probability 1/(C + 2), all ones with 1/(C + 2)
+    and balanced with C/(C + 2).
+    """
+    n = np.asarray(n)
+    balanced = np.array([float(math.comb(2 << k, 1 << k)) for k in range(int(n.max()))])[n - 1]
+    size, scaled = 1 << n, u * (balanced + 2.0)
+    return np.where(scaled < 1.0, 0, np.where(scaled < 2.0, size, size >> 1))
 
 
 def _random_dj_oracle(rng: np.random.Generator, n: int):
-    table = BooleanFunctionTable(n, tuple(int(b) for b in _dj_outputs(rng, n)))
+    size = 1 << n
+    ones = int(_promise_ones(rng.random(), n))
+    outputs = np.arange(size) < ones
+    if 2 * ones == size:
+        outputs = rng.permutation(outputs)
+    table = BooleanFunctionTable(n, tuple(int(b) for b in outputs))
     gap_one = _uniform(rng, "gap")
     gap_zero = _uniform(rng, "gap")
     return build_dj_oracle(table, gap_one, gap_zero, _uniform(rng, "beta_m"))
-
-
-class _RawWords:
-    """The draws of a PCG64 ``Generator``, parsed from its raw 64-bit words.
-
-    Reproduces numpy's streams for the draws the regime section makes:
-
-    - a 32-bit draw returns the low half of a fresh word and keeps the high
-      half (``has_uint32``, ``uinteger``) for the next 32-bit draw;
-    - ``integers(low, low + s)`` takes 32-bit draws u by Lemire's method:
-      the value is low + (u*s) >> 32, and a draw is rejected while
-      (u*s) mod 2^32 < (2^32 - s) mod s; a span s = 1 draws nothing, and a
-      bit of ``integers(0, 2, size)`` is u >> 31;
-    - ``random()`` takes a whole word w as (w >> 11) * 2^-53 and leaves the
-      kept half alone.
-
-    Words are fetched a block at a time and :meth:`finish` rewinds the
-    generator to just after the last word used, with the kept half as the
-    scalar calls would leave it.
-
-    This copies numpy's algorithms, checked against numpy 2.4.6;
-    tests/test_verify.py fails if an installed numpy draws otherwise.
-    """
-
-    def __init__(self, bit_generator: np.random.BitGenerator):
-        self.bit_generator = bit_generator
-        self.start = bit_generator.state
-        self.kept = self.start["has_uint32"]
-        # The high half of the last fresh word a 32-bit draw took, consumed or not.
-        self.high = self.start["uinteger"]
-        self.block = np.empty(0, dtype=np.uint64)
-        self.halves: list[int] = []
-        self.top_bits_before: list[int] = [0]
-        self.used = 0  # words of earlier blocks used
-        self.next = 0  # next fresh word of the current block
-        self.end = 0  # words in the current block
-
-    def _refill(self, count: int) -> None:
-        """Fetch a block that holds the unused words and at least ``count`` more."""
-        fresh = self.bit_generator.random_raw(max(_RAW_WORDS, count))
-        self.block = np.concatenate((self.block[self.next:], fresh))
-        self.used += self.next
-        self.next = 0
-        halves = np.empty(2 * self.block.size, dtype=np.uint64)
-        halves[0::2] = self.block & _LOW_HALF
-        halves[1::2] = self.block >> 32
-        self.halves = halves.tolist()
-        self.end = self.block.size
-        # top_bits_before[h]: ones among the top bits of halves[:h].
-        self.top_bits_before = [0, *np.cumsum(halves >> 31).tolist()]
-
-    def _next32(self) -> int:
-        if self.kept:
-            self.kept = 0
-            return self.high
-        if self.next == self.end:
-            self._refill(1)
-        low, self.high = self.halves[2 * self.next], self.halves[2 * self.next + 1]
-        self.next += 1
-        self.kept = 1
-        return low
-
-    def bounded(self, span: int) -> int:
-        """``integers(0, span)``."""
-        if span == 1:
-            return 0
-        threshold = ((1 << 32) - span) % span
-        while True:
-            scaled = self._next32() * span
-            if scaled & _LOW_HALF >= threshold:
-                return scaled >> 32
-
-    def ones(self, size: int) -> int:
-        """The number of ones among ``integers(0, 2, size)``."""
-        ones = 0
-        if self.kept:
-            ones, size, self.kept = self.high >> 31, size - 1, 0
-        if size:
-            words = (size + 1) // 2
-            if self.next + words > self.end:
-                self._refill(words)
-            first = 2 * self.next
-            ones += self.top_bits_before[first + size] - self.top_bits_before[first]
-            self.next += words
-            self.high, self.kept = self.halves[2 * self.next - 1], size & 1
-        return ones
-
-    def doubles(self, count: int) -> np.ndarray:
-        """The raw words of ``random(count)``."""
-        if self.next + count > self.end:
-            self._refill(count)
-        words = self.block[self.next:self.next + count]
-        self.next += count
-        return words
-
-    def finish(self) -> None:
-        """Leave the generator as the parsed draws would have."""
-        self.bit_generator.state = self.start
-        self.bit_generator.advance(self.used + self.next)  # clears the kept half
-        state = self.bit_generator.state
-        state["has_uint32"], state["uinteger"] = self.kept, self.high
-        self.bit_generator.state = state
 
 
 def _regime_draws(
@@ -327,30 +233,13 @@ def _regime_draws(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Table sizes, counts of ones and (rows, 6) uniform draws of regime tuples.
 
-    Each tuple draws, as a scalar section would: n = ``rng.integers(1,
-    max_n + 1)``, a table by rejection (:func:`_dj_outputs`), then
-    ``rng.random(6)``: gap_one, gap_zero, beta_M, omega and beta_S
-    (unscaled, for :func:`_scaled`) and the draw for the sensitivity
-    threshold.
-
-    One numpy call per table try costs far more than the draw itself, so the
-    values are parsed from the raw words of the generator by
-    :class:`_RawWords`. That depends on numpy's PCG64 and its Lemire bounded
-    integers; tests/test_verify.py pins it against the scalar calls, values
-    and generator state both.
+    Three calls draw a block: n in 1..max_n, the table's class
+    (:func:`_promise_ones`), then, per tuple, gap_one, gap_zero, beta_M,
+    omega and beta_S (unscaled, for :func:`_scaled`) and the draw for the
+    sensitivity threshold.
     """
-    stream = _RawWords(rng.bit_generator)
-    sizes, ones, raw = np.empty(rows), np.empty(rows), np.empty((rows, 6), dtype=np.uint64)
-    for i in range(rows):
-        size = 2 << stream.bounded(max_n)
-        count = stream.ones(size)
-        while not (count in (0, size) or 2 * count == size):
-            count = stream.ones(size)
-        sizes[i], ones[i] = size, count
-        raw[i] = stream.doubles(6)
-    stream.finish()
-    draws = (raw >> 11) * 2.0**-53
-    return sizes, ones, draws
+    n = rng.integers(1, max_n + 1, rows)
+    return 1 << n, _promise_ones(rng.random(rows), n), rng.random((rows, 6))
 
 
 def _dj_machine(ones, size, gap_one, gap_zero, beta_m):
@@ -521,9 +410,8 @@ def run_verification(
             exactsim.probe_marginal(exactsim.apply_swap_with_machine_qubit(state, x)).p0
             for x in range(oracle.n_machine_qubits)
         ]
-        if oracle.problem.function.classification.value != "other":
-            analytic = mixed_input_query(probe, oracle).p0
-            mixture.record(abs(analytic - float(np.mean(branches))), f"gaps={oracle.gap_vector.gaps}")
+        analytic = mixed_input_query(probe, oracle).p0
+        mixture.record(abs(analytic - float(np.mean(branches))), f"gaps={oracle.gap_vector.gaps}")
         x = int(rng.integers(0, oracle.n_machine_qubits))
         taken = swap_query(probe, oracle, x).probe
         swap.record(abs(taken.ground_population - branches[x]), f"x={x}")

@@ -9,6 +9,7 @@ from thermoquery.thermal import GapVector
 
 DJ_CASES = 100 * (4 + 8 + 72)  # 100 tuples for each constant or balanced table with n <= 3
 
+SENSITIVITY = "sensitivity-closed-form-agreement"
 EXPECTED_CASES = {
     "dj-kickback-population-vs-exact": DJ_CASES,
     "dj-kickback-delta-vs-exact": DJ_CASES,
@@ -22,7 +23,7 @@ EXPECTED_CASES = {
     "mixed-query-vs-exact": 100,
     "swap-query-marginal-vs-exact": 100,
     "regime-sign-consistency": 10000,
-    "sensitivity-closed-form-agreement": 2255,
+    SENSITIVITY: 2187,
     "well-definedness-flag-consistency": 10000,
     "temperature-roundtrip": 10000,
     "reset-energy-bookkeeping": 200,
@@ -32,11 +33,16 @@ EXPECTED_CASES = {
 }
 
 
-def test_default_run_is_pinned():
-    report = verify.run_verification(seed=1234)
-    assert [c.name for c in report.checks] == list(EXPECTED_CASES)
-    assert {c.name: c.cases for c in report.checks} == EXPECTED_CASES
+@pytest.mark.parametrize("seed", (1234, 7, 99))
+def test_default_run_is_pinned(seed):
+    """Every case count but the sensitivity check's is fixed by the parameters;
+    that one depends on the draws and is pinned at seed 1234 only."""
+    report = verify.run_verification(seed=seed)
     assert report.passed
+    assert [c.name for c in report.checks] == list(EXPECTED_CASES)
+    cases = {c.name: c.cases for c in report.checks}
+    expected = EXPECTED_CASES if seed == 1234 else {**EXPECTED_CASES, SENSITIVITY: cases[SENSITIVITY]}
+    assert cases == expected
     worst = {c["name"]: c["worst_case"] for c in report.to_dict()["checks"]}
     assert worst["dj-kickback-population-vs-exact"].startswith("instance=")
     assert worst["regime-sign-consistency"] == ""  # no case has an error above 0
@@ -112,72 +118,30 @@ def test_block_draws_equal_scalar_draws():
     assert block_rng.uniform() == scalar_rng.uniform()
 
 
-def test_regime_draws_equal_scalar_draws():
-    """The chunked draws of the regime section take the values, in the order,
-    of one scalar draw after another, integer draws in between included."""
-    scalar_rng, chunk_rng = np.random.default_rng(7), np.random.default_rng(7)
-    expected = []
-    for _ in range(300):
-        oracle = verify._random_dj_oracle(scalar_rng, int(scalar_rng.integers(1, 4)))
-        probe = verify._sample_probe(scalar_rng)
-        problem = oracle.problem
-        expected.append((
-            len(problem.function.outputs), sum(problem.function.outputs),
-            problem.gap_one, problem.gap_zero, oracle.machine_inverse_temperature,
-            probe.gap, probe.inverse_temperature, float(scalar_rng.random()),
-        ))
-    sizes, ones, draws = verify._regime_draws(chunk_rng, 300, 3)
-    scaled = verify._scaled(draws, ("gap", "gap", "beta_m", "omega", "beta_s"))
-    actual = np.column_stack((sizes, ones, *scaled, draws[:, 5]))
-    assert np.array_equal(actual, np.array(expected))
-    assert chunk_rng.bit_generator.state == scalar_rng.bit_generator.state
+def test_promise_law():
+    """Regime tables follow the promise law: at size s = 2^n, 0 and s ones
+    each with probability 1/(C + 2) and s/2 ones with C/(C + 2), C = C(s, s/2).
+    A balanced table of _random_dj_oracle is any of the C(4, 2) = 6 at n = 2
+    alike. Every frequency is within 5 standard deviations."""
+    def within(count, total, p):
+        assert abs(count - total * p) <= 5.0 * math.sqrt(total * p * (1.0 - p))
 
+    sizes, ones, draws = verify._regime_draws(np.random.default_rng(2024), 240_000, 3)
+    assert set(sizes.tolist()) == {2, 4, 8} and draws.shape == (240_000, 6)
+    for size in (2, 4, 8):
+        counts = ones[sizes == size]
+        balanced = math.comb(size, size // 2)
+        assert set(counts.tolist()) <= {0, size // 2, size}
+        for value, weight in ((0, 1), (size, 1), (size // 2, balanced)):
+            within(np.count_nonzero(counts == value), counts.size, weight / (balanced + 2))
 
-def scalar_regime_draws(rng, rows, max_n):
-    """The regime section's draws made one numpy call at a time."""
-    sizes, ones, draws = np.empty(rows), np.empty(rows), np.empty((rows, 6))
-    for i in range(rows):
-        outputs = verify._dj_outputs(rng, int(rng.integers(1, max_n + 1)))
-        sizes[i], ones[i] = outputs.size, np.count_nonzero(outputs)
-        rng.random(out=draws[i])
-    return sizes, ones, draws
-
-
-@pytest.mark.parametrize("seed", (0, 11, 2024))
-@pytest.mark.parametrize("rows", (1, 2, 7, 301))
-@pytest.mark.parametrize("max_n", (1, 3, 5))
-@pytest.mark.parametrize("kept_half", (False, True))
-def test_raw_word_draws_equal_numpy_calls(seed, rows, max_n, kept_half):
-    """Raw-word parsing gives the values of the numpy calls and leaves the same
-    generator state, the kept 32-bit half included. 301 rows take more than
-    one block of raw words (each row takes six doubles), n = 5 tables 16
-    words per try; a kept half at the start is taken by the first draw."""
-    scalar_rng, raw_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    if kept_half:
-        scalar_rng.integers(0, 2, 3)
-        raw_rng.integers(0, 2, 3)
-        assert raw_rng.bit_generator.state["has_uint32"] == 1
-    expected = scalar_regime_draws(scalar_rng, rows, max_n)
-    actual = verify._regime_draws(raw_rng, rows, max_n)
-    for a, b in zip(actual, expected):
-        assert np.array_equal(a, b)
-    assert raw_rng.bit_generator.state == scalar_rng.bit_generator.state
-    assert raw_rng.integers(0, 2, 5).tolist() == scalar_rng.integers(0, 2, 5).tolist()
-    assert raw_rng.random() == scalar_rng.random()
-    assert raw_rng.integers(1, 6) == scalar_rng.integers(1, 6)
-    assert raw_rng.bit_generator.state == scalar_rng.bit_generator.state
-
-
-def test_raw_words_refill_and_rejection():
-    """A span that rejects often (2^31 + 1, about half the draws) across
-    many blocks of raw words, against numpy's bounded integers."""
-    scalar_rng, raw_rng = np.random.default_rng(5), np.random.default_rng(5)
-    span = (1 << 31) + 1
-    words = verify._RawWords(raw_rng.bit_generator)
-    values = [words.bounded(span) for _ in range(3 * verify._RAW_WORDS)]
-    words.finish()
-    assert values == [int(scalar_rng.integers(0, span)) for _ in values]
-    assert raw_rng.bit_generator.state == scalar_rng.bit_generator.state
+    rng = np.random.default_rng(11)
+    tables = [verify._random_dj_oracle(rng, 2).problem.function.outputs for _ in range(8000)]
+    balanced = [t for t in tables if sum(t) == 2]
+    assert {sum(t) for t in tables} == {0, 2, 4} and len(set(balanced)) == 6
+    within(len(balanced), len(tables), 6 / 8)
+    for table in set(balanced):
+        within(balanced.count(table), len(balanced), 1 / 6)
 
 
 class TestTrackerBlocks:
