@@ -33,22 +33,28 @@ EXPECTED_CASES = {
 }
 
 
-@pytest.mark.parametrize("seed", (1234, 7, 99))
-def test_default_run_is_pinned(seed):
-    """Every case count but the sensitivity check's is fixed by the parameters;
-    that one depends on the draws and is pinned at seed 1234 only."""
-    report = verify.run_verification(seed=seed)
-    assert report.passed
+def test_default_run_is_pinned():
+    report = verify.run_verification(seed=1234)
     assert [c.name for c in report.checks] == list(EXPECTED_CASES)
-    cases = {c.name: c.cases for c in report.checks}
-    expected = EXPECTED_CASES if seed == 1234 else {**EXPECTED_CASES, SENSITIVITY: cases[SENSITIVITY]}
-    assert cases == expected
+    assert {c.name: c.cases for c in report.checks} == EXPECTED_CASES
+    assert report.passed
     worst = {c["name"]: c["worst_case"] for c in report.to_dict()["checks"]}
     assert worst["dj-kickback-population-vs-exact"].startswith("instance=")
     assert worst["regime-sign-consistency"] == ""  # no case has an error above 0
     assert worst["general-mask-dj-vs-exact"].startswith("mask=(")
     assert " machine=(" in worst["general-mask-bv-vs-exact"]
     assert worst["all-ones-mask-reduction"] == ""
+
+
+@pytest.mark.parametrize("seed", (7, 99))
+def test_default_run_at_other_seeds(seed):
+    """Every case count but the sensitivity check's is fixed by the parameters;
+    that one depends on the draws and is pinned at seed 1234 only."""
+    report = verify.run_verification(seed=seed)
+    assert report.passed
+    assert [c.name for c in report.checks] == list(EXPECTED_CASES)
+    cases = {c.name: c.cases for c in report.checks}
+    assert cases == {**EXPECTED_CASES, SENSITIVITY: cases[SENSITIVITY]}
 
 
 def test_general_mask_errors_follow_each_mask(monkeypatch):
@@ -116,6 +122,43 @@ def test_block_draws_equal_scalar_draws():
     assert np.array_equal(block, scalar)
     assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
     assert block_rng.uniform() == scalar_rng.uniform()
+
+
+def law_regime_draws(rng, rows, max_n):
+    """The regime section's block of draws written out as its three numpy
+    calls, the class of each table mapped by the promise law one row at a time."""
+    n = rng.integers(1, max_n + 1, rows)
+    u = rng.random(rows)
+    draws = rng.random((rows, 6))
+    sizes, ones = 1 << n, np.empty(rows, dtype=np.int64)
+    for i, (size, x) in enumerate(zip(sizes.tolist(), u.tolist())):
+        scaled = x * (math.comb(size, size // 2) + 2)
+        ones[i] = 0 if scaled < 1.0 else size if scaled < 2.0 else size // 2
+    return sizes, ones, draws
+
+
+@pytest.mark.parametrize("seed", (0, 11, 2024))
+@pytest.mark.parametrize("rows", (1, 2, 7, 301))
+@pytest.mark.parametrize("max_n", (1, 3, 5))
+@pytest.mark.parametrize("kept_half", (False, True))
+def test_raw_word_draws_equal_numpy_calls(seed, rows, max_n, kept_half):
+    """The regime draws give the values of their numpy calls and leave the
+    generator's raw-word stream where those calls leave it, a kept 32-bit
+    half included, so a seed fixes every later draw of the run."""
+    law_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if kept_half:
+        law_rng.integers(0, 2, 3)
+        block_rng.integers(0, 2, 3)
+        assert block_rng.bit_generator.state["has_uint32"] == 1
+    expected = law_regime_draws(law_rng, rows, max_n)
+    actual = verify._regime_draws(block_rng, rows, max_n)
+    for a, b in zip(actual, expected):
+        assert np.array_equal(a, b)
+    assert block_rng.bit_generator.state == law_rng.bit_generator.state
+    assert block_rng.integers(0, 2, 5).tolist() == law_rng.integers(0, 2, 5).tolist()
+    assert block_rng.random() == law_rng.random()
+    assert block_rng.integers(1, 6) == law_rng.integers(1, 6)
+    assert block_rng.bit_generator.state == law_rng.bit_generator.state
 
 
 def test_promise_law():
