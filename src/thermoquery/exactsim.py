@@ -5,10 +5,13 @@ permutations, and extracts marginals. Ground truth for the analytic formulas;
 capped at a configurable qubit count (20 by default) since the vector is dense.
 
 Every operation is O(2^N) in time and memory for N joint qubits: level
-energies are built by doubling, one ``exp`` covers the machine half, a SWAP is
-one reshape-transpose copy, and mean energies are dot products over the two
-halves. One builder takes a leading batch axis of T states; a single state
-is its T = 1 row, and :func:`kickback_batch` runs the kickback on T states at
+energies are built by doubling, a SWAP is one reshape-transpose copy, and
+mean energies are dot products over the two halves. The 2^N machine weights
+are built in one pass each of multiply, shift, ``exp`` and sum, with no
+normalising pass: the shift is an O(N) bound on the largest log weight, and
+the probe's two factors and 1/total fold into one scalar per probe level.
+The weight kernel takes a leading batch axis of T states; a single state is
+its T = 1 row, and :func:`kickback_batch` runs the kickback on T states at
 once. Nothing here calls the analytic kickback code in ``query`` or the
 closed-form partition functions of ``thermal``.
 
@@ -19,7 +22,6 @@ the leftmost, most significant machine bit).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_QUBITS = 20
-# Joint levels built at once by kickback_batch: two 64 KiB arrays.
+# Machine levels built at once by kickback_batch: one 64 KiB array.
 _BATCH_LEVELS = 1 << 13
 
 
@@ -73,43 +75,35 @@ def _joint_levels(n_machine: int, max_qubits: int) -> int:
     return 2 << n_machine
 
 
-def _fill_joint_states(
-    gaps: np.ndarray,
-    beta_s: np.ndarray,
-    beta_m: np.ndarray,
-    energies: np.ndarray,
-    populations: np.ndarray,
-) -> np.ndarray:
-    """Write the level energies and populations of T joint states, and return
-    their log weight sums.
-
-    Row t of the (T, N+1) ``gaps`` holds the probe gap, then the machine
-    gaps; ``beta_s[t]`` and ``beta_m[t]`` are the probe and machine inverse
-    temperatures. ``energies`` and ``populations`` are (T, 2^(N+1)) outputs:
-    fresh arrays cost page faults, so every step writes into them.
-    """
-    # Level energies by doubling. The last gap is added first, so it becomes
-    # the least significant bit and the probe (column 0) the most significant.
+def _level_energies(gaps: np.ndarray, energies: np.ndarray) -> None:
+    """Write the (T, 2^k) level energies of T rows of k gaps, by doubling. The
+    last gap is added first, so column 0 becomes the most significant bit."""
     energies[:, 0] = 0.0
     size = 1
     for column in range(gaps.shape[1] - 1, -1, -1):
         np.add(energies[:, :size], gaps[:, column:column + 1], out=energies[:, size:2 * size])
         size *= 2
-    half = size // 2
-    ground, excited = populations[:, :half], populations[:, half:]
-    np.multiply(energies[:, :half], -beta_m[:, None], out=ground)
-    probe_exponent = -beta_s * gaps[:, 0]
-    # Shifting by the largest log weight of either probe level keeps both
-    # probe factors <= 1 whatever the signs of beta_S and beta_M.
-    machine_shift = ground.max(axis=1)
+
+
+def _machine_weights(omega, beta_s, gaps, beta_m, energies, weights):
+    """Write the machine weights w of T joint states into ``weights`` (which
+    may be ``energies``, their (T, 2^N) machine level energies); return k_g
+    and k_e, with populations w k_g and w k_e, and the log weight sums.
+
+    Row t is a probe with gap ``omega[t]`` at ``beta_s[t]`` and machine gaps
+    ``gaps[t]`` at ``beta_m[t]``. w(x) = e^{-beta_M E(x) - s}, where
+    s = sum_j max(0, -beta_M g_j) is the largest log weight, so no weight
+    exceeds 1 at any sign of beta_M; the probe factors are shifted alike.
+    """
+    np.multiply(energies, -beta_m[:, None], out=weights)
+    machine_shift = np.maximum(0.0, -beta_m[:, None] * gaps).sum(axis=1)
+    weights -= machine_shift[:, None]
+    np.exp(weights, out=weights)
+    probe_exponent = -beta_s * omega
     probe_shift = np.maximum(0.0, probe_exponent)
-    ground -= machine_shift[:, None]
-    np.exp(ground, out=ground)
-    np.multiply(ground, np.exp(probe_exponent - probe_shift)[:, None], out=excited)
-    ground *= np.exp(-probe_shift)[:, None]
-    total = populations.sum(axis=1)
-    populations /= total[:, None]
-    return machine_shift + probe_shift + np.log(total)
+    ground, excited = np.exp(-probe_shift), np.exp(probe_exponent - probe_shift)
+    total = weights.sum(axis=1) * (ground + excited)
+    return ground / total, excited / total, machine_shift + probe_shift + np.log(total)
 
 
 def build_joint_state(
@@ -119,14 +113,16 @@ def build_joint_state(
 ) -> DiagonalJointState:
     """Normalized product populations e^{-beta_S*omega*i_S} e^{-beta_M*(i_M.G)} / (Z_S Z_f)."""
     levels = _joint_levels(oracle.n_machine_qubits, max_qubits)
+    gaps = np.array([(probe.gap, *oracle.gap_vector.gaps)])
+    betas = np.array([[probe.inverse_temperature, oracle.machine_inverse_temperature]])
     energies, populations = np.empty((1, levels)), np.empty((1, levels))
-    log_partition_sum = _fill_joint_states(
-        np.array([(probe.gap, *oracle.gap_vector.gaps)]),
-        np.array([probe.inverse_temperature]),
-        np.array([oracle.machine_inverse_temperature]),
-        energies,
-        populations,
+    _level_energies(gaps, energies)
+    ground, excited = np.split(populations, 2, axis=1)
+    k_g, k_e, log_partition_sum = _machine_weights(
+        gaps[:, 0], betas[:, 0], gaps[:, 1:], betas[:, 1], energies[:, : levels // 2], excited
     )
+    np.multiply(excited, k_g[:, None], out=ground)
+    excited *= k_e[:, None]
     return DiagonalJointState(
         populations=populations[0],
         level_energies=energies[0],
@@ -150,29 +146,32 @@ def kickback_batch(
 
     The exchange touches two levels a and b of each row
     (:func:`kickback_level_indices`), so p0' = p0 - p[a] + p[b] without a
-    copy of the state. The states are built a chunk of rows at a time, in
-    the same two arrays of at most 2^13 levels or one state.
+    copy of the state; both are clamped at 1 as :func:`probe_marginal` is.
+    Only the machine weights w are built, a chunk of rows at a time, in one
+    array of at most 2^13 machine levels or one row: p[b] is w[b - 2^N] k_e,
+    read before the ground half w k_g is written over w for p0.
     """
     rows, n = gaps.shape
-    levels = _joint_levels(n, DEFAULT_MAX_QUBITS)
+    levels = _joint_levels(n, DEFAULT_MAX_QUBITS) // 2
     masks = np.asarray(masks)
     if masks.shape != gaps.shape:
         raise ValueError("mask rows do not match the machines")
     level_a, level_b = kickback_level_indices(masks, n)
-    joint_gaps = np.column_stack((omega, gaps))
     step = max(1, min(rows, _BATCH_LEVELS // levels))
-    energies, populations = np.empty((step, levels)), np.empty((step, levels))
+    buffer = np.empty((step, levels))
     p0, p0_after, log_partition_sum = np.empty(rows), np.empty(rows), np.empty(rows)
     for start in range(0, rows, step):
         chunk = slice(start, min(start + step, rows))
-        size = chunk.stop - start
-        states = populations[:size]
-        log_partition_sum[chunk] = _fill_joint_states(
-            joint_gaps[chunk], beta_s[chunk], beta_m[chunk], energies[:size], states
+        weights = buffer[: chunk.stop - start]
+        _level_energies(gaps[chunk], weights)
+        k_g, k_e, log_partition_sum[chunk] = _machine_weights(
+            omega[chunk], beta_s[chunk], gaps[chunk], beta_m[chunk], weights, weights
         )
-        p0[chunk] = states[:, : levels // 2].sum(axis=1)
-        row = np.arange(size)
-        p0_after[chunk] = p0[chunk] - states[row, level_a[chunk]] + states[row, level_b[chunk]]
+        row = np.arange(weights.shape[0])
+        excited_b = weights[row, level_b[chunk] - levels] * k_e
+        weights *= k_g[:, None]
+        p0[chunk] = np.minimum(weights.sum(axis=1), 1.0)
+        p0_after[chunk] = np.minimum(p0[chunk] - weights[row, level_a[chunk]] + excited_b, 1.0)
     return p0, p0_after, log_partition_sum
 
 
@@ -213,9 +212,10 @@ def apply_swap_with_machine_qubit(state: DiagonalJointState, machine_index: int)
 
 
 def probe_marginal(state: DiagonalJointState) -> BinaryDistribution:
-    """Sum populations over the machine for each probe bit."""
+    """Sum populations over the machine for each probe bit. Rounding can carry
+    the sum past 1 when nearly all weight is in the probe's ground level."""
     half = 1 << state.n_machine
-    return BinaryDistribution(float(np.sum(state.populations[:half])))
+    return BinaryDistribution(min(1.0, float(np.sum(state.populations[:half]))))
 
 
 def kickback_level_indices(mask, n_machine: int):

@@ -10,8 +10,8 @@ conditioned on being constant or balanced (:func:`_promise_ones`). At table
 size s each constant table has weight 1 and the balanced class C(s, s/2), so
 no table is ever drawn and rejected.
 
-A seed fixes the cases whatever the evaluation. The Deutsch-Jozsa and
-general-mask sections draw their tuples in the order of one scalar draw after
+A seed fixes the cases whatever the evaluation. The Deutsch-Jozsa,
+general-mask and Hamming-weight sections draw tuples one scalar draw after
 another and evaluate them as arrays. The regime section draws each block of
 tuples in three bulk calls (:func:`_regime_draws`).
 """
@@ -208,8 +208,11 @@ def _promise_ones(u, n):
 
     At size s = 2^n the balanced class holds C = C(s, s/2) tables, so a
     table is all zeros with probability 1/(C + 2), all ones with 1/(C + 2)
-    and balanced with C/(C + 2).
+    and balanced with C/(C + 2). Both branches round u * (C + 2) alike.
     """
+    if isinstance(n, int):
+        scaled = u * (float(math.comb(1 << n, 1 << (n - 1))) + 2.0)
+        return 0 if scaled < 1.0 else (1 << n) if scaled < 2.0 else 1 << (n - 1)
     n = np.asarray(n)
     balanced = np.array([float(math.comb(2 << k, 1 << k)) for k in range(int(n.max()))])[n - 1]
     size, scaled = 1 << n, u * (balanced + 2.0)
@@ -218,7 +221,7 @@ def _promise_ones(u, n):
 
 def _random_dj_oracle(rng: np.random.Generator, n: int):
     size = 1 << n
-    ones = int(_promise_ones(rng.random(), n))
+    ones = _promise_ones(rng.random(), n)
     outputs = np.arange(size) < ones
     if 2 * ones == size:
         outputs = rng.permutation(outputs)
@@ -304,12 +307,6 @@ def _general_mask_errors(cases) -> tuple[np.ndarray, np.ndarray]:
     return errors, reduction
 
 
-def _exact_kickback_p0(probe, oracle, mask: QueryMask) -> float:
-    state = exactsim.build_joint_state(probe, oracle)
-    a, b = exactsim.kickback_level_indices(mask, oracle.n_machine_qubits)
-    return exactsim.probe_marginal(exactsim.apply_level_exchange(state, a, b)).p0
-
-
 def run_verification(
     max_dj_n: int = 3,
     max_bv_n: int = 6,
@@ -383,19 +380,21 @@ def run_verification(
     hamming = _Tracker("bv-hamming-population-vs-exact", 1e-12)
     hamming_vs_kickback = _Tracker("bv-hamming-vs-kickback", 1e-14)
     for n in range(1, max_bv_n + 1):
+        cases = []
         for _ in range(tuples_per_instance // 4 or 1):
             secret = "".join(str(b) for b in rng.integers(0, 2, n))
-            instance = BVInstance.from_secret(secret)
             gamma = _uniform(rng, "gamma")
             beta_m = _uniform(rng, "beta_m")
             probe = _sample_probe(rng)
             oracle = build_bv_oracle(secret, gamma, beta_m)
-            analytic = hamming_weight_population(instance, gamma, probe, beta_m)
-            mask = QueryMask.all_ones(n)
-            exact_p0 = _exact_kickback_p0(probe, oracle, mask)
-            hamming.record(abs(analytic - exact_p0), f"secret={secret}")
-            outcome = kickback_outcome(probe, oracle, mask)
-            hamming_vs_kickback.record(abs(analytic - outcome.p0_after), f"secret={secret}")
+            cases.append((secret, probe.gap, probe.inverse_temperature, oracle.gap_vector.gaps, beta_m,
+                          hamming_weight_population(BVInstance.from_secret(secret), gamma, probe, beta_m),
+                          kickback_outcome(probe, oracle, QueryMask.all_ones(n)).p0_after))
+        secrets, *columns = zip(*cases)
+        omega, beta_s, gaps, beta_m, analytic, kickback = (np.array(column) for column in columns)
+        _, exact_p0, _ = exactsim.kickback_batch(omega, beta_s, gaps, beta_m, np.ones_like(gaps))
+        hamming.record_block(np.abs(analytic - exact_p0), lambda i: f"secret={secrets[i]}")
+        hamming_vs_kickback.record_block(np.abs(analytic - kickback), lambda i: f"secret={secrets[i]}")
     report.checks += [hamming.result(), hamming_vs_kickback.result()]
 
     # Mixture of swaps and single-swap marginals vs exact permutations.

@@ -312,16 +312,19 @@ class TestIndependenceFromAnalyticCode:
 
 class TestKickbackBatch:
     @staticmethod
-    def rows_against_single_states(rng, n, rows, masks=None):
+    def rows_against_single_states(rng, n, rows, masks=None, beta_s=None, beta_m=None):
         """Every row against build_joint_state and apply_level_exchange; a
-        random mask per row unless ``masks`` is given."""
+        random mask and random temperatures per row unless given."""
         omega = rng.uniform(0.25, 2.0, rows)
-        beta_s = rng.uniform(-1.2, 1.2, rows)
-        beta_m = rng.uniform(0.1, 1.5, rows)
+        if beta_s is None:
+            beta_s = rng.uniform(-1.2, 1.2, rows)
+        if beta_m is None:
+            beta_m = rng.uniform(0.1, 1.5, rows)
         gaps = rng.uniform(0.2, 2.0, (rows, n))
         if masks is None:
             masks = rng.integers(0, 2, (rows, n))
         p0, p0_after, log_z = exactsim.kickback_batch(omega, beta_s, gaps, beta_m, masks)
+        assert np.all(np.isfinite(p0)) and np.all(np.isfinite(p0_after)) and np.all(np.isfinite(log_z))
         for t in range(rows):
             state = build_joint_state(ThermalQubit(omega[t], beta_s[t]), build_custom_oracle(gaps[t], beta_m[t]))
             a, b = kickback_level_indices(QueryMask(tuple(int(bit) for bit in masks[t])), n)
@@ -332,8 +335,8 @@ class TestKickbackBatch:
             )
 
     def test_rows_across_chunk_boundaries(self, rng):
-        """One chunk holds 2^13 levels: 64 rows of 7 qubits, 4 rows of 11
-        qubits (70 rows need 17 full chunks and a part of the buffers)."""
+        """One chunk holds 2^13 machine levels: 128 rows of 6 machine qubits,
+        8 rows of 10 (70 rows need 8 full chunks and a part of the buffer)."""
         for n, rows in ((1, 20), (6, 20), (6, 150), (10, 70)):
             self.rows_against_single_states(rng, n, rows)
 
@@ -344,6 +347,13 @@ class TestKickbackBatch:
 
     def test_boolean_mask_rows(self, rng):
         self.rows_against_single_states(rng, 4, 9, rng.integers(0, 2, (9, 4)).astype(bool))
+
+    # At |beta| = 500 the unshifted log weights pass the 709 at which exp
+    # overflows; 12 machine qubits make two rows a chunk.
+    @pytest.mark.parametrize("beta_s", (-500.0, -50.0, 50.0, 500.0))
+    @pytest.mark.parametrize("beta_m", (-500.0, -50.0, 50.0, 500.0))
+    def test_extreme_and_negative_temperatures(self, beta_s, beta_m, rng):
+        self.rows_against_single_states(rng, 12, 5, beta_s=np.full(5, beta_s), beta_m=np.full(5, beta_m))
 
     def test_seventeen_qubit_rows_one_chunk_each(self, rng):
         """A 17-qubit state exceeds a chunk: each row is written over the last."""

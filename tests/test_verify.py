@@ -187,6 +187,19 @@ def test_promise_law():
         within(balanced.count(table), len(balanced), 1 / 6)
 
 
+def test_scalar_promise_law_equals_arrays():
+    """A float draw and an int n give the count of ones of the array branch,
+    at the class boundaries u (C + 2) = 1 and 2 too."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 6):
+        weight = math.comb(1 << n, 1 << (n - 1)) + 2
+        edges = np.array([1.0, 2.0]) / weight
+        u = np.concatenate((rng.random(2000), edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)))
+        scalar = [verify._promise_ones(x, n) for x in u.tolist()]
+        assert all(type(ones) is int for ones in scalar)
+        assert scalar == verify._promise_ones(u, np.full(u.size, n)).tolist()
+
+
 class TestTrackerBlocks:
     def test_block_matches_one_by_one(self):
         errors = [0.5, math.nan, 2.0, 3.0, 1.5, math.inf, 0.1]
