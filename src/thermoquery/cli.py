@@ -76,6 +76,10 @@ DEFAULTS = {
     "detuning_beta_s": "0:3:61",
 }
 
+# dj-kickback builds three 2^n-entry truth tables and oracles: at n = 20
+# about 3.5 s and 70 MiB, and the memory doubles with each further bit.
+_MAX_KICKBACK_N = 20
+
 MIXED_QUERY_DIVERGENCE = math.log(4.0 / 3.0)
 
 
@@ -191,8 +195,8 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
     beta_s_values = parse_values(args.beta_s)
     if args.e1 <= 0 or args.e2 <= 0 or args.omega <= 0:
         raise CliError("gaps and omega must be positive")
-    if args.n < 1:
-        raise CliError("n must be >= 1")
+    if not 1 <= args.n <= _MAX_KICKBACK_N:
+        raise CliError(f"n must lie in [1, {_MAX_KICKBACK_N}], got {args.n}")
     half = 1 << (args.n - 1)
     tables = {
         "balanced": BooleanFunctionTable(args.n, (1,) * half + (0,) * half),
@@ -364,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("dj-kickback", help="post-query temperature curves per promise class")
-    p.add_argument("--n", type=int, default=DEFAULTS["kickback_n"])
+    p.add_argument("--n", type=int, default=DEFAULTS["kickback_n"],
+                   help=f"function input bits, 1 to {_MAX_KICKBACK_N}: each oracle is still built from "
+                        "a 2^n-entry truth table, until a form by gap counts lifts this limit")
     p.add_argument("--e1", type=float, default=DEFAULTS["kickback_gap_one"],
                    help="machine gap encoding output 1")
     p.add_argument("--e2", type=float, default=DEFAULTS["kickback_gap_zero"],

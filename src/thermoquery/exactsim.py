@@ -1,15 +1,22 @@
 """Brute-force verification oracle over the full diagonal joint state.
 
-Materializes every population of probe + machine, applies exchanges as exact
-permutations, and extracts marginals. Ground truth for the analytic formulas;
-capped at a configurable qubit count (20 by default) since the vector is dense.
+Holds every population of probe + machine in one dense array, applies
+exchanges as exact permutations, and extracts marginals. Ground truth for the
+analytic formulas; capped at a configurable qubit count (20 by default) since
+the array is dense.
 
-Every operation is O(2^N) in time and memory for N joint qubits: level
-energies are built by doubling, a SWAP is one reshape-transpose copy, and
-mean energies are dot products over the two halves. The 2^N machine weights
-are built in one pass each of multiply, shift, ``exp`` and sum, with no
-normalising pass: the shift is an O(N) bound on the largest log weight, and
-the probe's two factors and 1/total fold into one scalar per probe level.
+For a probe and N machine qubits, building a state, a SWAP, a marginal and a
+mean energy each cost O(2^N) time: the 2^N machine level energies are built
+by doubling and stored once (the probe's excited half is the same energies
+plus omega, built only when read), a SWAP is one reshape-transpose copy, and
+marginals and mean energies are brute-force sums over the whole dense array.
+A level exchange is O(1) in time and memory: the exchanged state shares its
+parent's dense array and records which levels moved, the sums add the change
+at those few levels, and the permuted array is built only when it is read.
+The 2^N machine weights are built in one pass each of multiply, shift, ``exp``
+and sum, with no normalising pass: the shift is an O(N) bound on the largest
+log weight, and the probe's two factors and 1/total fold into one scalar per
+probe level.
 The weight kernel takes a leading batch axis of T states; a single state is
 its T = 1 row, and :func:`kickback_batch` runs the kickback on T states at
 once. Nothing here calls the analytic kickback code in ``query`` or the
@@ -22,7 +29,8 @@ the leftmost, most significant machine bit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -44,28 +52,52 @@ __all__ = [
 ]
 
 DEFAULT_MAX_QUBITS = 20
-# Machine levels built at once by kickback_batch: one 64 KiB array.
-_BATCH_LEVELS = 1 << 13
+# Machine levels built at once by kickback_batch: one 256 KiB array.
+_BATCH_LEVELS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
 class DiagonalJointState:
-    """Dense population vector over (probe bit, machine string) levels.
+    """Populations over the 2^(N+1) (probe bit, machine string) levels.
+
+    ``dense_populations`` is a dense array that the state shares with the
+    states exchanged from it, and ``moved`` lists the (level, source) pairs,
+    by level, at which this state's populations differ from it: level holds
+    ``dense_populations[source]``. A built or swapped state moves nothing.
+    ``machine_energies`` holds the 2^N machine level energies, which are the
+    energies of the probe's ground half; its excited half adds ``probe_gap``.
+    ``populations`` (the dense array with the moves applied) and
+    ``level_energies`` (all 2^(N+1) energies) are built on first read and
+    kept.
 
     ``log_partition_sum`` is the log of the unnormalized weight sum at
     construction time and equals log(Z_S) + log(Z_f); it is carried through
     permutations unchanged (they preserve the trace).
     """
 
-    populations: np.ndarray
-    level_energies: np.ndarray
+    dense_populations: np.ndarray
+    machine_energies: np.ndarray
     n_machine: int
     probe_gap: float
     log_partition_sum: float
+    moved: tuple[tuple[int, int], ...] = ()
 
     @property
     def size(self) -> int:
-        return self.populations.size
+        return 2 << self.n_machine
+
+    @cached_property
+    def populations(self) -> np.ndarray:
+        if not self.moved:
+            return self.dense_populations
+        levels, sources = np.array(self.moved).T
+        populations = self.dense_populations.copy()
+        populations[levels] = self.dense_populations[sources]
+        return populations
+
+    @cached_property
+    def level_energies(self) -> np.ndarray:
+        return np.concatenate((self.machine_energies, self.machine_energies + self.probe_gap))
 
 
 def _joint_levels(n_machine: int, max_qubits: int) -> int:
@@ -115,17 +147,18 @@ def build_joint_state(
     levels = _joint_levels(oracle.n_machine_qubits, max_qubits)
     gaps = np.array([(probe.gap, *oracle.gap_vector.gaps)])
     betas = np.array([[probe.inverse_temperature, oracle.machine_inverse_temperature]])
-    energies, populations = np.empty((1, levels)), np.empty((1, levels))
-    _level_energies(gaps, energies)
+    energies, populations = np.empty((1, levels // 2)), np.empty((1, levels))
+    _level_energies(gaps[:, 1:], energies)
     ground, excited = np.split(populations, 2, axis=1)
     k_g, k_e, log_partition_sum = _machine_weights(
-        gaps[:, 0], betas[:, 0], gaps[:, 1:], betas[:, 1], energies[:, : levels // 2], excited
+        gaps[:, 0], betas[:, 0], gaps[:, 1:], betas[:, 1], energies, excited
     )
     np.multiply(excited, k_g[:, None], out=ground)
     excited *= k_e[:, None]
+    populations.flags.writeable = False  # shared by every exchange of the state
     return DiagonalJointState(
-        populations=populations[0],
-        level_energies=energies[0],
+        dense_populations=populations[0],
+        machine_energies=energies[0],
         n_machine=oracle.n_machine_qubits,
         probe_gap=probe.gap,
         log_partition_sum=float(log_partition_sum[0]),
@@ -148,7 +181,7 @@ def kickback_batch(
     (:func:`kickback_level_indices`), so p0' = p0 - p[a] + p[b] without a
     copy of the state; both are clamped at 1 as :func:`probe_marginal` is.
     Only the machine weights w are built, a chunk of rows at a time, in one
-    array of at most 2^13 machine levels or one row: p[b] is w[b - 2^N] k_e,
+    array of at most 2^15 machine levels or one row: p[b] is w[b - 2^N] k_e,
     read before the ground half w k_g is written over w for p0.
     """
     rows, n = gaps.shape
@@ -176,21 +209,19 @@ def kickback_batch(
 
 
 def apply_level_exchange(state: DiagonalJointState, level_a: int, level_b: int) -> DiagonalJointState:
-    """Swap the populations of two distinct levels; everything else untouched."""
+    """Swap the populations of two distinct levels; everything else untouched.
+
+    O(1): the result shares ``state``'s dense array and records where the two
+    levels now read from; a level moved back to its own source is dropped.
+    """
     size = state.size
     if not (0 <= level_a < size and 0 <= level_b < size):
         raise IndexError(f"level indices ({level_a}, {level_b}) out of range for size {size}")
     if level_a == level_b:
         raise ValueError("level indices must be distinct")
-    populations = state.populations.copy()
-    populations[level_a], populations[level_b] = populations[level_b], populations[level_a]
-    return DiagonalJointState(
-        populations=populations,
-        level_energies=state.level_energies,
-        n_machine=state.n_machine,
-        probe_gap=state.probe_gap,
-        log_partition_sum=state.log_partition_sum,
-    )
+    moved = dict(state.moved)
+    moved[level_a], moved[level_b] = moved.get(level_b, level_b), moved.get(level_a, level_a)
+    return replace(state, moved=tuple(sorted(pair for pair in moved.items() if pair[0] != pair[1])))
 
 
 def apply_swap_with_machine_qubit(state: DiagonalJointState, machine_index: int) -> DiagonalJointState:
@@ -202,20 +233,22 @@ def apply_swap_with_machine_qubit(state: DiagonalJointState, machine_index: int)
     above = 1 << machine_index
     below = 1 << (n - 1 - machine_index)
     populations = state.populations.reshape(2, above, 2, below).transpose(2, 1, 0, 3).reshape(-1)
-    return DiagonalJointState(
-        populations=populations,
-        level_energies=state.level_energies,
-        n_machine=state.n_machine,
-        probe_gap=state.probe_gap,
-        log_partition_sum=state.log_partition_sum,
-    )
+    populations.flags.writeable = False
+    return replace(state, dense_populations=populations, moved=())
 
 
 def probe_marginal(state: DiagonalJointState) -> BinaryDistribution:
-    """Sum populations over the machine for each probe bit. Rounding can carry
-    the sum past 1 when nearly all weight is in the probe's ground level."""
+    """Sum populations over the machine for each probe bit: the dense ground
+    half, then p0 - p[level] + p[source] at each moved ground level. Rounding
+    can carry the sum past 1 when nearly all weight is in the probe's ground
+    level."""
     half = 1 << state.n_machine
-    return BinaryDistribution(min(1.0, float(np.sum(state.populations[:half]))))
+    dense = state.dense_populations
+    p0 = np.sum(dense[:half])
+    for level, source in state.moved:
+        if level < half:
+            p0 = p0 - dense[level] + dense[source]
+    return BinaryDistribution(min(1.0, float(p0)))
 
 
 def kickback_level_indices(mask, n_machine: int):
@@ -242,9 +275,12 @@ def probe_mean_energy(state: DiagonalJointState) -> float:
 
 
 def machine_mean_energy(state: DiagonalJointState) -> float:
+    """Dot products of the dense halves with the machine energies, plus the
+    change of population times energy at each moved level."""
     half = 1 << state.n_machine
-    machine_energies = state.level_energies[:half]
-    populations = state.populations
-    return float(
-        np.dot(populations[:half], machine_energies) + np.dot(populations[half:], machine_energies)
-    )
+    energies = state.machine_energies
+    dense = state.dense_populations
+    energy = np.dot(dense[:half], energies) + np.dot(dense[half:], energies)
+    for level, source in state.moved:
+        energy += (dense[source] - dense[level]) * energies[level % half]
+    return float(energy)

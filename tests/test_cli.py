@@ -316,6 +316,7 @@ def test_figure_out_path_opened_before_the_work(tmp_path, capsys, monkeypatch, a
     [
         ["dj-kickback", "--beta-m=1,nan"],
         ["dj-kickback", "--e2=inf"],
+        ["dj-kickback", "--n", "21"],
         ["sample-complexity", "--delta-grid=0.5,1.5"],
         ["sample-complexity", "--t-grid=nan"],
         ["detuning-sweep", "--beta-s=0,inf"],
@@ -333,6 +334,22 @@ def test_rejected_input_leaves_the_out_path_alone(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 1
     assert out.read_bytes() == b"kept\n"
     assert capsys.readouterr().err.startswith("thermoquery: error:")
+
+
+@pytest.mark.parametrize("n", (0, 21, 30))
+def test_dj_kickback_size_rejected_before_any_table(tmp_path, capsys, monkeypatch, n):
+    """An --n beyond 20 once built 2^n-entry tables until the kernel killed the
+    process; it now exits 1 before any table is built or the output opened."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a truth table was built")
+
+    monkeypatch.setattr(cli, "BooleanFunctionTable", forbidden)
+    out = tmp_path / "p"
+    assert main(["dj-kickback", "--n", str(n), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"n must lie in [1, 20], got {n}" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="truth table"):
+        main(["dj-kickback", "--n", "20", "--out", str(out)])
 
 
 def test_failed_work_never_removes_the_out_path(tmp_path, monkeypatch):

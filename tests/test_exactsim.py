@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -147,6 +149,89 @@ class TestLevelExchange:
             kickback_level_indices(masks + 1, 5)
 
 
+def dense_exchanges(populations, pairs):
+    """The populations after each prefix of ``pairs``, by a dense copy per exchange."""
+    chain = [populations]
+    for a, b in pairs:
+        after = chain[-1].copy()
+        after[[a, b]] = after[[b, a]]
+        chain.append(after)
+    return chain
+
+
+def fresh_from_populations(state):
+    """A state that moves nothing, built from ``state``'s materialised populations."""
+    return replace(state, dense_populations=state.populations, moved=())
+
+
+class TestSharedExchange:
+    """An exchange shares its parent's dense array and records the moved levels;
+    reading it must agree with the dense copy it replaces."""
+
+    @staticmethod
+    def exchange_chains(rng, size):
+        a, b, c, d = (int(level) for level in rng.choice(size, 4, replace=False))
+        return (
+            [(a, b)],
+            [(a, b), (b, c)],  # overlapping pairs
+            [(a, b), (b, c), (c, a)],
+            [(a, b), (c, d), (a, c)],
+            [(a, b), (a, b)],  # swap and restore
+            [(a, b), (b, a), (a, c)],
+        )
+
+    @pytest.mark.parametrize("n", (2, 3, 6))
+    def test_chains_match_dense_copies(self, n, rng):
+        probe, oracle = reference_case(n)
+        state = build_joint_state(probe, oracle)
+        for pairs in self.exchange_chains(rng, state.size):
+            expected = dense_exchanges(state.populations, pairs)
+            each = state
+            for pair, populations in zip(pairs, expected[1:]):
+                each = apply_level_exchange(each, *pair)
+                assert np.shares_memory(each.dense_populations, state.populations)
+                assert np.array_equal(each.populations, populations)
+                fresh = fresh_from_populations(each)
+                assert abs(probe_marginal(each).p0 - probe_marginal(fresh).p0) <= 1e-15
+                assert abs(probe_mean_energy(each) - probe_mean_energy(fresh)) <= 1e-15
+                # A dot product over reordered terms rounds differently: allow an
+                # ulp of the energy where it exceeds 1.
+                assert machine_mean_energy(each) == pytest.approx(
+                    machine_mean_energy(fresh), rel=1e-15, abs=1e-15)
+                for index in range(n):
+                    swapped = apply_swap_with_machine_qubit(each, index)
+                    assert np.array_equal(swapped.populations,
+                                          apply_swap_with_machine_qubit(fresh, index).populations)
+
+    def test_restored_levels_are_dropped(self):
+        _, _, state = worked_state()
+        once = apply_level_exchange(state, 1, 6)
+        assert once.moved == ((1, 6), (6, 1))
+        assert apply_level_exchange(once, 6, 1).moved == ()
+        assert apply_level_exchange(once, 6, 2).moved == ((1, 6), (2, 1), (6, 2))
+
+    def test_shared_array_is_read_only(self):
+        _, _, state = worked_state()
+        for each in (state, apply_swap_with_machine_qubit(state, 0)):
+            with pytest.raises(ValueError):
+                each.populations[0] = 0.5
+
+    def test_twenty_qubit_exchange_makes_no_copy(self):
+        n = exactsim.DEFAULT_MAX_QUBITS - 1
+        state = build_joint_state(ThermalQubit(1.0, 0.5), build_custom_oracle([0.5] * n, 0.8))
+        a, b = kickback_level_indices(QueryMask.all_ones(n), n)
+        tracemalloc.start()
+        try:
+            after = apply_level_exchange(state, a, b)
+            probe_marginal(after)
+            machine_mean_energy(after)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert after.populations[a] == state.populations[b]
+
+
 class TestSwapWithMachineQubit:
     def test_marginal_is_machine_qubit(self):
         probe, oracle, state = worked_state()
@@ -232,6 +317,13 @@ class TestAgainstReference:
             energy = s_bit * probe.gap + reference_machine_energy(machine, oracle.gap_vector.gaps)
             assert state.populations[index] == pytest.approx(expected, abs=1e-14)
             assert state.level_energies[index] == pytest.approx(energy, abs=1e-13)
+
+    def test_excited_energies_add_the_probe_gap(self, n):
+        probe, oracle = reference_case(n)
+        energies = build_joint_state(probe, oracle).level_energies
+        half = 1 << n
+        assert energies.size == 2 * half
+        assert np.array_equal(energies[half:], energies[:half] + probe.gap)
 
     def test_swap_with_every_machine_qubit(self, n):
         probe, oracle = reference_case(n)
@@ -335,9 +427,10 @@ class TestKickbackBatch:
             )
 
     def test_rows_across_chunk_boundaries(self, rng):
-        """One chunk holds 2^13 machine levels: 128 rows of 6 machine qubits,
-        8 rows of 10 (70 rows need 8 full chunks and a part of the buffer)."""
-        for n, rows in ((1, 20), (6, 20), (6, 150), (10, 70)):
+        """One chunk holds 2^15 machine levels: 128 rows of 8 machine qubits,
+        32 rows of 10 (300 and 70 rows need two full chunks and a part of the
+        buffer)."""
+        for n, rows in ((1, 20), (6, 20), (8, 300), (10, 70)):
             self.rows_against_single_states(rng, n, rows)
 
     def test_all_ones_and_all_zeros_rows(self, rng):
@@ -349,11 +442,11 @@ class TestKickbackBatch:
         self.rows_against_single_states(rng, 4, 9, rng.integers(0, 2, (9, 4)).astype(bool))
 
     # At |beta| = 500 the unshifted log weights pass the 709 at which exp
-    # overflows; 12 machine qubits make two rows a chunk.
+    # overflows; 14 machine qubits make two rows a chunk.
     @pytest.mark.parametrize("beta_s", (-500.0, -50.0, 50.0, 500.0))
     @pytest.mark.parametrize("beta_m", (-500.0, -50.0, 50.0, 500.0))
     def test_extreme_and_negative_temperatures(self, beta_s, beta_m, rng):
-        self.rows_against_single_states(rng, 12, 5, beta_s=np.full(5, beta_s), beta_m=np.full(5, beta_m))
+        self.rows_against_single_states(rng, 14, 5, beta_s=np.full(5, beta_s), beta_m=np.full(5, beta_m))
 
     def test_seventeen_qubit_rows_one_chunk_each(self, rng):
         """A 17-qubit state exceeds a chunk: each row is written over the last."""
