@@ -33,10 +33,20 @@ __all__ = [
     "bv3_sweep",
 ]
 
+
+def _check_coupling(g: float, **finite: float) -> None:
+    """Reject a coupling ``g`` that is not positive and finite, and any other
+    named argument that is not finite."""
+    if not (g > 0.0 and math.isfinite(g)):
+        raise ValueError(f"coupling g must be positive and finite, got {g}")
+    for name, value in finite.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def flip_probability(g: float, detuning: float, time: float) -> float:
     """Rabi flip-flop probability g^2/(g^2+d^2) * sin^2(sqrt(g^2+d^2)*t/2)."""
-    if not g > 0.0:
-        raise ValueError("coupling g must be positive")
+    _check_coupling(g, detuning=detuning, time=time)
     rabi = math.hypot(g, detuning)
     amplitude = (g / rabi) ** 2
     return amplitude * math.sin(0.5 * rabi * time) ** 2
@@ -44,8 +54,7 @@ def flip_probability(g: float, detuning: float, time: float) -> float:
 
 def suppression_factor(g: float, detuning: float) -> float:
     """Short-time population-transfer envelope eta = g^2/(g^2 + d^2), in (0, 1]."""
-    if not g > 0.0:
-        raise ValueError("coupling g must be positive")
+    _check_coupling(g, detuning=detuning)
     return g * g / (g * g + detuning * detuning)
 
 

@@ -5,14 +5,15 @@ exchanges as exact permutations, and extracts marginals. Ground truth for the
 analytic formulas; capped at a configurable qubit count (20 by default) since
 the array is dense.
 
-For a probe and N machine qubits, building a state, a SWAP, a marginal and a
-mean energy each cost O(2^N) time: the 2^N machine level energies are built
-by doubling and stored once (the probe's excited half is the same energies
-plus omega, built only when read), a SWAP is one reshape-transpose copy, and
-marginals and mean energies are brute-force sums over the whole dense array.
-A level exchange is O(1) in time and memory: the exchanged state shares its
-parent's dense array and records which levels moved, the sums add the change
-at those few levels, and the permuted array is built only when it is read.
+For a probe and N machine qubits, building a state costs O(2^N) time: the
+2^N machine level energies are built by doubling and stored once (the probe's
+excited half is the same energies plus omega, built only when read). A level
+exchange and a SWAP are O(1) in time and memory: the new state shares its
+parent's dense array and records which levels moved or which machine bit
+trades places with the probe bit, and the permuted array is built only when
+it is read. A marginal or a mean energy sums the dense array once per shared
+array, then adds the change at the few moved levels; the marginal of a
+swapped state sums a strided view of the shared array.
 The 2^N machine weights are built in one pass each of multiply, shift, ``exp``
 and sum, with no normalising pass: the shift is an O(N) bound on the largest
 log weight, and the probe's two factors and 1/total fold into one scalar per
@@ -56,19 +57,43 @@ DEFAULT_MAX_QUBITS = 20
 _BATCH_LEVELS = 1 << 15
 
 
+class _DenseSums:
+    """The ground-half sum and the machine-energy dot product of one dense
+    population array, each taken on first read and kept; shared by every
+    state that shares the array."""
+
+    def __init__(self, populations: np.ndarray, machine_energies: np.ndarray):
+        self._populations = populations
+        self._energies = machine_energies
+
+    @cached_property
+    def ground(self) -> float:
+        return np.sum(self._populations[: self._energies.size])
+
+    @cached_property
+    def energy(self) -> float:
+        half = self._energies.size
+        return np.dot(self._populations[:half], self._energies) + np.dot(self._populations[half:], self._energies)
+
+
 @dataclass(frozen=True, eq=False)
 class DiagonalJointState:
     """Populations over the 2^(N+1) (probe bit, machine string) levels.
 
     ``dense_populations`` is a dense array that the state shares with the
-    states exchanged from it, and ``moved`` lists the (level, source) pairs,
-    by level, at which this state's populations differ from it: level holds
-    ``dense_populations[source]``. A built or swapped state moves nothing.
-    ``machine_energies`` holds the 2^N machine level energies, which are the
-    energies of the probe's ground half; its excited half adds ``probe_gap``.
-    ``populations`` (the dense array with the moves applied) and
-    ``level_energies`` (all 2^(N+1) energies) are built on first read and
-    kept.
+    states exchanged or swapped from it. ``moved`` lists the (level, source)
+    pairs, by level, at which this state's populations differ from it: level
+    holds ``dense_populations[source]``. ``swapped`` is the machine qubit
+    whose bit trades places with the probe bit in the dense array, or None.
+    A state moves levels or swaps a bit, never both; a built state does
+    neither. ``machine_energies`` holds the 2^N machine level energies, which
+    are the energies of the probe's ground half; its excited half adds
+    ``probe_gap``. ``populations`` (the dense array with the moves or the
+    swap applied, read-only) and ``level_energies`` (all 2^(N+1) energies)
+    are built on first read and kept. The dense array's ground-half sum and
+    energy dot product are also taken on first read; a state exchanged from
+    this one shares them, and any other new state, ``replace`` included,
+    takes its own.
 
     ``log_partition_sum`` is the log of the unnormalized weight sum at
     construction time and equals log(Z_S) + log(Z_f); it is carried through
@@ -81,6 +106,7 @@ class DiagonalJointState:
     probe_gap: float
     log_partition_sum: float
     moved: tuple[tuple[int, int], ...] = ()
+    swapped: int | None = None
 
     @property
     def size(self) -> int:
@@ -88,16 +114,32 @@ class DiagonalJointState:
 
     @cached_property
     def populations(self) -> np.ndarray:
-        if not self.moved:
+        if self.swapped is not None:
+            populations = _swap_axes(self).transpose(2, 1, 0, 3).reshape(-1)
+        elif self.moved:
+            levels, sources = np.array(self.moved).T
+            populations = self.dense_populations.copy()
+            populations[levels] = self.dense_populations[sources]
+        else:
             return self.dense_populations
-        levels, sources = np.array(self.moved).T
-        populations = self.dense_populations.copy()
-        populations[levels] = self.dense_populations[sources]
+        # Read-only like the dense array: a swap or an exchange of a swapped
+        # state starts from this array.
+        populations.flags.writeable = False
         return populations
 
     @cached_property
     def level_energies(self) -> np.ndarray:
         return np.concatenate((self.machine_energies, self.machine_energies + self.probe_gap))
+
+    @cached_property
+    def _dense_sums(self) -> _DenseSums:
+        return _DenseSums(self.dense_populations, self.machine_energies)
+
+
+def _swap_axes(state: DiagonalJointState) -> np.ndarray:
+    """A view of a swapped state's dense array with axes: probe bit, machine
+    bits above the swapped one, swapped bit, bits below."""
+    return state.dense_populations.reshape(2, 1 << state.swapped, 2, -1)
 
 
 def _joint_levels(n_machine: int, max_qubits: int) -> int:
@@ -211,40 +253,48 @@ def kickback_batch(
 def apply_level_exchange(state: DiagonalJointState, level_a: int, level_b: int) -> DiagonalJointState:
     """Swap the populations of two distinct levels; everything else untouched.
 
-    O(1): the result shares ``state``'s dense array and records where the two
-    levels now read from; a level moved back to its own source is dropped.
+    O(1): the result shares ``state``'s dense array and its sums, and records
+    where the two levels now read from; a level moved back to its own source
+    is dropped. An exchange of a swapped state starts from its populations.
     """
     size = state.size
     if not (0 <= level_a < size and 0 <= level_b < size):
         raise IndexError(f"level indices ({level_a}, {level_b}) out of range for size {size}")
     if level_a == level_b:
         raise ValueError("level indices must be distinct")
+    if state.swapped is not None:
+        state = replace(state, dense_populations=state.populations, swapped=None)
     moved = dict(state.moved)
     moved[level_a], moved[level_b] = moved.get(level_b, level_b), moved.get(level_a, level_a)
-    return replace(state, moved=tuple(sorted(pair for pair in moved.items() if pair[0] != pair[1])))
+    exchanged = replace(state, moved=tuple(sorted(pair for pair in moved.items() if pair[0] != pair[1])))
+    # Stored as cached_property stores it: the two states share one dense array.
+    vars(exchanged)["_dense_sums"] = state._dense_sums
+    return exchanged
 
 
 def apply_swap_with_machine_qubit(state: DiagonalJointState, machine_index: int) -> DiagonalJointState:
-    """Permute populations exchanging the probe bit with machine bit ``machine_index``."""
-    n = state.n_machine
-    if not 0 <= machine_index < n:
+    """Permute populations exchanging the probe bit with machine bit ``machine_index``.
+
+    O(1): the result shares the populations of ``state``, which are its dense
+    array unless it already moves levels or swaps a bit, and records the
+    swapped bit.
+    """
+    if not 0 <= machine_index < state.n_machine:
         raise IndexError(f"machine index {machine_index} out of range")
-    # Axes: probe bit, machine bits above the swapped one, swapped bit, bits below.
-    above = 1 << machine_index
-    below = 1 << (n - 1 - machine_index)
-    populations = state.populations.reshape(2, above, 2, below).transpose(2, 1, 0, 3).reshape(-1)
-    populations.flags.writeable = False
-    return replace(state, dense_populations=populations, moved=())
+    return replace(state, dense_populations=state.populations, moved=(), swapped=machine_index)
 
 
 def probe_marginal(state: DiagonalJointState) -> BinaryDistribution:
     """Sum populations over the machine for each probe bit: the dense ground
-    half, then p0 - p[level] + p[source] at each moved ground level. Rounding
-    can carry the sum past 1 when nearly all weight is in the probe's ground
+    half, then p0 - p[level] + p[source] at each moved ground level; for a
+    swapped state, the dense levels whose swapped bit is 0. Rounding can
+    carry the sum past 1 when nearly all weight is in the probe's ground
     level."""
+    if state.swapped is not None:
+        return BinaryDistribution(min(1.0, float(np.sum(_swap_axes(state)[:, :, 0, :]))))
     half = 1 << state.n_machine
     dense = state.dense_populations
-    p0 = np.sum(dense[:half])
+    p0 = state._dense_sums.ground
     for level, source in state.moved:
         if level < half:
             p0 = p0 - dense[level] + dense[source]
@@ -276,11 +326,14 @@ def probe_mean_energy(state: DiagonalJointState) -> float:
 
 def machine_mean_energy(state: DiagonalJointState) -> float:
     """Dot products of the dense halves with the machine energies, plus the
-    change of population times energy at each moved level."""
+    change of population times energy at each moved level; a swapped state
+    reads its populations."""
+    if state.swapped is not None:
+        state = replace(state, dense_populations=state.populations, swapped=None)
     half = 1 << state.n_machine
     energies = state.machine_energies
     dense = state.dense_populations
-    energy = np.dot(dense[:half], energies) + np.dot(dense[half:], energies)
+    energy = state._dense_sums.energy
     for level, source in state.moved:
         energy += (dense[source] - dense[level]) * energies[level % half]
     return float(energy)

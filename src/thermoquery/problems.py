@@ -122,8 +122,10 @@ def hamming_weight_population(
     p0' = (1 + Z_f^{-1}(e^{-beta_S*omega} - e^{-beta_M*#(s)*gamma})) / Z_S,
     so the probe temperature reveals the Hamming weight #(s).
     """
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not math.isfinite(beta_m):
+        raise ValueError(f"machine inverse temperature must be finite, got {beta_m}")
     k = instance.hamming_weight
     n = len(instance.secret)
     log_zf = k * log1pexp(-beta_m * gamma) + (n - k) * math.log(2.0)

@@ -73,6 +73,29 @@ class TestFlipProbability:
             flip_probability(0.0, 0.1, 1.0)
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+class TestNonFiniteInput:
+    """Each argument that is not finite raises a ValueError naming it, not a
+    NaN or a math domain error."""
+
+    def test_flip_probability(self, value):
+        with pytest.raises(ValueError, match="coupling g"):
+            flip_probability(value, 0.1, 1.0)
+        with pytest.raises(ValueError, match="detuning"):
+            flip_probability(1.0, value, 1.0)
+        with pytest.raises(ValueError, match="time"):
+            flip_probability(1.0, 0.1, value)
+
+    def test_suppression_factor(self, value):
+        with pytest.raises(ValueError, match="coupling g"):
+            suppression_factor(value, 1.0)
+        with pytest.raises(ValueError, match="detuning"):
+            suppression_factor(1.0, value)
+
+
 class TestSuppressionFactor:
     def test_no_detuning(self):
         assert suppression_factor(1.0, 0.0) == 1.0

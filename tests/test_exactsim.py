@@ -159,9 +159,28 @@ def dense_exchanges(populations, pairs):
     return chain
 
 
+def dense_swap(populations, n, index):
+    """The populations after swapping the probe bit with machine bit ``index``,
+    by flipping both bits of every level where they differ."""
+    levels = np.arange(populations.size)
+    both = (1 << n) | (1 << (n - 1 - index))
+    differ = ((levels >> n) ^ (levels >> (n - 1 - index))) & 1
+    return populations[levels ^ (differ * both)]
+
+
 def fresh_from_populations(state):
-    """A state that moves nothing, built from ``state``'s materialised populations."""
-    return replace(state, dense_populations=state.populations, moved=())
+    """A state that moves and swaps nothing, built from ``state``'s materialised populations."""
+    return replace(state, dense_populations=state.populations, moved=(), swapped=None)
+
+
+def assert_reads_like_fresh(state):
+    """Marginals and mean energies of ``state`` agree with a fresh state over its populations."""
+    fresh = fresh_from_populations(state)
+    assert abs(probe_marginal(state).p0 - probe_marginal(fresh).p0) <= 1e-15
+    assert abs(probe_mean_energy(state) - probe_mean_energy(fresh)) <= 1e-15
+    # A dot product over reordered terms rounds differently: allow an ulp of
+    # the energy where it exceeds 1.
+    assert machine_mean_energy(state) == pytest.approx(machine_mean_energy(fresh), rel=1e-15, abs=1e-15)
 
 
 class TestSharedExchange:
@@ -190,14 +209,10 @@ class TestSharedExchange:
             for pair, populations in zip(pairs, expected[1:]):
                 each = apply_level_exchange(each, *pair)
                 assert np.shares_memory(each.dense_populations, state.populations)
+                assert each._dense_sums is state._dense_sums  # summed once for the chain
                 assert np.array_equal(each.populations, populations)
+                assert_reads_like_fresh(each)
                 fresh = fresh_from_populations(each)
-                assert abs(probe_marginal(each).p0 - probe_marginal(fresh).p0) <= 1e-15
-                assert abs(probe_mean_energy(each) - probe_mean_energy(fresh)) <= 1e-15
-                # A dot product over reordered terms rounds differently: allow an
-                # ulp of the energy where it exceeds 1.
-                assert machine_mean_energy(each) == pytest.approx(
-                    machine_mean_energy(fresh), rel=1e-15, abs=1e-15)
                 for index in range(n):
                     swapped = apply_swap_with_machine_qubit(each, index)
                     assert np.array_equal(swapped.populations,
@@ -212,7 +227,9 @@ class TestSharedExchange:
 
     def test_shared_array_is_read_only(self):
         _, _, state = worked_state()
-        for each in (state, apply_swap_with_machine_qubit(state, 0)):
+        exchanged = apply_level_exchange(state, 1, 6)
+        for each in (state, apply_swap_with_machine_qubit(state, 0), exchanged,
+                     apply_swap_with_machine_qubit(exchanged, 0)):
             with pytest.raises(ValueError):
                 each.populations[0] = 0.5
 
@@ -230,6 +247,75 @@ class TestSharedExchange:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert after.populations[a] == state.populations[b]
+
+    def test_fresh_state_takes_its_own_sums(self):
+        """A fresh state over an exchanged state's populations sums that array,
+        whether or not the parent's sums were read before the exchange."""
+        probe, oracle = reference_case(5)
+        half = 1 << 5
+        for read_first in (True, False):
+            state = build_joint_state(probe, oracle)
+            if read_first:
+                probe_marginal(state), machine_mean_energy(state)
+            after = apply_level_exchange(state, *kickback_level_indices(QueryMask.all_ones(5), 5))
+            probe_marginal(after), machine_mean_energy(after)
+            fresh = fresh_from_populations(after)
+            populations = fresh.populations
+            assert probe_marginal(fresh).p0 == np.sum(populations[:half])
+            assert probe_marginal(fresh).p0 != probe_marginal(state).p0
+            energies = state.machine_energies
+            assert machine_mean_energy(fresh) == (
+                np.dot(populations[:half], energies) + np.dot(populations[half:], energies))
+            assert machine_mean_energy(fresh) != machine_mean_energy(state)
+
+
+class TestLazySwap:
+    """A swap shares its parent's dense array and records the swapped bit;
+    reading it must agree with the dense copy it replaces."""
+
+    @staticmethod
+    def mixed_chains(rng, n, size):
+        a, b, c = (int(level) for level in rng.choice(size, 3, replace=False))
+        i, j = (int(index) for index in rng.choice(n, 2, replace=False))
+        return (
+            *([("swap", index)] for index in range(n)),
+            [("swap", i), ("exchange", a, b)],
+            [("exchange", a, b), ("swap", i)],
+            [("swap", i), ("swap", j)],
+            [("swap", i), ("swap", i)],
+            [("exchange", a, b), ("swap", i), ("exchange", b, c), ("swap", j)],
+        )
+
+    @pytest.mark.parametrize("n", (2, 3, 6))
+    def test_chains_match_dense_copies(self, n, rng):
+        probe, oracle = reference_case(n)
+        state = build_joint_state(probe, oracle)
+        for steps in self.mixed_chains(rng, n, state.size):
+            each, populations = state, state.populations
+            for step in steps:
+                if step[0] == "swap":
+                    each = apply_swap_with_machine_qubit(each, step[1])
+                    populations = dense_swap(populations, n, step[1])
+                else:
+                    each = apply_level_exchange(each, *step[1:])
+                    populations = dense_exchanges(populations, [step[1:]])[-1]
+                assert np.array_equal(each.populations, populations)
+                assert_reads_like_fresh(each)
+
+    def test_twenty_qubit_swap_makes_no_copy(self):
+        n = exactsim.DEFAULT_MAX_QUBITS - 1
+        state = build_joint_state(ThermalQubit(1.0, 0.5), build_custom_oracle([0.5] * n, 0.8))
+        for index in (0, n // 2, n - 1):
+            tracemalloc.start()
+            try:
+                swapped = apply_swap_with_machine_qubit(state, index)
+                p0 = probe_marginal(swapped).p0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+            assert swapped.dense_populations is state.dense_populations
+            assert p0 == pytest.approx(ThermalQubit(0.5, 0.8).ground_population, abs=1e-12)
 
 
 class TestSwapWithMachineQubit:

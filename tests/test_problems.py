@@ -130,6 +130,23 @@ class TestHammingWeightPopulation:
         with pytest.raises(ValueError):
             hamming_weight_population(BVInstance.from_secret("1"), 0.0, ThermalQubit(1.0, 0.0), 1.0)
 
+    @pytest.mark.parametrize(
+        "gamma, beta_m, name",
+        [
+            (math.inf, 1.0, "gamma"),
+            (math.nan, 1.0, "gamma"),
+            (1.0, math.nan, "inverse temperature"),
+            (1.0, math.inf, "inverse temperature"),
+            (1.0, -math.inf, "inverse temperature"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, gamma, beta_m, name):
+        """The same inputs that build_bv_oracle rejects, not a NaN or a finite value."""
+        with pytest.raises(ValueError):
+            build_bv_oracle("101", gamma, beta_m)
+        with pytest.raises(ValueError, match=name):
+            hamming_weight_population(BVInstance.from_secret("101"), gamma, ThermalQubit(1.0, 0.5), beta_m)
+
 
 class TestClassicalSolver:
     def test_constant_worst_case(self):
