@@ -53,9 +53,19 @@ def flip_probability(g: float, detuning: float, time: float) -> float:
 
 
 def suppression_factor(g: float, detuning: float) -> float:
-    """Short-time population-transfer envelope eta = g^2/(g^2 + d^2), in (0, 1]."""
+    """Short-time population-transfer envelope eta = g^2/(g^2 + d^2), in (0, 1].
+
+    Written in the ratio of the smaller to the larger of g and |d|, so that
+    no square overflows or underflows on its own: 1/(1 + r^2) with r = d/g
+    where |d| <= g, s^2/(1 + s^2) with s = g/d otherwise. Only a ratio below
+    about 1e-154 rounds eta to 1 or to 0.
+    """
     _check_coupling(g, detuning=detuning)
-    return g * g / (g * g + detuning * detuning)
+    if abs(detuning) <= g:
+        r = detuning / g
+        return 1.0 / (1.0 + r * r)
+    s = g / detuning
+    return s * s / (1.0 + s * s)
 
 
 def detuned_probe_temperature(

@@ -19,9 +19,11 @@ and sum, with no normalising pass: the shift is an O(N) bound on the largest
 log weight, and the probe's two factors and 1/total fold into one scalar per
 probe level.
 The weight kernel takes a leading batch axis of T states; a single state is
-its T = 1 row, and :func:`kickback_batch` runs the kickback on T states at
-once. Nothing here calls the analytic kickback code in ``query`` or the
-closed-form partition functions of ``thermal``.
+its T = 1 row. :func:`kickback_batch` runs the kickback on T states at once,
+with the machine mean energies on request, and :func:`swap_batch` gives the
+probe marginal after a SWAP with each machine qubit of T states. Nothing
+here calls the analytic kickback code in ``query`` or the closed-form
+partition functions of ``thermal``.
 
 Index convention: the probe bit is the most significant bit; machine bit
 strings are big-endian, as in ``thermal.bits_to_index`` (machine qubit 0 is
@@ -44,6 +46,7 @@ __all__ = [
     "DiagonalJointState",
     "build_joint_state",
     "kickback_batch",
+    "swap_batch",
     "apply_level_exchange",
     "apply_swap_with_machine_qubit",
     "probe_marginal",
@@ -53,7 +56,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_QUBITS = 20
-# Machine levels built at once by kickback_batch: one 256 KiB array.
+# Machine levels built at once by kickback_batch and swap_batch: one 256 KiB array.
 _BATCH_LEVELS = 1 << 15
 
 
@@ -207,47 +210,100 @@ def build_joint_state(
     )
 
 
+def _weight_chunks(omega, beta_s, gaps, beta_m, keep_energies=False):
+    """Machine weights of T joint states, a chunk of rows at a time, in one
+    array of at most 2^15 machine levels or one row: yields the chunk's
+    slice, its (rows, 2^N) weights w, k_g, k_e and log weight sums as
+    :func:`_machine_weights` gives them, and its level energies, which are
+    written over by the weights unless ``keep_energies``."""
+    rows, n = gaps.shape
+    levels = _joint_levels(n, DEFAULT_MAX_QUBITS) // 2
+    step = max(1, min(rows, _BATCH_LEVELS // levels))
+    buffer = np.empty((step, levels))
+    energy_buffer = np.empty((step, levels)) if keep_energies else buffer
+    for start in range(0, rows, step):
+        chunk = slice(start, min(start + step, rows))
+        weights, energies = buffer[: chunk.stop - start], energy_buffer[: chunk.stop - start]
+        _level_energies(gaps[chunk], energies)
+        k_g, k_e, log_sum = _machine_weights(
+            omega[chunk], beta_s[chunk], gaps[chunk], beta_m[chunk], energies, weights
+        )
+        yield chunk, weights, k_g, k_e, log_sum, energies
+
+
 def kickback_batch(
     omega: np.ndarray,
     beta_s: np.ndarray,
     gaps: np.ndarray,
     beta_m: np.ndarray,
     masks: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    energies: bool = False,
+) -> tuple[np.ndarray, ...]:
     """Probe ground population before and after the kickback V(masks[t]), and
     the log weight sum, of T joint states: row t is a probe with gap
     ``omega[t]`` at ``beta_s[t]`` and machine gaps ``gaps[t]`` at ``beta_m[t]``,
     and ``masks`` holds one 0/1 mask row per state, shaped like ``gaps``.
+    With ``energies``, the machine mean energy before and after follow.
 
     The exchange touches two levels a and b of each row
     (:func:`kickback_level_indices`), so p0' = p0 - p[a] + p[b] without a
     copy of the state; both are clamped at 1 as :func:`probe_marginal` is.
-    Only the machine weights w are built, a chunk of rows at a time, in one
-    array of at most 2^15 machine levels or one row: p[b] is w[b - 2^N] k_e,
-    read before the ground half w k_g is written over w for p0.
+    Only the machine weights w are built (:func:`_weight_chunks`): p[b] is
+    w[b - 2^N] k_e, read before the ground half w k_g is written over w for
+    p0. The machine mean energy is sum_x w(x) E(x) times k_g plus the same
+    times k_e, as :func:`machine_mean_energy` sums the two halves, and the
+    exchange adds (p[b] - p[a]) (E(a) - E(b - 2^N)).
     """
     rows, n = gaps.shape
-    levels = _joint_levels(n, DEFAULT_MAX_QUBITS) // 2
     masks = np.asarray(masks)
     if masks.shape != gaps.shape:
         raise ValueError("mask rows do not match the machines")
     level_a, level_b = kickback_level_indices(masks, n)
-    step = max(1, min(rows, _BATCH_LEVELS // levels))
-    buffer = np.empty((step, levels))
+    level_b = level_b - (1 << n)  # the machine level of b
     p0, p0_after, log_partition_sum = np.empty(rows), np.empty(rows), np.empty(rows)
-    for start in range(0, rows, step):
-        chunk = slice(start, min(start + step, rows))
-        weights = buffer[: chunk.stop - start]
-        _level_energies(gaps[chunk], weights)
-        k_g, k_e, log_partition_sum[chunk] = _machine_weights(
-            omega[chunk], beta_s[chunk], gaps[chunk], beta_m[chunk], weights, weights
-        )
+    energy, energy_after = np.empty(rows), np.empty(rows)
+    chunks = _weight_chunks(omega, beta_s, gaps, beta_m, keep_energies=energies)
+    for chunk, weights, k_g, k_e, log_sum, level_energies in chunks:
+        log_partition_sum[chunk] = log_sum
         row = np.arange(weights.shape[0])
-        excited_b = weights[row, level_b[chunk] - levels] * k_e
+        excited_b = weights[row, level_b[chunk]] * k_e
+        if energies:
+            # Read before the energies are written over by w E.
+            exchanged = (excited_b - weights[row, level_a[chunk]] * k_g) * (
+                level_energies[row, level_a[chunk]] - level_energies[row, level_b[chunk]]
+            )
+            level_energies *= weights
+            weighted = level_energies.sum(axis=1)
+            energy[chunk] = weighted * k_g + weighted * k_e
+            energy_after[chunk] = energy[chunk] + exchanged
         weights *= k_g[:, None]
         p0[chunk] = np.minimum(weights.sum(axis=1), 1.0)
         p0_after[chunk] = np.minimum(p0[chunk] - weights[row, level_a[chunk]] + excited_b, 1.0)
+    if energies:
+        return p0, p0_after, log_partition_sum, energy, energy_after
     return p0, p0_after, log_partition_sum
+
+
+def swap_batch(
+    omega: np.ndarray, beta_s: np.ndarray, gaps: np.ndarray, beta_m: np.ndarray
+) -> np.ndarray:
+    """Probe ground population after a SWAP with each machine qubit, of T
+    joint states laid out as in :func:`kickback_batch`: entry (t, j) is row
+    t's after a SWAP with machine qubit j, clamped at 1 as
+    :func:`probe_marginal` is.
+
+    The probe takes machine bit j's value, so its p0 is the population of
+    the levels whose bit j is 0 in both probe halves: the machine weights w
+    summed over them, times k_g + k_e.
+    """
+    rows, n = gaps.shape
+    p0 = np.empty((rows, n))
+    for chunk, weights, k_g, k_e, _, _ in _weight_chunks(omega, beta_s, gaps, beta_m):
+        for j in range(n):
+            bit_j = weights.reshape(weights.shape[0], 1 << j, 2, -1)[:, :, 0, :]
+            p0[chunk, j] = bit_j.sum(axis=(1, 2))
+        p0[chunk] *= (k_g + k_e)[:, None]
+    return np.minimum(p0, 1.0)
 
 
 def apply_level_exchange(state: DiagonalJointState, level_a: int, level_b: int) -> DiagonalJointState:

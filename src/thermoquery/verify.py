@@ -10,16 +10,21 @@ conditioned on being constant or balanced (:func:`_promise_ones`). At table
 size s each constant table has weight 1 and the balanced class C(s, s/2), so
 no table is ever drawn and rejected.
 
-A seed fixes the cases whatever the evaluation. The Deutsch-Jozsa,
-general-mask and Hamming-weight sections draw tuples one scalar draw after
-another and evaluate them as arrays. The regime section draws each block of
-tuples in three bulk calls (:func:`_regime_draws`).
+A seed fixes the cases whatever the evaluation. Each section draws from its
+own child of ``np.random.SeedSequence(seed)``, so the number of draws one
+section makes moves no other section's draws, and each draws its tuples in a
+few bulk calls (:func:`_random_dj_machines`, :func:`_random_bv_machines`,
+:func:`_regime_draws`). The library function that a check tests is called
+once per case, on probe and oracle objects; the arithmetic that needs no
+library object and the exact side run as arrays, the exact side through
+:func:`exactsim.kickback_batch` and :func:`exactsim.swap_batch`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -47,6 +52,7 @@ from .query import (
 )
 from .thermal import (
     BooleanFunctionTable,
+    ThermalMachineOracle,
     ThermalQubit,
     build_bv_oracle,
     build_dj_oracle,
@@ -164,27 +170,19 @@ class _Tracker:
         )
 
 
-def _uniform(rng: np.random.Generator, key: str) -> float:
-    low, high = PARAMETER_RANGES[key]
-    return float(rng.uniform(low, high))
-
-
 def _scaled(block: np.ndarray, keys: tuple[str, ...]) -> list[np.ndarray]:
     """Columns of uniform [0, 1) draws, column j scaled into PARAMETER_RANGES[keys[j]].
 
     ``_scaled(rng.random((T, k)), keys)`` gives, row by row, the values of
-    T*k scalar ``_uniform`` calls over ``keys`` and leaves the generator in
-    the same state: both scale the same doubles by low + (high - low) * u.
+    T*k scalar ``rng.uniform(low, high)`` calls over ``keys`` and leaves the
+    generator in the same state: both scale the same doubles by
+    low + (high - low) * u.
     """
     columns = []
     for j, key in enumerate(keys):
         low, high = PARAMETER_RANGES[key]
         columns.append(low + (high - low) * block[:, j])
     return columns
-
-
-def _sample_probe(rng: np.random.Generator) -> ThermalQubit:
-    return ThermalQubit(_uniform(rng, "omega"), _uniform(rng, "beta_s"))
 
 
 def _dj_table_blocks(max_n: int, tuples_per_instance: int):
@@ -202,33 +200,129 @@ def _dj_table_blocks(max_n: int, tuples_per_instance: int):
             yield block
 
 
-def _promise_ones(u, n):
-    """Counts of ones of truth tables on n bits, uniform among the constant
-    and balanced tables, from uniform [0, 1) draws ``u``; arrays or scalars.
+def _promise_ones(u: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Counts of ones of truth tables on n[t] bits, uniform among the constant
+    and balanced tables, from uniform [0, 1) draws ``u``.
 
     At size s = 2^n the balanced class holds C = C(s, s/2) tables, so a
     table is all zeros with probability 1/(C + 2), all ones with 1/(C + 2)
-    and balanced with C/(C + 2). Both branches round u * (C + 2) alike.
+    and balanced with C/(C + 2).
     """
-    if isinstance(n, int):
-        scaled = u * (float(math.comb(1 << n, 1 << (n - 1))) + 2.0)
-        return 0 if scaled < 1.0 else (1 << n) if scaled < 2.0 else 1 << (n - 1)
-    n = np.asarray(n)
-    balanced = np.array([float(math.comb(2 << k, 1 << k)) for k in range(int(n.max()))])[n - 1]
+    balanced = np.array([float(math.comb(2 << k, 1 << k)) for k in range(int(n.max(initial=0)))])[n - 1]
     size, scaled = 1 << n, u * (balanced + 2.0)
     return np.where(scaled < 1.0, 0, np.where(scaled < 2.0, size, size >> 1))
 
 
-def _random_dj_oracle(rng: np.random.Generator, n: int):
-    size = 1 << n
-    ones = _promise_ones(rng.random(), n)
-    outputs = np.arange(size) < ones
-    if 2 * ones == size:
-        outputs = rng.permutation(outputs)
-    table = BooleanFunctionTable(n, tuple(int(b) for b in outputs))
-    gap_one = _uniform(rng, "gap")
-    gap_zero = _uniform(rng, "gap")
-    return build_dj_oracle(table, gap_one, gap_zero, _uniform(rng, "beta_m"))
+@dataclass
+class _Machines:
+    """Drawn machines and probes, row t the t-th case: ``gaps[t, :sizes[t]]``
+    are its machine gaps (entries past them are not read), ``oracles[t]``
+    its oracle, and ``probes[t]`` its probe, built on first read."""
+
+    sizes: np.ndarray
+    gaps: np.ndarray
+    beta_m: np.ndarray
+    omega: np.ndarray
+    beta_s: np.ndarray
+    oracles: list[ThermalMachineOracle]
+
+    @cached_property
+    def probes(self) -> list[ThermalQubit]:
+        return [ThermalQubit(w, b) for w, b in zip(self.omega.tolist(), self.beta_s.tolist())]
+
+    def cases(self):
+        return zip(self.oracles, self.probes)
+
+    def by_size(self):
+        """(size, rows) of each machine size, for the exact side's rectangular batches."""
+        for size in sorted(set(self.sizes.tolist())):
+            yield size, np.flatnonzero(self.sizes == size)
+
+    def exact_kickback(self, masks: np.ndarray | None = None, energies: bool = False) -> list[np.ndarray]:
+        """:func:`exactsim.kickback_batch` of every row, a machine size at a
+        time, in row order; all-ones masks unless ``masks`` are given."""
+        if masks is None:
+            masks = np.ones(self.gaps.shape, dtype=np.int64)
+        outputs = [np.empty(self.sizes.size) for _ in range(5 if energies else 3)]
+        for size, rows in self.by_size():
+            batch = exactsim.kickback_batch(
+                self.omega[rows], self.beta_s[rows], self.gaps[rows, :size], self.beta_m[rows],
+                masks[rows, :size], energies=energies,
+            )
+            for out, values in zip(outputs, batch):
+                out[rows] = values
+        return outputs
+
+
+def _random_dj_machines(rng: np.random.Generator, rows: int, max_n: int) -> _Machines:
+    """``rows`` random Deutsch-Jozsa machines of 1 to ``max_n`` input bits,
+    and probes, in four bulk calls: n, the class of each table
+    (:func:`_promise_ones`), a random key per output, then gap_one, gap_zero,
+    beta_M, omega and beta_S (:func:`_scaled`).
+
+    A table's ones are the outputs whose keys rank below its count of ones,
+    so a balanced table is any of its class alike. An output's rank is the
+    number of keys below its own, counted without a sort: nothing else in a
+    run sorts, and a first sort pages in about 0.6 MiB of numpy's code.
+    """
+    n = rng.integers(1, max_n + 1, rows)
+    sizes = 1 << n
+    ones = _promise_ones(rng.random(rows), n)
+    keys = rng.random((rows, 1 << max_n))
+    keys[np.arange(1 << max_n) >= sizes[:, None]] = 1.0  # outputs past the table rank last
+    tables = np.count_nonzero(keys[:, None, :] < keys[:, :, None], axis=2) < ones[:, None]
+    gap_one, gap_zero, beta_m, omega, beta_s = _scaled(
+        rng.random((rows, 5)), ("gap", "gap", "beta_m", "omega", "beta_s")
+    )
+    oracles = [
+        build_dj_oracle(BooleanFunctionTable(k, tuple(table[:size])), one, zero, beta)
+        for k, size, table, one, zero, beta in zip(
+            n.tolist(), sizes.tolist(), tables.astype(int).tolist(),
+            gap_one.tolist(), gap_zero.tolist(), beta_m.tolist(),
+        )
+    ]
+    gaps = np.where(tables, gap_one[:, None], gap_zero[:, None])
+    return _Machines(sizes, gaps, beta_m, omega, beta_s, oracles)
+
+
+def _random_bv_machines(rng: np.random.Generator, n: np.ndarray, nonzero: bool) -> _Machines:
+    """Secret-string machines of ``n[t]`` secret bits, and probes, in two bulk
+    calls: the secret bits, then gamma, beta_M, omega and beta_S
+    (:func:`_scaled`). With ``nonzero``, an all-zero secret's last bit is set."""
+    widest = int(n.max(initial=1))
+    bits = rng.integers(0, 2, (n.size, widest)) * (np.arange(widest) < n[:, None])
+    if nonzero:
+        empty = np.flatnonzero(~bits.any(axis=1))
+        bits[empty, n[empty] - 1] = 1
+    gamma, beta_m, omega, beta_s = _scaled(rng.random((n.size, 4)), ("gamma", "beta_m", "omega", "beta_s"))
+    oracles = [
+        build_bv_oracle("".join(map(str, secret[:k])), g, beta)
+        for k, secret, g, beta in zip(n.tolist(), bits.tolist(), gamma.tolist(), beta_m.tolist())
+    ]
+    return _Machines(n, bits * gamma[:, None], beta_m, omega, beta_s, oracles)
+
+
+def _mask_draws(rng: np.random.Generator, cases: int, max_dj_n: int, max_bv_n: int):
+    """The general-mask section's Deutsch-Jozsa machines, then its
+    secret-string machines (never an all-zero secret), each with one 0/1
+    mask row per machine, read up to the machine's size."""
+    dj = _random_dj_machines(rng, cases, max_dj_n)
+    bv = _random_bv_machines(rng, rng.integers(1, max_bv_n + 1, cases), nonzero=True)
+    return [(machines, rng.integers(0, 2, machines.gaps.shape)) for machines in (dj, bv)]
+
+
+def _swap_draws(rng: np.random.Generator, rows: int, max_n: int):
+    """The mixture section's Deutsch-Jozsa machines and the machine qubit
+    that each one's single swap takes."""
+    machines = _random_dj_machines(rng, rows, max_n)
+    # u * size is exact for a power-of-two size, so its floor is uniform.
+    return machines, (rng.random(rows) * machines.sizes).astype(np.int64)
+
+
+def _library_columns(values, width: int) -> np.ndarray:
+    """Library results, one tuple of ``width`` floats per case, as ``width``
+    arrays; None becomes NaN."""
+    return np.array(values, dtype=float).reshape(-1, width).T
 
 
 def _regime_draws(
@@ -254,56 +348,44 @@ def _dj_machine(ones, size, gap_one, gap_zero, beta_m):
     return total, log_zf
 
 
-def _mask_case(oracle, probe, mask: QueryMask) -> tuple:
-    """A general-mask case: machine gaps, beta_M, omega, beta_S and mask
-    bits, then the library's X.G, |G|, log Z_f and all-ones X.G."""
-    gaps = oracle.gap_vector
-    return (
-        gaps.gaps, oracle.machine_inverse_temperature, probe.gap, probe.inverse_temperature,
-        mask.bits, mask.dot(gaps.gaps), gaps.total, oracle.log_partition_function,
-        QueryMask.all_ones(len(mask.bits)).dot(gaps.gaps),
-    )
-
-
-def _general_mask_errors(cases) -> tuple[np.ndarray, np.ndarray]:
+def _general_mask_errors(machines: _Machines, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Errors of the general-mask check and of the all-ones reduction, one per
-    :func:`_mask_case`, in case order.
+    machine, in row order.
 
-    The cases are evaluated a machine size at a time, with X.G and
-    |G| - X.G as ``oracle_shift`` passes them. The general-mask error
-    is the larger of the p0' and beta' errors against the exact simulator
-    (the p0' error alone where beta' is undefined); the reduction compares
-    the kernel with |G| and no remainder against the kernel with an all-ones
-    mask, where both temperatures are defined.
+    The library gives each case's X.G (:meth:`QueryMask.dot`), |G|
+    (``GapVector.total``), log Z_f and all-ones X.G, which the kernel takes
+    as ``oracle_shift`` passes them: X.G and |G| - X.G. The general-mask
+    error is the larger of the p0' and beta' errors against the exact
+    simulator (the p0' error alone where beta' is undefined); the reduction
+    compares the kernel with |G| and no remainder against the kernel with an
+    all-ones mask, where both temperatures are defined.
     """
-    errors, reduction = np.empty(len(cases)), np.empty(len(cases))
-    by_size: dict[int, list[int]] = {}
-    for i, case in enumerate(cases):
-        by_size.setdefault(len(case[0]), []).append(i)
-    for rows in by_size.values():
-        gaps, beta_m, omega, beta_s, masks, masked_sum, total, log_zf, all_ones_sum = (
-            np.array(column) for column in zip(*(cases[i] for i in rows))
-        )
-        a = beta_s * omega
+    masked_sum, total, log_zf, all_ones_sum = _library_columns(
+        [
+            (QueryMask(tuple(mask[:size])).dot(oracle.gap_vector.gaps), oracle.gap_vector.total,
+             oracle.log_partition_function, QueryMask.all_ones(size).dot(oracle.gap_vector.gaps))
+            for size, mask, oracle in zip(machines.sizes.tolist(), masks.tolist(), machines.oracles)
+        ],
+        4,
+    )
+    omega, beta_m = machines.omega, machines.beta_m
+    a = machines.beta_s * omega
 
-        def outcome(masked_sum, remainder):
-            delta = kickback_shift(a, beta_m, masked_sum, remainder, log_zf)
-            return shift_outcome(a, omega, delta)[1:]
+    def outcome(masked_sum, remainder):
+        delta = kickback_shift(a, beta_m, masked_sum, remainder, log_zf)
+        return shift_outcome(a, omega, delta)[1:]
 
-        p0_after, beta_after = outcome(masked_sum, total - masked_sum)
-        _, exact_p0, _ = exactsim.kickback_batch(omega, beta_s, gaps, beta_m, masks)
-        error = np.abs(p0_after - exact_p0)
-        defined = np.flatnonzero(~np.isnan(beta_after))
-        exact_beta = population_inverse_temperature(exact_p0[defined], omega[defined])
-        error[defined] = np.maximum(error[defined], np.abs(beta_after[defined] - exact_beta))
-        errors[rows] = error
+    p0_after, beta_after = outcome(masked_sum, total - masked_sum)
+    _, exact_p0, _ = machines.exact_kickback(masks)
+    errors = np.abs(p0_after - exact_p0)
+    defined = np.flatnonzero(~np.isnan(beta_after))
+    exact_beta = population_inverse_temperature(exact_p0[defined], omega[defined])
+    errors[defined] = np.maximum(errors[defined], np.abs(beta_after[defined] - exact_beta))
 
-        specialized_p0, specialized_beta = outcome(total, 0.0)
-        generalized_p0, generalized_beta = outcome(all_ones_sum, total - all_ones_sum)
-        # fmax skips the NaN of an undefined temperature on either side.
-        reduction[rows] = np.fmax(
-            np.abs(specialized_p0 - generalized_p0), np.abs(specialized_beta - generalized_beta)
-        )
+    specialized_p0, specialized_beta = outcome(total, 0.0)
+    generalized_p0, generalized_beta = outcome(all_ones_sum, total - all_ones_sum)
+    # fmax skips the NaN of an undefined temperature on either side.
+    reduction = np.fmax(np.abs(specialized_p0 - generalized_p0), np.abs(specialized_beta - generalized_beta))
     return errors, reduction
 
 
@@ -315,8 +397,11 @@ def run_verification(
     regime_cases: int = 10000,
     seed: int = 1234,
 ) -> VerificationReport:
-    rng = np.random.default_rng(seed)
     report = VerificationReport()
+    # One stream per section: how many draws one section makes moves no other's.
+    dj_rng, mask_rng, hamming_rng, swap_rng, regime_rng, energy_rng, detuning_rng, permutation_rng = (
+        np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(8)
+    )
 
     # Kickback populations, shifts, and temperatures vs the exact permutation.
     pop = _Tracker("dj-kickback-population-vs-exact", 1e-12)
@@ -324,12 +409,12 @@ def run_verification(
     temp = _Tracker("dj-kickback-temperature-vs-exact", 1e-12)
     partition = _Tracker("dj-log-partition-vs-direct-sum", 1e-12)
     for tables in _dj_table_blocks(max_dj_n, tuples_per_instance):
-        # Each table's tuples are consecutive rows, drawn as scalar draws would be.
+        # Each table's tuples are consecutive rows.
         rows = len(tables) * tuples_per_instance
         outputs = np.repeat(np.array(tables, dtype=bool), tuples_per_instance, axis=0)
         size = outputs.shape[1]
         omega, beta_s, gap_one, gap_zero, beta_m = _scaled(
-            rng.random((rows, 5)), ("omega", "beta_s", "gap", "gap", "beta_m")
+            dj_rng.random((rows, 5)), ("omega", "beta_s", "gap", "gap", "beta_m")
         )
         total, log_zf = _dj_machine(np.count_nonzero(outputs, axis=1), size, gap_one, gap_zero, beta_m)
         a = beta_s * omega
@@ -357,63 +442,59 @@ def run_verification(
     general_dj = _Tracker("general-mask-dj-vs-exact", 1e-12)
     general_bv = _Tracker("general-mask-bv-vs-exact", 1e-12)
     reduction = _Tracker("all-ones-mask-reduction", 1e-14)
-    for tracker, is_bv in ((general_dj, False), (general_bv, True)):
-        cases = []
-        for _ in range(mask_cases):
-            if is_bv:
-                n = int(rng.integers(1, max_bv_n + 1))
-                secret = "".join(str(b) for b in rng.integers(0, 2, n))
-                if "1" not in secret:
-                    secret = secret[:-1] + "1"
-                oracle = build_bv_oracle(secret, _uniform(rng, "gamma"), _uniform(rng, "beta_m"))
-            else:
-                oracle = _random_dj_oracle(rng, int(rng.integers(1, max_dj_n + 1)))
-            probe = _sample_probe(rng)
-            mask = QueryMask(tuple(int(b) for b in rng.integers(0, 2, oracle.n_machine_qubits)))
-            cases.append(_mask_case(oracle, probe, mask))
-        errors, reduction_errors = _general_mask_errors(cases)
-        tracker.record_block(errors, lambda i: f"mask={cases[i][4]} machine={cases[i][0]}")
-        reduction.record_block(reduction_errors, lambda i: f"machine={cases[i][0]}")
+    draws = _mask_draws(mask_rng, mask_cases, max_dj_n, max_bv_n)
+    for tracker, (machines, masks) in zip((general_dj, general_bv), draws):
+        errors, reduction_errors = _general_mask_errors(machines, masks)
+
+        def machine(i: int) -> str:
+            return f"machine={machines.oracles[i].gap_vector.gaps}"
+
+        tracker.record_block(
+            errors, lambda i: f"mask={tuple(masks[i, :machines.sizes[i]].tolist())} {machine(i)}"
+        )
+        reduction.record_block(reduction_errors, machine)
     report.checks += [general_dj.result(), general_bv.result(), reduction.result()]
 
     # Hamming-weight readout formula vs exact, and vs the kickback path.
     hamming = _Tracker("bv-hamming-population-vs-exact", 1e-12)
     hamming_vs_kickback = _Tracker("bv-hamming-vs-kickback", 1e-14)
-    for n in range(1, max_bv_n + 1):
-        cases = []
-        for _ in range(tuples_per_instance // 4 or 1):
-            secret = "".join(str(b) for b in rng.integers(0, 2, n))
-            gamma = _uniform(rng, "gamma")
-            beta_m = _uniform(rng, "beta_m")
-            probe = _sample_probe(rng)
-            oracle = build_bv_oracle(secret, gamma, beta_m)
-            cases.append((secret, probe.gap, probe.inverse_temperature, oracle.gap_vector.gaps, beta_m,
-                          hamming_weight_population(BVInstance.from_secret(secret), gamma, probe, beta_m),
-                          kickback_outcome(probe, oracle, QueryMask.all_ones(n)).p0_after))
-        secrets, *columns = zip(*cases)
-        omega, beta_s, gaps, beta_m, analytic, kickback = (np.array(column) for column in columns)
-        _, exact_p0, _ = exactsim.kickback_batch(omega, beta_s, gaps, beta_m, np.ones_like(gaps))
-        hamming.record_block(np.abs(analytic - exact_p0), lambda i: f"secret={secrets[i]}")
-        hamming_vs_kickback.record_block(np.abs(analytic - kickback), lambda i: f"secret={secrets[i]}")
+    per_n = tuples_per_instance // 4 or 1
+    machines = _random_bv_machines(hamming_rng, np.repeat(np.arange(1, max_bv_n + 1), per_n), nonzero=False)
+    analytic, kickback = _library_columns(
+        [
+            (hamming_weight_population(BVInstance.from_secret(oracle.problem.secret), oracle.problem.gamma,
+                                       probe, oracle.machine_inverse_temperature),
+             kickback_outcome(probe, oracle, QueryMask.all_ones(oracle.n_machine_qubits)).p0_after)
+            for oracle, probe in machines.cases()
+        ],
+        2,
+    )
+    _, exact_p0, _ = machines.exact_kickback()
+    secrets = [oracle.problem.secret for oracle in machines.oracles]
+    hamming.record_block(np.abs(analytic - exact_p0), lambda i: f"secret={secrets[i]}")
+    hamming_vs_kickback.record_block(np.abs(analytic - kickback), lambda i: f"secret={secrets[i]}")
     report.checks += [hamming.result(), hamming_vs_kickback.result()]
 
     # Mixture of swaps and single-swap marginals vs exact permutations.
     mixture = _Tracker("mixed-query-vs-exact", 1e-12)
     swap = _Tracker("swap-query-marginal-vs-exact", 1e-12)
-    for _ in range(tuples_per_instance):
-        n = int(rng.integers(1, min(max_dj_n, 2) + 1))
-        oracle = _random_dj_oracle(rng, n)
-        probe = _sample_probe(rng)
-        state = exactsim.build_joint_state(probe, oracle)
-        branches = [
-            exactsim.probe_marginal(exactsim.apply_swap_with_machine_qubit(state, x)).p0
-            for x in range(oracle.n_machine_qubits)
-        ]
-        analytic = mixed_input_query(probe, oracle).p0
-        mixture.record(abs(analytic - float(np.mean(branches))), f"gaps={oracle.gap_vector.gaps}")
-        x = int(rng.integers(0, oracle.n_machine_qubits))
-        taken = swap_query(probe, oracle, x).probe
-        swap.record(abs(taken.ground_population - branches[x]), f"x={x}")
+    machines, taken = _swap_draws(swap_rng, tuples_per_instance, min(max_dj_n, 2))
+    exact_mixed, exact_swap = np.empty(taken.size), np.empty(taken.size)
+    for size, rows in machines.by_size():
+        branches = exactsim.swap_batch(
+            machines.omega[rows], machines.beta_s[rows], machines.gaps[rows, :size], machines.beta_m[rows]
+        )
+        exact_mixed[rows] = branches.mean(axis=1)
+        exact_swap[rows] = branches[np.arange(rows.size), taken[rows]]
+    analytic, swapped = _library_columns(
+        [
+            (mixed_input_query(probe, oracle).p0, swap_query(probe, oracle, x).probe.ground_population)
+            for (oracle, probe), x in zip(machines.cases(), taken.tolist())
+        ],
+        2,
+    )
+    mixture.record_block(np.abs(analytic - exact_mixed), lambda i: f"gaps={machines.oracles[i].gap_vector.gaps}")
+    swap.record_block(np.abs(swapped - exact_swap), lambda i: f"x={taken[i]}")
     report.checks += [mixture.result(), swap.result()]
 
     # Regime label vs the sign of the population shift, in chunks of tuples.
@@ -422,7 +503,7 @@ def run_verification(
     well_defined = _Tracker("well-definedness-flag-consistency", 0.0)
     roundtrip = _Tracker("temperature-roundtrip", 1e-10)
     for start in range(0, regime_cases, _BLOCK_ROWS):
-        sizes, ones, draws = _regime_draws(rng, min(_BLOCK_ROWS, regime_cases - start), max_dj_n)
+        sizes, ones, draws = _regime_draws(regime_rng, min(_BLOCK_ROWS, regime_cases - start), max_dj_n)
         gap_one, gap_zero, beta_m, omega, beta_s = _scaled(
             draws, ("gap", "gap", "beta_m", "omega", "beta_s")
         )
@@ -463,45 +544,49 @@ def run_verification(
 
     # Reset energetics vs the exact population-weighted energy changes.
     energy = _Tracker("reset-energy-bookkeeping", 1e-12)
-    for _ in range(tuples_per_instance):
-        oracle = _random_dj_oracle(rng, int(rng.integers(1, max_dj_n + 1)))
-        probe = _sample_probe(rng)
-        outcome = kickback_outcome(probe, oracle)
-        costs = reset_costs(outcome, oracle, probe)
-        state = exactsim.build_joint_state(probe, oracle)
-        mask = QueryMask.all_ones(oracle.n_machine_qubits)
-        a, b = exactsim.kickback_level_indices(mask, oracle.n_machine_qubits)
-        after = exactsim.apply_level_exchange(state, a, b)
-        machine_gain = exactsim.machine_mean_energy(after) - exactsim.machine_mean_energy(state)
-        probe_gain = exactsim.probe_mean_energy(after) - exactsim.probe_mean_energy(state)
-        energy.record(abs(machine_gain - costs.dissipation), "machine energy")
-        energy.record(abs(probe_gain + costs.reset_work), "probe energy")
+    machines = _random_dj_machines(energy_rng, tuples_per_instance, max_dj_n)
+    dissipation, reset_work = _library_columns(
+        [reset_costs(kickback_outcome(probe, oracle), oracle, probe) for oracle, probe in machines.cases()], 2
+    )
+    p0, p0_after, _, machine_before, machine_after = machines.exact_kickback(energies=True)
+    probe_gain = machines.omega * (1.0 - p0_after) - machines.omega * (1.0 - p0)
+    energy.record_block(np.abs(machine_after - machine_before - dissipation), lambda _: "machine energy")
+    energy.record_block(np.abs(probe_gain + reset_work), lambda _: "probe energy")
     report.checks.append(energy.result())
 
-    # Detuning layer: eta = 1 must match the plain kickback; flip probability
-    # must stay under its envelope.
+    # Detuning layer: eta = 1 must match the plain kickback; the flip
+    # probability must stay under its envelope and touch it at the peak time
+    # pi / sqrt(g^2 + delta^2).
     eta_one = _Tracker("detuning-eta1-vs-kickback", 1e-10)
     envelope = _Tracker("flip-probability-envelope", 1e-12)
-    for _ in range(tuples_per_instance):
-        oracle = _random_dj_oracle(rng, int(rng.integers(1, max_dj_n + 1)))
-        probe = _sample_probe(rng)
-        outcome = kickback_outcome(probe, oracle)
-        detuned = detuned_probe_temperature(probe, oracle, 1.0)
-        if outcome.beta_after is not None and detuned is not None:
-            eta_one.record(abs(outcome.beta_after - detuned), "eta=1")
-        g = float(rng.uniform(0.1, 3.0))
-        delta = float(rng.uniform(-3.0, 3.0))
-        t = float(rng.uniform(0.0, 20.0))
-        excess = flip_probability(g, delta, t) - suppression_factor(g, delta)
-        envelope.record(max(0.0, excess), f"g={g:.3f}")
+    machines = _random_dj_machines(detuning_rng, tuples_per_instance, max_dj_n)
+    low, high = np.array([0.1, -3.0, 0.0]), np.array([3.0, 3.0, 20.0])
+    g, delta, t = (low + (high - low) * detuning_rng.random((tuples_per_instance, 3))).T
+    kickback, detuned = _library_columns(
+        [
+            (kickback_outcome(probe, oracle).beta_after, detuned_probe_temperature(probe, oracle, 1.0))
+            for oracle, probe in machines.cases()
+        ],
+        2,
+    )
+    compared = np.flatnonzero(~np.isnan(kickback) & ~np.isnan(detuned))
+    eta_one.record_block(np.abs(kickback - detuned)[compared], lambda _: "eta=1")
+    flip, peak, eta = _library_columns(
+        [
+            (flip_probability(coupling, detuning, time),
+             flip_probability(coupling, detuning, math.pi / math.hypot(coupling, detuning)),
+             suppression_factor(coupling, detuning))
+            for coupling, detuning, time in zip(g.tolist(), delta.tolist(), t.tolist())
+        ],
+        3,
+    )
+    envelope.record_block(np.maximum(flip - eta, np.abs(peak - eta)), lambda i: f"g={g[i]:.3f}")
     report.checks += [eta_one.result(), envelope.result()]
 
     # Partition function of a balanced oracle depends only on the gap multiset.
     permutation = _Tracker("balanced-partition-permutation-invariance", 1e-12)
-    for n in range(1, max_dj_n + 1):
-        beta_m = _uniform(rng, "beta_m")
-        gap_one = _uniform(rng, "gap")
-        gap_zero = _uniform(rng, "gap")
+    draws = np.column_stack(_scaled(permutation_rng.random((max_dj_n, 3)), ("beta_m", "gap", "gap")))
+    for n, (beta_m, gap_one, gap_zero) in enumerate(draws.tolist(), start=1):
         values = [
             build_dj_oracle(inst.function, gap_one, gap_zero, beta_m).log_partition_function
             for inst in enumerate_balanced_functions(n)

@@ -109,6 +109,24 @@ class TestSuppressionFactor:
         assert all(b < a for a, b in zip(values, values[1:]))
         assert suppression_factor(1.0, -1.3) == suppression_factor(1.0, 1.3)
 
+    @pytest.mark.parametrize("g, detuning, eta", [
+        (1e200, 1.0, 1.0),  # g*g overflows
+        (1e200, 1e200, 0.5),
+        (1e-200, 1e-200, 0.5),  # both squares underflow
+        (1e-200, -1e-200, 0.5),
+        (3e-200, 4e-200, 9.0 / 25.0),
+        (1e-200, 1.0, 0.0),  # eta = 1e-400 underflows
+        (5e-324, 5e-324, 0.5),
+    ])
+    def test_extremes_of_the_float_range(self, g, detuning, eta):
+        assert suppression_factor(g, detuning) == pytest.approx(eta, rel=1e-15, abs=0.0)
+
+    def test_matches_the_flip_probability_peak(self, rng):
+        """At t = pi / sqrt(g^2 + d^2) the flip probability reaches eta."""
+        for g, detuning in zip(rng.uniform(0.1, 3.0, 200), rng.uniform(-3.0, 3.0, 200)):
+            peak = flip_probability(g, detuning, math.pi / math.hypot(g, detuning))
+            assert peak == pytest.approx(suppression_factor(g, detuning), rel=1e-15, abs=0.0)
+
 
 class TestDetunedTemperature:
     def test_full_transfer_matches_kickback(self, rng):

@@ -549,3 +549,89 @@ class TestKickbackBatch:
         n = exactsim.DEFAULT_MAX_QUBITS
         with pytest.raises(ValueError, match="exceed"):
             exactsim.kickback_batch(np.ones(1), np.ones(1), np.ones((1, n)), np.ones(1), np.ones((1, n)))
+
+
+class TestSwapAndEnergyBatches:
+    """swap_batch and kickback_batch's machine energies against the state
+    path: build_joint_state, then apply_swap_with_machine_qubit or
+    apply_level_exchange, then probe_marginal or machine_mean_energy."""
+
+    @staticmethod
+    def draw(rng, n, rows, beta_s=None, beta_m=None):
+        """Probe gaps, beta_S, machine gaps and beta_M of ``rows`` states;
+        both temperatures take either sign unless given."""
+        omega = rng.uniform(0.25, 2.0, rows)
+        beta_s = rng.uniform(-1.2, 1.2, rows) if beta_s is None else beta_s
+        beta_m = rng.uniform(-1.5, 1.5, rows) if beta_m is None else beta_m
+        return omega, beta_s, rng.uniform(0.2, 2.0, (rows, n)), beta_m
+
+    @staticmethod
+    def states(omega, beta_s, gaps, beta_m):
+        for t in range(len(omega)):
+            yield build_joint_state(ThermalQubit(omega[t], beta_s[t]), build_custom_oracle(gaps[t], beta_m[t]))
+
+    def swap_rows_against_states(self, columns):
+        p0 = exactsim.swap_batch(*columns)
+        rows, n = columns[2].shape
+        assert p0.shape == (rows, n)
+        for t, state in enumerate(self.states(*columns)):
+            expected = [probe_marginal(apply_swap_with_machine_qubit(state, j)).p0 for j in range(n)]
+            assert p0[t] == pytest.approx(expected, rel=0.0, abs=1e-15)
+
+    def energy_rows_against_states(self, columns, masks):
+        """The machine mean energy before and after V(masks[t]), and the
+        kickback outputs bit-identical to a call without energies."""
+        rows, n = columns[2].shape
+        plain = exactsim.kickback_batch(*columns, masks)
+        *kickback, before, after = exactsim.kickback_batch(*columns, masks, energies=True)
+        for a, b in zip(plain, kickback, strict=True):
+            assert np.array_equal(a, b)
+        for t, state in enumerate(self.states(*columns)):
+            exchanged = apply_level_exchange(state, *kickback_level_indices(QueryMask(tuple(masks[t])), n))
+            assert before[t] == pytest.approx(machine_mean_energy(state), rel=1e-14, abs=1e-14)
+            assert after[t] == pytest.approx(machine_mean_energy(exchanged), rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_swap_rows(self, n, rng):
+        self.swap_rows_against_states(self.draw(rng, n, 12))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_energy_rows(self, n, rng):
+        self.energy_rows_against_states(self.draw(rng, n, 12), rng.integers(0, 2, (12, n)))
+
+    def test_rows_across_chunk_boundaries(self, rng):
+        """128 rows of 8 machine qubits fill a chunk; 32 of 10 do."""
+        for n, rows in ((8, 300), (10, 70)):
+            columns = self.draw(rng, n, rows)
+            self.swap_rows_against_states(columns)
+            self.energy_rows_against_states(columns, rng.integers(0, 2, (rows, n)))
+
+    @pytest.mark.parametrize("beta_s", (-50.0, 50.0))
+    @pytest.mark.parametrize("beta_m", (-50.0, 50.0))
+    def test_extreme_and_negative_temperatures(self, beta_s, beta_m, rng):
+        columns = self.draw(rng, 6, 5, beta_s=np.full(5, beta_s), beta_m=np.full(5, beta_m))
+        self.swap_rows_against_states(columns)
+        self.energy_rows_against_states(columns, np.ones((5, 6), dtype=int))
+
+    def test_all_ones_exchange_energy_is_the_reset_cost(self, rng):
+        """The all-ones exchange moves delta_p0 machine excitations of |G|."""
+        columns = self.draw(rng, 5, 20)
+        p0, p0_after, _, before, after = exactsim.kickback_batch(*columns, np.ones((20, 5)), energies=True)
+        assert after - before == pytest.approx((p0_after - p0) * columns[2].sum(axis=1), rel=1e-12, abs=1e-15)
+
+    def test_batches_never_call_the_closed_forms(self, monkeypatch, rng):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exact simulator called the analytic code")
+
+        for name in ("kickback_shift", "oracle_shift", "shift_outcome", "kickback_outcome"):
+            monkeypatch.setattr(query, name, forbidden)
+        monkeypatch.setattr(ThermalMachineOracle, "log_partition_function", property(forbidden))
+        columns = self.draw(rng, 4, 6)
+        assert np.all(np.isfinite(exactsim.swap_batch(*columns)))
+        outputs = exactsim.kickback_batch(*columns, np.ones((6, 4)), energies=True)
+        assert len(outputs) == 5 and all(np.all(np.isfinite(values)) for values in outputs)
+
+    def test_qubit_limit(self):
+        n = exactsim.DEFAULT_MAX_QUBITS
+        with pytest.raises(ValueError, match="exceed"):
+            exactsim.swap_batch(np.ones(1), np.ones(1), np.ones((1, n)), np.ones(1))

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from thermoquery import exactsim, verify
-from thermoquery.query import QueryMask
-from thermoquery.thermal import GapVector
+from thermoquery.query import QueryMask, ResetCosts
+from thermoquery.readout import BinaryDistribution
+from thermoquery.thermal import GapVector, ThermalMachineOracle, ThermalQubit
 
 DJ_CASES = 100 * (4 + 8 + 72)  # 100 tuples for each constant or balanced table with n <= 3
 
@@ -23,7 +25,7 @@ EXPECTED_CASES = {
     "mixed-query-vs-exact": 100,
     "swap-query-marginal-vs-exact": 100,
     "regime-sign-consistency": 10000,
-    SENSITIVITY: 2187,
+    SENSITIVITY: 2140,
     "well-definedness-flag-consistency": 10000,
     "temperature-roundtrip": 10000,
     "reset-energy-bookkeeping": 200,
@@ -62,25 +64,23 @@ def test_general_mask_errors_follow_each_mask(monkeypatch):
     are rounding-sized, and complementing the exact side's masks fails
     every case where that changes X.G."""
     rng = np.random.default_rng(3)
-    cases = []
-    for _ in range(60):
-        oracle = verify._random_dj_oracle(rng, int(rng.integers(1, 4)))
-        probe = verify._sample_probe(rng)
-        mask = QueryMask(tuple(int(b) for b in rng.integers(0, 2, oracle.n_machine_qubits)))
-        cases.append(verify._mask_case(oracle, probe, mask))
-    errors, reduction = verify._general_mask_errors(cases)
+    machines = verify._random_dj_machines(rng, 60, 3)
+    masks = rng.integers(0, 2, machines.gaps.shape)
+    errors, reduction = verify._general_mask_errors(machines, masks)
     assert errors.shape == reduction.shape == (60,)
     assert errors.max() < 1e-13 and reduction.max() == 0.0
 
     kickback_batch = exactsim.kickback_batch
     monkeypatch.setattr(
         exactsim, "kickback_batch",
-        lambda omega, beta_s, gaps, beta_m, masks: kickback_batch(omega, beta_s, gaps, beta_m, 1 - masks),
+        lambda omega, beta_s, gaps, beta_m, masks, **options: kickback_batch(
+            omega, beta_s, gaps, beta_m, 1 - masks, **options
+        ),
     )
-    errors, _ = verify._general_mask_errors(cases)
+    errors, _ = verify._general_mask_errors(machines, masks)
     changed = [
-        abs(sum(g if bit else -g for g, bit in zip(gaps, mask))) > 1e-9
-        for gaps, _, _, _, mask, *_ in cases
+        abs(sum(g if bit else -g for g, bit in zip(gaps[:size], mask))) > 1e-9
+        for gaps, mask, size in zip(machines.gaps.tolist(), masks.tolist(), machines.sizes.tolist())
     ]
     assert sum(changed) > 40
     assert (errors > 1e-6).tolist() == changed
@@ -111,7 +111,7 @@ def test_mask_section_checks_the_library_mask_path(monkeypatch, owner, name):
 
 
 def scalar_uniforms(rng, keys, rows):
-    return np.array([[verify._uniform(rng, key) for key in keys] for _ in range(rows)])
+    return np.array([[rng.uniform(*verify.PARAMETER_RANGES[key]) for key in keys] for _ in range(rows)])
 
 
 def test_block_draws_equal_scalar_draws():
@@ -124,16 +124,20 @@ def test_block_draws_equal_scalar_draws():
     assert block_rng.uniform() == scalar_rng.uniform()
 
 
+def scalar_promise_ones(x, size):
+    """The promise law's count of ones of a table of ``size`` outputs from one float draw."""
+    scaled = x * (math.comb(size, size // 2) + 2)
+    return 0 if scaled < 1.0 else size if scaled < 2.0 else size // 2
+
+
 def law_regime_draws(rng, rows, max_n):
     """The regime section's block of draws written out as its three numpy
     calls, the class of each table mapped by the promise law one row at a time."""
     n = rng.integers(1, max_n + 1, rows)
     u = rng.random(rows)
     draws = rng.random((rows, 6))
-    sizes, ones = 1 << n, np.empty(rows, dtype=np.int64)
-    for i, (size, x) in enumerate(zip(sizes.tolist(), u.tolist())):
-        scaled = x * (math.comb(size, size // 2) + 2)
-        ones[i] = 0 if scaled < 1.0 else size if scaled < 2.0 else size // 2
+    sizes = 1 << n
+    ones = np.array([scalar_promise_ones(x, size) for size, x in zip(sizes.tolist(), u.tolist())], dtype=np.int64)
     return sizes, ones, draws
 
 
@@ -161,43 +165,165 @@ def test_raw_word_draws_equal_numpy_calls(seed, rows, max_n, kept_half):
     assert block_rng.bit_generator.state == law_rng.bit_generator.state
 
 
+def within(count, total, p):
+    """A count of ``total`` draws is within 5 standard deviations of probability ``p``."""
+    assert abs(count - total * p) <= 5.0 * math.sqrt(total * p * (1.0 - p))
+
+
 def test_promise_law():
-    """Regime tables follow the promise law: at size s = 2^n, 0 and s ones
-    each with probability 1/(C + 2) and s/2 ones with C/(C + 2), C = C(s, s/2).
-    A balanced table of _random_dj_oracle is any of the C(4, 2) = 6 at n = 2
+    """Regime tables and the bulk-drawn Deutsch-Jozsa machines follow the
+    promise law: at size s = 2^n, 0 and s ones each with probability
+    1/(C + 2) and s/2 ones with C/(C + 2), C = C(s, s/2). A balanced machine
+    table is any of the C(2, 1) = 2 at n = 1 and the C(4, 2) = 6 at n = 2
     alike. Every frequency is within 5 standard deviations."""
-    def within(count, total, p):
-        assert abs(count - total * p) <= 5.0 * math.sqrt(total * p * (1.0 - p))
+    def law(sizes, ones):
+        assert set(sizes.tolist()) == {2, 4, 8}
+        for size in (2, 4, 8):
+            counts = ones[sizes == size]
+            balanced = math.comb(size, size // 2)
+            assert set(counts.tolist()) <= {0, size // 2, size}
+            for value, weight in ((0, 1), (size, 1), (size // 2, balanced)):
+                within(np.count_nonzero(counts == value), counts.size, weight / (balanced + 2))
 
     sizes, ones, draws = verify._regime_draws(np.random.default_rng(2024), 240_000, 3)
-    assert set(sizes.tolist()) == {2, 4, 8} and draws.shape == (240_000, 6)
-    for size in (2, 4, 8):
-        counts = ones[sizes == size]
-        balanced = math.comb(size, size // 2)
-        assert set(counts.tolist()) <= {0, size // 2, size}
-        for value, weight in ((0, 1), (size, 1), (size // 2, balanced)):
-            within(np.count_nonzero(counts == value), counts.size, weight / (balanced + 2))
+    assert draws.shape == (240_000, 6)
+    law(sizes, ones)
 
-    rng = np.random.default_rng(11)
-    tables = [verify._random_dj_oracle(rng, 2).problem.function.outputs for _ in range(8000)]
-    balanced = [t for t in tables if sum(t) == 2]
-    assert {sum(t) for t in tables} == {0, 2, 4} and len(set(balanced)) == 6
-    within(len(balanced), len(tables), 6 / 8)
-    for table in set(balanced):
-        within(balanced.count(table), len(balanced), 1 / 6)
+    machines = verify._random_dj_machines(np.random.default_rng(11), 60_000, 3)
+    tables = [oracle.problem.function.outputs for oracle in machines.oracles]
+    law(machines.sizes, np.array([sum(table) for table in tables]))
+    for size, count in ((2, 2), (4, 6)):
+        balanced = [table for table in tables if len(table) == size and 2 * sum(table) == size]
+        assert len(set(balanced)) == count
+        for table in set(balanced):
+            within(balanced.count(table), len(balanced), 1 / count)
+
+
+def test_random_machines_match_their_oracles():
+    """Each drawn row's gaps, temperature and probe are its library objects'."""
+    rng = np.random.default_rng(4)
+    for machines in (verify._random_dj_machines(rng, 300, 3),
+                     verify._random_bv_machines(rng, rng.integers(1, 7, 300), nonzero=False)):
+        for t, (oracle, probe) in enumerate(machines.cases()):
+            size = int(machines.sizes[t])
+            assert oracle.n_machine_qubits == size
+            assert machines.gaps[t, :size].tolist() == list(oracle.gap_vector.gaps)
+            assert machines.beta_m[t] == oracle.machine_inverse_temperature
+            assert (machines.omega[t], machines.beta_s[t]) == (probe.gap, probe.inverse_temperature)
+
+
+def test_secret_string_draws():
+    """Secret bits are uniform; with the nonzero rule an all-zero secret has
+    its last bit set, so no secret is all zero and every 1-bit secret is 1."""
+    rng = np.random.default_rng(7)
+    n = rng.integers(1, 7, 20_000)
+    secrets = [oracle.problem.secret for oracle in verify._random_bv_machines(rng, n, nonzero=True).oracles]
+    assert [len(secret) for secret in secrets] == n.tolist()
+    assert all("1" in secret for secret in secrets)
+    assert {secret for secret in secrets if len(secret) == 1} == {"1"}
+    two_bits = [secret for secret in secrets if len(secret) == 2]
+    assert set(two_bits) == {"01", "10", "11"}
+    within(two_bits.count("01"), len(two_bits), 1 / 2)  # "00" becomes "01"
+
+    unrestricted = verify._random_bv_machines(rng, np.full(4000, 3), nonzero=False).oracles
+    within(sum(oracle.problem.secret == "000" for oracle in unrestricted), 4000, 1 / 8)
+
+
+def test_mask_and_swap_draws_are_in_range():
+    """Mask bits are 0/1, one row per machine, and every swap takes a machine
+    qubit of its own machine, each alike."""
+    rng = np.random.default_rng(8)
+    for machines, masks in verify._mask_draws(rng, 2000, 3, 6):
+        assert masks.shape == machines.gaps.shape and len(machines.oracles) == 2000
+        assert set(np.unique(masks).tolist()) == {0, 1}
+        within(np.count_nonzero(masks), masks.size, 1 / 2)
+    machines, taken = verify._swap_draws(rng, 4000, 2)
+    assert set(machines.sizes.tolist()) == {2, 4}
+    assert np.all((taken >= 0) & (taken < machines.sizes))
+    for size in (2, 4):
+        chosen = taken[machines.sizes == size]
+        for x in range(size):
+            within(np.count_nonzero(chosen == x), chosen.size, 1 / size)
 
 
 def test_scalar_promise_law_equals_arrays():
-    """A float draw and an int n give the count of ones of the array branch,
-    at the class boundaries u (C + 2) = 1 and 2 too."""
+    """The array law gives the count of ones of the law applied one float
+    draw at a time, at the class boundaries u (C + 2) = 1 and 2 too."""
     rng = np.random.default_rng(5)
     for n in range(1, 6):
         weight = math.comb(1 << n, 1 << (n - 1)) + 2
         edges = np.array([1.0, 2.0]) / weight
         u = np.concatenate((rng.random(2000), edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)))
-        scalar = [verify._promise_ones(x, n) for x in u.tolist()]
-        assert all(type(ones) is int for ones in scalar)
+        scalar = [scalar_promise_ones(x, 1 << n) for x in u.tolist()]
+        assert set(scalar) == {0, 1 << (n - 1), 1 << n}
         assert scalar == verify._promise_ones(u, np.full(u.size, n)).tolist()
+
+
+SMALL_RUN = dict(max_dj_n=2, max_bv_n=3, tuples_per_instance=12, mask_cases=30, regime_cases=600, seed=5)
+REGIME_CHECKS = ("regime-sign-consistency", SENSITIVITY, "well-definedness-flag-consistency", "temperature-roundtrip")
+
+
+@pytest.mark.parametrize("section, changed", [
+    (MASK_CHECKS, {"mask_cases": 31}),
+    (REGIME_CHECKS, {"regime_cases": 700}),
+    (MASK_CHECKS + ("bv-hamming-population-vs-exact", "bv-hamming-vs-kickback"), {"max_bv_n": 4}),
+])
+def test_each_section_draws_from_its_own_stream(section, changed):
+    """Changing how many draws one section makes leaves every other check's
+    result as it was."""
+    def others(report):
+        return [repr(check) for check in report.checks if check.name not in section]
+
+    base, more = verify.run_verification(**SMALL_RUN), verify.run_verification(**{**SMALL_RUN, **changed})
+    assert others(base) == others(more)
+    assert [c.cases for c in base.checks if c.name in section] != [c.cases for c in more.checks if c.name in section]
+
+
+SCALE = 1.0 + 1e-9
+
+
+def scaled_outcome(outcome):
+    beta_after = None if outcome.beta_after is None else outcome.beta_after * SCALE
+    return replace(outcome, p0_after=outcome.p0_after * SCALE, delta_p0=outcome.delta_p0 * SCALE,
+                   beta_after=beta_after)
+
+
+def scaled_swap(result):
+    return result._replace(probe=ThermalQubit(result.probe.gap * SCALE, result.probe.inverse_temperature))
+
+
+# (owner, name, wrap, checks that must fail): wrap(original) is the mutant.
+LIBRARY_MUTANTS = [
+    (ThermalMachineOracle, "log_partition_function",
+     lambda original: property(lambda self: original.func(self) * SCALE),
+     {"general-mask-dj-vs-exact", "general-mask-bv-vs-exact"}),
+    (verify, "hamming_weight_population", lambda f: lambda *args: f(*args) * SCALE,
+     {"bv-hamming-population-vs-exact", "bv-hamming-vs-kickback"}),
+    (verify, "kickback_outcome", lambda f: lambda *args: scaled_outcome(f(*args)),
+     {"bv-hamming-vs-kickback", "reset-energy-bookkeeping", "detuning-eta1-vs-kickback"}),
+    (verify, "mixed_input_query", lambda f: lambda *args: BinaryDistribution(f(*args).p0 * SCALE),
+     {"mixed-query-vs-exact"}),
+    (verify, "swap_query", lambda f: lambda *args: scaled_swap(f(*args)), {"swap-query-marginal-vs-exact"}),
+    (verify, "reset_costs", lambda f: lambda *args: ResetCosts(*(cost * SCALE for cost in f(*args))),
+     {"reset-energy-bookkeeping"}),
+    (verify, "detuned_probe_temperature", lambda f: lambda *args: f(*args) * SCALE,
+     {"detuning-eta1-vs-kickback"}),
+    (verify, "flip_probability", lambda f: lambda *args: f(*args) * SCALE, {"flip-probability-envelope"}),
+    (verify, "suppression_factor", lambda f: lambda *args: f(*args) * SCALE, {"flip-probability-envelope"}),
+]
+
+
+@pytest.mark.parametrize("owner, name, wrap, checks", LIBRARY_MUTANTS, ids=[m[1] for m in LIBRARY_MUTANTS])
+def test_each_check_calls_its_library_function(monkeypatch, owner, name, wrap, checks):
+    """Each check compares the library function it tests on every case: the
+    function's result scaled by 1 + 1e-9 fails the check."""
+    def failed():
+        return {c.name for c in verify.run_verification(**SMALL_RUN).checks if not c.passed}
+
+    assert failed() == set()
+    original = vars(owner)[name]
+    monkeypatch.setattr(owner, name, wrap(original))
+    assert checks <= failed()
 
 
 class TestTrackerBlocks:
