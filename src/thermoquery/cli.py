@@ -35,13 +35,13 @@ from . import __version__
 from .detuning import ExperimentConfig, bv3_sweep
 from .exactsim import DEFAULT_MAX_QUBITS
 from .problems import MAX_EXHAUSTIVE_N
-from .query import oracle_shift, shift_outcome
+from .query import kickback_shift, shift_outcome
 from .readout import (
     chernoff_stein_samples,
     crossover_analysis,
     distinguishability_report,
 )
-from .thermal import BooleanFunctionTable, ThermalQubit, build_dj_oracle
+from .thermal import ThermalQubit, two_gap_machine
 from .verify import run_verification
 
 __all__ = ["main", "DEFAULTS"]
@@ -75,10 +75,6 @@ DEFAULTS = {
     "detuning_beta_m": 1.0,
     "detuning_beta_s": "0:3:61",
 }
-
-# dj-kickback builds three 2^n-entry truth tables and oracles: at n = 20
-# about 3.5 s and 70 MiB, and the memory doubles with each further bit.
-_MAX_KICKBACK_N = 20
 
 MIXED_QUERY_DIVERGENCE = math.log(4.0 / 3.0)
 
@@ -195,19 +191,22 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
     beta_s_values = parse_values(args.beta_s)
     if args.e1 <= 0 or args.e2 <= 0 or args.omega <= 0:
         raise CliError("gaps and omega must be positive")
-    if not 1 <= args.n <= _MAX_KICKBACK_N:
-        raise CliError(f"n must lie in [1, {_MAX_KICKBACK_N}], got {args.n}")
-    half = 1 << (args.n - 1)
-    tables = {
-        "balanced": BooleanFunctionTable(args.n, (1,) * half + (0,) * half),
-        "constant0": BooleanFunctionTable.constant(args.n, 0),
-        "constant1": BooleanFunctionTable.constant(args.n, 1),
-    }
+    if not 1 <= args.n < sys.float_info.max_exp:
+        raise CliError(f"n = {args.n} is outside [1, {sys.float_info.max_exp - 1}], "
+                       "where 2^n is a finite float")
     for beta_s in beta_s_values:
         ThermalQubit(args.omega, beta_s)  # rejects a non-finite probe gap or temperature
     for beta_m in beta_m_values:
         for gap in (args.e1, args.e2):
             ThermalQubit(gap, beta_m)  # rejects a non-finite machine gap or temperature
+    # Each class's 2^n qubits enter only through |G| and log Z_f (one per beta_M),
+    # taken from gap counts; an overflow leaves a non-finite value, rejected below.
+    size = 2.0 ** args.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        machines = [(name, two_gap_machine(ones, size, args.e1, args.e2, np.array(beta_m_values)))
+                    for name, ones in (("balanced", size / 2), ("constant0", 0.0), ("constant1", size))]
+    if not all(np.isfinite(total) and np.isfinite(log_zf).all() for _, (total, log_zf) in machines):
+        raise CliError(f"n = {args.n} gives a machine whose |G| or log Z_f is not a finite float")
     config = {
         "subcommand": "dj-kickback",
         "n": args.n,
@@ -218,14 +217,14 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
         "beta_S": args.beta_s,
         "seed": args.seed,
     }
-    grid = np.array(beta_s_values)
+    a = np.array(beta_s_values) * args.omega
     rows = []
     with _open_out(args.out) as stream:
-        for beta_m in beta_m_values:
+        for column, beta_m in enumerate(beta_m_values):
             curves = []
-            for name, table in sorted(tables.items()):
-                delta = oracle_shift(build_dj_oracle(table, args.e1, args.e2, beta_m), args.omega, grid)
-                _, p0_after, beta_after = shift_outcome(grid * args.omega, args.omega, delta)
+            for name, (total, log_zf) in machines:
+                delta = kickback_shift(a, beta_m, total, 0.0, log_zf[column])
+                _, p0_after, beta_after = shift_outcome(a, args.omega, delta)
                 beta_after = [None if b != b else b for b in beta_after.tolist()]
                 curves.append((name, delta.tolist(), p0_after.tolist(), beta_after))
             for i, beta_s in enumerate(beta_s_values):
@@ -369,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dj-kickback", help="post-query temperature curves per promise class")
     p.add_argument("--n", type=int, default=DEFAULTS["kickback_n"],
-                   help=f"function input bits, 1 to {_MAX_KICKBACK_N}: each oracle is still built from "
-                        "a 2^n-entry truth table, until a form by gap counts lifts this limit")
+                   help="function input bits, from 1 while 2^n and each class's |G| and log Z_f are "
+                        "finite floats (n <= 1023): the machine enters only through its gap counts")
     p.add_argument("--e1", type=float, default=DEFAULTS["kickback_gap_one"],
                    help="machine gap encoding output 1")
     p.add_argument("--e2", type=float, default=DEFAULTS["kickback_gap_zero"],

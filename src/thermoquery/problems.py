@@ -12,7 +12,7 @@ from .thermal import (
     BooleanFunctionTable,
     Classification,
     ThermalQubit,
-    log1pexp,
+    two_gap_machine,
 )
 
 __all__ = [
@@ -103,15 +103,13 @@ def dj_gap_magnitude(
     classification: Classification, n_machine: int, gap_one: float, gap_zero: float
 ) -> float:
     """Total machine gap by promise class: N*E1, N*E2, or (N/2)(E1+E2)."""
-    if classification is Classification.CONSTANT1:
-        return n_machine * gap_one
-    if classification is Classification.CONSTANT0:
-        return n_machine * gap_zero
-    if classification is Classification.BALANCED:
-        if n_machine % 2 != 0:
-            raise ValueError("balanced functions need an even machine size")
-        return (n_machine // 2) * (gap_one + gap_zero)
-    raise ValueError(f"no gap magnitude for classification {classification}")
+    if classification is Classification.BALANCED and n_machine % 2 != 0:
+        raise ValueError("balanced functions need an even machine size")
+    ones = {Classification.CONSTANT1: n_machine, Classification.CONSTANT0: 0,
+            Classification.BALANCED: n_machine // 2}.get(classification)
+    if ones is None:
+        raise ValueError(f"no gap magnitude for classification {classification}")
+    return two_gap_machine(ones, n_machine, gap_one, gap_zero, 0.0)[0]
 
 
 def hamming_weight_population(
@@ -126,11 +124,9 @@ def hamming_weight_population(
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if not math.isfinite(beta_m):
         raise ValueError(f"machine inverse temperature must be finite, got {beta_m}")
-    k = instance.hamming_weight
-    n = len(instance.secret)
-    log_zf = k * log1pexp(-beta_m * gamma) + (n - k) * math.log(2.0)
+    total, log_zf = two_gap_machine(instance.hamming_weight, len(instance.secret), gamma, 0.0, beta_m)
     a = probe.inverse_temperature * probe.gap
-    delta = kickback_shift(a, beta_m, k * gamma, 0.0, log_zf)
+    delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
     return float(shift_outcome(a, probe.gap, delta)[1])
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "ThermalMachineOracle",
     "ConditionalThermalizationTrace",
     "log1pexp",
+    "two_gap_machine",
     "logistic",
     "bits_to_index",
     "ground_state_population",
@@ -52,6 +53,15 @@ def log1pexp(x: float) -> float:
     if x > 0.0:
         return x + math.log1p(math.exp(-x))
     return math.log1p(math.exp(x))
+
+
+def two_gap_machine(ones, size, gap_one, gap_zero, beta_m):
+    """|G| and log Z_f of ``size`` machine qubits, ``ones`` of gap ``gap_one`` and
+    the rest of gap ``gap_zero``, from the counts alone; floats or arrays that broadcast."""
+    zeros = size - ones
+    total = ones * gap_one + zeros * gap_zero
+    log_zf = ones * np.logaddexp(0.0, -beta_m * gap_one) + zeros * np.logaddexp(0.0, -beta_m * gap_zero)
+    return total, log_zf
 
 
 def logistic(x: float) -> float:

@@ -57,6 +57,7 @@ from .thermal import (
     build_bv_oracle,
     build_dj_oracle,
     population_inverse_temperature,
+    two_gap_machine,
 )
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "PARAMETER_RANGES"]
@@ -339,15 +340,6 @@ def _regime_draws(
     return 1 << n, _promise_ones(rng.random(rows), n), rng.random((rows, 6))
 
 
-def _dj_machine(ones, size, gap_one, gap_zero, beta_m):
-    """|G| and log Z_f of Deutsch-Jozsa machines whose tables have ``ones``
-    ones among ``size`` outputs; floats or arrays."""
-    zeros = size - ones
-    total = ones * gap_one + zeros * gap_zero
-    log_zf = ones * np.logaddexp(0.0, -beta_m * gap_one) + zeros * np.logaddexp(0.0, -beta_m * gap_zero)
-    return total, log_zf
-
-
 def _general_mask_errors(machines: _Machines, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Errors of the general-mask check and of the all-ones reduction, one per
     machine, in row order.
@@ -416,7 +408,7 @@ def run_verification(
         omega, beta_s, gap_one, gap_zero, beta_m = _scaled(
             dj_rng.random((rows, 5)), ("omega", "beta_s", "gap", "gap", "beta_m")
         )
-        total, log_zf = _dj_machine(np.count_nonzero(outputs, axis=1), size, gap_one, gap_zero, beta_m)
+        total, log_zf = two_gap_machine(np.count_nonzero(outputs, axis=1), size, gap_one, gap_zero, beta_m)
         a = beta_s * omega
         delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
         _, p0_after, beta_after = shift_outcome(a, omega, delta)
@@ -507,7 +499,7 @@ def run_verification(
         gap_one, gap_zero, beta_m, omega, beta_s = _scaled(
             draws, ("gap", "gap", "beta_m", "omega", "beta_s")
         )
-        total, log_zf = _dj_machine(ones, sizes, gap_one, gap_zero, beta_m)
+        total, log_zf = two_gap_machine(ones, sizes, gap_one, gap_zero, beta_m)
         a, b = beta_s * omega, beta_m * total
         delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
         p0, p0_after, beta_after = shift_outcome(a, omega, delta)

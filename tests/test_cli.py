@@ -1,9 +1,11 @@
 import csv
+import importlib.util
 import io
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,13 @@ import pytest
 import thermoquery.verify
 from thermoquery import __version__, cli
 from thermoquery.cli import _emit, main, parse_values
+
+# The benchmark's 50-digit closed forms, which import neither thermoquery nor numpy.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_reference", Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+)
+reference = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
 def read_csv(path):
@@ -209,6 +218,27 @@ class TestDJKickback:
         _, rows = read_csv(out)
         assert len(rows) == 3 * 2 * 4
 
+    @pytest.mark.parametrize("n", (1, 3, 10, 20, 60, 1023))
+    def test_rows_match_the_reference_by_gap_counts(self, tmp_path, n):
+        """Every row at the default gaps and temperatures agrees with the 50-digit
+        reference on the class's (gap, count) pairs, up to n = 1023."""
+        out = tmp_path / "k.csv"
+        assert main(["dj-kickback", "--n", str(n), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        size = 1 << n
+        machines = {
+            "balanced": ((1.0, size // 2), (0.5, size // 2)),
+            "constant0": ((0.5, size),),
+            "constant1": ((1.0, size),),
+        }
+        assert len(rows) == 3 * 41 * 3
+        for row in rows:
+            expected = reference.kickback(1.0, float(row["beta_S"]), float(row["beta_M"]), machines[row["case"]])
+            beta_after = float(row["beta_S_prime"]) if row["beta_S_prime"] else None
+            assert reference.delta_ok(float(row["delta_p0"]), expected), row
+            assert reference.population_ok(float(row["p0_after"]), expected.p0_after), row
+            assert reference.beta_ok(beta_after, expected.beta_after), row
+
     def test_negative_grid_in_either_form(self, tmp_path):
         spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
         assert main(["dj-kickback", "--beta-s", "-1:1:5", "--out", str(spaced)]) == 0
@@ -294,7 +324,7 @@ class TestDetuningSweep:
 @pytest.mark.parametrize(
     "argv, work",
     [
-        (["dj-kickback"], "oracle_shift"),
+        (["dj-kickback"], "kickback_shift"),
         (["distinguishability"], "distinguishability_report"),
         (["sample-complexity"], "crossover_analysis"),
         (["detuning-sweep"], "bv3_sweep"),
@@ -316,7 +346,7 @@ def test_figure_out_path_opened_before_the_work(tmp_path, capsys, monkeypatch, a
     [
         ["dj-kickback", "--beta-m=1,nan"],
         ["dj-kickback", "--e2=inf"],
-        ["dj-kickback", "--n", "21"],
+        ["dj-kickback", "--n", "1024"],
         ["sample-complexity", "--delta-grid=0.5,1.5"],
         ["sample-complexity", "--t-grid=nan"],
         ["detuning-sweep", "--beta-s=0,inf"],
@@ -336,20 +366,25 @@ def test_rejected_input_leaves_the_out_path_alone(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("thermoquery: error:")
 
 
-@pytest.mark.parametrize("n", (0, 21, 30))
-def test_dj_kickback_size_rejected_before_any_table(tmp_path, capsys, monkeypatch, n):
-    """An --n beyond 20 once built 2^n-entry tables until the kernel killed the
-    process; it now exits 1 before any table is built or the output opened."""
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "0"], ["--n", "1024"], ["--n", "1023", "--e1", "4"], ["--n", "1023", "--beta-m=-2"]],
+    ids=["empty", "size-overflows", "total-overflows", "log-partition-overflows"],
+)
+def test_dj_kickback_size_limit_is_the_float_range(tmp_path, capsys, monkeypatch, argv):
+    """n is limited where 2^n, a class's |G| or its log Z_f stops being a
+    finite float: such an n exits 1 with one line naming it, before the
+    output is opened or any kickback evaluated, and with no traceback."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("a truth table was built")
+        raise AssertionError("a kickback was evaluated")
 
-    monkeypatch.setattr(cli, "BooleanFunctionTable", forbidden)
+    monkeypatch.setattr(cli, "kickback_shift", forbidden)
     out = tmp_path / "p"
-    assert main(["dj-kickback", "--n", str(n), "--out", str(out)]) == 1
-    assert not out.exists()
-    assert f"n must lie in [1, 20], got {n}" in capsys.readouterr().err
-    with pytest.raises(AssertionError, match="truth table"):
-        main(["dj-kickback", "--n", "20", "--out", str(out)])
+    out.write_bytes(b"kept\n")
+    assert main(["dj-kickback", *argv, "--out", str(out)]) == 1
+    assert out.read_bytes() == b"kept\n"
+    err = capsys.readouterr().err
+    assert err.startswith(f"thermoquery: error: n = {argv[1]} ") and err.count("\n") == 1
 
 
 def test_failed_work_never_removes_the_out_path(tmp_path, monkeypatch):
@@ -357,7 +392,7 @@ def test_failed_work_never_removes_the_out_path(tmp_path, monkeypatch):
     def failing(*args, **kwargs):
         raise ValueError("the work failed")
 
-    monkeypatch.setattr(cli, "oracle_shift", failing)
+    monkeypatch.setattr(cli, "kickback_shift", failing)
     target = tmp_path / "target.csv"
     target.write_bytes(b"")
     link = tmp_path / "link.csv"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thermoquery.problems import enumerate_balanced_functions
+from thermoquery.problems import constant_functions, enumerate_balanced_functions
 from thermoquery.thermal import (
     BooleanFunctionTable,
     Classification,
@@ -20,6 +20,7 @@ from thermoquery.thermal import (
     ground_state_population,
     inverse_temperature_from_population,
     prepare_via_conditional_thermalization,
+    two_gap_machine,
 )
 
 
@@ -212,6 +213,13 @@ class TestDJOracle:
             for inst in enumerate_balanced_functions(2)
         }
         assert max(values) - min(values) <= 1e-13
+        # The count form gives every built oracle's log Z_f, at either sign of beta_M.
+        for n in (1, 2, 3):
+            for inst in [*constant_functions(n), *enumerate_balanced_functions(n)]:
+                for beta_m in (0.9, -2.5, 0.0):
+                    oracle = build_dj_oracle(inst.function, 1.3, 0.4, beta_m)
+                    _, log_zf = two_gap_machine(sum(inst.function.outputs), 1 << n, 1.3, 0.4, beta_m)
+                    assert abs(log_zf - oracle.log_partition_function) <= 1e-14
 
     def test_requires_positive_gaps(self):
         with pytest.raises(ValueError):
@@ -234,6 +242,14 @@ class TestBVOracle:
         )
         direct = brute_force_machine_partition(oracle.gap_vector.gaps, 1.0)
         assert math.exp(oracle.log_partition_function) == pytest.approx(direct, rel=1e-12)
+        # The count form: the secret's ones carry gamma, the rest gap 0.
+        for length in (1, 2, 3, 4):
+            for bits in product("01", repeat=length):
+                secret = "".join(bits)
+                for gamma, beta_m in ((1.0, 1.0), (0.7, -1.8), (2.3, 0.0)):
+                    oracle = build_bv_oracle(secret, gamma, beta_m)
+                    _, log_zf = two_gap_machine(secret.count("1"), length, gamma, 0.0, beta_m)
+                    assert abs(log_zf - oracle.log_partition_function) <= 1e-14
 
     def test_validation(self):
         with pytest.raises(ValueError):
