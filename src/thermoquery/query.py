@@ -243,11 +243,11 @@ def sensitivity_bound(a, b, log_zf, c, delta):
 
 def temperature_defined(a, delta):
     """Whether a probe with a = beta_S*omega has a temperature after the
-    shift ``delta``: e^{-a} > Z_S*delta when cooling, 1 + Z_S*delta > 0
+    shift ``delta``: e^{-a} > Z_S*delta when delta >= 0, 1 + Z_S*delta > 0
     otherwise; floats or arrays."""
     boltzmann = np.exp(-a)
     scaled_delta = (1.0 + boltzmann) * delta
-    return np.where(delta > 0.0, boltzmann > scaled_delta, 1.0 + scaled_delta > 0.0)
+    return np.where(delta >= 0.0, boltzmann > scaled_delta, 1.0 + scaled_delta > 0.0)
 
 
 def oracle_shift(
@@ -345,7 +345,7 @@ def sensitivity_check(
 def temperature_well_defined(outcome: QueryOutcome, probe: ThermalQubit) -> bool:
     """Whether the post-query state admits a temperature at the probe gap.
 
-    Cooling needs e^{-beta_S*omega} > Z_S*delta_p0; heating needs
+    delta_p0 >= 0 needs e^{-beta_S*omega} > Z_S*delta_p0; delta_p0 < 0 needs
     1 + Z_S*delta_p0 > 0 (always true in this model). Equivalent to the
     log argument of the post-query inverse temperature being positive.
     """

@@ -10,14 +10,17 @@ conditioned on being constant or balanced (:func:`_promise_ones`). At table
 size s each constant table has weight 1 and the balanced class C(s, s/2), so
 no table is ever drawn and rejected.
 
-A seed fixes the cases whatever the evaluation. Each section draws from its
-own child of ``np.random.SeedSequence(seed)``, so the number of draws one
-section makes moves no other section's draws, and each draws its tuples in a
-few bulk calls (:func:`_random_dj_machines`, :func:`_random_bv_machines`,
-:func:`_regime_draws`). The library function that a check tests is called
-once per case, on probe and oracle objects; the arithmetic that needs no
-library object and the exact side run as arrays, the exact side through
-:func:`exactsim.kickback_batch` and :func:`exactsim.swap_batch`.
+The checks come in sections, one function each, listed in ``_SECTIONS`` in
+the order of the report. A seed fixes the cases whatever the evaluation:
+section i draws from child i of ``np.random.SeedSequence(seed)``, so the
+number of draws one section makes moves no other section's draws, and a
+section appended to ``_SECTIONS`` moves none. Each section draws its tuples
+in a few bulk calls (:func:`_random_dj_machines`,
+:func:`_random_bv_machines`, :func:`_promise_ones`). The library function
+that a check tests is called once per case, on probe and oracle objects; the
+arithmetic that needs no library object and the exact side run as arrays,
+the exact side through :func:`exactsim.kickback_batch` and
+:func:`exactsim.swap_batch`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,13 +81,35 @@ PARAMETER_RANGES = {
 
 @dataclass
 class CheckResult:
+    """One check's case count, largest error, first case over the tolerance
+    and case with the largest error, accumulated by :meth:`record_block`."""
+
     name: str
-    cases: int
-    max_error: float
     tolerance: float
-    passed: bool
+    cases: int = 0
+    max_error: float = 0.0
     first_failure: str = ""
     worst_case: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.max_error <= self.tolerance
+
+    def record_block(self, errors: np.ndarray, context) -> None:
+        """Record one case per entry of ``errors``; ``context(i)`` describes
+        case i and is called only for the first failure and a new worst case.
+        A NaN error fails the check and is worse than any number."""
+        if errors.size == 0:
+            return
+        self.cases += errors.size
+        worst = int(errors.argmax())  # the first NaN, if there is one
+        error = float(errors[worst])
+        if error > self.max_error or (math.isnan(error) and not math.isnan(self.max_error)):
+            self.max_error = error
+            self.worst_case = f"{context(worst)} (error {error:.3e})"
+        if not error <= self.tolerance and not self.first_failure:
+            first = int((~(errors <= self.tolerance)).argmax())
+            self.first_failure = f"{context(first)} (error {errors[first]:.3e})"
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -126,49 +152,6 @@ class VerificationReport:
                 for c in self.checks
             ],
         }
-
-
-class _Tracker:
-    """Accumulates the max error of a check and remembers the first offender
-    and the case with the largest error."""
-
-    def __init__(self, name: str, tolerance: float):
-        self.name = name
-        self.tolerance = tolerance
-        self.cases = 0
-        self.max_error = 0.0
-        self.first_failure = ""
-        self.worst_case = ""
-
-    def record(self, error: float, context: str) -> None:
-        self.record_block(np.array([error]), lambda _: context)
-
-    def record_block(self, errors: np.ndarray, context) -> None:
-        """Record one case per entry of ``errors``; ``context(i)`` describes
-        case i and is called only for the first failure and a new worst case.
-        A NaN error fails the check and is worse than any number."""
-        if errors.size == 0:
-            return
-        self.cases += errors.size
-        worst = int(errors.argmax())  # the first NaN, if there is one
-        error = float(errors[worst])
-        if error > self.max_error or (math.isnan(error) and not math.isnan(self.max_error)):
-            self.max_error = error
-            self.worst_case = f"{context(worst)} (error {error:.3e})"
-        if not error <= self.tolerance and not self.first_failure:
-            first = int((~(errors <= self.tolerance)).argmax())
-            self.first_failure = f"{context(first)} (error {errors[first]:.3e})"
-
-    def result(self) -> CheckResult:
-        return CheckResult(
-            name=self.name,
-            cases=self.cases,
-            max_error=self.max_error,
-            tolerance=self.tolerance,
-            passed=self.max_error <= self.tolerance,
-            first_failure=self.first_failure,
-            worst_case=self.worst_case,
-        )
 
 
 def _scaled(block: np.ndarray, keys: tuple[str, ...]) -> list[np.ndarray]:
@@ -326,20 +309,6 @@ def _library_columns(values, width: int) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, width).T
 
 
-def _regime_draws(
-    rng: np.random.Generator, rows: int, max_n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Table sizes, counts of ones and (rows, 6) uniform draws of regime tuples.
-
-    Three calls draw a block: n in 1..max_n, the table's class
-    (:func:`_promise_ones`), then, per tuple, gap_one, gap_zero, beta_M,
-    omega and beta_S (unscaled, for :func:`_scaled`) and the draw for the
-    sensitivity threshold.
-    """
-    n = rng.integers(1, max_n + 1, rows)
-    return 1 << n, _promise_ones(rng.random(rows), n), rng.random((rows, 6))
-
-
 def _general_mask_errors(machines: _Machines, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Errors of the general-mask check and of the all-ones reduction, one per
     machine, in row order.
@@ -381,32 +350,29 @@ def _general_mask_errors(machines: _Machines, masks: np.ndarray) -> tuple[np.nda
     return errors, reduction
 
 
-def run_verification(
-    max_dj_n: int = 3,
-    max_bv_n: int = 6,
-    tuples_per_instance: int = 100,
-    mask_cases: int = 200,
-    regime_cases: int = 10000,
-    seed: int = 1234,
-) -> VerificationReport:
-    report = VerificationReport()
-    # One stream per section: how many draws one section makes moves no other's.
-    dj_rng, mask_rng, hamming_rng, swap_rng, regime_rng, energy_rng, detuning_rng, permutation_rng = (
-        np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(8)
-    )
+class _Sizes(NamedTuple):
+    """The sizes of a run, as :func:`run_verification` takes them."""
 
-    # Kickback populations, shifts, and temperatures vs the exact permutation.
-    pop = _Tracker("dj-kickback-population-vs-exact", 1e-12)
-    shift = _Tracker("dj-kickback-delta-vs-exact", 1e-12)
-    temp = _Tracker("dj-kickback-temperature-vs-exact", 1e-12)
-    partition = _Tracker("dj-log-partition-vs-direct-sum", 1e-12)
-    for tables in _dj_table_blocks(max_dj_n, tuples_per_instance):
+    max_dj_n: int
+    max_bv_n: int
+    tuples_per_instance: int
+    mask_cases: int
+    regime_cases: int
+
+
+def _dj_kickback_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckResult]:
+    """Kickback populations, shifts and temperatures vs the exact permutation, and log Z vs its sum."""
+    pop = CheckResult("dj-kickback-population-vs-exact", 1e-12)
+    shift = CheckResult("dj-kickback-delta-vs-exact", 1e-12)
+    temp = CheckResult("dj-kickback-temperature-vs-exact", 1e-12)
+    partition = CheckResult("dj-log-partition-vs-direct-sum", 1e-12)
+    for tables in _dj_table_blocks(sizes.max_dj_n, sizes.tuples_per_instance):
         # Each table's tuples are consecutive rows.
-        rows = len(tables) * tuples_per_instance
-        outputs = np.repeat(np.array(tables, dtype=bool), tuples_per_instance, axis=0)
+        rows = len(tables) * sizes.tuples_per_instance
+        outputs = np.repeat(np.array(tables, dtype=bool), sizes.tuples_per_instance, axis=0)
         size = outputs.shape[1]
         omega, beta_s, gap_one, gap_zero, beta_m = _scaled(
-            dj_rng.random((rows, 5)), ("omega", "beta_s", "gap", "gap", "beta_m")
+            rng.random((rows, 5)), ("omega", "beta_s", "gap", "gap", "beta_m")
         )
         total, log_zf = two_gap_machine(np.count_nonzero(outputs, axis=1), size, gap_one, gap_zero, beta_m)
         a = beta_s * omega
@@ -418,7 +384,7 @@ def run_verification(
         )
 
         def context(i: int) -> str:
-            table = tables[i // tuples_per_instance]
+            table = tables[i // sizes.tuples_per_instance]
             return f"instance={table} probe=({omega[i]:.4f},{beta_s[i]:.4f})"
 
         pop.record_block(np.abs(p0_after - exact_p0), context)
@@ -428,30 +394,33 @@ def run_verification(
         temp.record_block(np.abs(beta_after[defined] - exact_beta), lambda i: context(defined[i]))
         log_zs = np.logaddexp(0.0, -a)
         partition.record_block(np.abs(np.expm1(log_partition_sum - (log_zs + log_zf))), context)
-    report.checks += [pop.result(), shift.result(), temp.result(), partition.result()]
+    return [pop, shift, temp, partition]
 
-    # General-mask kickback on DJ and BV oracles, plus the all-ones reduction.
-    general_dj = _Tracker("general-mask-dj-vs-exact", 1e-12)
-    general_bv = _Tracker("general-mask-bv-vs-exact", 1e-12)
-    reduction = _Tracker("all-ones-mask-reduction", 1e-14)
-    draws = _mask_draws(mask_rng, mask_cases, max_dj_n, max_bv_n)
-    for tracker, (machines, masks) in zip((general_dj, general_bv), draws):
+
+def _general_mask_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckResult]:
+    """General-mask kickback on Deutsch-Jozsa and secret-string oracles vs exact, and the all-ones reduction."""
+    general = [CheckResult("general-mask-dj-vs-exact", 1e-12), CheckResult("general-mask-bv-vs-exact", 1e-12)]
+    reduction = CheckResult("all-ones-mask-reduction", 1e-14)
+    draws = _mask_draws(rng, sizes.mask_cases, sizes.max_dj_n, sizes.max_bv_n)
+    for check, (machines, masks) in zip(general, draws):
         errors, reduction_errors = _general_mask_errors(machines, masks)
 
         def machine(i: int) -> str:
             return f"machine={machines.oracles[i].gap_vector.gaps}"
 
-        tracker.record_block(
+        check.record_block(
             errors, lambda i: f"mask={tuple(masks[i, :machines.sizes[i]].tolist())} {machine(i)}"
         )
         reduction.record_block(reduction_errors, machine)
-    report.checks += [general_dj.result(), general_bv.result(), reduction.result()]
+    return [*general, reduction]
 
-    # Hamming-weight readout formula vs exact, and vs the kickback path.
-    hamming = _Tracker("bv-hamming-population-vs-exact", 1e-12)
-    hamming_vs_kickback = _Tracker("bv-hamming-vs-kickback", 1e-14)
-    per_n = tuples_per_instance // 4 or 1
-    machines = _random_bv_machines(hamming_rng, np.repeat(np.arange(1, max_bv_n + 1), per_n), nonzero=False)
+
+def _hamming_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckResult]:
+    """Hamming-weight readout formula vs exact, and vs the kickback path."""
+    hamming = CheckResult("bv-hamming-population-vs-exact", 1e-12)
+    hamming_vs_kickback = CheckResult("bv-hamming-vs-kickback", 1e-14)
+    per_n = sizes.tuples_per_instance // 4 or 1
+    machines = _random_bv_machines(rng, np.repeat(np.arange(1, sizes.max_bv_n + 1), per_n), nonzero=False)
     analytic, kickback = _library_columns(
         [
             (hamming_weight_population(BVInstance.from_secret(oracle.problem.secret), oracle.problem.gamma,
@@ -465,12 +434,14 @@ def run_verification(
     secrets = [oracle.problem.secret for oracle in machines.oracles]
     hamming.record_block(np.abs(analytic - exact_p0), lambda i: f"secret={secrets[i]}")
     hamming_vs_kickback.record_block(np.abs(analytic - kickback), lambda i: f"secret={secrets[i]}")
-    report.checks += [hamming.result(), hamming_vs_kickback.result()]
+    return [hamming, hamming_vs_kickback]
 
-    # Mixture of swaps and single-swap marginals vs exact permutations.
-    mixture = _Tracker("mixed-query-vs-exact", 1e-12)
-    swap = _Tracker("swap-query-marginal-vs-exact", 1e-12)
-    machines, taken = _swap_draws(swap_rng, tuples_per_instance, min(max_dj_n, 2))
+
+def _swap_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckResult]:
+    """Mixture of swaps and single-swap marginals vs exact permutations."""
+    mixture = CheckResult("mixed-query-vs-exact", 1e-12)
+    swap = CheckResult("swap-query-marginal-vs-exact", 1e-12)
+    machines, taken = _swap_draws(rng, sizes.tuples_per_instance, min(sizes.max_dj_n, 2))
     exact_mixed, exact_swap = np.empty(taken.size), np.empty(taken.size)
     for size, rows in machines.by_size():
         branches = exactsim.swap_batch(
@@ -487,19 +458,23 @@ def run_verification(
     )
     mixture.record_block(np.abs(analytic - exact_mixed), lambda i: f"gaps={machines.oracles[i].gap_vector.gaps}")
     swap.record_block(np.abs(swapped - exact_swap), lambda i: f"x={taken[i]}")
-    report.checks += [mixture.result(), swap.result()]
+    return [mixture, swap]
 
-    # Regime label vs the sign of the population shift, in chunks of tuples.
-    regime = _Tracker("regime-sign-consistency", 0.0)
-    sensitivity = _Tracker("sensitivity-closed-form-agreement", 0.0)
-    well_defined = _Tracker("well-definedness-flag-consistency", 0.0)
-    roundtrip = _Tracker("temperature-roundtrip", 1e-10)
-    for start in range(0, regime_cases, _BLOCK_ROWS):
-        sizes, ones, draws = _regime_draws(regime_rng, min(_BLOCK_ROWS, regime_cases - start), max_dj_n)
-        gap_one, gap_zero, beta_m, omega, beta_s = _scaled(
-            draws, ("gap", "gap", "beta_m", "omega", "beta_s")
-        )
-        total, log_zf = two_gap_machine(ones, sizes, gap_one, gap_zero, beta_m)
+
+def _regime_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckResult]:
+    """Regime label vs the sign of the population shift, the sensitivity closed
+    form, the well-definedness flag and the temperature round trip, in blocks."""
+    regime = CheckResult("regime-sign-consistency", 0.0)
+    sensitivity = CheckResult("sensitivity-closed-form-agreement", 0.0)
+    well_defined = CheckResult("well-definedness-flag-consistency", 0.0)
+    roundtrip = CheckResult("temperature-roundtrip", 1e-10)
+    for start in range(0, sizes.regime_cases, _BLOCK_ROWS):
+        # n, the table's class, then per tuple five parameters and the sensitivity threshold's draw.
+        rows = min(_BLOCK_ROWS, sizes.regime_cases - start)
+        n = rng.integers(1, sizes.max_dj_n + 1, rows)
+        ones, draws = _promise_ones(rng.random(rows), n), rng.random((rows, 6))
+        gap_one, gap_zero, beta_m, omega, beta_s = _scaled(draws, ("gap", "gap", "beta_m", "omega", "beta_s"))
+        total, log_zf = two_gap_machine(ones, 1 << n, gap_one, gap_zero, beta_m)
         a, b = beta_s * omega, beta_m * total
         delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
         p0, p0_after, beta_after = shift_outcome(a, omega, delta)
@@ -532,11 +507,13 @@ def run_verification(
             np.where(inside, np.abs(beta_after[rows_defined] - recomputed), np.inf),
             lambda i: "roundtrip" if inside[i] else f"p0_after={p[i]}",
         )
-    report.checks += [regime.result(), sensitivity.result(), well_defined.result(), roundtrip.result()]
+    return [regime, sensitivity, well_defined, roundtrip]
 
-    # Reset energetics vs the exact population-weighted energy changes.
-    energy = _Tracker("reset-energy-bookkeeping", 1e-12)
-    machines = _random_dj_machines(energy_rng, tuples_per_instance, max_dj_n)
+
+def _energy_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckResult]:
+    """Reset energetics vs the exact population-weighted energy changes."""
+    energy = CheckResult("reset-energy-bookkeeping", 1e-12)
+    machines = _random_dj_machines(rng, sizes.tuples_per_instance, sizes.max_dj_n)
     dissipation, reset_work = _library_columns(
         [reset_costs(kickback_outcome(probe, oracle), oracle, probe) for oracle, probe in machines.cases()], 2
     )
@@ -544,16 +521,17 @@ def run_verification(
     probe_gain = machines.omega * (1.0 - p0_after) - machines.omega * (1.0 - p0)
     energy.record_block(np.abs(machine_after - machine_before - dissipation), lambda _: "machine energy")
     energy.record_block(np.abs(probe_gain + reset_work), lambda _: "probe energy")
-    report.checks.append(energy.result())
+    return [energy]
 
-    # Detuning layer: eta = 1 must match the plain kickback; the flip
-    # probability must stay under its envelope and touch it at the peak time
-    # pi / sqrt(g^2 + delta^2).
-    eta_one = _Tracker("detuning-eta1-vs-kickback", 1e-10)
-    envelope = _Tracker("flip-probability-envelope", 1e-12)
-    machines = _random_dj_machines(detuning_rng, tuples_per_instance, max_dj_n)
+
+def _detuning_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckResult]:
+    """Detuning layer: eta = 1 must match the plain kickback; the flip probability must stay
+    under its envelope and touch it at the peak time pi / sqrt(g^2 + delta^2)."""
+    eta_one = CheckResult("detuning-eta1-vs-kickback", 1e-10)
+    envelope = CheckResult("flip-probability-envelope", 1e-12)
+    machines = _random_dj_machines(rng, sizes.tuples_per_instance, sizes.max_dj_n)
     low, high = np.array([0.1, -3.0, 0.0]), np.array([3.0, 3.0, 20.0])
-    g, delta, t = (low + (high - low) * detuning_rng.random((tuples_per_instance, 3))).T
+    g, delta, t = (low + (high - low) * rng.random((sizes.tuples_per_instance, 3))).T
     kickback, detuned = _library_columns(
         [
             (kickback_outcome(probe, oracle).beta_after, detuned_probe_temperature(probe, oracle, 1.0))
@@ -573,18 +551,40 @@ def run_verification(
         3,
     )
     envelope.record_block(np.maximum(flip - eta, np.abs(peak - eta)), lambda i: f"g={g[i]:.3f}")
-    report.checks += [eta_one.result(), envelope.result()]
+    return [eta_one, envelope]
 
-    # Partition function of a balanced oracle depends only on the gap multiset.
-    permutation = _Tracker("balanced-partition-permutation-invariance", 1e-12)
-    draws = np.column_stack(_scaled(permutation_rng.random((max_dj_n, 3)), ("beta_m", "gap", "gap")))
-    for n, (beta_m, gap_one, gap_zero) in enumerate(draws.tolist(), start=1):
-        values = [
+
+def _permutation_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckResult]:
+    """Log Z of a balanced oracle depends only on its gap multiset: its spread over the tables of each n."""
+    permutation = CheckResult("balanced-partition-permutation-invariance", 1e-12)
+    draws = np.column_stack(_scaled(rng.random((sizes.max_dj_n, 3)), ("beta_m", "gap", "gap")))
+    spreads = [
+        np.ptp([
             build_dj_oracle(inst.function, gap_one, gap_zero, beta_m).log_partition_function
             for inst in enumerate_balanced_functions(n)
-        ]
-        spread = max(values) - min(values)
-        permutation.record(abs(spread), f"n={n}")
-    report.checks.append(permutation.result())
+        ])
+        for n, (beta_m, gap_one, gap_zero) in enumerate(draws.tolist(), start=1)
+    ]
+    permutation.record_block(np.array(spreads), lambda i: f"n={i + 1}")
+    return [permutation]
 
+
+_SECTIONS = (
+    _dj_kickback_section, _general_mask_section, _hamming_section, _swap_section,
+    _regime_section, _energy_section, _detuning_section, _permutation_section,
+)
+
+
+def run_verification(
+    max_dj_n: int = 3,
+    max_bv_n: int = 6,
+    tuples_per_instance: int = 100,
+    mask_cases: int = 200,
+    regime_cases: int = 10000,
+    seed: int = 1234,
+) -> VerificationReport:
+    sizes = _Sizes(max_dj_n, max_bv_n, tuples_per_instance, mask_cases, regime_cases)
+    report = VerificationReport()
+    for section, child in zip(_SECTIONS, np.random.SeedSequence(seed).spawn(len(_SECTIONS))):
+        report.checks += section(np.random.default_rng(child), sizes)
     return report

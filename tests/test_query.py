@@ -333,8 +333,9 @@ class TestWellDefinedTemperature:
             assert temperature_well_defined(outcome, probe)
 
     def test_flag_matches_beta_after(self, rng):
-        for _ in range(500):
-            probe, oracle = random_dj_case(rng)
+        # The last probe's excited population underflows: delta_p0 = 0.0 and beta' is undefined.
+        cases = [random_dj_case(rng) for _ in range(500)]
+        for probe, oracle in [*cases, (ThermalQubit(800.0, 1.0), build_custom_oracle([900.0], 1.0))]:
             outcome = kickback_outcome(probe, oracle)
             assert temperature_well_defined(outcome, probe) == (outcome.beta_after is not None)
 
