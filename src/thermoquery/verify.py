@@ -461,6 +461,20 @@ def _swap_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckResult]:
     return [mixture, swap]
 
 
+def _regime_draws(
+    rng: np.random.Generator, rows: int, max_n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Table sizes, counts of ones and (rows, 6) uniform draws of regime tuples.
+
+    Three calls draw a block: n in 1..max_n, the table's class
+    (:func:`_promise_ones`), then, per tuple, gap_one, gap_zero, beta_M,
+    omega and beta_S (unscaled, for :func:`_scaled`) and the draw for the
+    sensitivity threshold.
+    """
+    n = rng.integers(1, max_n + 1, rows)
+    return 1 << n, _promise_ones(rng.random(rows), n), rng.random((rows, 6))
+
+
 def _regime_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckResult]:
     """Regime label vs the sign of the population shift, the sensitivity closed
     form, the well-definedness flag and the temperature round trip, in blocks."""
@@ -469,12 +483,9 @@ def _regime_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckResult
     well_defined = CheckResult("well-definedness-flag-consistency", 0.0)
     roundtrip = CheckResult("temperature-roundtrip", 1e-10)
     for start in range(0, sizes.regime_cases, _BLOCK_ROWS):
-        # n, the table's class, then per tuple five parameters and the sensitivity threshold's draw.
-        rows = min(_BLOCK_ROWS, sizes.regime_cases - start)
-        n = rng.integers(1, sizes.max_dj_n + 1, rows)
-        ones, draws = _promise_ones(rng.random(rows), n), rng.random((rows, 6))
+        size, ones, draws = _regime_draws(rng, min(_BLOCK_ROWS, sizes.regime_cases - start), sizes.max_dj_n)
         gap_one, gap_zero, beta_m, omega, beta_s = _scaled(draws, ("gap", "gap", "beta_m", "omega", "beta_s"))
-        total, log_zf = two_gap_machine(ones, 1 << n, gap_one, gap_zero, beta_m)
+        total, log_zf = two_gap_machine(ones, size, gap_one, gap_zero, beta_m)
         a, b = beta_s * omega, beta_m * total
         delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
         p0, p0_after, beta_after = shift_outcome(a, omega, delta)

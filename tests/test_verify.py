@@ -130,6 +130,41 @@ def scalar_promise_ones(x, size):
     return 0 if scaled < 1.0 else size if scaled < 2.0 else size // 2
 
 
+def law_regime_draws(rng, rows, max_n):
+    """The regime section's block of draws written out as its three numpy
+    calls, the class of each table mapped by the promise law one row at a time."""
+    n = rng.integers(1, max_n + 1, rows)
+    u = rng.random(rows)
+    draws = rng.random((rows, 6))
+    sizes = 1 << n
+    ones = np.array([scalar_promise_ones(x, size) for size, x in zip(sizes.tolist(), u.tolist())], dtype=np.int64)
+    return sizes, ones, draws
+
+
+@pytest.mark.parametrize("seed", (0, 11, 2024))
+@pytest.mark.parametrize("rows", (1, 2, 7, 301))
+@pytest.mark.parametrize("max_n", (1, 3, 5))
+@pytest.mark.parametrize("kept_half", (False, True))
+def test_raw_word_draws_equal_numpy_calls(seed, rows, max_n, kept_half):
+    """The regime draws give the values of their numpy calls and leave the
+    generator's raw-word stream where those calls leave it, a kept 32-bit
+    half included, so a seed fixes every later draw of the run."""
+    law_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if kept_half:
+        law_rng.integers(0, 2, 3)
+        block_rng.integers(0, 2, 3)
+        assert block_rng.bit_generator.state["has_uint32"] == 1
+    expected = law_regime_draws(law_rng, rows, max_n)
+    actual = verify._regime_draws(block_rng, rows, max_n)
+    for a, b in zip(actual, expected):
+        assert np.array_equal(a, b)
+    assert block_rng.bit_generator.state == law_rng.bit_generator.state
+    assert block_rng.integers(0, 2, 5).tolist() == law_rng.integers(0, 2, 5).tolist()
+    assert block_rng.random() == law_rng.random()
+    assert block_rng.integers(1, 6) == law_rng.integers(1, 6)
+    assert block_rng.bit_generator.state == law_rng.bit_generator.state
+
+
 def within(count, total, p):
     """A count of ``total`` draws is within 5 standard deviations of probability ``p``."""
     assert abs(count - total * p) <= 5.0 * math.sqrt(total * p * (1.0 - p))
@@ -150,9 +185,9 @@ def test_promise_law():
             for value, weight in ((0, 1), (size, 1), (size // 2, balanced)):
                 within(np.count_nonzero(counts == value), counts.size, weight / (balanced + 2))
 
-    rng = np.random.default_rng(2024)
-    n = rng.integers(1, 4, 240_000)
-    law(1 << n, verify._promise_ones(rng.random(n.size), n))
+    sizes, ones, draws = verify._regime_draws(np.random.default_rng(2024), 240_000, 3)
+    assert draws.shape == (240_000, 6)
+    law(sizes, ones)
 
     machines = verify._random_dj_machines(np.random.default_rng(11), 60_000, 3)
     tables = [oracle.problem.function.outputs for oracle in machines.oracles]
