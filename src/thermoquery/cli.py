@@ -245,6 +245,8 @@ def cmd_distinguishability(args: argparse.Namespace) -> int:
         raise CliError("grid energies must be positive")
     if not args.t > 0:
         raise CliError("t must be positive")
+    if not math.isfinite(args.beta_m):
+        raise CliError(f"--beta-m must be finite, got {args.beta_m}")
     config = {
         "subcommand": "distinguishability",
         "beta_M": args.beta_m,

@@ -1,23 +1,23 @@
 """Brute-force verification oracle over the full diagonal joint state.
 
-Holds every population of probe + machine in one dense array, applies
-exchanges as exact permutations, and extracts marginals. Ground truth for the
-analytic formulas; capped at a configurable qubit count (20 by default) since
-the array is dense.
+Holds every population of probe + machine, applies exchanges as exact
+permutations, and extracts marginals. Ground truth for the analytic formulas;
+capped at a configurable qubit count (20 by default) since the 2^N machine
+weights are dense.
 
-For a probe and N machine qubits, building a state costs O(2^N) time: the
-2^N machine level energies are built by doubling and stored once (the probe's
-excited half is the same energies plus omega, built only when read). A level
-exchange and a SWAP are O(1) in time and memory: the new state shares its
-parent's dense array and records which levels moved or which machine bit
-trades places with the probe bit, and the permuted array is built only when
-it is read. A marginal or a mean energy sums the dense array once per shared
-array, then adds the change at the few moved levels; the marginal of a
-swapped state sums a strided view of the shared array.
-The 2^N machine weights are built in one pass each of multiply, shift, ``exp``
-and sum, with no normalising pass: the shift is an O(N) bound on the largest
-log weight, and the probe's two factors and 1/total fold into one scalar per
-probe level.
+A state is stored in product form: 2^N machine weights w and two probe
+factors k_g and k_e, so level (i_S, x) holds w(x) k_{i_S}. Building it costs
+2^N multiplications and 2(N + 1) exponentials: w is doubled one machine
+qubit at a time as a product of per-qubit factors, none above 1. Every read
+comes from w: the probe marginal is k_g times the sum of w the build takes.
+A level exchange and a SWAP are O(1) in time and memory: the new state shares
+its parent's weights and their sums and records the moved levels, each then
+read as w(x) k, or the machine bit that trades places with the probe bit,
+whose marginal is (k_g + k_e) times a strided sum over half of w. A mean
+energy sums w(x) E(x) with no 2^N energy array, over tables of the energies
+of x's high and low halves of bits. ``populations`` and the level energies
+are built only when read; a swap of a moved state and an exchange of a
+swapped state start from their parent's populations.
 The weight kernel takes a leading batch axis of T states; a single state is
 its T = 1 row. :func:`kickback_batch` runs the kickback on T states at once,
 with the machine mean energies on request, and :func:`swap_batch` gives the
@@ -60,56 +60,54 @@ DEFAULT_MAX_QUBITS = 20
 _BATCH_LEVELS = 1 << 15
 
 
-class _DenseSums:
-    """The ground-half sum and the machine-energy dot product of one dense
-    population array, each taken on first read and kept; shared by every
-    state that shares the array."""
+class _WeightSums:
+    """The sum of each row of a weight array, and the sum of its weights
+    times the machine energies, taken on first read and kept; shared by
+    every state exchanged from the one that holds the array."""
 
-    def __init__(self, populations: np.ndarray, machine_energies: np.ndarray):
-        self._populations = populations
-        self._energies = machine_energies
-
-    @cached_property
-    def ground(self) -> float:
-        return np.sum(self._populations[: self._energies.size])
+    def __init__(self, weights: np.ndarray, gaps: np.ndarray, total: np.ndarray):
+        self.total, self._weights, self._gaps = total, weights, gaps
 
     @cached_property
-    def energy(self) -> float:
-        half = self._energies.size
-        return np.dot(self._populations[:half], self._energies) + np.dot(self._populations[half:], self._energies)
+    def energy(self) -> np.ndarray:
+        return _weighted_energies(self._weights, self._gaps[None, :])
 
 
 @dataclass(frozen=True, eq=False)
 class DiagonalJointState:
-    """Populations over the 2^(N+1) (probe bit, machine string) levels.
+    """Populations over the 2^(N+1) (probe bit, machine string) levels: in
+    product form, level (i_S, x) holds ``weights[i_S % len(weights), x]``
+    times ``probe_factors[i_S]``.
 
-    ``dense_populations`` is a dense array that the state shares with the
-    states exchanged or swapped from it. ``moved`` lists the (level, source)
-    pairs, by level, at which this state's populations differ from it: level
-    holds ``dense_populations[source]``. ``swapped`` is the machine qubit
-    whose bit trades places with the probe bit in the dense array, or None.
-    A state moves levels or swaps a bit, never both; a built state does
-    neither. ``machine_energies`` holds the 2^N machine level energies, which
-    are the energies of the probe's ground half; its excited half adds
-    ``probe_gap``. ``populations`` (the dense array with the moves or the
-    swap applied, read-only) and ``level_energies`` (all 2^(N+1) energies)
-    are built on first read and kept. The dense array's ground-half sum and
-    energy dot product are also taken on first read; a state exchanged from
-    this one shares them, and any other new state, ``replace`` included,
-    takes its own.
+    ``weights`` is a read-only array of 2^N columns that the state shares
+    with the states exchanged or swapped from it: one row w with factors
+    (k_g, k_e) for a built state, or the probe's ground and excited halves
+    with factors (1, 1) for a state that starts from another's populations.
+    ``moved`` lists the (level, source) pairs, by level, at which this
+    state's populations differ from the product form: level holds its value
+    at source. ``swapped`` is the machine qubit whose bit trades places with
+    the probe bit, or None. A state moves levels or swaps a bit, never both.
+    ``populations`` (read-only) and ``level_energies`` are built on first
+    read and kept, as are the sums of the weights and of the weights times
+    the energies; a state exchanged from this one shares those sums, and any
+    other new state, ``replace`` included, takes its own.
 
     ``log_partition_sum`` is the log of the unnormalized weight sum at
     construction time and equals log(Z_S) + log(Z_f); it is carried through
     permutations unchanged (they preserve the trace).
     """
 
-    dense_populations: np.ndarray
-    machine_energies: np.ndarray
-    n_machine: int
+    weights: np.ndarray
+    probe_factors: tuple[float, float]
+    machine_gaps: np.ndarray
     probe_gap: float
     log_partition_sum: float
     moved: tuple[tuple[int, int], ...] = ()
     swapped: int | None = None
+
+    @property
+    def n_machine(self) -> int:
+        return self.machine_gaps.size
 
     @property
     def size(self) -> int:
@@ -117,32 +115,41 @@ class DiagonalJointState:
 
     @cached_property
     def populations(self) -> np.ndarray:
+        populations = np.array(self.probe_factors)[:, None] * self.weights
         if self.swapped is not None:
-            populations = _swap_axes(self).transpose(2, 1, 0, 3).reshape(-1)
-        elif self.moved:
+            populations = populations.reshape(2, 1 << self.swapped, 2, -1).transpose(2, 1, 0, 3)
+        populations = populations.reshape(-1)
+        if self.moved:
             levels, sources = np.array(self.moved).T
-            populations = self.dense_populations.copy()
-            populations[levels] = self.dense_populations[sources]
-        else:
-            return self.dense_populations
-        # Read-only like the dense array: a swap or an exchange of a swapped
-        # state starts from this array.
+            populations[levels] = populations[sources]
         populations.flags.writeable = False
         return populations
 
     @cached_property
     def level_energies(self) -> np.ndarray:
-        return np.concatenate((self.machine_energies, self.machine_energies + self.probe_gap))
+        energies = np.empty((1, self.size))
+        _level_energies(np.array([[self.probe_gap, *self.machine_gaps]]), energies)
+        return energies[0]
+
+    @property
+    def machine_energies(self) -> np.ndarray:
+        return self.level_energies[: self.size // 2]
 
     @cached_property
-    def _dense_sums(self) -> _DenseSums:
-        return _DenseSums(self.dense_populations, self.machine_energies)
+    def _sums(self) -> _WeightSums:
+        return _WeightSums(self.weights, self.machine_gaps, self.weights.sum(axis=1))
 
 
-def _swap_axes(state: DiagonalJointState) -> np.ndarray:
-    """A view of a swapped state's dense array with axes: probe bit, machine
-    bits above the swapped one, swapped bit, bits below."""
-    return state.dense_populations.reshape(2, 1 << state.swapped, 2, -1)
+def _population(state: DiagonalJointState, level: int) -> float:
+    """The product-form population of ``level``, before moves or a swap."""
+    probe_bit, machine = divmod(level, 1 << state.n_machine)
+    return state.weights[probe_bit % len(state.weights), machine] * state.probe_factors[probe_bit]
+
+
+def _materialised(state: DiagonalJointState) -> DiagonalJointState:
+    """A state that moves and swaps nothing, over ``state``'s populations."""
+    return replace(state, weights=state.populations.reshape(2, -1), probe_factors=(1.0, 1.0),
+                   moved=(), swapped=None)
 
 
 def _joint_levels(n_machine: int, max_qubits: int) -> int:
@@ -162,25 +169,51 @@ def _level_energies(gaps: np.ndarray, energies: np.ndarray) -> None:
         size *= 2
 
 
-def _machine_weights(omega, beta_s, gaps, beta_m, energies, weights):
-    """Write the machine weights w of T joint states into ``weights`` (which
-    may be ``energies``, their (T, 2^N) machine level energies); return k_g
-    and k_e, with populations w k_g and w k_e, and the log weight sums.
+def _weighted_energies(weights: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """sum_x w(x) E(x) of each row of ``weights``, with a row of machine gaps
+    for each or one for all, and no 2^N energy array: with h and l the high
+    and low halves of x's bits, it is two matrix-vector products over w,
+    sum_h E_high(h) sum_l w(h, l) + sum_h sum_l w(h, l) E_low(l)."""
+    high = gaps.shape[1] // 2
+    e_high, e_low = (np.empty((len(gaps), 1 << k)) for k in (high, gaps.shape[1] - high))
+    _level_energies(gaps[:, :high], e_high)
+    _level_energies(gaps[:, high:], e_low)
+    grid = weights.reshape(len(weights), e_high.shape[1], -1)
+    return (e_high * (grid @ np.ones(e_low.shape[1]))).sum(axis=1) + (grid @ e_low[:, :, None]).sum(axis=(1, 2))
+
+
+def _bit_zero_sums(weights: np.ndarray, bit: int) -> np.ndarray:
+    """The sum of each row of ``weights`` over the machine levels whose ``bit`` is 0."""
+    return weights.reshape(len(weights), 1 << bit, 2, -1)[:, :, 0, :].sum(axis=(1, 2))
+
+
+def _machine_weights(omega, beta_s, gaps, beta_m, weights):
+    """Write the machine weights w of T joint states into ``weights``, a
+    (T, 2^N) array; return k_g and k_e, with populations w k_g and w k_e,
+    the sums of w and the log weight sums.
 
     Row t is a probe with gap ``omega[t]`` at ``beta_s[t]`` and machine gaps
-    ``gaps[t]`` at ``beta_m[t]``. w(x) = e^{-beta_M E(x) - s}, where
-    s = sum_j max(0, -beta_M g_j) is the largest log weight, so no weight
-    exceeds 1 at any sign of beta_M; the probe factors are shifted alike.
+    ``gaps[t]`` at ``beta_m[t]``. Qubit j, the probe first, has the log
+    weight x_j = -beta g_j when excited and factors e^{-s_j} (ground) and
+    e^{x_j - s_j} (excited), both at most 1 with s_j = max(0, x_j). w(x) is
+    doubled as a product of the machine qubits' factors, the last qubit first
+    so that qubit 0 becomes the most significant bit: 2(N + 1) exponentials
+    a row, not 2^N.
     """
-    np.multiply(energies, -beta_m[:, None], out=weights)
-    machine_shift = np.maximum(0.0, -beta_m[:, None] * gaps).sum(axis=1)
-    weights -= machine_shift[:, None]
-    np.exp(weights, out=weights)
-    probe_exponent = -beta_s * omega
-    probe_shift = np.maximum(0.0, probe_exponent)
-    ground, excited = np.exp(-probe_shift), np.exp(probe_exponent - probe_shift)
-    total = weights.sum(axis=1) * (ground + excited)
-    return ground / total, excited / total, machine_shift + probe_shift + np.log(total)
+    exponent = -np.column_stack((beta_s * omega, beta_m[:, None] * gaps))
+    shift = np.maximum(0.0, exponent)
+    excited, ground = np.exp(exponent - shift), np.exp(-shift)
+    scaled = np.any(shift > 0.0, axis=0).tolist()
+    weights[:, 0] = 1.0
+    size = 1
+    for column in range(gaps.shape[1], 0, -1):
+        np.multiply(weights[:, :size], excited[:, column:column + 1], out=weights[:, size:2 * size])
+        if scaled[column]:  # a factor of 1 elsewhere
+            weights[:, :size] *= ground[:, column:column + 1]
+        size *= 2
+    total = weights.sum(axis=1)
+    partition = total * (ground[:, 0] + excited[:, 0])
+    return ground[:, 0] / partition, excited[:, 0] / partition, total, shift.sum(axis=1) + np.log(partition)
 
 
 def build_joint_state(
@@ -189,46 +222,35 @@ def build_joint_state(
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> DiagonalJointState:
     """Normalized product populations e^{-beta_S*omega*i_S} e^{-beta_M*(i_M.G)} / (Z_S Z_f)."""
-    levels = _joint_levels(oracle.n_machine_qubits, max_qubits)
+    weights = np.empty((1, _joint_levels(oracle.n_machine_qubits, max_qubits) // 2))
     gaps = np.array([(probe.gap, *oracle.gap_vector.gaps)])
     betas = np.array([[probe.inverse_temperature, oracle.machine_inverse_temperature]])
-    energies, populations = np.empty((1, levels // 2)), np.empty((1, levels))
-    _level_energies(gaps[:, 1:], energies)
-    ground, excited = np.split(populations, 2, axis=1)
-    k_g, k_e, log_partition_sum = _machine_weights(
-        gaps[:, 0], betas[:, 0], gaps[:, 1:], betas[:, 1], energies, excited
+    k_g, k_e, total, log_partition_sum = _machine_weights(
+        gaps[:, 0], betas[:, 0], gaps[:, 1:], betas[:, 1], weights
     )
-    np.multiply(excited, k_g[:, None], out=ground)
-    excited *= k_e[:, None]
-    populations.flags.writeable = False  # shared by every exchange of the state
-    return DiagonalJointState(
-        dense_populations=populations[0],
-        machine_energies=energies[0],
-        n_machine=oracle.n_machine_qubits,
-        probe_gap=probe.gap,
-        log_partition_sum=float(log_partition_sum[0]),
-    )
+    weights.flags.writeable = False  # shared by every exchange of the state
+    state = DiagonalJointState(weights, (float(k_g[0]), float(k_e[0])), gaps[0, 1:], probe.gap,
+                               float(log_partition_sum[0]))
+    # Stored as cached_property stores it.
+    vars(state)["_sums"] = _WeightSums(weights, state.machine_gaps, total)
+    return state
 
 
-def _weight_chunks(omega, beta_s, gaps, beta_m, keep_energies=False):
+def _weight_chunks(omega, beta_s, gaps, beta_m):
     """Machine weights of T joint states, a chunk of rows at a time, in one
     array of at most 2^15 machine levels or one row: yields the chunk's
-    slice, its (rows, 2^N) weights w, k_g, k_e and log weight sums as
-    :func:`_machine_weights` gives them, and its level energies, which are
-    written over by the weights unless ``keep_energies``."""
+    slice, its (rows, 2^N) weights w, and k_g, k_e, the sums of w and the
+    log weight sums as :func:`_machine_weights` gives them."""
     rows, n = gaps.shape
     levels = _joint_levels(n, DEFAULT_MAX_QUBITS) // 2
     step = max(1, min(rows, _BATCH_LEVELS // levels))
     buffer = np.empty((step, levels))
-    energy_buffer = np.empty((step, levels)) if keep_energies else buffer
     for start in range(0, rows, step):
         chunk = slice(start, min(start + step, rows))
-        weights, energies = buffer[: chunk.stop - start], energy_buffer[: chunk.stop - start]
-        _level_energies(gaps[chunk], energies)
-        k_g, k_e, log_sum = _machine_weights(
-            omega[chunk], beta_s[chunk], gaps[chunk], beta_m[chunk], energies, weights
+        weights = buffer[: chunk.stop - start]
+        yield chunk, weights, *_machine_weights(
+            omega[chunk], beta_s[chunk], gaps[chunk], beta_m[chunk], weights
         )
-        yield chunk, weights, k_g, k_e, log_sum, energies
 
 
 def kickback_batch(
@@ -245,14 +267,13 @@ def kickback_batch(
     and ``masks`` holds one 0/1 mask row per state, shaped like ``gaps``.
     With ``energies``, the machine mean energy before and after follow.
 
-    The exchange touches two levels a and b of each row
-    (:func:`kickback_level_indices`), so p0' = p0 - p[a] + p[b] without a
-    copy of the state; both are clamped at 1 as :func:`probe_marginal` is.
-    Only the machine weights w are built (:func:`_weight_chunks`): p[b] is
-    w[b - 2^N] k_e, read before the ground half w k_g is written over w for
-    p0. The machine mean energy is sum_x w(x) E(x) times k_g plus the same
-    times k_e, as :func:`machine_mean_energy` sums the two halves, and the
-    exchange adds (p[b] - p[a]) (E(a) - E(b - 2^N)).
+    Each row's weights w and factors k_g, k_e are built as
+    :func:`build_joint_state` builds them: p0 = k_g sum(w), and the exchange
+    of levels a and b (:func:`kickback_level_indices`) gives
+    p0' = p0 - w[a] k_g + w[b - 2^N] k_e; both are clamped at 1 as
+    :func:`probe_marginal` is. The machine mean energy is that of
+    :func:`machine_mean_energy`, and the exchange adds
+    (p[b] - p[a]) (E(a) - E(b - 2^N)).
     """
     rows, n = gaps.shape
     masks = np.asarray(masks)
@@ -262,23 +283,20 @@ def kickback_batch(
     level_b = level_b - (1 << n)  # the machine level of b
     p0, p0_after, log_partition_sum = np.empty(rows), np.empty(rows), np.empty(rows)
     energy, energy_after = np.empty(rows), np.empty(rows)
-    chunks = _weight_chunks(omega, beta_s, gaps, beta_m, keep_energies=energies)
-    for chunk, weights, k_g, k_e, log_sum, level_energies in chunks:
+    for chunk, weights, k_g, k_e, total, log_sum in _weight_chunks(omega, beta_s, gaps, beta_m):
         log_partition_sum[chunk] = log_sum
-        row = np.arange(weights.shape[0])
+        row = np.arange(len(weights))
+        ground_a = weights[row, level_a[chunk]] * k_g
         excited_b = weights[row, level_b[chunk]] * k_e
+        ground = total * k_g
+        p0[chunk] = np.minimum(ground, 1.0)
+        p0_after[chunk] = np.minimum(ground - ground_a + excited_b, 1.0)
         if energies:
-            # Read before the energies are written over by w E.
-            exchanged = (excited_b - weights[row, level_a[chunk]] * k_g) * (
-                level_energies[row, level_a[chunk]] - level_energies[row, level_b[chunk]]
-            )
-            level_energies *= weights
-            weighted = level_energies.sum(axis=1)
+            weighted = _weighted_energies(weights, gaps[chunk])
             energy[chunk] = weighted * k_g + weighted * k_e
-            energy_after[chunk] = energy[chunk] + exchanged
-        weights *= k_g[:, None]
-        p0[chunk] = np.minimum(weights.sum(axis=1), 1.0)
-        p0_after[chunk] = np.minimum(p0[chunk] - weights[row, level_a[chunk]] + excited_b, 1.0)
+            # E(a) - E(b - 2^N): b's machine bits are a's flipped.
+            exchanged = ((2 * masks[chunk] - 1) * gaps[chunk]).sum(axis=1)
+            energy_after[chunk] = energy[chunk] + (excited_b - ground_a) * exchanged
     if energies:
         return p0, p0_after, log_partition_sum, energy, energy_after
     return p0, p0_after, log_partition_sum
@@ -294,22 +312,21 @@ def swap_batch(
 
     The probe takes machine bit j's value, so its p0 is the population of
     the levels whose bit j is 0 in both probe halves: the machine weights w
-    summed over them, times k_g + k_e.
+    summed over them, times k_g plus the same times k_e.
     """
     rows, n = gaps.shape
     p0 = np.empty((rows, n))
     for chunk, weights, k_g, k_e, _, _ in _weight_chunks(omega, beta_s, gaps, beta_m):
         for j in range(n):
-            bit_j = weights.reshape(weights.shape[0], 1 << j, 2, -1)[:, :, 0, :]
-            p0[chunk, j] = bit_j.sum(axis=(1, 2))
-        p0[chunk] *= (k_g + k_e)[:, None]
+            zero = _bit_zero_sums(weights, j)
+            p0[chunk, j] = zero * k_g + zero * k_e
     return np.minimum(p0, 1.0)
 
 
 def apply_level_exchange(state: DiagonalJointState, level_a: int, level_b: int) -> DiagonalJointState:
     """Swap the populations of two distinct levels; everything else untouched.
 
-    O(1): the result shares ``state``'s dense array and its sums, and records
+    O(1): the result shares ``state``'s weights and their sums, and records
     where the two levels now read from; a level moved back to its own source
     is dropped. An exchange of a swapped state starts from its populations.
     """
@@ -319,41 +336,44 @@ def apply_level_exchange(state: DiagonalJointState, level_a: int, level_b: int) 
     if level_a == level_b:
         raise ValueError("level indices must be distinct")
     if state.swapped is not None:
-        state = replace(state, dense_populations=state.populations, swapped=None)
+        state = _materialised(state)
     moved = dict(state.moved)
     moved[level_a], moved[level_b] = moved.get(level_b, level_b), moved.get(level_a, level_a)
     exchanged = replace(state, moved=tuple(sorted(pair for pair in moved.items() if pair[0] != pair[1])))
-    # Stored as cached_property stores it: the two states share one dense array.
-    vars(exchanged)["_dense_sums"] = state._dense_sums
+    # Stored as cached_property stores it: the two states share one weight array.
+    vars(exchanged)["_sums"] = state._sums
     return exchanged
 
 
 def apply_swap_with_machine_qubit(state: DiagonalJointState, machine_index: int) -> DiagonalJointState:
     """Permute populations exchanging the probe bit with machine bit ``machine_index``.
 
-    O(1): the result shares the populations of ``state``, which are its dense
-    array unless it already moves levels or swaps a bit, and records the
-    swapped bit.
+    O(1): the result shares ``state``'s weights and records the swapped bit.
+    A swap of a state that already moves levels or swaps a bit starts from
+    its populations.
     """
     if not 0 <= machine_index < state.n_machine:
         raise IndexError(f"machine index {machine_index} out of range")
-    return replace(state, dense_populations=state.populations, moved=(), swapped=machine_index)
+    if state.moved or state.swapped is not None:
+        state = _materialised(state)
+    return replace(state, swapped=machine_index)
 
 
 def probe_marginal(state: DiagonalJointState) -> BinaryDistribution:
-    """Sum populations over the machine for each probe bit: the dense ground
-    half, then p0 - p[level] + p[source] at each moved ground level; for a
-    swapped state, the dense levels whose swapped bit is 0. Rounding can
-    carry the sum past 1 when nearly all weight is in the probe's ground
-    level."""
+    """Sum populations over the machine for each probe bit: k_g times the
+    sum of the weights, then p0 - p[level] + p[source] at each moved ground
+    level; for a swapped state, the weights whose swapped bit is 0 times
+    each probe factor. Rounding can carry the sum past 1 when nearly all
+    weight is in the probe's ground level."""
+    k_g, k_e = state.probe_factors
     if state.swapped is not None:
-        return BinaryDistribution(min(1.0, float(np.sum(_swap_axes(state)[:, :, 0, :]))))
+        zero = _bit_zero_sums(state.weights, state.swapped)
+        return BinaryDistribution(min(1.0, float(zero[0] * k_g + zero[-1] * k_e)))
     half = 1 << state.n_machine
-    dense = state.dense_populations
-    p0 = state._dense_sums.ground
+    p0 = state._sums.total[0] * k_g
     for level, source in state.moved:
         if level < half:
-            p0 = p0 - dense[level] + dense[source]
+            p0 = p0 - _population(state, level) + _population(state, source)
     return BinaryDistribution(min(1.0, float(p0)))
 
 
@@ -381,15 +401,16 @@ def probe_mean_energy(state: DiagonalJointState) -> float:
 
 
 def machine_mean_energy(state: DiagonalJointState) -> float:
-    """Dot products of the dense halves with the machine energies, plus the
-    change of population times energy at each moved level; a swapped state
-    reads its populations."""
+    """sum_x w(x) E(x) times each probe factor, plus the change of
+    population times energy at each moved level; a swapped state starts
+    from its populations."""
     if state.swapped is not None:
-        state = replace(state, dense_populations=state.populations, swapped=None)
-    half = 1 << state.n_machine
-    energies = state.machine_energies
-    dense = state.dense_populations
-    energy = state._dense_sums.energy
+        state = _materialised(state)
+    k_g, k_e = state.probe_factors
+    weighted = state._sums.energy
+    energy = weighted[0] * k_g + weighted[-1] * k_e
+    n = state.n_machine
     for level, source in state.moved:
-        energy += (dense[source] - dense[level]) * energies[level % half]
+        bits = (level >> np.arange(n - 1, -1, -1)) & 1
+        energy += (_population(state, source) - _population(state, level)) * (bits @ state.machine_gaps)
     return float(energy)

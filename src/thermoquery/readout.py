@@ -173,7 +173,10 @@ def distinguishability_report(
         lhs = math.exp(-log_z_const) - math.exp(-log_z_bal)
     gamma_const = n_machine * e1
     gamma_bal = (n_machine / 2.0) * (e1 + e2)
-    chi = math.exp(log_z_const - beta_m * gamma_bal) - math.exp(log_z_bal - beta_m * gamma_const)
+    try:
+        chi = math.exp(log_z_const - beta_m * gamma_bal) - math.exp(log_z_bal - beta_m * gamma_const)
+    except OverflowError:
+        raise ValueError(f"chi overflows a double at beta_m = {beta_m}") from None
     return DistinguishabilityReport(t, lhs, chi, lhs > 2.0 * t)
 
 

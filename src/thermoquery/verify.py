@@ -595,6 +595,9 @@ def run_verification(
     seed: int = 1234,
 ) -> VerificationReport:
     sizes = _Sizes(max_dj_n, max_bv_n, tuples_per_instance, mask_cases, regime_cases)
+    for name, value in sizes._asdict().items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     report = VerificationReport()
     for section, child in zip(_SECTIONS, np.random.SeedSequence(seed).spawn(len(_SECTIONS))):
         report.checks += section(np.random.default_rng(child), sizes)

@@ -1,13 +1,14 @@
 """Shared fixtures and an independent reference model for cross-checking.
 
 The reference implementation below is intentionally written with plain Python
-dicts and math.exp products (no numpy, no log-domain tricks, no shared code
-with the package) so that agreement with the library is meaningful.
+dicts and decimal exp products (no numpy, no log-domain tricks, no shared code
+with the package) so that agreement with the library is meaningful. Decimal
+arithmetic holds e^x far past the 709 at which a double overflows.
 """
 
 from __future__ import annotations
 
-import math
+from decimal import Decimal, localcontext
 from itertools import product
 
 import numpy as np
@@ -19,19 +20,20 @@ from thermoquery.thermal import ThermalMachineOracle, ThermalQubit
 def reference_joint_populations(
     probe: ThermalQubit, oracle: ThermalMachineOracle
 ) -> dict[tuple[int, tuple[int, ...]], float]:
-    """Normalized populations over (probe bit, machine bit tuple), by direct products."""
-    gaps = oracle.gap_vector.gaps
-    beta_m = oracle.machine_inverse_temperature
-    beta_s = probe.inverse_temperature
-    weights: dict[tuple[int, tuple[int, ...]], float] = {}
-    for s_bit in (0, 1):
-        for machine in product((0, 1), repeat=len(gaps)):
-            energy = sum(b * g for b, g in zip(machine, gaps))
-            weights[(s_bit, machine)] = math.exp(-beta_s * probe.gap * s_bit) * math.exp(
-                -beta_m * energy
-            )
-    total = sum(weights.values())
-    return {level: w / total for level, w in weights.items()}
+    """Normalized populations over (probe bit, machine bit tuple), by direct
+    products at 40 significant digits."""
+    gaps = [Decimal(g) for g in oracle.gap_vector.gaps]
+    beta_m = Decimal(oracle.machine_inverse_temperature)
+    probe_exponent = -Decimal(probe.inverse_temperature) * Decimal(probe.gap)
+    weights: dict[tuple[int, tuple[int, ...]], Decimal] = {}
+    with localcontext() as context:
+        context.prec = 40
+        for s_bit in (0, 1):
+            for machine in product((0, 1), repeat=len(gaps)):
+                energy = sum((g for b, g in zip(machine, gaps) if b), Decimal(0))
+                weights[(s_bit, machine)] = (probe_exponent * s_bit).exp() * (-beta_m * energy).exp()
+        total = sum(weights.values())
+        return {level: float(w / total) for level, w in weights.items()}
 
 
 def reference_kickback_ground_population(

@@ -273,6 +273,13 @@ class TestDistinguishability:
         assert main(["distinguishability", "--n-qubits", "3",
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("beta_m", ("-800", "-700"))
+    def test_overflowing_chi_exits_one(self, tmp_path, capsys, beta_m):
+        """A chi past the float range is a one-line error naming beta_M, not a traceback."""
+        assert main(["distinguishability", f"--beta-m={beta_m}", "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"thermoquery: error: chi overflows a double at beta_m = {float(beta_m)}\n"
+
 
 class TestSampleComplexity:
     def test_reference_row_values(self, tmp_path):
@@ -351,6 +358,8 @@ def test_figure_out_path_opened_before_the_work(tmp_path, capsys, monkeypatch, a
         ["sample-complexity", "--t-grid=nan"],
         ["detuning-sweep", "--beta-s=0,inf"],
         ["detuning-sweep", "--beta-m=nan"],
+        ["distinguishability", "--beta-m=nan"],
+        ["distinguishability", "--beta-m=-inf"],
         ["detuning-sweep", "--gamma=1,inf,1"],
         ["verify", "--max-n", "5", "--trials", "1"],
         ["verify", "--max-n", "1", "--bv-max-n", "30", "--trials", "4"],

@@ -85,6 +85,50 @@ class TestBuildJointState:
         assert probe_marginal(state).p0 == pytest.approx(probe.ground_population, abs=1e-14)
 
 
+class TestProductWeights:
+    """The weights doubled as a product of per-qubit factors."""
+
+    # The 2.0 gap puts |beta_M g| at 800, past the 709 at which e^x
+    # overflows a double; the small gaps keep the other levels populated.
+    @pytest.mark.parametrize("beta_m", (-400.0, 400.0))
+    @pytest.mark.parametrize("beta_s", (-1.0, 0.5))
+    def test_weights_match_reference_past_the_overflow(self, beta_s, beta_m):
+        probe = ThermalQubit(0.8, beta_s)
+        oracle = build_custom_oracle([0.0025, 2.0, 0.001, 0.0, 0.003], beta_m)
+        state = build_joint_state(probe, oracle)
+        weights = state.weights[0]
+        assert weights.max() == 1.0 and np.all(weights >= 0.0)
+        for (s_bit, machine), expected in reference_joint_populations(probe, oracle).items():
+            level = int("".join(str(b) for b in machine), 2)
+            population = weights[level] * state.probe_factors[s_bit]
+            assert population == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("beta_m", (-0.8, 0.8))
+    def test_nineteen_qubit_build_holds_only_its_weights(self, beta_m):
+        n = exactsim.DEFAULT_MAX_QUBITS - 1
+        probe, oracle = ThermalQubit(1.0, 0.5), build_custom_oracle([0.5] * n, beta_m)
+        tracemalloc.start()
+        try:
+            state = build_joint_state(probe, oracle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 << n) + (1 << 20)
+        assert probe_marginal(state).p0 == pytest.approx(probe.ground_population, abs=1e-14)
+
+    def test_nineteen_qubit_mean_energy_makes_no_copy(self):
+        n = exactsim.DEFAULT_MAX_QUBITS - 1
+        state = build_joint_state(ThermalQubit(1.0, 0.5), build_custom_oracle([0.5] * n, 0.8))
+        tracemalloc.start()
+        try:
+            energy = machine_mean_energy(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert energy == pytest.approx(n * 0.5 * (1.0 - ThermalQubit(0.5, 0.8).ground_population), rel=1e-13)
+
+
 class TestLevelExchange:
     def test_swap_and_restore(self):
         _, _, state = worked_state()
@@ -170,7 +214,8 @@ def dense_swap(populations, n, index):
 
 def fresh_from_populations(state):
     """A state that moves and swaps nothing, built from ``state``'s materialised populations."""
-    return replace(state, dense_populations=state.populations, moved=(), swapped=None)
+    return replace(state, weights=state.populations.reshape(2, -1), probe_factors=(1.0, 1.0),
+                   moved=(), swapped=None)
 
 
 def assert_reads_like_fresh(state):
@@ -208,8 +253,8 @@ class TestSharedExchange:
             each = state
             for pair, populations in zip(pairs, expected[1:]):
                 each = apply_level_exchange(each, *pair)
-                assert np.shares_memory(each.dense_populations, state.populations)
-                assert each._dense_sums is state._dense_sums  # summed once for the chain
+                assert each.weights is state.weights
+                assert each._sums is state._sums  # summed once for the chain
                 assert np.array_equal(each.populations, populations)
                 assert_reads_like_fresh(each)
                 fresh = fresh_from_populations(each)
@@ -261,11 +306,12 @@ class TestSharedExchange:
             probe_marginal(after), machine_mean_energy(after)
             fresh = fresh_from_populations(after)
             populations = fresh.populations
+            assert fresh._sums is not after._sums
             assert probe_marginal(fresh).p0 == np.sum(populations[:half])
             assert probe_marginal(fresh).p0 != probe_marginal(state).p0
             energies = state.machine_energies
-            assert machine_mean_energy(fresh) == (
-                np.dot(populations[:half], energies) + np.dot(populations[half:], energies))
+            assert machine_mean_energy(fresh) == pytest.approx(
+                np.dot(populations[:half], energies) + np.dot(populations[half:], energies), rel=1e-15)
             assert machine_mean_energy(fresh) != machine_mean_energy(state)
 
 
@@ -314,7 +360,7 @@ class TestLazySwap:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20
-            assert swapped.dense_populations is state.dense_populations
+            assert swapped.weights is state.weights
             assert p0 == pytest.approx(ThermalQubit(0.5, 0.8).ground_population, abs=1e-12)
 
 

@@ -263,6 +263,14 @@ SMALL_RUN = dict(max_dj_n=2, max_bv_n=3, tuples_per_instance=12, mask_cases=30, 
 REGIME_CHECKS = ("regime-sign-consistency", SENSITIVITY, "well-definedness-flag-consistency", "temperature-roundtrip")
 
 
+@pytest.mark.parametrize("name", ("max_dj_n", "max_bv_n", "tuples_per_instance", "mask_cases", "regime_cases"))
+@pytest.mark.parametrize("value", (0, -3))
+def test_sizes_below_one_are_rejected(name, value):
+    """A size below 1 would leave its checks with no cases, reported as passed."""
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+        verify.run_verification(**{**SMALL_RUN, name: value})
+
+
 @pytest.mark.parametrize("section, changed", [
     (MASK_CHECKS, {"mask_cases": 31}),
     (REGIME_CHECKS, {"regime_cases": 700}),
