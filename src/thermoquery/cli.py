@@ -10,21 +10,25 @@ object) so runs are reproducible from their artifacts alone. All subcommands
 are deterministic under a fixed seed and config; sweep rows are emitted in
 canonical sorted order.
 
-Each subcommand builds its rows as tuples in ``fieldnames`` order. CSV goes
-through one ``csv.writer``; JSON is written one row at a time, in exactly the
-layout of ``json.dump(..., indent=2)`` followed by a newline, so no output
-document is ever held as one string.
+Each subcommand builds its rows as tuples in ``fieldnames`` order. They are
+written a few hundred at a time: each distinct cell object of a chunk is
+rendered once, and each row goes through one ``%`` template. The CSV is what
+``csv.writer`` writes; the JSON is exactly the layout of
+``json.dump(..., indent=2)`` followed by a newline. No output document is ever
+held as one string.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
+import itertools
 import json
 import math
+import os
 import re
+import stat
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import IO, Sequence
@@ -126,30 +130,36 @@ def parse_int_list(text: str) -> list[int]:
 
 @contextlib.contextmanager
 def _open_out(path: str | None):
-    """Standard output for no path or '-', else ``path`` opened for writing.
+    """Yield ``start``, which returns the stream to write: standard output for
+    no path or '-', else ``path``.
 
     Subcommands validate their inputs and then open their output before the
-    work, so an unwritable path fails at once.
+    work, so an unwritable path fails at once. The file is emptied only when
+    ``start`` is called, after the work, so a run that fails keeps the bytes
+    of an existing file.
     """
     if path is None or path == "-":
-        yield sys.stdout
+        yield lambda: sys.stdout
         return
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        yield stream
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="") as stream:
+        def start() -> IO[str]:
+            # What O_TRUNC would have done: a device or a pipe is not truncated.
+            if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                stream.truncate(0)
+            return stream
 
+        yield start
+
+
+# Rows are rendered and written this many at a time, so no output document is
+# ever held as one string.
+_CHUNK_ROWS = 256
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(value: float) -> str:
-    text = float.__repr__(value)
-    return _JSON_NON_FINITE.get(text, text)
-
 
 # json.dumps text keyed on a value's exact type; any other type (a numpy float
 # included) goes through json.dumps itself, which raises for unsupported types.
 _JSON_SCALARS = {
-    float: _json_float,
     int: int.__repr__,
     str: encode_basestring_ascii,
     bool: lambda value: "true" if value else "false",
@@ -157,33 +167,72 @@ _JSON_SCALARS = {
 }
 
 
+def _json_text(value) -> str:
+    if type(value) is float:
+        text = float.__repr__(value)
+        return _JSON_NON_FINITE.get(text, text)
+    return _JSON_SCALARS.get(type(value), json.dumps)(value)
+
+
+_CSV_QUOTED = re.compile(r'[,"\r\n]')
+
+
+def _csv_text(value) -> str:
+    """The field csv.writer writes: nothing for None, else the value's str,
+    quoted if it holds a comma, a quote or a line break."""
+    kind = type(value)
+    if kind is float or kind is int or kind is bool:
+        return kind.__repr__(value)  # the str of these types, which needs no quotes
+    text = "" if value is None else str(value)
+    return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
+
+
+def _csv_lone_text(value) -> str:
+    # csv.writer quotes a row's one field when it is empty, so the row is not blank.
+    return _csv_text(value) or '""'
+
+
+def _texts(rows: Sequence[tuple], render) -> tuple:
+    """The text of every cell of ``rows``, in order, each distinct object rendered once.
+
+    The memo is keyed by identity, not value: -0.0 equals 0.0 but has its own
+    text. The rows keep every object alive, so no id is reused meanwhile.
+    """
+    cells = list(itertools.chain.from_iterable(rows))
+    ids = list(map(id, cells))
+    distinct = dict(zip(ids, cells))
+    text = dict(zip(distinct, map(render, distinct.values())))
+    return tuple(map(text.__getitem__, ids))
+
+
 def _emit(stream: IO[str], fmt: str, config: dict, fieldnames: Sequence[str], rows: Sequence[tuple]) -> None:
     """Write the config echo and ``rows``, tuples in ``fieldnames`` order, as CSV or JSON.
 
     JSON is ``json.dump({"version", "config", "rows"}, stream, indent=2)`` and a
-    newline, written row by row. Row values must be scalars: a container would
-    not get the nested indent.
+    newline; CSV is the comment lines and what ``csv.writer`` writes. Each chunk
+    of ``_CHUNK_ROWS`` rows goes through ``_texts`` and then one ``%`` template
+    per row, ``%s,...,%s\r\n`` or the JSON object with its keys built in. Row
+    values must be scalars: a container would not get the nested indent.
     """
     if fmt == "json":
         head = json.dumps({"version": __version__, "config": config}, indent=2)
         stream.write(head[: -len("\n}")] + ',\n  "rows": [')
-        keys = [encode_basestring_ascii(name) + ": " for name in fieldnames]
-        prefixes = ["\n      " + keys[0]] + [",\n      " + key for key in keys[1:]]
-        text = _JSON_SCALARS.get
-        opener = "\n    {"
-        for row in rows:
-            body = "".join([p + text(type(v), json.dumps)(v) for p, v in zip(prefixes, row)])
-            stream.write(opener + body + "\n    }")
-            opener = ",\n    {"
+        keys = [encode_basestring_ascii(name).replace("%", "%%") for name in fieldnames]
+        template = ",\n    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
+        render, skip = _json_text, 1  # the first row has no leading comma
+    else:
+        stream.write(f"# thermoquery {__version__}\n")
+        for key in sorted(config):
+            stream.write(f"# {key} = {config[key]}\n")
+        template = ",".join(["%s"] * len(fieldnames)) + "\r\n"
+        render, skip = (_csv_text if len(fieldnames) > 1 else _csv_lone_text), 0
+        stream.write(template % tuple(map(render, fieldnames)))
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
+        stream.write((template * len(chunk) % _texts(chunk, render))[skip:])
+        skip = 0
+    if fmt == "json":
         stream.write("\n  ]\n}\n" if rows else "]\n}\n")
-        return
-    stream.write(f"# thermoquery {__version__}\n")
-    for key in sorted(config):
-        stream.write(f"# {key} = {config[key]}\n")
-    # csv writes None as an empty field and a float as its repr.
-    writer = csv.writer(stream)
-    writer.writerow(fieldnames)
-    writer.writerows(rows)
 
 
 def cmd_dj_kickback(args: argparse.Namespace) -> int:
@@ -219,7 +268,7 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
     }
     a = np.array(beta_s_values) * args.omega
     rows = []
-    with _open_out(args.out) as stream:
+    with _open_out(args.out) as start:
         for column, beta_m in enumerate(beta_m_values):
             curves = []
             for name, (total, log_zf) in machines:
@@ -230,7 +279,7 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
             for i, beta_s in enumerate(beta_s_values):
                 for name, delta, p0_after, beta_after in curves:
                     rows.append((beta_m, beta_s, name, delta[i], p0_after[i], beta_after[i]))
-        _emit(stream, args.format, config,
+        _emit(start(), args.format, config,
               ["beta_M", "beta_S", "case", "delta_p0", "p0_after", "beta_S_prime"], rows)
     return 0
 
@@ -257,7 +306,7 @@ def cmd_distinguishability(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     rows = []
-    with _open_out(args.out) as stream:
+    with _open_out(args.out) as start:
         for n in n_values:
             for e1 in sorted(e1_values):
                 for e2 in sorted(e2_values):
@@ -265,7 +314,7 @@ def cmd_distinguishability(args: argparse.Namespace) -> int:
                         continue
                     report = distinguishability_report(e1, e2, args.beta_m, n, args.t)
                     rows.append((n, e1, e2, report.lhs, report.chi, report.satisfied))
-        _emit(stream, args.format, config, ["N", "E1", "E2", "lhs", "chi", "satisfied"], rows)
+        _emit(start(), args.format, config, ["N", "E1", "E2", "lhs", "chi", "satisfied"], rows)
     return 0
 
 
@@ -283,12 +332,12 @@ def cmd_sample_complexity(args: argparse.Namespace) -> int:
     }
     fields = ["delta", "t", "n_star", "k_classical", "n_mixed_query",
               "n_crossover", "thermal_beats_probabilistic"]
-    with _open_out(args.out) as stream:
+    with _open_out(args.out) as start:
         table = crossover_analysis(deltas, ts)
         rows = [(row.delta, row.t, row.n_star, row.k_classical,
                  chernoff_stein_samples(row.delta, MIXED_QUERY_DIVERGENCE),
                  row.n_crossover, row.thermal_beats_probabilistic) for row in table]
-        _emit(stream, args.format, config, fields, rows)
+        _emit(start(), args.format, config, fields, rows)
     return 0
 
 
@@ -309,7 +358,7 @@ def cmd_detuning_sweep(args: argparse.Namespace) -> int:
         raise CliError(str(exc))
     for beta_s in beta_s_values:
         ThermalQubit(config_obj.omega, beta_s)  # rejects a non-finite probe gap or temperature
-    with _open_out(args.out) as stream:
+    with _open_out(args.out) as start:
         sweep = bv3_sweep(config_obj, sorted(beta_s_values))
         rows = [(p.secret, p.beta_s, p.delta_s, p.eta, p.beta_s_prime) for p in sweep.points]
         config = {
@@ -323,7 +372,7 @@ def cmd_detuning_sweep(args: argparse.Namespace) -> int:
             "min_pairwise_separation": sweep.min_pairwise_separation,
             "seed": args.seed,
         }
-        _emit(stream, args.format, config,
+        _emit(start(), args.format, config,
               ["secret", "beta_S", "delta_s", "eta", "beta_S_prime"], rows)
     return 0
 
@@ -340,7 +389,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise CliError(f"{flag} must be <= {most}, got {value}")
     # The report goes to standard output; --out adds it as JSON.
     to_file = args.out not in (None, "-")
-    with (_open_out(args.out) if to_file else contextlib.nullcontext()) as stream:
+    with (_open_out(args.out) if to_file else contextlib.nullcontext()) as start:
         report = run_verification(
             max_dj_n=args.max_n,
             max_bv_n=args.bv_max_n,
@@ -350,6 +399,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for line in report.lines():
             print(line)
         if to_file:
+            stream = start()
             json.dump({"version": __version__, "seed": args.seed, **report.to_dict()}, stream, indent=2)
             stream.write("\n")
     return 0 if report.passed else 2

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,8 @@ def emitted(fmt, config, fieldnames, rows):
     return stream.getvalue()
 
 
+WRITER_REFERENCES = {"csv": dictwriter_csv, "json": json_dump_reference}
+
 WRITER_CONFIG = {"subcommand": "test", "grid": [1.0, 2.5], "name": "caf\u00e9", "seed": 7}
 WRITER_FIELDS = ["value", "quote\"d", "caf\u00e9", "n"]
 WRITER_ROWS = [
@@ -98,6 +101,42 @@ class TestWriters:
         assert emitted("csv", WRITER_CONFIG, WRITER_FIELDS, []) == dictwriter_csv(
             WRITER_CONFIG, WRITER_FIELDS, []
         )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_across_chunk_boundaries(self, fmt):
+        """Two full chunks and one row: the JSON commas and CSV line ends at each boundary."""
+        rows = [(i * 0.5, i, f"r{i}", i % 3 == 0) for i in range(2 * cli._CHUNK_ROWS + 1)]
+        assert emitted(fmt, WRITER_CONFIG, WRITER_FIELDS, rows) == WRITER_REFERENCES[fmt](
+            WRITER_CONFIG, WRITER_FIELDS, rows
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeated_and_equal_objects_keep_their_own_text(self, fmt):
+        """Cells are rendered once per object: an equal object of another text
+        (-0.0 beside 0.0), or a NaN that equals nothing, keeps its own."""
+        shared = 0.1 + 0.2
+        equal = float(repr(shared))
+        zero, negative_zero = 0.0, -0.0
+        nans = [float("nan") for _ in range(3)]
+        column = [shared] * 700 + [equal, zero, negative_zero, shared, *nans, negative_zero, zero, shared]
+        assert equal == shared and equal is not shared
+        rows = [(value, i) for i, value in enumerate(column)]
+        text = emitted(fmt, WRITER_CONFIG, ["x", "i"], rows)
+        assert text == WRITER_REFERENCES[fmt](WRITER_CONFIG, ["x", "i"], rows)
+        assert text.count("-0.0") == 2 and text.count("0.30000000000000004") == 703
+
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_csv_one_empty_field_is_quoted(self, value):
+        rows = [(value,), ("a",), (value,)]
+        out = emitted("csv", WRITER_CONFIG, ["x"], rows)
+        assert out == dictwriter_csv(WRITER_CONFIG, ["x"], rows)
+        assert out.endswith('x\r\n""\r\na\r\n""\r\n')
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_field_name_with_percent_sign(self, fmt):
+        fields = ["100%", "%s", "%%d", "x"]
+        rows = [(1.5, -0.0, "%s", None), (2, True, "50%", math.nan)]
+        assert emitted(fmt, WRITER_CONFIG, fields, rows) == WRITER_REFERENCES[fmt](WRITER_CONFIG, fields, rows)
 
     @pytest.mark.parametrize(
         "argv",
@@ -394,6 +433,26 @@ def test_dj_kickback_size_limit_is_the_float_range(tmp_path, capsys, monkeypatch
     assert out.read_bytes() == b"kept\n"
     err = capsys.readouterr().err
     assert err.startswith(f"thermoquery: error: n = {argv[1]} ") and err.count("\n") == 1
+
+
+def test_failed_work_keeps_the_out_path_bytes(tmp_path, capsys):
+    """The output is emptied only once the work is done: a run that fails
+    during the work leaves an existing file as it was."""
+    out = tmp_path / "grid.csv"
+    out.write_bytes(b"kept\n")
+    assert main(["distinguishability", "--beta-m=-800", "--out", str(out)]) == 1
+    assert out.read_bytes() == b"kept\n"
+    assert capsys.readouterr().err.startswith("thermoquery: error:")
+
+
+@pytest.mark.parametrize("sub", ["sample-complexity", "verify"])
+def test_out_path_may_be_a_device(capsys, sub):
+    """A path that cannot be truncated, such as the null device, is written."""
+    argv = [sub, "--out", os.devnull]
+    if sub == "verify":
+        argv += ["--max-n", "1", "--bv-max-n", "1", "--trials", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_failed_work_never_removes_the_out_path(tmp_path, monkeypatch):
