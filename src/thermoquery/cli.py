@@ -286,16 +286,19 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
 
 def cmd_distinguishability(args: argparse.Namespace) -> int:
     n_values = sorted(parse_int_list(args.n_qubits))
-    e1_values = parse_values(args.e1_grid)
-    e2_values = parse_values(args.e2_grid)
+    e1_values = sorted(parse_values(args.e1_grid))
+    e2_values = sorted(parse_values(args.e2_grid))
     if any(n < 2 or n % 2 for n in n_values):
         raise CliError("machine sizes must be even and >= 2")
+    for flag, values in (("--e1-grid", e1_values), ("--e2-grid", e2_values),
+                         ("--t", [args.t]), ("--beta-m", [args.beta_m])):
+        for value in values:
+            if not math.isfinite(value):
+                raise CliError(f"{flag} must be finite, got {value}")
     if any(v <= 0 for v in e1_values + e2_values):
         raise CliError("grid energies must be positive")
     if not args.t > 0:
         raise CliError("t must be positive")
-    if not math.isfinite(args.beta_m):
-        raise CliError(f"--beta-m must be finite, got {args.beta_m}")
     config = {
         "subcommand": "distinguishability",
         "beta_M": args.beta_m,
@@ -305,15 +308,14 @@ def cmd_distinguishability(args: argparse.Namespace) -> int:
         "t": args.t,
         "seed": args.seed,
     }
-    rows = []
+    # The (N, E1, E2) grid in row order with the cells E1 < E2 dropped. Object
+    # arrays keep the grid's own values for the rows, and an N past int64.
+    grids = np.meshgrid(*(np.array(v, dtype=object) for v in (n_values, e1_values, e2_values)), indexing="ij")
+    n, e1, e2 = (grid[grids[1] >= grids[2]] for grid in grids)
     with _open_out(args.out) as start:
-        for n in n_values:
-            for e1 in sorted(e1_values):
-                for e2 in sorted(e2_values):
-                    if e1 < e2:
-                        continue
-                    report = distinguishability_report(e1, e2, args.beta_m, n, args.t)
-                    rows.append((n, e1, e2, report.lhs, report.chi, report.satisfied))
+        report = distinguishability_report(e1.astype(float), e2.astype(float), args.beta_m,
+                                           n.astype(float), args.t)
+        rows = list(zip(n.tolist(), e1.tolist(), e2.tolist(), report.lhs, report.chi, report.satisfied))
         _emit(start(), args.format, config, ["N", "E1", "E2", "lhs", "chi", "satisfied"], rows)
     return 0
 

@@ -152,11 +152,11 @@ def _materialised(state: DiagonalJointState) -> DiagonalJointState:
                    moved=(), swapped=None)
 
 
-def _joint_levels(n_machine: int, max_qubits: int) -> int:
-    """Number of levels of a probe and ``n_machine`` machine qubits, within the limit."""
-    if n_machine + 1 > max_qubits:
-        raise ValueError(f"{n_machine + 1} qubits exceed the configured limit of {max_qubits}")
-    return 2 << n_machine
+def _machine_levels(n_machine: int) -> int:
+    """Number of levels of ``n_machine`` machine qubits, with the probe within the limit."""
+    if n_machine + 1 > DEFAULT_MAX_QUBITS:
+        raise ValueError(f"{n_machine + 1} qubits exceed the limit of {DEFAULT_MAX_QUBITS}")
+    return 1 << n_machine
 
 
 def _level_energies(gaps: np.ndarray, energies: np.ndarray) -> None:
@@ -216,13 +216,9 @@ def _machine_weights(omega, beta_s, gaps, beta_m, weights):
     return ground[:, 0] / partition, excited[:, 0] / partition, total, shift.sum(axis=1) + np.log(partition)
 
 
-def build_joint_state(
-    probe: ThermalQubit,
-    oracle: ThermalMachineOracle,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> DiagonalJointState:
+def build_joint_state(probe: ThermalQubit, oracle: ThermalMachineOracle) -> DiagonalJointState:
     """Normalized product populations e^{-beta_S*omega*i_S} e^{-beta_M*(i_M.G)} / (Z_S Z_f)."""
-    weights = np.empty((1, _joint_levels(oracle.n_machine_qubits, max_qubits) // 2))
+    weights = np.empty((1, _machine_levels(oracle.n_machine_qubits)))
     gaps = np.array([(probe.gap, *oracle.gap_vector.gaps)])
     betas = np.array([[probe.inverse_temperature, oracle.machine_inverse_temperature]])
     k_g, k_e, total, log_partition_sum = _machine_weights(
@@ -242,7 +238,7 @@ def _weight_chunks(omega, beta_s, gaps, beta_m):
     slice, its (rows, 2^N) weights w, and k_g, k_e, the sums of w and the
     log weight sums as :func:`_machine_weights` gives them."""
     rows, n = gaps.shape
-    levels = _joint_levels(n, DEFAULT_MAX_QUBITS) // 2
+    levels = _machine_levels(n)
     step = max(1, min(rows, _BATCH_LEVELS // levels))
     buffer = np.empty((step, levels))
     for start in range(0, rows, step):

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .thermal import log1pexp
+from .thermal import two_gap_machine
 
 __all__ = [
     "BinaryDistribution",
@@ -129,7 +129,9 @@ class DistinguishabilityReport:
     ``lhs`` is 1/Z_const - 1/Z_balanced; the threshold ``t`` on probe
     populations is reachable only if lhs > 2 t. ``chi`` is the exponentially
     suppressed cross term dropped from that condition; it is reported, never
-    silently absorbed.
+    silently absorbed. A report of array input holds ``lhs``, ``chi`` and
+    ``satisfied`` as lists with one entry per cell of the broadcast shape
+    (nested lists for more than one axis); ``t_threshold`` is ``t`` as given.
     """
 
     t_threshold: float
@@ -146,38 +148,36 @@ class DistinguishabilityReport:
         }
 
 
-def distinguishability_report(
-    e1: float, e2: float, beta_m: float, n_machine: int, t: float
-) -> DistinguishabilityReport:
-    """Evaluate the distinguishability condition for a machine of ``n_machine`` qubits.
+def distinguishability_report(e1, e2, beta_m: float, n_machine, t: float) -> DistinguishabilityReport:
+    """Evaluate the distinguishability condition for machines of ``n_machine`` qubits.
 
-    Requires e1 >= e2 > 0 (the sign of the condition is derived under that
-    ordering; the degenerate case e1 == e2 gives lhs exactly 0) and an even
-    machine size so that balanced functions exist.
+    ``e1``, ``e2`` and ``n_machine`` are floats or arrays that broadcast. The
+    constant machine is ``two_gap_machine(n, n, e1, e2, beta_m)`` and the
+    balanced one ``two_gap_machine(n // 2, n, e1, e2, beta_m)``. Requires
+    finite inputs, e1 >= e2 > 0 (the sign of the condition is derived under
+    that ordering; the degenerate case e1 == e2 gives lhs exactly 0) and even
+    machine sizes so that balanced functions exist. A chi past the float
+    range in any cell is a ValueError for the whole call.
     """
-    if n_machine < 2 or n_machine % 2 != 0:
+    if np.any((n_machine < 2) | (n_machine % 2 != 0)):
         raise ValueError("machine size must be even and >= 2")
-    if not (e2 > 0.0 and e1 > 0.0):
+    for name, value in (("e1", e1), ("e2", e2), ("beta_m", beta_m), ("t", t)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+    if not (np.all(e2 > 0.0) and np.all(e1 > 0.0)):
         raise ValueError("gaps must be positive")
-    if e1 < e2:
+    if np.any(e1 < e2):
         raise ValueError("requires e1 >= e2; swap the gaps")
     if not t > 0.0:
         raise ValueError("t must be positive")
-    log_z1 = log1pexp(-beta_m * e1)
-    log_z2 = log1pexp(-beta_m * e2)
-    log_z_const = n_machine * log_z1
-    log_z_bal = (n_machine // 2) * (log_z1 + log_z2)
-    if e1 == e2:
-        lhs = 0.0
-    else:
-        lhs = math.exp(-log_z_const) - math.exp(-log_z_bal)
-    gamma_const = n_machine * e1
-    gamma_bal = (n_machine / 2.0) * (e1 + e2)
-    try:
-        chi = math.exp(log_z_const - beta_m * gamma_bal) - math.exp(log_z_bal - beta_m * gamma_const)
-    except OverflowError:
-        raise ValueError(f"chi overflows a double at beta_m = {beta_m}") from None
-    return DistinguishabilityReport(t, lhs, chi, lhs > 2.0 * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma_const, log_z_const = two_gap_machine(n_machine, n_machine, e1, e2, beta_m)
+        gamma_bal, log_z_bal = two_gap_machine(n_machine // 2, n_machine, e1, e2, beta_m)
+        chi = np.exp(log_z_const - beta_m * gamma_bal) - np.exp(log_z_bal - beta_m * gamma_const)
+    if not np.all(np.isfinite(chi)):
+        raise ValueError(f"chi overflows a double at beta_m = {beta_m}")
+    lhs = np.exp(-log_z_const) - np.exp(-log_z_bal)
+    return DistinguishabilityReport(t, lhs.tolist(), chi.tolist(), (lhs > 2.0 * t).tolist())
 
 
 def _log_likelihood(n0, n1, hypothesis: BinaryDistribution):

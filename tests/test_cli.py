@@ -14,6 +14,7 @@ import pytest
 import thermoquery.verify
 from thermoquery import __version__, cli
 from thermoquery.cli import _emit, main, parse_values
+from thermoquery.readout import distinguishability_report
 
 # The benchmark's 50-digit closed forms, which import neither thermoquery nor numpy.
 _spec = importlib.util.spec_from_file_location(
@@ -312,6 +313,33 @@ class TestDistinguishability:
         assert main(["distinguishability", "--n-qubits", "3",
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_one_report_call_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return distinguishability_report(*args)
+
+        monkeypatch.setattr(cli, "distinguishability_report", counted)
+        out = tmp_path / "grid.csv"
+        assert main(["distinguishability", "--n-qubits", "2,4,8", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        _, rows = read_csv(out)
+        assert len(rows) == len(calls[0][0]) > 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_with_every_e1_below_e2_is_an_empty_table(self, tmp_path, fmt):
+        out = tmp_path / f"grid.{fmt}"
+        assert main(["distinguishability", "--e1-grid", "0.1,0.2", "--e2-grid", "1,2",
+                     "--format", fmt, "--out", str(out)]) == 0
+        if fmt == "csv":
+            comments, rows = read_csv(out)
+            assert comments and rows == []
+            assert out.read_bytes().endswith(b"\nN,E1,E2,lhs,chi,satisfied\r\n")
+        else:
+            data = json.loads(out.read_text())
+            assert data["config"]["subcommand"] == "distinguishability" and data["rows"] == []
+
     @pytest.mark.parametrize("beta_m", ("-800", "-700"))
     def test_overflowing_chi_exits_one(self, tmp_path, capsys, beta_m):
         """A chi past the float range is a one-line error naming beta_M, not a traceback."""
@@ -399,6 +427,9 @@ def test_figure_out_path_opened_before_the_work(tmp_path, capsys, monkeypatch, a
         ["detuning-sweep", "--beta-m=nan"],
         ["distinguishability", "--beta-m=nan"],
         ["distinguishability", "--beta-m=-inf"],
+        ["distinguishability", "--e1-grid=1,inf"],
+        ["distinguishability", "--e2-grid=nan"],
+        ["distinguishability", "--t=inf"],
         ["detuning-sweep", "--gamma=1,inf,1"],
         ["verify", "--max-n", "5", "--trials", "1"],
         ["verify", "--max-n", "1", "--bv-max-n", "30", "--trials", "4"],

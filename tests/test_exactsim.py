@@ -76,7 +76,6 @@ class TestBuildJointState:
         oracle = build_custom_oracle([1.0] * 20, 1.0)
         with pytest.raises(ValueError):
             build_joint_state(ThermalQubit(1.0, 0.5), oracle)
-        build_joint_state(ThermalQubit(1.0, 0.5), oracle, max_qubits=21)
 
     def test_fresh_marginal_is_initial_probe(self):
         probe = ThermalQubit(1.4, -0.7)

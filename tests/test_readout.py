@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoquery.cli import main
+from thermoquery.cli import DEFAULTS, main, parse_values
 from thermoquery.query import kickback_outcome
 from thermoquery.readout import (
     BinaryDistribution,
@@ -199,6 +199,52 @@ class TestDistinguishability:
         balanced = build_dj_oracle(table, e1, e2, beta_m)
         gap = kickback_outcome(probe, const).p0_after - kickback_outcome(probe, balanced).p0_after
         assert gap > t - abs(report.chi)
+
+    def test_scalar_fields_are_python_scalars(self):
+        report = distinguishability_report(2.0, 0.5, 1.0, 4, 0.1)
+        assert (type(report.lhs), type(report.chi), type(report.satisfied)) == (float, float, bool)
+
+    @pytest.mark.parametrize("beta_m", [1.0, -1.0])
+    def test_array_call_equals_scalar_calls(self, beta_m):
+        """One call over the default figure grid gives each cell's scalar report bit for bit."""
+        e1_values = parse_values(DEFAULTS["disting_e1"])
+        e2_values = parse_values(DEFAULTS["disting_e2"])
+        n, e1, e2 = np.meshgrid(DEFAULTS["disting_n"], e1_values, e2_values, indexing="ij")
+        keep = e1 >= e2
+        n, e1, e2 = n[keep], e1[keep], e2[keep]
+        t = DEFAULTS["disting_t"]
+        report = distinguishability_report(e1, e2, beta_m, n, t)
+        assert report.t_threshold == t
+        scalar = [distinguishability_report(a, b, beta_m, int(m), t)
+                  for m, a, b in zip(n.tolist(), e1.tolist(), e2.tolist())]
+        assert report.lhs == [r.lhs for r in scalar]
+        assert report.chi == [r.chi for r in scalar]
+        assert report.satisfied == [r.satisfied for r in scalar]
+        assert len(report.lhs) == keep.sum() > 0
+
+    def test_array_call_reports_every_cell_of_the_broadcast_shape(self):
+        report = distinguishability_report(np.array([1.0, 2.0]), 0.5, 1.0, np.array([[2], [4]]), 0.1)
+        assert report.lhs[1][0] == distinguishability_report(1.0, 0.5, 1.0, 4, 0.1).lhs
+        assert np.shape(report.chi) == np.shape(report.satisfied) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((math.inf, 1.0, 1.0, 4, 0.1), "e1"),
+            ((math.nan, 1.0, 1.0, 4, 0.1), "e1"),
+            ((1.0, math.nan, 1.0, 4, 0.1), "e2"),
+            ((np.array([1.0, math.inf]), 0.5, 1.0, 4, 0.1), "e1"),
+            ((1.0, 0.5, math.nan, 4, 0.1), "beta_m"),
+            ((1.0, 0.5, 1.0, 4, math.inf), "t"),
+        ],
+    )
+    def test_non_finite_input_rejected_by_name(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            distinguishability_report(*args)
+
+    def test_overflowing_chi_rejects_the_whole_call(self):
+        with pytest.raises(ValueError, match="chi overflows a double at beta_m = -800.0"):
+            distinguishability_report(np.array([1.0, 2.0]), 0.5, -800.0, 2, 0.1)
 
 
 class TestLikelihoodRatioTest:
