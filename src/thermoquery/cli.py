@@ -10,12 +10,12 @@ object) so runs are reproducible from their artifacts alone. All subcommands
 are deterministic under a fixed seed and config; sweep rows are emitted in
 canonical sorted order.
 
-Each subcommand builds its rows as tuples in ``fieldnames`` order. They are
-written a few hundred at a time: each distinct cell object of a chunk is
-rendered once, and each row goes through one ``%`` template. The CSV is what
-``csv.writer`` writes; the JSON is exactly the layout of
-``json.dump(..., indent=2)`` followed by a newline. No output document is ever
-held as one string.
+Each subcommand passes its table by columns, not row tuples: a list of
+computed values, or a grid axis (values, picks) whose values are rendered once
+per run. Rows are written a few hundred at a time, each through one ``%``
+template. The CSV is what ``csv.writer`` writes; the JSON is exactly the layout
+of ``json.dump(..., indent=2)`` followed by a newline. No output document is
+ever held as one string.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import stat
@@ -192,27 +193,24 @@ def _csv_lone_text(value) -> str:
     return _csv_text(value) or '""'
 
 
-def _texts(rows: Sequence[tuple], render) -> tuple:
-    """The text of every cell of ``rows``, in order, each distinct object rendered once.
-
-    The memo is keyed by identity, not value: -0.0 equals 0.0 but has its own
-    text. The rows keep every object alive, so no id is reused meanwhile.
-    """
-    cells = list(itertools.chain.from_iterable(rows))
-    ids = list(map(id, cells))
-    distinct = dict(zip(ids, cells))
-    text = dict(zip(distinct, map(render, distinct.values())))
-    return tuple(map(text.__getitem__, ids))
+def _chunk_texts(values: list, render) -> list[str]:
+    """The texts of a chunk of a computed column: by ``float.__repr__`` in C when
+    every value is an exact float and, for JSON, which spells a NaN or an
+    infinity otherwise, finite (then their sum is finite, barring an overflow)."""
+    if set(map(type, values)) == {float} and (render is not _json_text or math.isfinite(sum(values))):
+        return list(map(float.__repr__, values))
+    return list(map(render, values))
 
 
-def _emit(stream: IO[str], fmt: str, config: dict, fieldnames: Sequence[str], rows: Sequence[tuple]) -> None:
-    """Write the config echo and ``rows``, tuples in ``fieldnames`` order, as CSV or JSON.
+def _emit(stream: IO[str], fmt: str, config: dict, fieldnames: Sequence[str], columns: Sequence) -> None:
+    """Write the config echo and the table held by ``columns``, one per field, as CSV or JSON.
 
-    JSON is ``json.dump({"version", "config", "rows"}, stream, indent=2)`` and a
-    newline; CSV is the comment lines and what ``csv.writer`` writes. Each chunk
-    of ``_CHUNK_ROWS`` rows goes through ``_texts`` and then one ``%`` template
-    per row, ``%s,...,%s\r\n`` or the JSON object with its keys built in. Row
-    values must be scalars: a container would not get the nested indent.
+    A column is a list of values, one per row; a grid axis is a tuple
+    ``(values, picks)`` whose row i holds ``values[picks[i]]``, each value
+    rendered once. Values must be scalars: a container would not get the
+    nested indent. JSON is ``json.dump({"version", "config", "rows"}, stream,
+    indent=2)`` and a newline; CSV is the comment lines and what ``csv.writer``
+    writes. Each row fills one ``%`` template, ``_CHUNK_ROWS`` rows at a time.
     """
     if fmt == "json":
         head = json.dumps({"version": __version__, "config": config}, indent=2)
@@ -227,12 +225,18 @@ def _emit(stream: IO[str], fmt: str, config: dict, fieldnames: Sequence[str], ro
         template = ",".join(["%s"] * len(fieldnames)) + "\r\n"
         render, skip = (_csv_text if len(fieldnames) > 1 else _csv_lone_text), 0
         stream.write(template % tuple(map(render, fieldnames)))
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[start:start + _CHUNK_ROWS]
-        stream.write((template * len(chunk) % _texts(chunk, render))[skip:])
+    axes = [list(map(render, column[0])) if isinstance(column, tuple) else None for column in columns]
+    n_rows = len(columns[0][1] if axes[0] is not None else columns[0])
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        texts = [_chunk_texts(column[start:stop], render) if axis is None
+                 else list(map(axis.__getitem__, column[1][start:stop]))
+                 for axis, column in zip(axes, columns)]
+        cells = tuple(itertools.chain.from_iterable(zip(*texts)))
+        stream.write((template * len(texts[0]) % cells)[skip:])
         skip = 0
     if fmt == "json":
-        stream.write("\n  ]\n}\n" if rows else "]\n}\n")
+        stream.write("\n  ]\n}\n" if n_rows else "]\n}\n")
 
 
 def cmd_dj_kickback(args: argparse.Namespace) -> int:
@@ -267,20 +271,20 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     a = np.array(beta_s_values) * args.omega
-    rows = []
+    # Rows run over (beta_M, beta_S, case); each kickback evaluates one beta_S curve.
+    shape = (len(beta_m_values), len(beta_s_values), len(machines))
     with _open_out(args.out) as start:
-        for column, beta_m in enumerate(beta_m_values):
-            curves = []
-            for name, (total, log_zf) in machines:
-                delta = kickback_shift(a, beta_m, total, 0.0, log_zf[column])
-                _, p0_after, beta_after = shift_outcome(a, args.omega, delta)
-                beta_after = [None if b != b else b for b in beta_after.tolist()]
-                curves.append((name, delta.tolist(), p0_after.tolist(), beta_after))
-            for i, beta_s in enumerate(beta_s_values):
-                for name, delta, p0_after, beta_after in curves:
-                    rows.append((beta_m, beta_s, name, delta[i], p0_after[i], beta_after[i]))
+        values = np.empty((3, *shape))  # delta_p0, p0', beta'
+        for m, beta_m in enumerate(beta_m_values):
+            for case, (_, (total, log_zf)) in enumerate(machines):
+                delta = kickback_shift(a, beta_m, total, 0.0, log_zf[m])
+                values[:, m, :, case] = (delta, *shift_outcome(a, args.omega, delta)[1:])
+        delta, p0_after, beta_after = (v.ravel().tolist() for v in values)
+        picks = np.indices(shape).reshape(3, -1).tolist()
+        columns = [(beta_m_values, picks[0]), (beta_s_values, picks[1]), ([name for name, _ in machines], picks[2]),
+                   delta, p0_after, [None if b != b else b for b in beta_after]]
         _emit(start(), args.format, config,
-              ["beta_M", "beta_S", "case", "delta_p0", "p0_after", "beta_S_prime"], rows)
+              ["beta_M", "beta_S", "case", "delta_p0", "p0_after", "beta_S_prime"], columns)
     return 0
 
 
@@ -308,15 +312,18 @@ def cmd_distinguishability(args: argparse.Namespace) -> int:
         "t": args.t,
         "seed": args.seed,
     }
-    # The (N, E1, E2) grid in row order with the cells E1 < E2 dropped. Object
-    # arrays keep the grid's own values for the rows, and an N past int64.
-    grids = np.meshgrid(*(np.array(v, dtype=object) for v in (n_values, e1_values, e2_values)), indexing="ij")
-    n, e1, e2 = (grid[grids[1] >= grids[2]] for grid in grids)
+    # The (N, E1, E2) grid's indices in row order, with the cells E1 < E2 dropped.
+    n_grid, e1_grid, e2_grid = (np.array(v, dtype=float) for v in (n_values, e1_values, e2_values))
+    picks = np.indices((n_grid.size, e1_grid.size, e2_grid.size)).reshape(3, -1)
+    picks = picks[:, e1_grid[picks[1]] >= e2_grid[picks[2]]]
     with _open_out(args.out) as start:
-        report = distinguishability_report(e1.astype(float), e2.astype(float), args.beta_m,
-                                           n.astype(float), args.t)
-        rows = list(zip(n.tolist(), e1.tolist(), e2.tolist(), report.lhs, report.chi, report.satisfied))
-        _emit(start(), args.format, config, ["N", "E1", "E2", "lhs", "chi", "satisfied"], rows)
+        report = distinguishability_report(e1_grid[picks[1]], e2_grid[picks[2]], args.beta_m,
+                                           n_grid[picks[0]], args.t)
+        n, e1, e2 = picks.tolist()
+        # satisfied is a list of bools, which pick False or True.
+        columns = [(n_values, n), (e1_values, e1), (e2_values, e2), report.lhs, report.chi,
+                   ((False, True), report.satisfied)]
+        _emit(start(), args.format, config, ["N", "E1", "E2", "lhs", "chi", "satisfied"], columns)
     return 0
 
 
@@ -335,11 +342,10 @@ def cmd_sample_complexity(args: argparse.Namespace) -> int:
     fields = ["delta", "t", "n_star", "k_classical", "n_mixed_query",
               "n_crossover", "thermal_beats_probabilistic"]
     with _open_out(args.out) as start:
-        table = crossover_analysis(deltas, ts)
-        rows = [(row.delta, row.t, row.n_star, row.k_classical,
-                 chernoff_stein_samples(row.delta, MIXED_QUERY_DIVERGENCE),
-                 row.n_crossover, row.thermal_beats_probabilistic) for row in table]
-        _emit(start(), args.format, config, fields, rows)
+        table = crossover_analysis(deltas, ts).rows
+        columns = [[chernoff_stein_samples(row.delta, MIXED_QUERY_DIVERGENCE) for row in table]
+                   if name == "n_mixed_query" else list(map(operator.attrgetter(name), table)) for name in fields]
+        _emit(start(), args.format, config, fields, columns)
     return 0
 
 
@@ -362,7 +368,10 @@ def cmd_detuning_sweep(args: argparse.Namespace) -> int:
         ThermalQubit(config_obj.omega, beta_s)  # rejects a non-finite probe gap or temperature
     with _open_out(args.out) as start:
         sweep = bv3_sweep(config_obj, sorted(beta_s_values))
-        rows = [(p.secret, p.beta_s, p.delta_s, p.eta, p.beta_s_prime) for p in sweep.points]
+        # Rows run over (secret, beta_S); delta_s and eta are the secret's.
+        secret, beta_s = np.indices((len(sweep.curves), len(sweep.beta_s_grid))).reshape(2, -1).tolist()
+        columns = [(sweep.secrets(), secret), (sweep.beta_s_grid, beta_s), (sweep.delta_s, secret),
+                   (sweep.eta, secret), list(itertools.chain.from_iterable(sweep.curves))]
         config = {
             "subcommand": "detuning-sweep",
             "gamma": gammas,
@@ -375,7 +384,7 @@ def cmd_detuning_sweep(args: argparse.Namespace) -> int:
             "seed": args.seed,
         }
         _emit(start(), args.format, config,
-              ["secret", "beta_S", "delta_s", "eta", "beta_S_prime"], rows)
+              ["secret", "beta_S", "delta_s", "eta", "beta_S_prime"], columns)
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,8 +141,9 @@ class ExperimentConfig:
         return build_custom_oracle(self.gaps_for_secret(secret), self.machine_inverse_temperature)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
+    """One grid point of one secret's curve: beta' at ``beta_s``, or None where undefined."""
+
     secret: str
     beta_s: float
     delta_s: float
@@ -150,23 +151,36 @@ class SweepPoint:
     beta_s_prime: float | None
 
 
+# Every 3-bit secret, in lexicographic order.
+_SECRETS = tuple("".join(bits) for bits in product("01", repeat=3))
+
+
 @dataclass(frozen=True)
 class DetuningSweep:
-    """One post-query temperature curve per secret, plus their closest approach."""
+    """One post-query temperature curve per secret, plus their closest approach.
 
-    points: tuple[SweepPoint, ...]
+    ``delta_s``, ``eta`` and ``curves`` hold one entry per secret of ``secrets()``;
+    ``curves[i][j]`` is beta' at ``beta_s_grid[j]``, None where undefined."""
+
     beta_s_grid: tuple[float, ...]
+    delta_s: tuple[float, ...]
+    eta: tuple[float, ...]
+    curves: tuple[tuple[float | None, ...], ...]
     min_pairwise_separation: float
 
+    @property
+    def points(self) -> tuple[SweepPoint, ...]:
+        return tuple(
+            SweepPoint(secret, beta_s, delta_s, eta, value)
+            for secret, delta_s, eta, curve in zip(_SECRETS, self.delta_s, self.eta, self.curves)
+            for beta_s, value in zip(self.beta_s_grid, curve)
+        )
+
     def curve(self, secret: str) -> list[float | None]:
-        return [p.beta_s_prime for p in self.points if p.secret == secret]
+        return list(self.curves[_SECRETS.index(secret)]) if secret in _SECRETS else []
 
     def secrets(self) -> list[str]:
-        seen: list[str] = []
-        for p in self.points:
-            if p.secret not in seen:
-                seen.append(p.secret)
-        return seen
+        return list(_SECRETS)
 
 
 def _min_separation(curves: np.ndarray) -> float:
@@ -193,19 +207,16 @@ def bv3_sweep(config: ExperimentConfig, beta_s_grid: Sequence[float]) -> Detunin
         raise ValueError("beta_s grid must be nonempty")
     for beta_s in grid:
         ThermalQubit(config.omega, beta_s)  # rejects a non-finite probe gap or temperature
-    points: list[SweepPoint] = []
-    curves = []
-    for bits in product("01", repeat=3):
-        secret = "".join(bits)
-        delta_s = config.detuning_for_secret(secret)
-        eta = suppression_factor(config.coupling, delta_s)
-        oracle = config.oracle_for_secret(secret)
-        betas = _detuned_inverse_temperatures(oracle, config.omega, np.array(grid), eta)
-        values = [None if b != b else b for b in betas.tolist()]
-        points += [SweepPoint(secret, b, delta_s, eta, v) for b, v in zip(grid, values)]
-        curves.append(betas)
+    delta_s = [config.detuning_for_secret(secret) for secret in _SECRETS]
+    eta = [suppression_factor(config.coupling, delta) for delta in delta_s]
+    curves = np.array([
+        _detuned_inverse_temperatures(config.oracle_for_secret(secret), config.omega, np.array(grid), factor)
+        for secret, factor in zip(_SECRETS, eta)
+    ])
     return DetuningSweep(
-        points=tuple(points),
         beta_s_grid=grid,
-        min_pairwise_separation=_min_separation(np.array(curves)),
+        delta_s=tuple(delta_s),
+        eta=tuple(eta),
+        curves=tuple(tuple([None if b != b else b for b in curve]) for curve in curves.tolist()),
+        min_pairwise_separation=_min_separation(curves),
     )

@@ -39,8 +39,8 @@ __all__ = [
     "crossover_analysis",
 ]
 
-# Cap on the doubles one Monte Carlo block draws: 2^13 doubles, 64 KiB.
-_BLOCK_DOUBLES = 2**13
+# Cap on the trials one Monte Carlo block draws: 2^14 counts, 128 KiB.
+_BLOCK_TRIALS = 2**14
 
 
 @dataclass(frozen=True)
@@ -268,12 +268,11 @@ def monte_carlo_readout(
 ) -> HypothesisTestReport:
     """Repeat sampling + likelihood-ratio testing; deterministic under a fixed seed.
 
-    Trials are evaluated in blocks: one ``rng.random((rows, n_samples))``
-    draw of at most ``_BLOCK_DOUBLES`` doubles (one row when a trial alone
-    is larger), then the likelihood-ratio rule on each row's outcome counts.
-    Row i of a block is the same sequence of doubles as the i-th
-    ``rng.random(n_samples)`` call of a per-trial loop, so the report is
-    identical to that loop's at any seed.
+    The likelihood-ratio rule reads only a trial's count of excited
+    outcomes, so each trial draws that count, ``rng.binomial(n_samples, p1)``,
+    and not its samples: a readout costs O(trials) at any ``n_samples`` up
+    to 2^63 - 1. Counts are drawn in blocks of at most ``_BLOCK_TRIALS``,
+    the same sequence as one ``rng.binomial`` call for all trials.
 
     ``delta`` only parameterizes the Chernoff-Stein bound echoed in the
     report; it does not affect the decisions.
@@ -283,12 +282,12 @@ def monte_carlo_readout(
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be >= 1")
+    if n_samples > 2**63 - 1:
+        raise ValueError(f"n_samples must be at most 2**63 - 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    rows = max(1, _BLOCK_DOUBLES // n_samples)
     balanced_decisions = 0
-    for start in range(0, trials, rows):
-        draws = rng.random((min(rows, trials - start), n_samples))
-        n1 = np.count_nonzero(draws < true_dist.p1, axis=1)
+    for start in range(0, trials, _BLOCK_TRIALS):
+        n1 = rng.binomial(n_samples, true_dist.p1, min(_BLOCK_TRIALS, trials - start))
         balanced = _prefers_balanced(n_samples - n1, n1, hyp_balanced, hyp_constant)
         balanced_decisions += int(np.count_nonzero(balanced))
     balanced_fraction = balanced_decisions / trials
@@ -395,16 +394,14 @@ def crossover_analysis(delta_grid: Iterable[float], t_grid: Iterable[float]) -> 
         k = classical_sample_complexity(delta)
         for t in ts:
             n_star = _pinsker_bound(delta, t)
-            n_cross = 1
-            while deterministic_classical_queries(n_cross) <= n_star:
-                n_cross += 1
             rows.append(
                 CrossoverRow(
                     delta=delta,
                     t=t,
                     n_star=n_star,
                     k_classical=k,
-                    n_crossover=n_cross,
+                    # The smallest n with 2^(n-1) + 1 > n*.
+                    n_crossover=(n_star - 1).bit_length() + 1,
                     thermal_beats_probabilistic=n_star < k,
                 )
             )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -57,8 +58,13 @@ def json_dump_reference(config, fieldnames, rows):
 
 
 def emitted(fmt, config, fieldnames, rows):
+    """``_emit``'s output for ``rows`` (tuples in ``fieldnames`` order), passed as columns."""
+    return emitted_columns(fmt, config, fieldnames, [[row[i] for row in rows] for i in range(len(fieldnames))])
+
+
+def emitted_columns(fmt, config, fieldnames, columns):
     stream = io.StringIO(newline="")
-    _emit(stream, fmt, config, fieldnames, rows)
+    _emit(stream, fmt, config, fieldnames, columns)
     return stream.getvalue()
 
 
@@ -73,6 +79,59 @@ WRITER_ROWS = [
     ('tab\t "quote" back\\slash\n\x01', "\u00e9t\u00e9 \u2603 \U0001d11e", "", 0),
     (0.1 + 0.2, 1.0, 5e-324, True),
 ]
+
+
+# The argv lists of the subcommand layout and byte tests.
+SUBCOMMAND_ARGVS = [
+    ["dj-kickback"],
+    ["dj-kickback", "--beta-m=-2:2:5", "--beta-s=-300:300:61", "--omega", "3"],
+    ["distinguishability"],
+    ["distinguishability", "--n-qubits", "2,4,8", "--e1-grid", "0.5:3:30", "--e2-grid", "0.4:2:30"],
+    ["distinguishability", "--e1-grid", "0.1", "--e2-grid", "1,2"],
+    ["sample-complexity"],
+    ["sample-complexity", "--delta-grid", "0.001:0.999:40", "--t-grid", "0.001:0.99:15"],
+    ["detuning-sweep"],
+    ["detuning-sweep", "--beta-s=-0.5:3.5:201", "--epsilon", "0.08"],
+]
+
+OUTPUT_SHA256 = {
+    ("dj-kickback", "csv"):
+        "d47eb1b389c4704b23a2e10573c2715f8f438ea41cd738d7de18fe1b23c5a195",
+    ("dj-kickback", "json"):
+        "30a85b4d0ea54096321d7dc71d35f7c2ced6d92ee129683a818187a21e5d5d16",
+    ("dj-kickback --beta-m=-2:2:5 --beta-s=-300:300:61 --omega 3", "csv"):
+        "102b7cf29fd5ef6919cb1bb5bdc2da1181c8700422fe8f5ed7166dce7682fe15",
+    ("dj-kickback --beta-m=-2:2:5 --beta-s=-300:300:61 --omega 3", "json"):
+        "6e440f2ebe508ee9336ca57538094eb36a50f0fac9139823cc87b33fa36ed615",
+    ("distinguishability", "csv"):
+        "9b11a57227897a3fb0b101ff2f0c66408a3750ef7542c2a993a100ed02a16d66",
+    ("distinguishability", "json"):
+        "f6a0f645a63e348ab1afaf1c32e9baa1e23c0a27d0a69582ea53bd2a90dbfb22",
+    ("distinguishability --n-qubits 2,4,8 --e1-grid 0.5:3:30 --e2-grid 0.4:2:30", "csv"):
+        "7c47f341fa87dd688c6f45f9b24a2e1e98a9d1cf01772e1ff9d799915cd5d008",
+    ("distinguishability --n-qubits 2,4,8 --e1-grid 0.5:3:30 --e2-grid 0.4:2:30", "json"):
+        "b345c91648c59448214512e837c1ffe989727101eccf1a4be0329ccfd0306a43",
+    ("distinguishability --e1-grid 0.1 --e2-grid 1,2", "csv"):
+        "a125375a4e7b992d3a689ce21e0d8f1d407365069fcd63a87404c6771288ff81",
+    ("distinguishability --e1-grid 0.1 --e2-grid 1,2", "json"):
+        "bbe43b012d6e99f71af7ae7bd2b12d81de210cd994eb0e297764d513c333bb1d",
+    ("sample-complexity", "csv"):
+        "6abc19e7a9af725e7d08b2204a6756badf916a5cf712fe5268421cc4f915c82d",
+    ("sample-complexity", "json"):
+        "ad314c44aeeffb986eefa131702c77d84e626be58b5f265092a5ef517c573983",
+    ("sample-complexity --delta-grid 0.001:0.999:40 --t-grid 0.001:0.99:15", "csv"):
+        "622e529f332324f2fe169f4bdba3685482d91d9f08318982b83f378f5ee8d15c",
+    ("sample-complexity --delta-grid 0.001:0.999:40 --t-grid 0.001:0.99:15", "json"):
+        "192bad5ced39489228e981495207276fe87e53a3580ef083edf4f3ae1b33ed86",
+    ("detuning-sweep", "csv"):
+        "1d592ec3ad068e1c9134b349ef302ac744a1a0a208756acb42f8f88943983e95",
+    ("detuning-sweep", "json"):
+        "dd4378b5044465b1e9a319cd0cfac4c19dc8ea3c9dde9bd5532084f1c42e4c21",
+    ("detuning-sweep --beta-s=-0.5:3.5:201 --epsilon 0.08", "csv"):
+        "d926b98cd3bb6f0ba5b43f42e56ebee0cf8ab24b62afba0f13362df461750167",
+    ("detuning-sweep --beta-s=-0.5:3.5:201 --epsilon 0.08", "json"):
+        "04951c368186a9e6f71e68eee61417207b0e999aba99d905986fba571df97d02",
+}
 
 
 class TestWriters:
@@ -139,26 +198,70 @@ class TestWriters:
         rows = [(1.5, -0.0, "%s", None), (2, True, "50%", math.nan)]
         assert emitted(fmt, WRITER_CONFIG, fields, rows) == WRITER_REFERENCES[fmt](WRITER_CONFIG, fields, rows)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["dj-kickback"],
-            ["dj-kickback", "--beta-m=-2:2:5", "--beta-s=-300:300:61", "--omega", "3"],
-            ["distinguishability"],
-            ["distinguishability", "--n-qubits", "2,4,8", "--e1-grid", "0.5:3:30", "--e2-grid", "0.4:2:30"],
-            ["distinguishability", "--e1-grid", "0.1", "--e2-grid", "1,2"],
-            ["sample-complexity"],
-            ["sample-complexity", "--delta-grid", "0.001:0.999:40", "--t-grid", "0.001:0.99:15"],
-            ["detuning-sweep"],
-            ["detuning-sweep", "--beta-s=-0.5:3.5:201", "--epsilon", "0.08"],
-        ],
-        ids=lambda argv: " ".join(argv),
-    )
+    @pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS, ids=lambda argv: " ".join(argv))
     def test_subcommand_json_is_json_dump_layout(self, tmp_path, argv):
         out = tmp_path / "out.json"
         assert main(argv + ["--format", "json", "--out", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
         assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+    @pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS, ids=lambda argv: " ".join(argv))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_subcommand_output_bytes(self, tmp_path, argv, fmt):
+        """Every output byte of each subcommand, pinned by its SHA-256. A
+        deliberate change of the output or of the version updates these."""
+        out = tmp_path / f"out.{fmt}"
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_SHA256[(" ".join(argv), fmt)]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_axis_matches_its_plain_column(self, fmt):
+        """An axis writes the bytes of the column its picks spell out, for
+        values of every type, both zeros and every non-finite float."""
+        values = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.1 + 0.2, 2**70, -3, None, "a,\"b\"", "", True, False]
+        picks = [(7 * i) % len(values) for i in range(3 * len(values))]
+        spelled = [values[i] for i in picks]
+        other = [float(i) for i in range(len(picks))]
+        text = emitted_columns(fmt, WRITER_CONFIG, ["x", "y"], [(values, picks), other])
+        assert text == emitted_columns(fmt, WRITER_CONFIG, ["x", "y"], [spelled, other])
+        assert text == WRITER_REFERENCES[fmt](WRITER_CONFIG, ["x", "y"], list(zip(spelled, other)))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_axis_and_float_column_keep_each_value_text(self, fmt):
+        """-0.0 beside 0.0, and a NaN or an infinity among finite floats, keep
+        their own text in an axis and in a column of floats alike."""
+        column = [0.0, -0.0, 1.5, math.nan, 2.0, math.inf, -0.0, -math.inf, 0.0]
+        axis = ([0.0, -0.0, math.nan, math.inf], [1, 0, 2, 1, 3, 0])
+        spelled = [axis[0][i] for i in axis[1]]
+        for columns, rows in (([column], [(v,) for v in column]), ([axis], [(v,) for v in spelled])):
+            text = emitted_columns(fmt, WRITER_CONFIG, ["x"], columns)
+            assert text == WRITER_REFERENCES[fmt](WRITER_CONFIG, ["x"], rows)
+            assert text.count("-0.0") == sum(math.copysign(1.0, v) < 0 for v, in rows if v == 0.0)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_json_float_chunk_with_a_non_finite_value(self, fmt):
+        """A chunk of exact floats that holds one NaN, one infinity or a sum
+        that overflows is written as the reference writes it."""
+        for odd in (math.nan, math.inf, -math.inf, 1e308):
+            column = [1e308, 0.5, odd] * 100
+            rows = [(v, i) for i, v in enumerate(column)]
+            text = emitted_columns(fmt, WRITER_CONFIG, ["x", "i"], [column, list(range(len(column)))])
+            assert text == WRITER_REFERENCES[fmt](WRITER_CONFIG, ["x", "i"], rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_axis_picks_across_chunk_boundaries(self, fmt):
+        rows_count = 2 * cli._CHUNK_ROWS + 1
+        axis = ([-0.5, "s", 3, None], [(i * i) % 4 for i in range(rows_count)])
+        column = [i / 3 for i in range(rows_count)]
+        rows = [(axis[0][pick], value) for pick, value in zip(axis[1], column)]
+        text = emitted_columns(fmt, WRITER_CONFIG, ["a", "b"], [axis, column])
+        assert text == WRITER_REFERENCES[fmt](WRITER_CONFIG, ["a", "b"], rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_axes_with_zero_rows(self, fmt):
+        columns = [([1.0, 2.0], []), (["a"], []), []]
+        text = emitted_columns(fmt, WRITER_CONFIG, ["x", "y", "z"], columns)
+        assert text == WRITER_REFERENCES[fmt](WRITER_CONFIG, ["x", "y", "z"], [])
 
 
 class TestParseValues:

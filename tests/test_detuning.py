@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from thermoquery.detuning import (
     ExperimentConfig,
+    SweepPoint,
     _min_separation,
     bv3_sweep,
     detuned_probe_temperature,
@@ -242,6 +243,28 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             bv3_sweep(DEFAULT_CONFIG, [])
+
+    def test_points_curves_and_secrets_agree(self):
+        """points lists each secret's curve in lexicographic order, with the
+        secret's own detuning and suppression, as curve() and secrets() do."""
+        config = ExperimentConfig(
+            machine_gaps=(1.0, 1.13, 1.31), bias=0.3, coupling=4.0, machine_inverse_temperature=300.0
+        )
+        grid = np.linspace(-300.0, 300.0, 7)
+        sweep = bv3_sweep(config, grid)
+        secrets = [format(i, "03b") for i in range(8)]
+        assert sweep.secrets() == secrets
+        assert sweep.points == tuple(
+            SweepPoint(secret, float(beta_s), config.detuning_for_secret(secret),
+                       suppression_factor(config.coupling, config.detuning_for_secret(secret)), value)
+            for secret in secrets for beta_s, value in zip(grid, sweep.curve(secret))
+        )
+        for secret, eta in zip(secrets, sweep.eta):
+            oracle = config.oracle_for_secret(secret)
+            expected = [detuned_probe_temperature(ThermalQubit(config.omega, float(b)), oracle, eta) for b in grid]
+            assert sweep.curve(secret) == expected
+        assert any(None in sweep.curve(secret) for secret in secrets)
+        assert sweep.curve("0101") == []
 
 
 class TestMinSeparation:

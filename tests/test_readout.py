@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermoquery import readout
 from thermoquery.cli import DEFAULTS, main, parse_values
 from thermoquery.query import kickback_outcome
 from thermoquery.readout import (
@@ -39,12 +41,23 @@ def exact_lrt_error(true_p0, hyp_p0, other_p0, n, decide_hyp_when):
     return float(binom.pmf(ks, n, true_p0)[region].sum())
 
 
-def per_trial_readout(true_dist, hyp_balanced, hyp_constant, n_samples, trials, seed, delta=0.1):
-    """Reference Monte Carlo readout: one draw and one likelihood-ratio test per trial."""
+def uniform_samples(rng, n_samples, p1):
+    return (rng.random(n_samples) < p1).astype(np.uint8)
+
+
+def count_samples(rng, n_samples, p1):
+    """A trial's samples from its count of excited outcomes, one ``rng.binomial`` draw."""
+    n1 = int(rng.binomial(n_samples, p1))
+    return np.repeat(np.array([0, 1], dtype=np.uint8), [n_samples - n1, n1])
+
+
+def reference_readout(draw, true_dist, hyp_balanced, hyp_constant, n_samples, trials, seed, delta=0.1):
+    """Reference Monte Carlo readout: one ``draw(rng, n_samples, p1)`` and one
+    likelihood-ratio test per trial."""
     rng = np.random.default_rng(seed)
     balanced_decisions = 0
     for _ in range(trials):
-        samples = (rng.random(n_samples) < true_dist.p1).astype(np.uint8)
+        samples = draw(rng, n_samples, true_dist.p1)
         if likelihood_ratio_test(samples, hyp_balanced, hyp_constant) is Decision.BALANCED:
             balanced_decisions += 1
     balanced_fraction = balanced_decisions / trials
@@ -64,6 +77,11 @@ def per_trial_readout(true_dist, hyp_balanced, hyp_constant, n_samples, trials, 
         empirical_false_positive=error_rate,
         seed=seed,
     )
+
+
+# Every sample drawn as a uniform, and each trial's count drawn at once.
+per_trial_readout = functools.partial(reference_readout, uniform_samples)
+per_trial_count_readout = functools.partial(reference_readout, count_samples)
 
 
 class TestDivergences:
@@ -283,8 +301,8 @@ class TestLikelihoodRatioTest:
 
 class TestMonteCarloReadout:
     # (true p0, balanced p0, constant p0, n_samples, trials): hypotheses at the
-    # support edges, equal hypotheses, a truth matching neither, blocks of one
-    # row (n_samples at and above 2^13) and last blocks only partly filled.
+    # support edges, equal hypotheses, a truth matching neither, large and
+    # small sample counts and a range of trial counts.
     BLOCK_CASES = [
         (0.85, 0.8, 0.9, 116, 1000),
         (0.9, 0.8, 0.9, 116, 70),
@@ -305,9 +323,44 @@ class TestMonteCarloReadout:
     @pytest.mark.parametrize("true_p0,bal_p0,const_p0,n_samples,trials", BLOCK_CASES)
     @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
     def test_block_path_matches_per_trial_loop(self, true_p0, bal_p0, const_p0, n_samples, trials, seed):
+        """The report equals a loop that draws each trial's count alone and
+        tests the samples that count spells out."""
         args = (BinaryDistribution(true_p0), BinaryDistribution(bal_p0), BinaryDistribution(const_p0),
                 n_samples, trials, seed)
-        assert monte_carlo_readout(*args) == per_trial_readout(*args)
+        assert monte_carlo_readout(*args) == per_trial_count_readout(*args)
+
+    @pytest.mark.parametrize("block", [1, 7, 99, 100, 101])
+    def test_counts_across_block_boundaries(self, monkeypatch, block):
+        """Blocks of any size draw the counts of one rng.binomial call."""
+        bal, const = BinaryDistribution(0.8), BinaryDistribution(0.9)
+        n1 = np.random.default_rng(5).binomial(40, const.p1, 100)
+        log_bal, log_const = ((40 - n1) * math.log(h.p0) + n1 * math.log(h.p1) for h in (bal, const))
+        balanced = np.count_nonzero(log_bal >= log_const)
+        whole = monte_carlo_readout(const, bal, const, n_samples=40, trials=100, seed=5)
+        monkeypatch.setattr(readout, "_BLOCK_TRIALS", block)
+        blocked = monte_carlo_readout(const, bal, const, n_samples=40, trials=100, seed=5)
+        assert blocked == whole
+        assert blocked.empirical_false_positive == balanced / 100
+
+    def test_both_readouts_match_the_exact_error(self):
+        """At n* = 116 and 10^4 trials, the count draw and the per-sample
+        uniform draw both lie within 5 sigma of the exact binomial error."""
+        bal, const = BinaryDistribution(0.8), BinaryDistribution(0.9)
+        n, trials = sample_bound_from_threshold(0.1, 0.1), 10_000
+        assert n == 116
+        exact = exact_lrt_error(const.p0, bal.p0, const.p0, n, decide_hyp_when="ge")
+        sigma = math.sqrt(exact * (1.0 - exact) / trials)
+        for report in (monte_carlo_readout(const, bal, const, n, trials, seed=41),
+                       per_trial_readout(const, bal, const, n, trials, seed=41)):
+            assert abs(report.empirical_false_positive - exact) <= 5.0 * sigma
+
+    @pytest.mark.parametrize("n_samples", [2**63, 10**30])
+    def test_sample_count_past_int64_rejected(self, n_samples):
+        args = (BinaryDistribution(0.85), BinaryDistribution(0.8), BinaryDistribution(0.9))
+        with pytest.raises(ValueError, match="n_samples"):
+            monte_carlo_readout(*args, n_samples=n_samples, trials=10, seed=1)
+        report = monte_carlo_readout(*args, n_samples=2**63 - 1, trials=10, seed=1)
+        assert report.n_samples == 2**63 - 1
 
     @pytest.mark.parametrize("field,value", [
         ("n_samples", True), ("n_samples", 3.0), ("n_samples", "5"),
@@ -323,7 +376,7 @@ class TestMonteCarloReadout:
     def test_numpy_integer_counts_accepted(self):
         args = (BinaryDistribution(0.85), BinaryDistribution(0.8), BinaryDistribution(0.9))
         report = monte_carlo_readout(*args, n_samples=np.int64(20), trials=np.int32(30), seed=3)
-        assert report == per_trial_readout(*args, 20, 30, 3)
+        assert report == per_trial_count_readout(*args, 20, 30, 3)
 
     def test_point_mass_hypothesis_bound_is_one_sample(self):
         report = monte_carlo_readout(BinaryDistribution(0.8), BinaryDistribution(0.8),
@@ -502,6 +555,12 @@ class TestCrossoverAnalysis:
                             "n_crossover,thermal_beats_probabilistic")
         assert len(lines) == 3
         assert lines[1].split(",")[2] == "116"
+
+    def test_crossover_is_the_smallest_size_where_n_star_wins(self):
+        table = crossover_analysis(np.linspace(0.001, 0.999, 37), np.linspace(0.001, 0.99, 41))
+        for row in table:
+            assert deterministic_classical_queries(row.n_crossover) > row.n_star
+            assert row.n_crossover == 1 or deterministic_classical_queries(row.n_crossover - 1) <= row.n_star
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
