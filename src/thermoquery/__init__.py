@@ -28,9 +28,7 @@ from .problems import (
     DJInstance,
     PromiseViolationError,
     enumerate_balanced_functions,
-    dj_gap_magnitude,
     hamming_weight_population,
-    solve_dj_deterministic_classical,
 )
 from .query import (
     QueryMask,
@@ -42,7 +40,6 @@ from .query import (
     reset_costs,
     sensitivity_check,
     swap_query,
-    temperature_well_defined,
 )
 from .readout import (
     BinaryDistribution,
@@ -73,6 +70,5 @@ from .thermal import (
     build_dj_oracle,
     ground_state_population,
     inverse_temperature_from_population,
-    prepare_via_conditional_thermalization,
 )
 from .verify import run_verification

@@ -46,7 +46,7 @@ from .readout import (
     crossover_analysis,
     distinguishability_report,
 )
-from .thermal import ThermalQubit, two_gap_machine
+from .thermal import two_gap_machine
 from .verify import run_verification
 
 __all__ = ["main", "DEFAULTS"]
@@ -239,19 +239,24 @@ def _emit(stream: IO[str], fmt: str, config: dict, fieldnames: Sequence[str], co
         stream.write("\n  ]\n}\n" if n_rows else "]\n}\n")
 
 
+def _check_finite(grids: dict[str, Sequence[float]]) -> None:
+    """Reject the first value that is not finite, naming its flag."""
+    for flag, values in grids.items():
+        for value in values:
+            if not math.isfinite(value):
+                raise CliError(f"{flag} must be finite, got {value}")
+
+
 def cmd_dj_kickback(args: argparse.Namespace) -> int:
     beta_m_values = sorted(parse_values(args.beta_m))
     beta_s_values = parse_values(args.beta_s)
+    _check_finite({"--e1": [args.e1], "--e2": [args.e2], "--omega": [args.omega],
+                   "--beta-m": beta_m_values, "--beta-s": beta_s_values})
     if args.e1 <= 0 or args.e2 <= 0 or args.omega <= 0:
         raise CliError("gaps and omega must be positive")
     if not 1 <= args.n < sys.float_info.max_exp:
         raise CliError(f"n = {args.n} is outside [1, {sys.float_info.max_exp - 1}], "
                        "where 2^n is a finite float")
-    for beta_s in beta_s_values:
-        ThermalQubit(args.omega, beta_s)  # rejects a non-finite probe gap or temperature
-    for beta_m in beta_m_values:
-        for gap in (args.e1, args.e2):
-            ThermalQubit(gap, beta_m)  # rejects a non-finite machine gap or temperature
     # Each class's 2^n qubits enter only through |G| and log Z_f (one per beta_M),
     # taken from gap counts; an overflow leaves a non-finite value, rejected below.
     size = 2.0 ** args.n
@@ -294,11 +299,7 @@ def cmd_distinguishability(args: argparse.Namespace) -> int:
     e2_values = sorted(parse_values(args.e2_grid))
     if any(n < 2 or n % 2 for n in n_values):
         raise CliError("machine sizes must be even and >= 2")
-    for flag, values in (("--e1-grid", e1_values), ("--e2-grid", e2_values),
-                         ("--t", [args.t]), ("--beta-m", [args.beta_m])):
-        for value in values:
-            if not math.isfinite(value):
-                raise CliError(f"{flag} must be finite, got {value}")
+    _check_finite({"--e1-grid": e1_values, "--e2-grid": e2_values, "--t": [args.t], "--beta-m": [args.beta_m]})
     if any(v <= 0 for v in e1_values + e2_values):
         raise CliError("grid energies must be positive")
     if not args.t > 0:
@@ -342,7 +343,7 @@ def cmd_sample_complexity(args: argparse.Namespace) -> int:
     fields = ["delta", "t", "n_star", "k_classical", "n_mixed_query",
               "n_crossover", "thermal_beats_probabilistic"]
     with _open_out(args.out) as start:
-        table = crossover_analysis(deltas, ts).rows
+        table = crossover_analysis(deltas, ts)
         columns = [[chernoff_stein_samples(row.delta, MIXED_QUERY_DIVERGENCE) for row in table]
                    if name == "n_mixed_query" else list(map(operator.attrgetter(name), table)) for name in fields]
         _emit(start(), args.format, config, fields, columns)
@@ -364,8 +365,7 @@ def cmd_detuning_sweep(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc))
-    for beta_s in beta_s_values:
-        ThermalQubit(config_obj.omega, beta_s)  # rejects a non-finite probe gap or temperature
+    _check_finite({"--beta-s": beta_s_values})
     with _open_out(args.out) as start:
         sweep = bv3_sweep(config_obj, sorted(beta_s_values))
         # Rows run over (secret, beta_S); delta_s and eta are the secret's.

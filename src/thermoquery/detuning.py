@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .thermal import ThermalMachineOracle, ThermalQubit, build_custom_oracle
 
 __all__ = [
     "ExperimentConfig",
-    "SweepPoint",
     "DetuningSweep",
     "flip_probability",
     "suppression_factor",
@@ -113,10 +112,10 @@ class ExperimentConfig:
             raise ValueError("machine inverse temperature must be finite")
         if not 0.0 <= self.bias < 1.0:
             raise ValueError("bias must lie in [0, 1) so both multipliers stay positive")
-        if not self.coupling > 0.0:
-            raise ValueError("coupling must be positive")
-        if self.probe_gap is not None and not self.probe_gap > 0.0:
-            raise ValueError("probe gap must be positive")
+        if not (self.coupling > 0.0 and math.isfinite(self.coupling)):
+            raise ValueError(f"coupling must be positive and finite, got {self.coupling}")
+        if not (self.omega > 0.0 and math.isfinite(self.omega)):
+            raise ValueError(f"probe gap must be positive and finite, got {self.omega}")
 
     @property
     def omega(self) -> float:
@@ -141,16 +140,6 @@ class ExperimentConfig:
         return build_custom_oracle(self.gaps_for_secret(secret), self.machine_inverse_temperature)
 
 
-class SweepPoint(NamedTuple):
-    """One grid point of one secret's curve: beta' at ``beta_s``, or None where undefined."""
-
-    secret: str
-    beta_s: float
-    delta_s: float
-    eta: float
-    beta_s_prime: float | None
-
-
 # Every 3-bit secret, in lexicographic order.
 _SECRETS = tuple("".join(bits) for bits in product("01", repeat=3))
 
@@ -167,14 +156,6 @@ class DetuningSweep:
     eta: tuple[float, ...]
     curves: tuple[tuple[float | None, ...], ...]
     min_pairwise_separation: float
-
-    @property
-    def points(self) -> tuple[SweepPoint, ...]:
-        return tuple(
-            SweepPoint(secret, beta_s, delta_s, eta, value)
-            for secret, delta_s, eta, curve in zip(_SECRETS, self.delta_s, self.eta, self.curves)
-            for beta_s, value in zip(self.beta_s_grid, curve)
-        )
 
     def curve(self, secret: str) -> list[float | None]:
         return list(self.curves[_SECRETS.index(secret)]) if secret in _SECRETS else []
@@ -205,12 +186,13 @@ def bv3_sweep(config: ExperimentConfig, beta_s_grid: Sequence[float]) -> Detunin
     grid = tuple(float(b) for b in beta_s_grid)
     if len(grid) == 0:
         raise ValueError("beta_s grid must be nonempty")
-    for beta_s in grid:
-        ThermalQubit(config.omega, beta_s)  # rejects a non-finite probe gap or temperature
+    beta_s = np.array(grid)
+    if not np.isfinite(beta_s).all():
+        raise ValueError("every probe inverse temperature must be finite")
     delta_s = [config.detuning_for_secret(secret) for secret in _SECRETS]
     eta = [suppression_factor(config.coupling, delta) for delta in delta_s]
     curves = np.array([
-        _detuned_inverse_temperatures(config.oracle_for_secret(secret), config.omega, np.array(grid), factor)
+        _detuned_inverse_temperatures(config.oracle_for_secret(secret), config.omega, beta_s, factor)
         for secret, factor in zip(_SECRETS, eta)
     ])
     return DetuningSweep(

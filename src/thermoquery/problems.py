@@ -1,4 +1,8 @@
-"""Problem-instance generation and classification, plus the classical baseline solver."""
+"""Deutsch-Jozsa and secret-string problem instances, and the Hamming-weight readout.
+
+The classical baselines the thermal readout is compared with are closed forms
+in :mod:`thermoquery.readout`.
+"""
 
 from __future__ import annotations
 
@@ -19,12 +23,9 @@ __all__ = [
     "PromiseViolationError",
     "DJInstance",
     "BVInstance",
-    "ClassicalSolveResult",
     "enumerate_balanced_functions",
     "constant_functions",
-    "dj_gap_magnitude",
     "hamming_weight_population",
-    "solve_dj_deterministic_classical",
 ]
 
 MAX_EXHAUSTIVE_N = 4
@@ -99,19 +100,6 @@ def constant_functions(n: int) -> tuple[DJInstance, DJInstance]:
     )
 
 
-def dj_gap_magnitude(
-    classification: Classification, n_machine: int, gap_one: float, gap_zero: float
-) -> float:
-    """Total machine gap by promise class: N*E1, N*E2, or (N/2)(E1+E2)."""
-    if classification is Classification.BALANCED and n_machine % 2 != 0:
-        raise ValueError("balanced functions need an even machine size")
-    ones = {Classification.CONSTANT1: n_machine, Classification.CONSTANT0: 0,
-            Classification.BALANCED: n_machine // 2}.get(classification)
-    if ones is None:
-        raise ValueError(f"no gap magnitude for classification {classification}")
-    return two_gap_machine(ones, n_machine, gap_one, gap_zero, 0.0)[0]
-
-
 def hamming_weight_population(
     instance: BVInstance, gamma: float, probe: ThermalQubit, beta_m: float
 ) -> float:
@@ -128,27 +116,3 @@ def hamming_weight_population(
     a = probe.inverse_temperature * probe.gap
     delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
     return float(shift_outcome(a, probe.gap, delta)[1])
-
-
-@dataclass(frozen=True)
-class ClassicalSolveResult:
-    classification: Classification
-    queries: int
-
-
-def solve_dj_deterministic_classical(function: BooleanFunctionTable) -> ClassicalSolveResult:
-    """Evaluate f input by input until the promise class is decided.
-
-    Stops at the first differing pair of outputs (balanced) or after
-    2^{n-1} + 1 identical ones (constant), the worst case. A table violating
-    the promise raises before any evaluation.
-    """
-    if function.classification is Classification.OTHER:
-        raise PromiseViolationError("function is neither balanced nor constant")
-    worst_case = (1 << (function.n - 1)) + 1
-    first = function.outputs[0]
-    for i in range(1, worst_case):
-        if function.outputs[i] != first:
-            return ClassicalSolveResult(Classification.BALANCED, i + 1)
-    constant = Classification.CONSTANT1 if first else Classification.CONSTANT0
-    return ClassicalSolveResult(constant, worst_case)

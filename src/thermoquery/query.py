@@ -20,10 +20,11 @@ The arithmetic is written once, over numpy arrays: :func:`kickback_shift`,
 and an undefined temperature is NaN; :func:`oracle_shift` evaluates one
 oracle for an array of probe temperatures. The functions on probe and oracle
 objects (:func:`kickback_outcome`, :func:`classify_regime`,
-:func:`sensitivity_check`, :func:`temperature_well_defined`) read scalars off
-the objects, call them, and convert the result to ``float``, ``None``,
-``bool`` and :class:`Regime`; the verify suite and the figure sweeps call
-them on whole arrays.
+:func:`sensitivity_check`) read scalars off the objects, call them, and
+convert the result to ``float``, ``None``, ``bool`` and :class:`Regime`; a
+probe has a post-query temperature exactly where ``beta_after`` is not None.
+The verify suite and the figure sweeps call the array functions on whole
+arrays.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ __all__ = [
     "kickback_outcome",
     "classify_regime",
     "sensitivity_check",
-    "temperature_well_defined",
     "reset_costs",
 ]
 
@@ -340,16 +340,6 @@ def sensitivity_check(
         closed_form_precondition=precondition,
         tests_agree=direct == closed,
     )
-
-
-def temperature_well_defined(outcome: QueryOutcome, probe: ThermalQubit) -> bool:
-    """Whether the post-query state admits a temperature at the probe gap.
-
-    delta_p0 >= 0 needs e^{-beta_S*omega} > Z_S*delta_p0; delta_p0 < 0 needs
-    1 + Z_S*delta_p0 > 0 (always true in this model). Equivalent to the
-    log argument of the post-query inverse temperature being positive.
-    """
-    return bool(temperature_defined(probe.inverse_temperature * probe.gap, outcome.delta_p0))
 
 
 def reset_costs(

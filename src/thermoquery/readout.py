@@ -12,7 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "HypothesisTestReport",
     "DistinguishabilityReport",
     "CrossoverRow",
-    "CrossoverTable",
     "relative_entropy",
     "total_variation",
     "chernoff_stein_samples",
@@ -354,8 +353,7 @@ def deterministic_classical_queries(n: int) -> int:
     return (1 << (n - 1)) + 1
 
 
-@dataclass(frozen=True)
-class CrossoverRow:
+class CrossoverRow(NamedTuple):
     delta: float
     t: float
     n_star: int
@@ -364,15 +362,7 @@ class CrossoverRow:
     thermal_beats_probabilistic: bool
 
 
-@dataclass(frozen=True)
-class CrossoverTable:
-    rows: tuple[CrossoverRow, ...]
-
-    def __iter__(self):
-        return iter(self.rows)
-
-
-def crossover_analysis(delta_grid: Iterable[float], t_grid: Iterable[float]) -> CrossoverTable:
+def crossover_analysis(delta_grid: Iterable[float], t_grid: Iterable[float]) -> tuple[CrossoverRow, ...]:
     """Compare the thermal sample bound with classical baselines over a (delta, t) grid.
 
     Per cell: the Pinsker-weakened thermal bound n*, the classical
@@ -405,4 +395,4 @@ def crossover_analysis(delta_grid: Iterable[float], t_grid: Iterable[float]) -> 
                     thermal_beats_probabilistic=n_star < k,
                 )
             )
-    return CrossoverTable(tuple(rows))
+    return tuple(rows)

@@ -29,8 +29,6 @@ __all__ = [
     "BVProblem",
     "CustomProblem",
     "ThermalMachineOracle",
-    "ConditionalThermalizationTrace",
-    "log1pexp",
     "two_gap_machine",
     "logistic",
     "bits_to_index",
@@ -40,7 +38,6 @@ __all__ = [
     "build_dj_oracle",
     "build_bv_oracle",
     "build_custom_oracle",
-    "prepare_via_conditional_thermalization",
 ]
 
 
@@ -48,7 +45,7 @@ class PureStatePopulationError(ValueError):
     """A ground population of exactly 0 or 1 has no finite inverse temperature."""
 
 
-def log1pexp(x: float) -> float:
+def _log1pexp(x: float) -> float:
     """log(1 + e^x), stable for any finite x."""
     if x > 0.0:
         return x + math.log1p(math.exp(-x))
@@ -139,7 +136,7 @@ class ThermalQubit:
 
     @property
     def log_partition_function(self) -> float:
-        return log1pexp(-self.inverse_temperature * self.gap)
+        return _log1pexp(-self.inverse_temperature * self.gap)
 
 
 @dataclass(frozen=True)
@@ -203,10 +200,6 @@ class BooleanFunctionTable:
             return Classification.BALANCED
         return Classification.OTHER
 
-    def value(self, x: int | str) -> int:
-        idx = bits_to_index(x) if isinstance(x, str) else x
-        return self.outputs[idx]
-
 
 @dataclass(frozen=True)
 class DJProblem:
@@ -256,7 +249,7 @@ class ThermalMachineOracle:
     @cached_property
     def log_partition_function(self) -> float:
         beta = self.machine_inverse_temperature
-        return float(sum(log1pexp(-beta * g) for g in self.gap_vector.gaps))
+        return float(sum(_log1pexp(-beta * g) for g in self.gap_vector.gaps))
 
     def machine_qubit(self, index: int | str) -> ThermalQubit:
         """Thermal qubit at machine position ``index`` (big-endian bit string or integer)."""
@@ -293,59 +286,3 @@ def build_bv_oracle(secret: str, gamma: float, beta_m: float) -> ThermalMachineO
 
 def build_custom_oracle(gaps: Sequence[float], beta_m: float) -> ThermalMachineOracle:
     return ThermalMachineOracle(GapVector(tuple(float(g) for g in gaps)), beta_m, CustomProblem())
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionalThermalizationTrace:
-    """Record of a conditional-thermalization preparation of one machine qubit.
-
-    ``samples`` holds the stochastic excitation bits (1 = excited);
-    ``excited_probability`` is the exact thermal target they converge to.
-    """
-
-    input_bits: str
-    function_output: int
-    target_gap: float
-    machine_inverse_temperature: float
-    excited_probability: float
-    samples: np.ndarray
-
-    @property
-    def qubit(self) -> ThermalQubit:
-        return ThermalQubit(self.target_gap, self.machine_inverse_temperature)
-
-    @property
-    def empirical_excited_frequency(self) -> float:
-        return float(np.mean(self.samples))
-
-
-def prepare_via_conditional_thermalization(
-    x: str,
-    function: BooleanFunctionTable,
-    target_gap: float,
-    beta_m: float,
-    rng_seed: int,
-    n_samples: int = 1,
-) -> ConditionalThermalizationTrace:
-    """Stochastically excite a ground-state qubit toward the thermal state at ``target_gap``.
-
-    The flip probability is the excited thermal population
-    e^{-beta_m*gap} / (1 + e^{-beta_m*gap}); repeated sampling converges to the
-    exact thermal marginal. The classical bit-flip map reproduces the channel
-    on diagonal states, which is the only regime the model uses.
-    """
-    if not target_gap > 0.0:
-        raise ValueError("target_gap must be positive")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    p_excited = logistic(-beta_m * target_gap)
-    rng = np.random.default_rng(rng_seed)
-    samples = (rng.random(n_samples) < p_excited).astype(np.uint8)
-    return ConditionalThermalizationTrace(
-        input_bits=x,
-        function_output=function.value(x),
-        target_gap=target_gap,
-        machine_inverse_temperature=beta_m,
-        excited_probability=p_excited,
-        samples=samples,
-    )

@@ -189,7 +189,7 @@ def test_criterion_02_general_mask_suite():
 
 def test_criterion_03_sample_bound_and_crossover():
     assert sample_bound_from_threshold(0.1, 0.1) == 116
-    row = crossover_analysis([0.1], [0.1]).rows[0]
+    row = crossover_analysis([0.1], [0.1])[0]
     # First problem size where the thermal sample count beats the
     # deterministic classical query count: 2^{8-1}+1 = 129 > 116 while
     # 2^{7-1}+1 = 65 <= 116, so the crossover integer recorded here is 8

@@ -1,0 +1,42 @@
+import ast
+import importlib
+from pathlib import Path
+
+import thermoquery
+
+MODULES = ("cli", "detuning", "exactsim", "problems", "query", "readout", "thermal", "verify")
+
+# Public names that were removed because only their own tests called them.
+REMOVED = {
+    "thermal": ("prepare_via_conditional_thermalization", "ConditionalThermalizationTrace", "log1pexp"),
+    "problems": ("solve_dj_deterministic_classical", "ClassicalSolveResult", "dj_gap_magnitude"),
+    "query": ("temperature_well_defined",),
+    "detuning": ("SweepPoint",),
+    "readout": ("CrossoverTable",),
+}
+REMOVED_ATTRIBUTES = (("thermal", "BooleanFunctionTable", "value"), ("detuning", "DetuningSweep", "points"))
+
+
+def test_public_api_surface():
+    """Every name in a module's __all__ resolves, the package re-exports only
+    names of its modules' __all__ lists, and no removed name is importable."""
+    modules = {name: importlib.import_module(f"thermoquery.{name}") for name in MODULES}
+    for name, module in modules.items():
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert not missing, f"thermoquery.{name}.__all__ names {missing}"
+
+    tree = ast.parse(Path(thermoquery.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        assert node.level == 1 and node.module in modules
+        for alias in node.names:
+            assert alias.name in modules[node.module].__all__, f"{node.module}.{alias.name}"
+            assert getattr(thermoquery, alias.asname or alias.name) is getattr(modules[node.module], alias.name)
+
+    for name, removed in REMOVED.items():
+        for attr in removed:
+            assert not hasattr(modules[name], attr), f"thermoquery.{name}.{attr}"
+            assert not hasattr(thermoquery, attr), f"thermoquery.{attr}"
+    for name, cls, attr in REMOVED_ATTRIBUTES:
+        assert not hasattr(getattr(modules[name], cls), attr), f"thermoquery.{name}.{cls}.{attr}"

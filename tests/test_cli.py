@@ -537,6 +537,8 @@ def test_figure_out_path_opened_before_the_work(tmp_path, capsys, monkeypatch, a
         ["verify", "--max-n", "5", "--trials", "1"],
         ["verify", "--max-n", "1", "--bv-max-n", "30", "--trials", "4"],
         ["verify", "--bv-max-n", "20"],
+        ["detuning-sweep", "--omega=inf"],
+        ["dj-kickback", "--beta-s=0,nan"],
     ],
 )
 def test_rejected_input_leaves_the_out_path_alone(tmp_path, capsys, argv):

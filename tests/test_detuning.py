@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from thermoquery.detuning import (
     ExperimentConfig,
-    SweepPoint,
     _min_separation,
     bv3_sweep,
     detuned_probe_temperature,
@@ -194,6 +193,18 @@ class TestExperimentConfig:
         assert cfg.detuning_for_secret("000") == pytest.approx(-0.05 * 3.44)
         assert cfg.detuning_for_secret("011") == pytest.approx(0.05 * (-1.0 + 1.13 + 1.31))
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_probe_gap_or_coupling_rejected(self, value):
+        with pytest.raises(ValueError, match="probe gap"):
+            ExperimentConfig(machine_gaps=(1.0, 1.0, 1.0), bias=0.1, coupling=1.0, probe_gap=value)
+        with pytest.raises(ValueError, match="coupling"):
+            ExperimentConfig(machine_gaps=(1.0, 1.0, 1.0), bias=0.1, coupling=value)
+
+    def test_overflowing_default_probe_gap_rejected(self):
+        # Three finite gaps whose sum, the default probe gap, is not.
+        with pytest.raises(ValueError, match="probe gap"):
+            ExperimentConfig(machine_gaps=(1e308, 1e308, 1e308), bias=0.1, coupling=1.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(machine_gaps=(1.0, 1.0), bias=0.1, coupling=1.0)
@@ -238,15 +249,20 @@ class TestSweep:
         first = lines[1].split(",")
         assert first[0] == "000"
         sweep = bv3_sweep(DEFAULT_CONFIG, [0.0, 1.0])
-        assert float(first[4]) == sweep.points[0].beta_s_prime
+        assert float(first[4]) == sweep.curve("000")[0]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             bv3_sweep(DEFAULT_CONFIG, [])
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_grid_rejected(self, value):
+        with pytest.raises(ValueError, match="probe inverse temperature must be finite"):
+            bv3_sweep(DEFAULT_CONFIG, [0.0, value, 1.0])
+
     def test_points_curves_and_secrets_agree(self):
-        """points lists each secret's curve in lexicographic order, with the
-        secret's own detuning and suppression, as curve() and secrets() do."""
+        """curves, delta_s and eta hold one entry per secret of secrets(), in
+        lexicographic order, with the secret's own detuning and suppression."""
         config = ExperimentConfig(
             machine_gaps=(1.0, 1.13, 1.31), bias=0.3, coupling=4.0, machine_inverse_temperature=300.0
         )
@@ -254,11 +270,9 @@ class TestSweep:
         sweep = bv3_sweep(config, grid)
         secrets = [format(i, "03b") for i in range(8)]
         assert sweep.secrets() == secrets
-        assert sweep.points == tuple(
-            SweepPoint(secret, float(beta_s), config.detuning_for_secret(secret),
-                       suppression_factor(config.coupling, config.detuning_for_secret(secret)), value)
-            for secret in secrets for beta_s, value in zip(grid, sweep.curve(secret))
-        )
+        assert sweep.beta_s_grid == tuple(grid.tolist())
+        assert sweep.delta_s == tuple(config.detuning_for_secret(secret) for secret in secrets)
+        assert sweep.eta == tuple(suppression_factor(config.coupling, delta) for delta in sweep.delta_s)
         for secret, eta in zip(secrets, sweep.eta):
             oracle = config.oracle_for_secret(secret)
             expected = [detuned_probe_temperature(ThermalQubit(config.omega, float(b)), oracle, eta) for b in grid]

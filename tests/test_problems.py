@@ -5,23 +5,20 @@ import pytest
 from conftest import reference_kickback_ground_population
 from thermoquery.problems import (
     BVInstance,
-    ClassicalSolveResult,
     DJInstance,
     PromiseViolationError,
     constant_functions,
-    dj_gap_magnitude,
     enumerate_balanced_functions,
     hamming_weight_population,
-    solve_dj_deterministic_classical,
 )
 from thermoquery.query import QueryMask, kickback_outcome
-from thermoquery.readout import deterministic_classical_queries
 from thermoquery.thermal import (
     BooleanFunctionTable,
     Classification,
     ThermalQubit,
     build_bv_oracle,
     build_dj_oracle,
+    two_gap_machine,
 )
 
 
@@ -69,15 +66,6 @@ class TestInstances:
 
 
 class TestGapMagnitude:
-    def test_values(self):
-        assert dj_gap_magnitude(Classification.CONSTANT1, 4, 1.0, 0.5) == 4.0
-        assert dj_gap_magnitude(Classification.CONSTANT0, 4, 1.0, 0.5) == 2.0
-        assert dj_gap_magnitude(Classification.BALANCED, 4, 1.0, 0.5) == 3.0
-
-    def test_odd_balanced_rejected(self):
-        with pytest.raises(ValueError):
-            dj_gap_magnitude(Classification.BALANCED, 3, 1.0, 0.5)
-
     def test_agrees_with_built_oracles(self):
         # Dyadic gaps make every partial sum exact, so the two totals must be equal.
         for n in (1, 2, 3):
@@ -85,7 +73,8 @@ class TestGapMagnitude:
             for gap_one, gap_zero in ((2.0, 1.0), (0.75, 1.5), (0.125, 3.25)):
                 for inst in instances:
                     oracle = build_dj_oracle(inst.function, gap_one, gap_zero, 1.0)
-                    expected = dj_gap_magnitude(inst.classification, 1 << n, gap_one, gap_zero)
+                    ones = sum(inst.function.outputs)
+                    expected = two_gap_machine(ones, 1 << n, gap_one, gap_zero, 1.0)[0]
                     assert oracle.gap_vector.total == expected
 
 
@@ -146,35 +135,3 @@ class TestHammingWeightPopulation:
             build_bv_oracle("101", gamma, beta_m)
         with pytest.raises(ValueError, match=name):
             hamming_weight_population(BVInstance.from_secret("101"), gamma, ThermalQubit(1.0, 0.5), beta_m)
-
-
-class TestClassicalSolver:
-    def test_constant_worst_case(self):
-        result = solve_dj_deterministic_classical(BooleanFunctionTable.constant(3, 0))
-        assert result == ClassicalSolveResult(Classification.CONSTANT0, 5)
-
-    def test_early_exit(self):
-        table = BooleanFunctionTable(3, (0, 1, 0, 1, 0, 1, 0, 1))
-        result = solve_dj_deterministic_classical(table)
-        assert result.classification is Classification.BALANCED
-        assert result.queries == 2
-
-    def test_exhaustive_small_instances(self):
-        # The worst case over every table is the paper's 2^{n-1} + 1. A balanced
-        # table reaches it only when its first 2^{n-1} outputs agree.
-        for n in (1, 2, 3, 4):
-            worst = deterministic_classical_queries(n)
-            most = 0
-            instances = list(constant_functions(n)) + list(enumerate_balanced_functions(n))
-            for inst in instances:
-                result = solve_dj_deterministic_classical(inst.function)
-                assert result.classification is inst.classification
-                first_half_agrees = len(set(inst.function.outputs[: worst - 1])) == 1
-                assert (result.queries == worst) == first_half_agrees
-                most = max(most, result.queries)
-            assert most == worst
-
-    def test_promise_violation_flagged(self):
-        with pytest.raises(PromiseViolationError):
-            solve_dj_deterministic_classical(BooleanFunctionTable(2, (1, 0, 0, 0)))
-

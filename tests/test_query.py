@@ -22,7 +22,6 @@ from thermoquery.query import (
     shift_outcome,
     swap_query,
     temperature_defined,
-    temperature_well_defined,
 )
 from thermoquery.thermal import (
     BooleanFunctionTable,
@@ -318,7 +317,7 @@ class TestWellDefinedTemperature:
     def test_neutral_is_well_defined(self):
         oracle = build_custom_oracle([1.0, 0.5], 1.0)
         probe = ThermalQubit(1.5, 1.0)
-        assert temperature_well_defined(kickback_outcome(probe, oracle), probe)
+        assert temperature_defined(1.5, kickback_outcome(probe, oracle).delta_p0)  # a = beta_S*omega
 
     def test_heating_always_well_defined(self, rng):
         # Directed construction: probe exponent strictly above the machine's.
@@ -330,14 +329,15 @@ class TestWellDefinedTemperature:
             probe = ThermalQubit(omega, beta_s)
             outcome = kickback_outcome(probe, oracle)
             assert outcome.regime is Regime.HEATING
-            assert temperature_well_defined(outcome, probe)
+            assert temperature_defined(beta_s * omega, outcome.delta_p0)
 
     def test_flag_matches_beta_after(self, rng):
         # The last probe's excited population underflows: delta_p0 = 0.0 and beta' is undefined.
         cases = [random_dj_case(rng) for _ in range(500)]
         for probe, oracle in [*cases, (ThermalQubit(800.0, 1.0), build_custom_oracle([900.0], 1.0))]:
             outcome = kickback_outcome(probe, oracle)
-            assert temperature_well_defined(outcome, probe) == (outcome.beta_after is not None)
+            a = probe.inverse_temperature * probe.gap
+            assert temperature_defined(a, outcome.delta_p0) == (outcome.beta_after is not None)
 
 
 class TestResetCosts:
@@ -458,7 +458,7 @@ class TestArrayKernel:
                 report = sensitivity_check(probe, oracle, float(c[i]))
                 assert report.closed_form_satisfied == closed[i]
                 assert report.closed_form_precondition == precondition[i]
-            assert temperature_well_defined(outcome, probe) == flags[i]
+            assert temperature_defined(probe.inverse_temperature * probe.gap, outcome.delta_p0) == flags[i]
 
     def test_scalar_arguments_give_scalars(self):
         delta = kickback_shift(0.5, 1.0, 2.0, 0.0, 1.2)

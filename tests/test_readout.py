@@ -520,8 +520,7 @@ class TestClassicalBaselines:
 
 class TestCrossoverAnalysis:
     def test_crossover_at_one_tenth(self):
-        table = crossover_analysis([0.1], [0.1])
-        row = table.rows[0]
+        row = crossover_analysis([0.1], [0.1])[0]
         assert row.n_star == 116
         assert row.k_classical == 5
         assert row.n_crossover == 8
@@ -534,8 +533,7 @@ class TestCrossoverAnalysis:
 
     def test_asymptotic_crossover_near_announced_threshold(self):
         t_star = math.sqrt(math.log(2.0) / 2.0)  # ~0.5887
-        table = crossover_analysis([1e-6], [t_star])
-        row = table.rows[0]
+        row = crossover_analysis([1e-6], [t_star])[0]
         assert abs(row.n_star - row.k_classical) <= 1
 
     def test_moderate_delta_crossover_location(self):

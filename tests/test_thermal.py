@@ -19,7 +19,6 @@ from thermoquery.thermal import (
     build_dj_oracle,
     ground_state_population,
     inverse_temperature_from_population,
-    prepare_via_conditional_thermalization,
     two_gap_machine,
 )
 
@@ -149,10 +148,11 @@ class TestBooleanFunctionTable:
         assert BooleanFunctionTable(2, (0, 1, 1, 0)).classification is Classification.BALANCED
         assert BooleanFunctionTable(2, (1, 0, 0, 0)).classification is Classification.OTHER
 
-    def test_value_accepts_bit_strings(self):
-        table = BooleanFunctionTable(2, (0, 1, 1, 0))
-        assert table.value("01") == 1
-        assert table.value(3) == 0
+    def test_bit_string_and_integer_pick_the_same_output(self):
+        # Big-endian: "01" is input 1, whose output 1 gets gap_one.
+        oracle = build_dj_oracle(BooleanFunctionTable(2, (0, 1, 1, 0)), 2.0, 1.0, 1.0)
+        assert oracle.machine_qubit("01").gap == oracle.machine_qubit(1).gap == 2.0
+        assert oracle.machine_qubit("11").gap == oracle.machine_qubit(3).gap == 1.0
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
@@ -262,39 +262,3 @@ class TestBVOracle:
         oracle.machine_qubit(0)
         with pytest.raises(ValueError):
             oracle.machine_qubit(1)
-
-
-class TestConditionalThermalization:
-    def test_infinite_temperature(self):
-        table = BooleanFunctionTable.constant(1, 1)
-        trace = prepare_via_conditional_thermalization("0", table, 1.0, 0.0, rng_seed=1)
-        assert trace.excited_probability == 0.5
-
-    def test_zero_temperature_reset(self):
-        table = BooleanFunctionTable.constant(1, 1)
-        trace = prepare_via_conditional_thermalization(
-            "0", table, 1.0, 1e6, rng_seed=2, n_samples=1000
-        )
-        assert trace.excited_probability == pytest.approx(0.0, abs=1e-300)
-        assert trace.empirical_excited_frequency == 0.0
-
-    def test_monte_carlo_matches_closed_form(self):
-        table = BooleanFunctionTable.constant(1, 1)
-        n = 100_000
-        trace = prepare_via_conditional_thermalization("0", table, 1.0, 1.0, rng_seed=7, n_samples=n)
-        expected = math.exp(-1.0) / (1.0 + math.exp(-1.0))
-        assert trace.excited_probability == pytest.approx(expected, abs=1e-15)
-        sigma = math.sqrt(expected * (1.0 - expected) / n)
-        assert abs(trace.empirical_excited_frequency - expected) <= 3.0 * sigma
-
-    def test_deterministic_under_seed(self):
-        table = BooleanFunctionTable(2, (0, 1, 1, 0))
-        a = prepare_via_conditional_thermalization("10", table, 0.7, 1.2, rng_seed=42, n_samples=50)
-        b = prepare_via_conditional_thermalization("10", table, 0.7, 1.2, rng_seed=42, n_samples=50)
-        assert np.array_equal(a.samples, b.samples)
-        assert a.function_output == 1
-
-    def test_qubit_matches_target(self):
-        table = BooleanFunctionTable.constant(1, 0)
-        trace = prepare_via_conditional_thermalization("1", table, 0.8, 1.5, rng_seed=0)
-        assert trace.qubit.excited_population == pytest.approx(trace.excited_probability, abs=1e-15)
