@@ -26,7 +26,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 import re
 import stat
@@ -135,21 +134,30 @@ def _open_out(path: str | None):
     no path or '-', else ``path``.
 
     Subcommands validate their inputs and then open their output before the
-    work, so an unwritable path fails at once. The file is emptied only when
-    ``start`` is called, after the work, so a run that fails keeps the bytes
-    of an existing file.
+    work, so an unwritable path fails at once. The work comes next, and only
+    then ``start``: the new bytes are written over the old ones from the first
+    byte, and when the block exits, normally or by an exception raised after
+    ``start``, a regular file is cut at the last byte written. A run that fails
+    before ``start`` keeps the bytes of an existing file. A process killed while
+    writing can leave the old tail after the new prefix; its exit code tells.
     """
     if path is None or path == "-":
         yield lambda: sys.stdout
         return
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="") as stream:
+        started = False
+
         def start() -> IO[str]:
-            # What O_TRUNC would have done: a device or a pipe is not truncated.
-            if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
-                stream.truncate(0)
+            nonlocal started
+            started = True
             return stream
 
-        yield start
+        try:
+            yield start
+        finally:
+            # What O_TRUNC would have done, done last: a device or a pipe is not truncated.
+            if started and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                stream.truncate()
 
 
 # Rows are rendered and written this many at a time, so no output document is
@@ -275,17 +283,15 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
         "beta_S": args.beta_s,
         "seed": args.seed,
     }
-    a = np.array(beta_s_values) * args.omega
-    # Rows run over (beta_M, beta_S, case); each kickback evaluates one beta_S curve.
-    shape = (len(beta_m_values), len(beta_s_values), len(machines))
+    # Rows run over (beta_M, beta_S, case): one kickback call broadcasts over all three.
+    a = (np.array(beta_s_values) * args.omega)[:, None]
+    totals = np.array([total for _, (total, _) in machines])
+    log_zfs = np.stack([log_zf for _, (_, log_zf) in machines], axis=-1)[:, None, :]
     with _open_out(args.out) as start:
-        values = np.empty((3, *shape))  # delta_p0, p0', beta'
-        for m, beta_m in enumerate(beta_m_values):
-            for case, (_, (total, log_zf)) in enumerate(machines):
-                delta = kickback_shift(a, beta_m, total, 0.0, log_zf[m])
-                values[:, m, :, case] = (delta, *shift_outcome(a, args.omega, delta)[1:])
-        delta, p0_after, beta_after = (v.ravel().tolist() for v in values)
-        picks = np.indices(shape).reshape(3, -1).tolist()
+        delta = kickback_shift(a, np.array(beta_m_values)[:, None, None], totals, 0.0, log_zfs)
+        picks = np.indices(delta.shape).reshape(3, -1).tolist()
+        _, p0_after, beta_after = shift_outcome(a, args.omega, delta)
+        delta, p0_after, beta_after = (v.ravel().tolist() for v in (delta, p0_after, beta_after))
         columns = [(beta_m_values, picks[0]), (beta_s_values, picks[1]), ([name for name, _ in machines], picks[2]),
                    delta, p0_after, [None if b != b else b for b in beta_after]]
         _emit(start(), args.format, config,
@@ -340,13 +346,20 @@ def cmd_sample_complexity(args: argparse.Namespace) -> int:
         "mixed_query_divergence": MIXED_QUERY_DIVERGENCE,
         "seed": args.seed,
     }
-    fields = ["delta", "t", "n_star", "k_classical", "n_mixed_query",
-              "n_crossover", "thermal_beats_probabilistic"]
     with _open_out(args.out) as start:
         table = crossover_analysis(deltas, ts)
-        columns = [[chernoff_stein_samples(row.delta, MIXED_QUERY_DIVERGENCE) for row in table]
-                   if name == "n_mixed_query" else list(map(operator.attrgetter(name), table)) for name in fields]
-        _emit(start(), args.format, config, fields, columns)
+        # Rows run over the sorted, de-duplicated (delta, t) grid; k and the
+        # mixed-query count are delta's.
+        n_t = len(set(ts))
+        firsts = table[::n_t]
+        delta, t = np.indices((len(firsts), n_t)).reshape(2, -1).tolist()
+        columns = [([row.delta for row in firsts], delta), ([row.t for row in table[:n_t]], t),
+                   [row.n_star for row in table], ([row.k_classical for row in firsts], delta),
+                   ([chernoff_stein_samples(row.delta, MIXED_QUERY_DIVERGENCE) for row in firsts], delta),
+                   [row.n_crossover for row in table],
+                   ((False, True), [row.thermal_beats_probabilistic for row in table])]
+        _emit(start(), args.format, config, ["delta", "t", "n_star", "k_classical", "n_mixed_query",
+                                             "n_crossover", "thermal_beats_probabilistic"], columns)
     return 0
 
 

@@ -189,11 +189,14 @@ def kickback_shift(a, beta_m, masked_sum, remainder, log_zf):
 
     (e^{-a - beta_M*remainder} - e^{-beta_M*X.G}) / (Z_S Z_f) with
     a = beta_S*omega, X.G = ``masked_sum``, remainder = |G| - X.G and
-    log Z_f = ``log_zf``.
+    log Z_f = ``log_zf``. A product beta_M*X.G or beta_M*remainder that
+    overflows to inf gives e^{-inf} = 0 as meant, with no warning for floats
+    and arrays alike.
     """
     log_norm = np.logaddexp(0.0, -a) + log_zf
-    gained = np.exp(-(a + beta_m * remainder) - log_norm)
-    lost = np.exp(-beta_m * masked_sum - log_norm)
+    with np.errstate(over="ignore"):
+        gained = np.exp(-(a + beta_m * remainder) - log_norm)
+        lost = np.exp(-beta_m * masked_sum - log_norm)
     return gained - lost
 
 

@@ -605,6 +605,33 @@ def test_failed_work_never_removes_the_out_path(tmp_path, monkeypatch):
     assert link.is_symlink() and target.exists()
 
 
+@pytest.mark.parametrize("old", [None, b"old\n" * 25_000, b"old\n"],
+                         ids=["fresh-path", "output-shorter", "output-longer"])
+def test_out_path_holds_exactly_the_new_bytes(tmp_path, old):
+    """A fresh path is written; an existing file is written over from its
+    first byte and then cut at the output's end, so no old byte is left."""
+    out = tmp_path / "table.csv"
+    if old is not None:
+        out.write_bytes(old)
+    assert main(["sample-complexity", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_SHA256[("sample-complexity", "csv")]
+
+
+def test_failure_while_writing_leaves_the_new_prefix_only(tmp_path, capsys, monkeypatch):
+    """A run that fails after it started writing cuts the file at the last
+    byte written: the new prefix stays, the old tail does not."""
+    def failing_emit(stream, *args):
+        stream.write("new prefix\n")
+        raise ValueError("the writing failed")
+
+    monkeypatch.setattr(cli, "_emit", failing_emit)
+    out = tmp_path / "grid.csv"
+    out.write_bytes(b"old bytes\n" * 1000)
+    assert main(["distinguishability", "--out", str(out)]) == 1
+    assert out.read_bytes() == b"new prefix\n"
+    assert capsys.readouterr().err == "thermoquery: error: the writing failed\n"
+
+
 class TestVerify:
     def test_small_run_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"

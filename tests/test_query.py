@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -464,3 +465,19 @@ class TestArrayKernel:
         delta = kickback_shift(0.5, 1.0, 2.0, 0.0, 1.2)
         assert np.ndim(delta) == 0
         assert all(np.ndim(x) == 0 for x in shift_outcome(0.5, 1.0, delta))
+
+    def test_overflowing_exponents_give_the_float_values_silently(self):
+        """beta_M*X.G or beta_M*(|G| - X.G) overflowing to inf is meant, as
+        e^{-inf} = 0: an array call returns each float call's value and, like
+        the float calls, raises no overflow warning."""
+        a = np.array([0.5, 1.0, 2.0])
+        beta_m = np.array([1e300, 2.0, 1e308])
+        masked_sum = np.array([1e10, 1.0, 0.0])
+        remainder = np.array([0.0, 0.0, 1e10])
+        log_zf = np.array([0.0, math.log1p(math.exp(-2.0)), 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delta = kickback_shift(a, beta_m, masked_sum, remainder, log_zf)
+            floats = [kickback_shift(*map(float, row)) for row in zip(a, beta_m, masked_sum, remainder, log_zf)]
+        assert delta.tolist() == floats
+        assert delta[0] > 0.0 and delta[2] < 0.0
