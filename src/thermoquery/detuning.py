@@ -127,7 +127,7 @@ class ExperimentConfig:
         return 1.0 + self.bias if bit == "1" else 1.0 - self.bias
 
     def gaps_for_secret(self, secret: str) -> tuple[float, float, float]:
-        if len(secret) != 3 or any(c not in "01" for c in secret):
+        if len(secret) != 3 or secret.strip("01"):
             raise ValueError(f"secret must be a 3-bit string, got {secret!r}")
         return tuple(
             self.bias_multiplier(bit) * gap for bit, gap in zip(secret, self.machine_gaps)

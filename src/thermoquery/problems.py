@@ -60,7 +60,7 @@ class BVInstance:
     hamming_weight: int
 
     def __post_init__(self) -> None:
-        if not self.secret or any(c not in "01" for c in self.secret):
+        if not self.secret or self.secret.strip("01"):
             raise ValueError(f"secret must be a nonempty bit string, got {self.secret!r}")
         if self.hamming_weight != self.secret.count("1"):
             raise ValueError("hamming_weight does not match the secret")

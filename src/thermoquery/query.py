@@ -41,6 +41,7 @@ from .thermal import (
     DJProblem,
     ThermalMachineOracle,
     ThermalQubit,
+    _zeros_and_ones,
     bits_to_index,
     logistic,
 )
@@ -100,7 +101,7 @@ class QueryMask:
     def __post_init__(self) -> None:
         if len(self.bits) == 0:
             raise ValueError("mask must be nonempty")
-        if any(b not in (0, 1) for b in self.bits):
+        if not _zeros_and_ones(self.bits):
             raise ValueError("mask bits must be 0/1")
 
     @classmethod
@@ -109,7 +110,7 @@ class QueryMask:
 
     @classmethod
     def from_string(cls, bits: str) -> "QueryMask":
-        if not bits or any(c not in "01" for c in bits):
+        if not bits or bits.strip("01"):
             raise ValueError(f"not a bit string: {bits!r}")
         return cls(tuple(int(c) for c in bits))
 
@@ -119,7 +120,7 @@ class QueryMask:
         if len(self.bits) != g.size:
             raise ValueError("mask length does not match gap vector")
         b = np.asarray(self.bits, dtype=bool)
-        return float(np.sum(np.where(b, g, 0.0)))
+        return float(np.add.reduce(np.where(b, g, 0.0)))
 
 
 @dataclass(frozen=True)

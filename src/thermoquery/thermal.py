@@ -52,6 +52,15 @@ def _log1pexp(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
+def _zeros_and_ones(values) -> bool:
+    """Whether every entry equals 0 or 1, as ``True`` and ``1.0`` do: one set
+    inclusion, tested in C. An unhashable entry is neither."""
+    try:
+        return set(values) <= {0, 1}
+    except TypeError:
+        return False
+
+
 def two_gap_machine(ones, size, gap_one, gap_zero, beta_m):
     """|G| and log Z_f of ``size`` machine qubits, ``ones`` of gap ``gap_one`` and
     the rest of gap ``gap_zero``, from the counts alone; floats or arrays that broadcast."""
@@ -71,7 +80,7 @@ def logistic(x: float) -> float:
 
 def bits_to_index(bits: str) -> int:
     """Integer value of a big-endian bit string (leftmost character is the most significant bit)."""
-    if not bits or any(c not in "01" for c in bits):
+    if not bits or bits.strip("01"):
         raise ValueError(f"not a bit string: {bits!r}")
     return int(bits, 2)
 
@@ -157,7 +166,7 @@ class GapVector:
     @property
     def total(self) -> float:
         """Sum of all gaps; the exponent scale of the full-machine Boltzmann factor."""
-        return float(np.sum(np.asarray(self.gaps, dtype=float)))
+        return float(np.add.reduce(np.asarray(self.gaps, dtype=float)))
 
 
 class Classification(Enum):
@@ -181,7 +190,7 @@ class BooleanFunctionTable:
             raise ValueError(
                 f"expected {1 << self.n} outputs for n={self.n}, got {len(self.outputs)}"
             )
-        if any(o not in (0, 1) for o in self.outputs):
+        if not _zeros_and_ones(self.outputs):
             raise ValueError("outputs must be 0/1")
 
     @classmethod
@@ -276,7 +285,7 @@ def build_dj_oracle(
 
 def build_bv_oracle(secret: str, gamma: float, beta_m: float) -> ThermalMachineOracle:
     """Oracle with one machine qubit per secret bit, gap secret[i]*gamma."""
-    if not secret or any(c not in "01" for c in secret):
+    if not secret or secret.strip("01"):
         raise ValueError(f"secret must be a nonempty bit string, got {secret!r}")
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")

@@ -67,7 +67,10 @@ from .thermal import (
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "PARAMETER_RANGES"]
 
 # Tuples evaluated together in the Deutsch-Jozsa and the regime sections.
-_BLOCK_ROWS = 512
+_BLOCK_ROWS = 2048
+# Regime tuples drawn by one _regime_draws call. _BLOCK_ROWS is a multiple of
+# it, so a seed's regime cases are those of 512-row draws.
+_REGIME_DRAW_ROWS = 512
 
 # Sampling ranges for randomized tuples (omega, beta_S, beta_M, gaps).
 PARAMETER_RANGES = {
@@ -367,7 +370,8 @@ def _dj_kickback_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckR
     temp = CheckResult("dj-kickback-temperature-vs-exact", 1e-12)
     partition = CheckResult("dj-log-partition-vs-direct-sum", 1e-12)
     for tables in _dj_table_blocks(sizes.max_dj_n, sizes.tuples_per_instance):
-        # Each table's tuples are consecutive rows.
+        # Each table's tuples are consecutive rows, and each block draws the
+        # next rows of one stream, so the block size moves no draw.
         rows = len(tables) * sizes.tuples_per_instance
         outputs = np.repeat(np.array(tables, dtype=bool), sizes.tuples_per_instance, axis=0)
         size = outputs.shape[1]
@@ -483,7 +487,11 @@ def _regime_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckResult
     well_defined = CheckResult("well-definedness-flag-consistency", 0.0)
     roundtrip = CheckResult("temperature-roundtrip", 1e-10)
     for start in range(0, sizes.regime_cases, _BLOCK_ROWS):
-        size, ones, draws = _regime_draws(rng, min(_BLOCK_ROWS, sizes.regime_cases - start), sizes.max_dj_n)
+        stop = min(start + _BLOCK_ROWS, sizes.regime_cases)
+        size, ones, draws = map(np.concatenate, zip(*(
+            _regime_draws(rng, min(_REGIME_DRAW_ROWS, stop - first), sizes.max_dj_n)
+            for first in range(start, stop, _REGIME_DRAW_ROWS)
+        )))
         gap_one, gap_zero, beta_m, omega, beta_s = _scaled(draws, ("gap", "gap", "beta_m", "omega", "beta_s"))
         total, log_zf = two_gap_machine(ones, size, gap_one, gap_zero, beta_m)
         a, b = beta_s * omega, beta_m * total

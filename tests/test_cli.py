@@ -572,8 +572,8 @@ def test_dj_kickback_size_limit_is_the_float_range(tmp_path, capsys, monkeypatch
 
 
 def test_failed_work_keeps_the_out_path_bytes(tmp_path, capsys):
-    """The output is emptied only once the work is done: a run that fails
-    during the work leaves an existing file as it was."""
+    """An existing file is written over only once the work is done: a run
+    that fails during the work leaves its bytes as they were."""
     out = tmp_path / "grid.csv"
     out.write_bytes(b"kept\n")
     assert main(["distinguishability", "--beta-m=-800", "--out", str(out)]) == 1

@@ -1,10 +1,11 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from thermoquery import exactsim, verify
+from thermoquery import cli, exactsim, verify
 from thermoquery.query import QueryMask, ResetCosts
 from thermoquery.readout import BinaryDistribution
 from thermoquery.thermal import GapVector, ThermalMachineOracle, ThermalQubit
@@ -46,6 +47,40 @@ def test_default_run_is_pinned():
     assert worst["general-mask-dj-vs-exact"].startswith("mask=(")
     assert " machine=(" in worst["general-mask-bv-vs-exact"]
     assert worst["all-ones-mask-reduction"] == ""
+
+
+# SHA-256 of the standard output and of the --out JSON of `verify --seed S`.
+VERIFY_OUTPUT_SHA256 = {
+    1234: ("51e4be4f9207e1cd4223d7d83891f021081668e94ccc87aa6c0459e361850d65",
+           "e3532068a3acba26cfe1fcb08db82d7ac9a4f9b1e12b4f3277d9fb2086e2912e"),
+    7: ("91635b9345a7e34d0d4c86ef5c71d8b528d5d0850b7f31cf9ea0b05a23819b15",
+        "8f1adeaa1eb80063511ce625f5bb5bad5c7db88a15830cbdab23ab53bb443f4c"),
+    99: ("0e5b0938ba1994f2d0b7a86badf5723e3d4161db6e2f7f0fc29aeb840decd0db",
+         "51a530b844e1f4ae49dd090fafce7f0b59224239ba705866acbab16c450e8f11"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_OUTPUT_SHA256))
+def test_default_output_bytes(tmp_path, capsys, seed):
+    """Every byte of the default report, printed and as JSON, pinned by its
+    SHA-256. Like the subcommand pins in test_cli.py, the hashes assume
+    numpy's float64 exp and log round as they did where they were taken; a
+    deliberate change of the report or of the version updates them."""
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.encode()
+    hashes = (hashlib.sha256(printed).hexdigest(), hashlib.sha256(out.read_bytes()).hexdigest())
+    assert hashes == VERIFY_OUTPUT_SHA256[seed]
+
+
+@pytest.mark.parametrize("rows", (512, 1536))
+def test_evaluation_block_moves_no_case(monkeypatch, rows):
+    """The report is the same whatever number of rows, a multiple of the
+    regime section's 512-row draws, a section evaluates at once."""
+    sizes = dict(max_dj_n=3, max_bv_n=3, tuples_per_instance=7, mask_cases=5, regime_cases=3000, seed=11)
+    expected = verify.run_verification(**sizes).to_dict()
+    monkeypatch.setattr(verify, "_BLOCK_ROWS", rows)
+    assert verify.run_verification(**sizes).to_dict() == expected
 
 
 @pytest.mark.parametrize("seed", (7, 99))
