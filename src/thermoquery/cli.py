@@ -196,11 +196,6 @@ def _csv_text(value) -> str:
     return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
 
 
-def _csv_lone_text(value) -> str:
-    # csv.writer quotes a row's one field when it is empty, so the row is not blank.
-    return _csv_text(value) or '""'
-
-
 def _chunk_texts(values: list, render) -> list[str]:
     """The texts of a chunk of a computed column: by ``float.__repr__`` in C when
     every value is an exact float and, for JSON, which spells a NaN or an
@@ -218,7 +213,9 @@ def _emit(stream: IO[str], fmt: str, config: dict, fieldnames: Sequence[str], co
     rendered once. Values must be scalars: a container would not get the
     nested indent. JSON is ``json.dump({"version", "config", "rows"}, stream,
     indent=2)`` and a newline; CSV is the comment lines and what ``csv.writer``
-    writes. Each row fills one ``%`` template, ``_CHUNK_ROWS`` rows at a time.
+    writes for two or more fields (it quotes a lone empty field, which no
+    subcommand writes). Each row fills one ``%`` template, ``_CHUNK_ROWS``
+    rows at a time.
     """
     if fmt == "json":
         head = json.dumps({"version": __version__, "config": config}, indent=2)
@@ -231,7 +228,7 @@ def _emit(stream: IO[str], fmt: str, config: dict, fieldnames: Sequence[str], co
         for key in sorted(config):
             stream.write(f"# {key} = {config[key]}\n")
         template = ",".join(["%s"] * len(fieldnames)) + "\r\n"
-        render, skip = (_csv_text if len(fieldnames) > 1 else _csv_lone_text), 0
+        render, skip = _csv_text, 0
         stream.write(template % tuple(map(render, fieldnames)))
     axes = [list(map(render, column[0])) if isinstance(column, tuple) else None for column in columns]
     n_rows = len(columns[0][1] if axes[0] is not None else columns[0])
@@ -368,16 +365,13 @@ def cmd_detuning_sweep(args: argparse.Namespace) -> int:
     if len(gammas) != 3:
         raise CliError("exactly three machine gaps are required")
     beta_s_values = parse_values(args.beta_s)
-    try:
-        config_obj = ExperimentConfig(
-            machine_gaps=tuple(gammas),
-            bias=args.epsilon,
-            coupling=args.g,
-            probe_gap=args.omega,
-            machine_inverse_temperature=args.beta_m,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    config_obj = ExperimentConfig(
+        machine_gaps=tuple(gammas),
+        bias=args.epsilon,
+        coupling=args.g,
+        probe_gap=args.omega,
+        machine_inverse_temperature=args.beta_m,
+    )
     _check_finite({"--beta-s": beta_s_values})
     with _open_out(args.out) as start:
         sweep = bv3_sweep(config_obj, sorted(beta_s_values))

@@ -157,9 +157,6 @@ class DetuningSweep:
     curves: tuple[tuple[float | None, ...], ...]
     min_pairwise_separation: float
 
-    def curve(self, secret: str) -> list[float | None]:
-        return list(self.curves[_SECRETS.index(secret)]) if secret in _SECRETS else []
-
     def secrets(self) -> list[str]:
         return list(_SECRETS)
 

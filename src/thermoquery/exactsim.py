@@ -2,8 +2,8 @@
 
 Holds every population of probe + machine, applies exchanges as exact
 permutations, and extracts marginals. Ground truth for the analytic formulas;
-capped at a configurable qubit count (20 by default) since the 2^N machine
-weights are dense.
+capped at ``DEFAULT_MAX_QUBITS`` = 20 qubits, probe included, since the 2^N
+machine weights are dense.
 
 A state is stored in product form: 2^N machine weights w and two probe
 factors k_g and k_e, so level (i_S, x) holds w(x) k_{i_S}. Building it costs
@@ -130,10 +130,6 @@ class DiagonalJointState:
         energies = np.empty((1, self.size))
         _level_energies(np.array([[self.probe_gap, *self.machine_gaps]]), energies)
         return energies[0]
-
-    @property
-    def machine_energies(self) -> np.ndarray:
-        return self.level_energies[: self.size // 2]
 
     @cached_property
     def _sums(self) -> _WeightSums:

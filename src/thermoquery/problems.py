@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
@@ -37,40 +38,37 @@ class PromiseViolationError(ValueError):
 
 @dataclass(frozen=True)
 class DJInstance:
+    """A truth table that keeps the promise: constant or balanced."""
+
     function: BooleanFunctionTable
-    classification: Classification
 
     def __post_init__(self) -> None:
-        actual = self.function.classification
-        if actual is Classification.OTHER:
+        if self.classification is Classification.OTHER:
             raise PromiseViolationError("function is neither balanced nor constant")
-        if actual is not self.classification:
-            raise ValueError(
-                f"stated classification {self.classification} does not match table ({actual})"
-            )
 
-    @classmethod
-    def from_table(cls, function: BooleanFunctionTable) -> "DJInstance":
-        return cls(function, function.classification)
+    @property
+    def classification(self) -> Classification:
+        return self.function.classification
 
 
 @dataclass(frozen=True)
 class BVInstance:
     secret: str
-    hamming_weight: int
 
     def __post_init__(self) -> None:
         if not self.secret or self.secret.strip("01"):
             raise ValueError(f"secret must be a nonempty bit string, got {self.secret!r}")
-        if self.hamming_weight != self.secret.count("1"):
-            raise ValueError("hamming_weight does not match the secret")
 
     @classmethod
     def from_secret(cls, secret: str) -> "BVInstance":
-        return cls(secret, secret.count("1"))
+        return cls(secret)
+
+    @cached_property
+    def hamming_weight(self) -> int:
+        return self.secret.count("1")
 
 
-def enumerate_balanced_functions(n: int, limit: int | None = None) -> Iterator[DJInstance]:
+def enumerate_balanced_functions(n: int) -> Iterator[DJInstance]:
     """Yield every balanced truth table on n bits, C(2^n, 2^{n-1}) in total.
 
     Deterministic order: lexicographic in the positions mapped to 1.
@@ -81,22 +79,18 @@ def enumerate_balanced_functions(n: int, limit: int | None = None) -> Iterator[D
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"exhaustive enumeration is limited to n <= {MAX_EXHAUSTIVE_N}")
     size = 1 << n
-    emitted = 0
     for ones in combinations(range(size), size // 2):
-        if limit is not None and emitted >= limit:
-            return
         outputs = [0] * size
         for position in ones:
             outputs[position] = 1
-        yield DJInstance(BooleanFunctionTable(n, tuple(outputs)), Classification.BALANCED)
-        emitted += 1
+        yield DJInstance(BooleanFunctionTable(n, tuple(outputs)))
 
 
 def constant_functions(n: int) -> tuple[DJInstance, DJInstance]:
     """The two constant instances (f == 0, f == 1) on n bits."""
     return (
-        DJInstance(BooleanFunctionTable.constant(n, 0), Classification.CONSTANT0),
-        DJInstance(BooleanFunctionTable.constant(n, 1), Classification.CONSTANT1),
+        DJInstance(BooleanFunctionTable.constant(n, 0)),
+        DJInstance(BooleanFunctionTable.constant(n, 1)),
     )
 
 

@@ -8,11 +8,13 @@ swaps, and the level-exchange kickback V(X) which swaps the joint level
     delta_p0(X) = (e^{-beta_S*omega - beta_M*(|G| - X.G)} - e^{-beta_M*X.G}) / (Z_S Z_f)
 
 which for the all-ones mask (the virtual-qubit subspace swap) reduces to
-(e^{-beta_S*omega} - e^{-beta_M*|G|}) / (Z_S Z_f). All exponent sums are
-evaluated in log-domain and exponentiated once, in :func:`kickback_shift`,
-which the detuned and Hamming-weight closed forms call too;
-:func:`shift_outcome` turns a shift into the post-query population and
-temperature.
+(e^{-beta_S*omega} - e^{-beta_M*|G|}) / (Z_S Z_f). :func:`kickback_shift`,
+which the detuned and Hamming-weight closed forms call too, takes log Z_f
+and the exponent sums, but exponentiates the two terms separately and
+subtracts them: where they nearly cancel the difference keeps few correct
+digits, and where both underflow (700 unit gaps at beta_M = 1 and a probe
+near resonance) the shift is 0.0. :func:`shift_outcome` turns a shift into
+the post-query population and temperature.
 
 The arithmetic is written once, over numpy arrays: :func:`kickback_shift`,
 :func:`shift_outcome`, :func:`regime_sign`, :func:`sensitivity_bound` and
@@ -41,9 +43,8 @@ from .thermal import (
     DJProblem,
     ThermalMachineOracle,
     ThermalQubit,
-    _zeros_and_ones,
-    bits_to_index,
     logistic,
+    only_zeros_and_ones,
 )
 
 __all__ = [
@@ -101,18 +102,12 @@ class QueryMask:
     def __post_init__(self) -> None:
         if len(self.bits) == 0:
             raise ValueError("mask must be nonempty")
-        if not _zeros_and_ones(self.bits):
+        if not only_zeros_and_ones(self.bits):
             raise ValueError("mask bits must be 0/1")
 
     @classmethod
     def all_ones(cls, n: int) -> "QueryMask":
         return cls(tuple([1] * n))
-
-    @classmethod
-    def from_string(cls, bits: str) -> "QueryMask":
-        if not bits or bits.strip("01"):
-            raise ValueError(f"not a bit string: {bits!r}")
-        return cls(tuple(int(c) for c in bits))
 
     def dot(self, gaps: Sequence[float]) -> float:
         """Masked gap sum X.G; summed with the same reduction as GapVector.total."""
@@ -167,9 +162,7 @@ def swap_query(probe: ThermalQubit, oracle: ThermalMachineOracle, x: int | str) 
     old state is handed to the machine and returned for bookkeeping. Applying
     the swap twice restores both parties.
     """
-    idx = bits_to_index(x) if isinstance(x, str) else x
-    taken = oracle.machine_qubit(idx)
-    return SwapResult(probe=taken, displaced=ThermalQubit(probe.gap, probe.inverse_temperature))
+    return SwapResult(probe=oracle.machine_qubit(x), displaced=ThermalQubit(probe.gap, probe.inverse_temperature))
 
 
 def mixed_input_query(probe: ThermalQubit, oracle: ThermalMachineOracle) -> BinaryDistribution:

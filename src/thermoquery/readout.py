@@ -138,14 +138,6 @@ class DistinguishabilityReport:
     chi: float
     satisfied: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "t_threshold": self.t_threshold,
-            "lhs": self.lhs,
-            "chi": self.chi,
-            "satisfied": self.satisfied,
-        }
-
 
 def distinguishability_report(e1, e2, beta_m: float, n_machine, t: float) -> DistinguishabilityReport:
     """Evaluate the distinguishability condition for machines of ``n_machine`` qubits.
@@ -242,19 +234,6 @@ class HypothesisTestReport:
     empirical_false_positive: float
     seed: int
 
-    def to_dict(self) -> dict:
-        bound = self.chernoff_stein_bound
-        return {
-            "n_samples": self.n_samples,
-            "trials": self.trials,
-            "decision": self.decision.value,
-            "divergence": self.divergence,
-            "pinsker_lower": self.pinsker_lower,
-            "chernoff_stein_bound": None if bound == math.inf else bound,
-            "empirical_false_positive": self.empirical_false_positive,
-            "seed": self.seed,
-        }
-
 
 def monte_carlo_readout(
     true_dist: BinaryDistribution,
@@ -289,13 +268,9 @@ def monte_carlo_readout(
         n1 = rng.binomial(n_samples, true_dist.p1, min(_BLOCK_TRIALS, trials - start))
         balanced = _prefers_balanced(n_samples - n1, n1, hyp_balanced, hyp_constant)
         balanced_decisions += int(np.count_nonzero(balanced))
-    balanced_fraction = balanced_decisions / trials
-    if true_dist.p0 == hyp_constant.p0:
-        error_rate = balanced_fraction
-    elif true_dist.p0 == hyp_balanced.p0:
-        error_rate = 1.0 - balanced_fraction
-    else:
-        error_rate = balanced_fraction
+    error_rate = balanced_decisions / trials
+    if true_dist.p0 == hyp_balanced.p0 != hyp_constant.p0:
+        error_rate = 1.0 - error_rate
     divergence = relative_entropy(hyp_balanced, hyp_constant)
     tv = total_variation(hyp_balanced, hyp_constant)
     return HypothesisTestReport(

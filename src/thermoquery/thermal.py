@@ -32,6 +32,7 @@ __all__ = [
     "two_gap_machine",
     "logistic",
     "bits_to_index",
+    "only_zeros_and_ones",
     "ground_state_population",
     "inverse_temperature_from_population",
     "population_inverse_temperature",
@@ -52,9 +53,10 @@ def _log1pexp(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
-def _zeros_and_ones(values) -> bool:
-    """Whether every entry equals 0 or 1, as ``True`` and ``1.0`` do: one set
-    inclusion, tested in C. An unhashable entry is neither."""
+def only_zeros_and_ones(values) -> bool:
+    """Whether every entry of ``values`` equals 0 or 1, as ``True`` and ``1.0``
+    do: the entry check of truth tables and query masks, one set inclusion
+    tested in C. An unhashable entry is neither."""
     try:
         return set(values) <= {0, 1}
     except TypeError:
@@ -85,16 +87,22 @@ def bits_to_index(bits: str) -> int:
     return int(bits, 2)
 
 
+def _check_gap(gap: float) -> None:
+    if not (gap > 0.0 and math.isfinite(gap)):
+        raise ValueError(f"gap must be positive and finite, got {gap}")
+
+
 def ground_state_population(gap: float, beta: float) -> float:
     """Ground-state population 1/(1 + e^{-beta*gap}) of a thermal qubit.
 
     Parameters
     ----------
-    gap : positive energy splitting between the two levels.
-    beta : inverse temperature; any real value is allowed.
+    gap : positive, finite energy splitting between the two levels.
+    beta : inverse temperature; any finite value is allowed.
     """
-    if not gap > 0.0:
-        raise ValueError(f"gap must be positive, got {gap}")
+    _check_gap(gap)
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     return logistic(beta * gap)
 
 
@@ -105,8 +113,7 @@ def inverse_temperature_from_population(p0: float, gap: float) -> float:
     0 or 1 corresponds to an infinite temperature parameter and raises
     :class:`PureStatePopulationError`.
     """
-    if not gap > 0.0:
-        raise ValueError(f"gap must be positive, got {gap}")
+    _check_gap(gap)
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"population must lie in [0, 1], got {p0}")
     if p0 == 0.0 or p0 == 1.0:
@@ -130,18 +137,13 @@ class ThermalQubit:
     inverse_temperature: float
 
     def __post_init__(self) -> None:
-        if not (self.gap > 0.0 and math.isfinite(self.gap)):
-            raise ValueError(f"gap must be positive and finite, got {self.gap}")
+        _check_gap(self.gap)
         if not math.isfinite(self.inverse_temperature):
             raise ValueError(f"inverse temperature must be finite, got {self.inverse_temperature}")
 
     @property
     def ground_population(self) -> float:
         return ground_state_population(self.gap, self.inverse_temperature)
-
-    @property
-    def excited_population(self) -> float:
-        return logistic(-self.inverse_temperature * self.gap)
 
     @property
     def log_partition_function(self) -> float:
@@ -190,7 +192,7 @@ class BooleanFunctionTable:
             raise ValueError(
                 f"expected {1 << self.n} outputs for n={self.n}, got {len(self.outputs)}"
             )
-        if not _zeros_and_ones(self.outputs):
+        if not only_zeros_and_ones(self.outputs):
             raise ValueError("outputs must be 0/1")
 
     @classmethod

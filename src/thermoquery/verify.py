@@ -427,7 +427,7 @@ def _hamming_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckResul
     machines = _random_bv_machines(rng, np.repeat(np.arange(1, sizes.max_bv_n + 1), per_n), nonzero=False)
     analytic, kickback = _library_columns(
         [
-            (hamming_weight_population(BVInstance.from_secret(oracle.problem.secret), oracle.problem.gamma,
+            (hamming_weight_population(BVInstance(oracle.problem.secret), oracle.problem.gamma,
                                        probe, oracle.machine_inverse_temperature),
              kickback_outcome(probe, oracle, QueryMask.all_ones(oracle.n_machine_qubits)).p0_after)
             for oracle, probe in machines.cases()

@@ -1,20 +1,32 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import thermoquery
 
 MODULES = ("cli", "detuning", "exactsim", "problems", "query", "readout", "thermal", "verify")
 
-# Public names that were removed because only their own tests called them.
+# Names that were removed because only their own tests called them.
 REMOVED = {
     "thermal": ("prepare_via_conditional_thermalization", "ConditionalThermalizationTrace", "log1pexp"),
     "problems": ("solve_dj_deterministic_classical", "ClassicalSolveResult", "dj_gap_magnitude"),
     "query": ("temperature_well_defined",),
     "detuning": ("SweepPoint",),
     "readout": ("CrossoverTable",),
+    "cli": ("_csv_lone_text",),
 }
-REMOVED_ATTRIBUTES = (("thermal", "BooleanFunctionTable", "value"), ("detuning", "DetuningSweep", "points"))
+REMOVED_ATTRIBUTES = (
+    ("thermal", "BooleanFunctionTable", "value"),
+    ("thermal", "ThermalQubit", "excited_population"),
+    ("detuning", "DetuningSweep", "points"),
+    ("detuning", "DetuningSweep", "curve"),
+    ("query", "QueryMask", "from_string"),
+    ("problems", "DJInstance", "from_table"),
+    ("exactsim", "DiagonalJointState", "machine_energies"),
+    ("readout", "HypothesisTestReport", "to_dict"),
+    ("readout", "DistinguishabilityReport", "to_dict"),
+)
 
 
 def test_public_api_surface():
@@ -40,3 +52,21 @@ def test_public_api_surface():
             assert not hasattr(thermoquery, attr), f"thermoquery.{attr}"
     for name, cls, attr in REMOVED_ATTRIBUTES:
         assert not hasattr(getattr(modules[name], cls), attr), f"thermoquery.{name}.{cls}.{attr}"
+
+
+def test_balanced_enumeration_takes_only_the_size():
+    """A prefix of the enumeration is taken with itertools.islice."""
+    from thermoquery.problems import enumerate_balanced_functions
+
+    assert list(inspect.signature(enumerate_balanced_functions).parameters) == ["n"]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """No thermoquery module imports a ``_``-prefixed name from another;
+    ``__version__`` is the one exception."""
+    package = Path(thermoquery.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("thermoquery")):
+                private = [a.name for a in node.names if a.name.startswith("_") and a.name != "__version__"]
+                assert not private, f"{path.name} imports {private} from {'.' * node.level}{node.module or ''}"

@@ -185,13 +185,6 @@ class TestWriters:
         assert text == WRITER_REFERENCES[fmt](WRITER_CONFIG, ["x", "i"], rows)
         assert text.count("-0.0") == 2 and text.count("0.30000000000000004") == 703
 
-    @pytest.mark.parametrize("value", [None, ""])
-    def test_csv_one_empty_field_is_quoted(self, value):
-        rows = [(value,), ("a",), (value,)]
-        out = emitted("csv", WRITER_CONFIG, ["x"], rows)
-        assert out == dictwriter_csv(WRITER_CONFIG, ["x"], rows)
-        assert out.endswith('x\r\n""\r\na\r\n""\r\n')
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_field_name_with_percent_sign(self, fmt):
         fields = ["100%", "%s", "%%d", "x"]
@@ -496,6 +489,23 @@ class TestDetuningSweep:
     def test_gamma_count_validated(self, tmp_path):
         assert main(["detuning-sweep", "--gamma", "1.0,2.0",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--epsilon", "1.5"], "bias must lie in [0, 1) so both multipliers stay positive"),
+            (["--g", "0"], "coupling must be positive and finite, got 0.0"),
+            (["--omega=-1"], "probe gap must be positive and finite, got -1.0"),
+            (["--beta-m=nan"], "machine inverse temperature must be finite"),
+            (["--gamma=1,0,1"], "machine gaps must be positive and finite"),
+        ],
+    )
+    def test_config_error_is_one_stderr_line(self, tmp_path, capsys, argv, message):
+        """ExperimentConfig's ValueError reaches main, which prints it as it prints a CliError."""
+        out = tmp_path / "x.csv"
+        assert main(["detuning-sweep", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"thermoquery: error: {message}\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

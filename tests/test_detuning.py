@@ -225,15 +225,13 @@ class TestSweep:
     def test_equal_gaps_collapse_by_hamming_weight(self):
         config = ExperimentConfig(machine_gaps=(1.0, 1.0, 1.0), bias=0.05, coupling=4.0)
         sweep = bv3_sweep(config, np.linspace(0.0, 3.0, 11))
-        curves = {tuple(sweep.curve(s)) for s in sweep.secrets()}
-        assert len(curves) == 4
+        assert len(set(sweep.curves)) == 4
         assert sweep.min_pairwise_separation == 0.0
 
     def test_zero_bias_collapses_everything(self):
         config = ExperimentConfig(machine_gaps=(1.0, 1.13, 1.31), bias=0.0, coupling=4.0)
         sweep = bv3_sweep(config, np.linspace(0.0, 3.0, 11))
-        curves = {tuple(sweep.curve(s)) for s in sweep.secrets()}
-        assert len(curves) == 1
+        assert len(set(sweep.curves)) == 1
 
     def test_deterministic(self):
         grid = np.linspace(0.0, 3.0, 7)
@@ -249,7 +247,7 @@ class TestSweep:
         first = lines[1].split(",")
         assert first[0] == "000"
         sweep = bv3_sweep(DEFAULT_CONFIG, [0.0, 1.0])
-        assert float(first[4]) == sweep.curve("000")[0]
+        assert float(first[4]) == sweep.curves[0][0]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -273,12 +271,11 @@ class TestSweep:
         assert sweep.beta_s_grid == tuple(grid.tolist())
         assert sweep.delta_s == tuple(config.detuning_for_secret(secret) for secret in secrets)
         assert sweep.eta == tuple(suppression_factor(config.coupling, delta) for delta in sweep.delta_s)
-        for secret, eta in zip(secrets, sweep.eta):
+        for secret, eta, curve in zip(secrets, sweep.eta, sweep.curves, strict=True):
             oracle = config.oracle_for_secret(secret)
             expected = [detuned_probe_temperature(ThermalQubit(config.omega, float(b)), oracle, eta) for b in grid]
-            assert sweep.curve(secret) == expected
-        assert any(None in sweep.curve(secret) for secret in secrets)
-        assert sweep.curve("0101") == []
+            assert curve == tuple(expected)
+        assert any(None in curve for curve in sweep.curves)
 
 
 class TestMinSeparation:
@@ -298,7 +295,7 @@ class TestMinSeparation:
             machine_gaps=(1.0, 1.13, 1.31), bias=0.3, coupling=4.0, machine_inverse_temperature=300.0
         )
         sweep = bv3_sweep(config, np.linspace(-300.0, 300.0, 31))
-        curves = {s: sweep.curve(s) for s in sweep.secrets()}
+        curves = {s: list(curve) for s, curve in zip(sweep.secrets(), sweep.curves)}
         assert any(v is None for curve in curves.values() for v in curve)
         assert sweep.min_pairwise_separation == triple_loop_min_separation(curves)
 

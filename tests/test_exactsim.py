@@ -308,7 +308,7 @@ class TestSharedExchange:
             assert fresh._sums is not after._sums
             assert probe_marginal(fresh).p0 == np.sum(populations[:half])
             assert probe_marginal(fresh).p0 != probe_marginal(state).p0
-            energies = state.machine_energies
+            energies = state.level_energies[:half]
             assert machine_mean_energy(fresh) == pytest.approx(
                 np.dot(populations[:half], energies) + np.dot(populations[half:], energies), rel=1e-15)
             assert machine_mean_energy(fresh) != machine_mean_energy(state)

@@ -7,8 +7,15 @@ import pytest
 
 from thermoquery.detuning import ExperimentConfig
 from thermoquery.problems import BVInstance
-from thermoquery.query import QueryMask
-from thermoquery.thermal import BooleanFunctionTable, Classification, bits_to_index, build_bv_oracle
+from thermoquery.query import QueryMask, swap_query
+from thermoquery.thermal import (
+    BooleanFunctionTable,
+    Classification,
+    ThermalQubit,
+    bits_to_index,
+    build_bv_oracle,
+    build_custom_oracle,
+)
 
 ENTRY_CHECKS = [
     (lambda entries: BooleanFunctionTable(2, entries), "outputs must be 0/1"),
@@ -31,15 +38,17 @@ def test_entries_equal_to_0_or_1_are_accepted_as_their_values():
 
 
 CONFIG = ExperimentConfig(machine_gaps=(1.0, 1.1, 1.3), bias=0.05, coupling=4.0)
+PROBE = ThermalQubit(1.0, 1.0)
+ORACLE = build_custom_oracle([1.0] * 8, 1.0)
 
 BIT_STRING_CHECKS = [
     (bits_to_index, "not a bit string: {!r}"),
     (lambda s: build_bv_oracle(s, 1.0, 1.0), "secret must be a nonempty bit string, got {!r}"),
-    (QueryMask.from_string, "not a bit string: {!r}"),
-    (lambda s: BVInstance(s, s.count("1")), "secret must be a nonempty bit string, got {!r}"),
+    (lambda s: swap_query(PROBE, ORACLE, s), "not a bit string: {!r}"),
+    (BVInstance, "secret must be a nonempty bit string, got {!r}"),
     (CONFIG.gaps_for_secret, "secret must be a 3-bit string, got {!r}"),
 ]
-SITES = ["bits_to_index", "build_bv_oracle", "QueryMask.from_string", "BVInstance", "gaps_for_secret"]
+SITES = ["bits_to_index", "build_bv_oracle", "swap_query", "BVInstance", "gaps_for_secret"]
 
 
 @pytest.mark.parametrize("check, message", BIT_STRING_CHECKS, ids=SITES)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, islice
 
 import pytest
 
@@ -32,7 +33,10 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_balanced_functions(3)) == 70
 
     def test_limit(self):
-        assert sum(1 for _ in enumerate_balanced_functions(3, limit=5)) == 5
+        """A prefix taken with islice is the first tables in lexicographic order of their ones."""
+        prefix = [inst.function.outputs for inst in islice(enumerate_balanced_functions(3), 5)]
+        expected = [tuple(int(i in ones) for i in range(8)) for ones in islice(combinations(range(8), 4), 5)]
+        assert prefix == expected
 
     def test_every_instance_is_balanced(self):
         for inst in enumerate_balanced_functions(2):
@@ -50,18 +54,24 @@ class TestEnumeration:
 
 class TestInstances:
     def test_dj_instance_validates_classification(self):
-        table = BooleanFunctionTable(1, (0, 1))
-        with pytest.raises(ValueError):
-            DJInstance(table, Classification.CONSTANT0)
+        """The classification is read off the table; it cannot be stated."""
+        for outputs, expected in (((0, 1), Classification.BALANCED), ((1, 1), Classification.CONSTANT1)):
+            assert DJInstance(BooleanFunctionTable(1, outputs)).classification is expected
+        with pytest.raises(TypeError):
+            DJInstance(BooleanFunctionTable(1, (0, 1)), Classification.CONSTANT0)
 
     def test_dj_instance_rejects_promise_violation(self):
         table = BooleanFunctionTable(2, (1, 0, 0, 0))
         with pytest.raises(PromiseViolationError):
-            DJInstance.from_table(table)
+            DJInstance(table)
 
     def test_bv_instance_weight(self):
-        assert BVInstance.from_secret("1011").hamming_weight == 3
-        with pytest.raises(ValueError):
+        """The weight is derived from the secret, once; it cannot be stated."""
+        instance = BVInstance("1011")
+        assert instance.hamming_weight == 3
+        assert instance.__dict__["hamming_weight"] == 3
+        assert BVInstance.from_secret("1011") == instance
+        with pytest.raises(TypeError):
             BVInstance("101", 1)
 
 
@@ -81,12 +91,12 @@ class TestGapMagnitude:
 class TestHammingWeightPopulation:
     def test_zero_secret_maximally_mixed_probe(self):
         probe = ThermalQubit(1.0, 0.0)
-        value = hamming_weight_population(BVInstance.from_secret("000"), 1.0, probe, 1.0)
+        value = hamming_weight_population(BVInstance("000"), 1.0, probe, 1.0)
         assert value == 0.5
 
     def test_full_secret_closed_form(self):
         probe = ThermalQubit(1.0, 0.0)
-        value = hamming_weight_population(BVInstance.from_secret("111"), 1.0, probe, 1.0)
+        value = hamming_weight_population(BVInstance("111"), 1.0, probe, 1.0)
         zf = (1.0 + math.exp(-1.0)) ** 3
         expected = (1.0 + (1.0 - math.exp(-3.0)) / zf) / 2.0
         assert value == pytest.approx(expected, abs=1e-14)
@@ -98,7 +108,7 @@ class TestHammingWeightPopulation:
     def test_monotone_in_weight_under_cooling(self):
         probe = ThermalQubit(1.0, 0.0)
         values = [
-            hamming_weight_population(BVInstance.from_secret(s), 1.0, probe, 1.0)
+            hamming_weight_population(BVInstance(s), 1.0, probe, 1.0)
             for s in ("000", "100", "110", "111")
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -110,14 +120,14 @@ class TestHammingWeightPopulation:
             gamma = float(rng.uniform(0.2, 1.5))
             beta_m = float(rng.uniform(0.1, 1.5))
             probe = ThermalQubit(float(rng.uniform(0.25, 2.0)), float(rng.uniform(-1.2, 1.2)))
-            analytic = hamming_weight_population(BVInstance.from_secret(secret), gamma, probe, beta_m)
+            analytic = hamming_weight_population(BVInstance(secret), gamma, probe, beta_m)
             oracle = build_bv_oracle(secret, gamma, beta_m)
             outcome = kickback_outcome(probe, oracle, QueryMask.all_ones(n))
             assert abs(analytic - outcome.p0_after) <= 1e-14
 
     def test_requires_positive_gamma(self):
         with pytest.raises(ValueError):
-            hamming_weight_population(BVInstance.from_secret("1"), 0.0, ThermalQubit(1.0, 0.0), 1.0)
+            hamming_weight_population(BVInstance("1"), 0.0, ThermalQubit(1.0, 0.0), 1.0)
 
     @pytest.mark.parametrize(
         "gamma, beta_m, name",
@@ -134,4 +144,4 @@ class TestHammingWeightPopulation:
         with pytest.raises(ValueError):
             build_bv_oracle("101", gamma, beta_m)
         with pytest.raises(ValueError, match=name):
-            hamming_weight_population(BVInstance.from_secret("101"), gamma, ThermalQubit(1.0, 0.5), beta_m)
+            hamming_weight_population(BVInstance("101"), gamma, ThermalQubit(1.0, 0.5), beta_m)

@@ -62,16 +62,12 @@ class TestQueryMask:
         mask = QueryMask.all_ones(3)
         assert mask.bits == (1, 1, 1)
 
-    def test_from_string_and_complement(self):
-        mask = QueryMask.from_string("101")
-        assert mask.bits == (1, 0, 1)
-
     def test_dot(self):
-        assert QueryMask.from_string("101").dot([1.0, 2.0, 4.0]) == 5.0
+        assert QueryMask((1, 0, 1)).dot([1.0, 2.0, 4.0]) == 5.0
 
     def test_dot_length_mismatch(self):
         with pytest.raises(ValueError):
-            QueryMask.from_string("10").dot([1.0, 2.0, 3.0])
+            QueryMask((1, 0)).dot([1.0, 2.0, 3.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -228,7 +224,7 @@ class TestKickbackOutcome:
     def test_mask_length_mismatch(self):
         probe, oracle = worked_example()
         with pytest.raises(ValueError):
-            kickback_outcome(probe, oracle, QueryMask.from_string("101"))
+            kickback_outcome(probe, oracle, QueryMask((1, 0, 1)))
 
 
 class TestClassifyRegime:

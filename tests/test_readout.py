@@ -460,19 +460,6 @@ class TestMonteCarloReadout:
         assert exact < 2.0 * delta
         assert report.empirical_false_positive < 2.0 * delta
 
-    def test_serialization(self):
-        report = monte_carlo_readout(
-            BinaryDistribution(0.85),
-            BinaryDistribution(0.8),
-            BinaryDistribution(0.9),
-            n_samples=10,
-            trials=20,
-            seed=9,
-        )
-        data = report.to_dict()
-        assert data["decision"] in ("balanced", "constant")
-        assert data["seed"] == 9
-
 
 class TestClassicalBaselines:
     def test_with_replacement_values(self):

@@ -55,6 +55,20 @@ class TestGroundStatePopulation:
         assert ground_state_population(10.0, 200.0) == 1.0
         assert ground_state_population(10.0, -200.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "gap, beta, message",
+        [
+            (1.0, math.nan, "beta must be finite, got nan"),
+            (1.0, math.inf, "beta must be finite, got inf"),
+            (math.inf, 1.0, "gap must be positive and finite, got inf"),
+            (math.nan, 1.0, "gap must be positive and finite, got nan"),
+        ],
+    )
+    def test_non_finite_argument_rejected_by_name(self, gap, beta, message):
+        with pytest.raises(ValueError) as raised:
+            ground_state_population(gap, beta)
+        assert str(raised.value) == message
+
 
 class TestInverseTemperature:
     def test_maximally_mixed(self):
@@ -78,6 +92,12 @@ class TestInverseTemperature:
         with pytest.raises(ValueError):
             inverse_temperature_from_population(1.5, 1.0)
 
+    @pytest.mark.parametrize("gap", [math.inf, math.nan, 0.0])
+    def test_gap_not_positive_and_finite_rejected_by_name(self, gap):
+        with pytest.raises(ValueError) as raised:
+            inverse_temperature_from_population(0.3, gap)
+        assert str(raised.value) == f"gap must be positive and finite, got {gap}"
+
     # The full rectangle beta in [-20, 20] x gap in (0, 50] is not invertible
     # through a float64 population (it saturates once |beta*gap| ~ 37 and the
     # log derivative amplifies one ulp beyond 1e-10 well before that), so the
@@ -97,7 +117,7 @@ class TestThermalQubit:
     def test_population_and_partition(self):
         qubit = ThermalQubit(2.0, 0.5)
         assert qubit.ground_population == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
-        assert qubit.ground_population + qubit.excited_population == pytest.approx(1.0)
+        assert qubit.ground_population == pytest.approx(math.exp(-qubit.log_partition_function))
         assert qubit.log_partition_function == pytest.approx(math.log1p(math.exp(-1.0)))
 
     def test_zero_beta_is_exactly_half(self):
