@@ -21,7 +21,9 @@ swapped state start from their parent's populations.
 The weight kernel takes a leading batch axis of T states; a single state is
 its T = 1 row. :func:`kickback_batch` runs the kickback on T states at once,
 with the machine mean energies on request, and :func:`swap_batch` gives the
-probe marginal after a SWAP with each machine qubit of T states. Nothing
+probe marginal after a SWAP with each machine qubit of T states. Both take
+each row's factors, probe factors and results once per call over all T rows;
+only the weights are built a chunk of rows at a time. Nothing
 here calls the analytic kickback code in ``query`` or the closed-form
 partition functions of ``thermal``.
 
@@ -56,8 +58,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_QUBITS = 20
-# Machine levels built at once by kickback_batch and swap_batch: one 256 KiB array.
-_BATCH_LEVELS = 1 << 15
+# Machine levels built at once by kickback_batch and swap_batch: one 512 KiB array.
+_BATCH_LEVELS = 1 << 16
 
 
 class _WeightSums:
@@ -183,33 +185,42 @@ def _bit_zero_sums(weights: np.ndarray, bit: int) -> np.ndarray:
     return weights.reshape(len(weights), 1 << bit, 2, -1)[:, :, 0, :].sum(axis=(1, 2))
 
 
-def _machine_weights(omega, beta_s, gaps, beta_m, weights):
-    """Write the machine weights w of T joint states into ``weights``, a
-    (T, 2^N) array; return k_g and k_e, with populations w k_g and w k_e,
-    the sums of w and the log weight sums.
+def _factors(omega, beta_s, gaps, beta_m):
+    """Per-qubit factors of T joint states: the excited and ground factors,
+    each (T, N + 1) with the probe in column 0, the columns whose factors
+    are scaled in some row, and each row's sum of the scale exponents.
 
     Row t is a probe with gap ``omega[t]`` at ``beta_s[t]`` and machine gaps
     ``gaps[t]`` at ``beta_m[t]``. Qubit j, the probe first, has the log
     weight x_j = -beta g_j when excited and factors e^{-s_j} (ground) and
-    e^{x_j - s_j} (excited), both at most 1 with s_j = max(0, x_j). w(x) is
-    doubled as a product of the machine qubits' factors, the last qubit first
-    so that qubit 0 becomes the most significant bit: 2(N + 1) exponentials
-    a row, not 2^N.
+    e^{x_j - s_j} (excited), both at most 1 with s_j = max(0, x_j): 2(N + 1)
+    exponentials a row, not 2^N.
     """
     exponent = -np.column_stack((beta_s * omega, beta_m[:, None] * gaps))
     shift = np.maximum(0.0, exponent)
-    excited, ground = np.exp(exponent - shift), np.exp(-shift)
-    scaled = np.any(shift > 0.0, axis=0).tolist()
+    return np.exp(exponent - shift), np.exp(-shift), np.any(shift > 0.0, axis=0).tolist(), shift.sum(axis=1)
+
+
+def _double(excited, ground, scaled, weights):
+    """Write the machine weights w of the rows of ``excited`` and ``ground``
+    into ``weights``, a (rows, 2^N) array: w(x) is doubled as a product of
+    the machine qubits' factors, the last qubit first so that qubit 0
+    becomes the most significant bit. A column not ``scaled`` has ground
+    factor 1 in every row and is not multiplied."""
     weights[:, 0] = 1.0
     size = 1
-    for column in range(gaps.shape[1], 0, -1):
+    for column in range(excited.shape[1] - 1, 0, -1):
         np.multiply(weights[:, :size], excited[:, column:column + 1], out=weights[:, size:2 * size])
-        if scaled[column]:  # a factor of 1 elsewhere
+        if scaled[column]:
             weights[:, :size] *= ground[:, column:column + 1]
         size *= 2
-    total = weights.sum(axis=1)
+
+
+def _probe_factors(excited, ground, total):
+    """k_g and k_e of each row, with populations w k_g and w k_e, and the
+    partition sum they divide by, from the probe's factors and the sums of w."""
     partition = total * (ground[:, 0] + excited[:, 0])
-    return ground[:, 0] / partition, excited[:, 0] / partition, total, shift.sum(axis=1) + np.log(partition)
+    return ground[:, 0] / partition, excited[:, 0] / partition, partition
 
 
 def build_joint_state(probe: ThermalQubit, oracle: ThermalMachineOracle) -> DiagonalJointState:
@@ -217,32 +228,31 @@ def build_joint_state(probe: ThermalQubit, oracle: ThermalMachineOracle) -> Diag
     weights = np.empty((1, _machine_levels(oracle.n_machine_qubits)))
     gaps = np.array([(probe.gap, *oracle.gap_vector.gaps)])
     betas = np.array([[probe.inverse_temperature, oracle.machine_inverse_temperature]])
-    k_g, k_e, total, log_partition_sum = _machine_weights(
-        gaps[:, 0], betas[:, 0], gaps[:, 1:], betas[:, 1], weights
-    )
+    excited, ground, scaled, shift_sum = _factors(gaps[:, 0], betas[:, 0], gaps[:, 1:], betas[:, 1])
+    _double(excited, ground, scaled, weights)
+    total = weights.sum(axis=1)
+    k_g, k_e, partition = _probe_factors(excited, ground, total)
     weights.flags.writeable = False  # shared by every exchange of the state
     state = DiagonalJointState(weights, (float(k_g[0]), float(k_e[0])), gaps[0, 1:], probe.gap,
-                               float(log_partition_sum[0]))
+                               float((shift_sum + np.log(partition))[0]))
     # Stored as cached_property stores it.
     vars(state)["_sums"] = _WeightSums(weights, state.machine_gaps, total)
     return state
 
 
-def _weight_chunks(omega, beta_s, gaps, beta_m):
-    """Machine weights of T joint states, a chunk of rows at a time, in one
-    array of at most 2^15 machine levels or one row: yields the chunk's
-    slice, its (rows, 2^N) weights w, and k_g, k_e, the sums of w and the
-    log weight sums as :func:`_machine_weights` gives them."""
-    rows, n = gaps.shape
-    levels = _machine_levels(n)
+def _weight_chunks(excited, ground, scaled):
+    """Machine weights of T joint states from their :func:`_factors`, a chunk
+    of rows at a time, in one array of at most 2^16 machine levels or one
+    row: yields the chunk's slice and its (rows, 2^N) weights w."""
+    rows, columns = excited.shape
+    levels = _machine_levels(columns - 1)
     step = max(1, min(rows, _BATCH_LEVELS // levels))
     buffer = np.empty((step, levels))
     for start in range(0, rows, step):
         chunk = slice(start, min(start + step, rows))
         weights = buffer[: chunk.stop - start]
-        yield chunk, weights, *_machine_weights(
-            omega[chunk], beta_s[chunk], gaps[chunk], beta_m[chunk], weights
-        )
+        _double(excited[chunk], ground[chunk], scaled, weights)
+        yield chunk, weights
 
 
 def kickback_batch(
@@ -265,7 +275,8 @@ def kickback_batch(
     p0' = p0 - w[a] k_g + w[b - 2^N] k_e; both are clamped at 1 as
     :func:`probe_marginal` is. The machine mean energy is that of
     :func:`machine_mean_energy`, and the exchange adds
-    (p[b] - p[a]) (E(a) - E(b - 2^N)).
+    (p[b] - p[a]) (E(a) - E(b - 2^N)). Only the weights are built a chunk
+    at a time; every other step runs once over all T rows.
     """
     rows, n = gaps.shape
     masks = np.asarray(masks)
@@ -273,25 +284,25 @@ def kickback_batch(
         raise ValueError("mask rows do not match the machines")
     level_a, level_b = kickback_level_indices(masks, n)
     level_b = level_b - (1 << n)  # the machine level of b
-    p0, p0_after, log_partition_sum = np.empty(rows), np.empty(rows), np.empty(rows)
-    energy, energy_after = np.empty(rows), np.empty(rows)
-    for chunk, weights, k_g, k_e, total, log_sum in _weight_chunks(omega, beta_s, gaps, beta_m):
-        log_partition_sum[chunk] = log_sum
+    excited, ground, scaled, shift_sum = _factors(omega, beta_s, gaps, beta_m)
+    total, weight_a, weight_b, weighted = (np.empty(rows) for _ in range(4))
+    for chunk, weights in _weight_chunks(excited, ground, scaled):
         row = np.arange(len(weights))
-        ground_a = weights[row, level_a[chunk]] * k_g
-        excited_b = weights[row, level_b[chunk]] * k_e
-        ground = total * k_g
-        p0[chunk] = np.minimum(ground, 1.0)
-        p0_after[chunk] = np.minimum(ground - ground_a + excited_b, 1.0)
+        total[chunk] = weights.sum(axis=1)
+        weight_a[chunk] = weights[row, level_a[chunk]]
+        weight_b[chunk] = weights[row, level_b[chunk]]
         if energies:
-            weighted = _weighted_energies(weights, gaps[chunk])
-            energy[chunk] = weighted * k_g + weighted * k_e
-            # E(a) - E(b - 2^N): b's machine bits are a's flipped.
-            exchanged = ((2 * masks[chunk] - 1) * gaps[chunk]).sum(axis=1)
-            energy_after[chunk] = energy[chunk] + (excited_b - ground_a) * exchanged
-    if energies:
-        return p0, p0_after, log_partition_sum, energy, energy_after
-    return p0, p0_after, log_partition_sum
+            weighted[chunk] = _weighted_energies(weights, gaps[chunk])
+    k_g, k_e, partition = _probe_factors(excited, ground, total)
+    ground_a, excited_b, ground_total = weight_a * k_g, weight_b * k_e, total * k_g
+    outputs = (np.minimum(ground_total, 1.0), np.minimum(ground_total - ground_a + excited_b, 1.0),
+               shift_sum + np.log(partition))
+    if not energies:
+        return outputs
+    energy = weighted * k_g + weighted * k_e
+    # E(a) - E(b - 2^N): b's machine bits are a's flipped.
+    exchanged = ((2 * masks - 1) * gaps).sum(axis=1)
+    return (*outputs, energy, energy + (excited_b - ground_a) * exchanged)
 
 
 def swap_batch(
@@ -307,12 +318,14 @@ def swap_batch(
     summed over them, times k_g plus the same times k_e.
     """
     rows, n = gaps.shape
-    p0 = np.empty((rows, n))
-    for chunk, weights, k_g, k_e, _, _ in _weight_chunks(omega, beta_s, gaps, beta_m):
+    excited, ground, scaled, _ = _factors(omega, beta_s, gaps, beta_m)
+    total, zero = np.empty(rows), np.empty((rows, n))
+    for chunk, weights in _weight_chunks(excited, ground, scaled):
+        total[chunk] = weights.sum(axis=1)
         for j in range(n):
-            zero = _bit_zero_sums(weights, j)
-            p0[chunk, j] = zero * k_g + zero * k_e
-    return np.minimum(p0, 1.0)
+            zero[chunk, j] = _bit_zero_sums(weights, j)
+    k_g, k_e, _ = _probe_factors(excited, ground, total)
+    return np.minimum(zero * k_g[:, None] + zero * k_e[:, None], 1.0)
 
 
 def apply_level_exchange(state: DiagonalJointState, level_a: int, level_b: int) -> DiagonalJointState:

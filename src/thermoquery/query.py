@@ -93,7 +93,7 @@ class Regime(Enum):
         return cls.NEUTRAL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryMask:
     """One bit per machine qubit, selecting which excitations the exchange targets."""
 
@@ -118,7 +118,7 @@ class QueryMask:
         return float(np.add.reduce(np.where(b, g, 0.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryOutcome:
     """Probe populations around one heat exchange; ``beta_after`` is None when
     the post-query temperature is undefined (non-positive log argument)."""

@@ -129,7 +129,7 @@ def population_inverse_temperature(p0, gap):
     return (np.log(p0) - np.log1p(-p0)) / gap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThermalQubit:
     """Two-level system with ground energy 0 and excited energy ``gap``."""
 
@@ -150,7 +150,7 @@ class ThermalQubit:
         return _log1pexp(-self.inverse_temperature * self.gap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapVector:
     """Ordered machine-qubit energy gaps. Entries may be zero but not negative."""
 
@@ -159,7 +159,7 @@ class GapVector:
     def __post_init__(self) -> None:
         if len(self.gaps) == 0:
             raise ValueError("gap vector must have at least one entry")
-        if any(not (g >= 0.0 and math.isfinite(g)) for g in self.gaps):
+        if any(not (g >= 0.0 and math.isfinite(g)) for g in set(self.gaps)):
             raise ValueError("every gap must be finite and >= 0")
 
     def __len__(self) -> int:
@@ -212,7 +212,7 @@ class BooleanFunctionTable:
         return Classification.OTHER
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DJProblem:
     """Deutsch-Jozsa encoding: machine qubit x gets ``gap_one`` if f(x)=1 else ``gap_zero``."""
 
@@ -221,7 +221,7 @@ class DJProblem:
     gap_zero: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BVProblem:
     """Hamming-weight encoding: machine qubit i gets gap ``secret[i] * gamma``."""
 
@@ -259,8 +259,13 @@ class ThermalMachineOracle:
 
     @cached_property
     def log_partition_function(self) -> float:
+        """log Z_f; a sum that overflows a double (gaps near the float
+        maximum, or |beta_M g| past it) raises instead of returning inf."""
         beta = self.machine_inverse_temperature
-        return float(sum(_log1pexp(-beta * g) for g in self.gap_vector.gaps))
+        log_zf = float(sum(_log1pexp(-beta * g) for g in self.gap_vector.gaps))
+        if not math.isfinite(log_zf):
+            raise ValueError(f"log partition function is not finite, got {log_zf}")
+        return log_zf
 
     def machine_qubit(self, index: int | str) -> ThermalQubit:
         """Thermal qubit at machine position ``index`` (big-endian bit string or integer)."""

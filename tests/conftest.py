@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,11 +18,9 @@ import pytest
 from thermoquery.thermal import ThermalMachineOracle, ThermalQubit
 
 
-def reference_joint_populations(
-    probe: ThermalQubit, oracle: ThermalMachineOracle
-) -> dict[tuple[int, tuple[int, ...]], float]:
-    """Normalized populations over (probe bit, machine bit tuple), by direct
-    products at 40 significant digits."""
+def _reference_populations(probe: ThermalQubit, oracle: ThermalMachineOracle):
+    """Normalized populations over (probe bit, machine bit tuple) as
+    Decimals, and log(Z_S Z_f), by direct products at 40 significant digits."""
     gaps = [Decimal(g) for g in oracle.gap_vector.gaps]
     beta_m = Decimal(oracle.machine_inverse_temperature)
     probe_exponent = -Decimal(probe.inverse_temperature) * Decimal(probe.gap)
@@ -33,18 +32,60 @@ def reference_joint_populations(
                 energy = sum((g for b, g in zip(machine, gaps) if b), Decimal(0))
                 weights[(s_bit, machine)] = (probe_exponent * s_bit).exp() * (-beta_m * energy).exp()
         total = sum(weights.values())
-        return {level: float(w / total) for level, w in weights.items()}
+        return {level: w / total for level, w in weights.items()}, total.ln()
+
+
+def reference_joint_populations(
+    probe: ThermalQubit, oracle: ThermalMachineOracle
+) -> dict[tuple[int, tuple[int, ...]], float]:
+    """Normalized populations over (probe bit, machine bit tuple), by direct
+    products at 40 significant digits."""
+    return {level: float(p) for level, p in _reference_populations(probe, oracle)[0].items()}
+
+
+class ReferenceKickback(NamedTuple):
+    """Probe ground population, log(Z_S Z_f) and machine mean energy around
+    one kickback, the order in which ``exactsim.kickback_batch`` returns them."""
+
+    p0: float
+    p0_after: float
+    log_partition_sum: float
+    energy: float
+    energy_after: float
+
+
+def reference_kickback(
+    probe: ThermalQubit, oracle: ThermalMachineOracle, mask_bits: tuple[int, ...]
+) -> ReferenceKickback:
+    """Exchange |0_S, X> with |1_S, X xor 1> in the 40-digit populations and
+    sum them: p0 over the probe's ground half, the machine energy as
+    sum p(i_S, x) x.G."""
+    populations, log_partition_sum = _reference_populations(probe, oracle)
+    gaps = [Decimal(g) for g in oracle.gap_vector.gaps]
+    level_a = (0, tuple(mask_bits))
+    level_b = (1, tuple(1 - b for b in mask_bits))
+    exchanged = dict(populations)
+    exchanged[level_a], exchanged[level_b] = populations[level_b], populations[level_a]
+    with localcontext() as context:
+        context.prec = 40
+
+        def sums(levels):
+            p0 = sum((p for (s_bit, _), p in levels.items() if s_bit == 0), Decimal(0))
+            energy = sum(
+                (p * sum((g for b, g in zip(machine, gaps) if b), Decimal(0)) for (_, machine), p in levels.items()),
+                Decimal(0),
+            )
+            return p0, energy
+
+        (p0, energy), (p0_after, energy_after) = sums(populations), sums(exchanged)
+    return ReferenceKickback(float(p0), float(p0_after), float(log_partition_sum), float(energy), float(energy_after))
 
 
 def reference_kickback_ground_population(
     probe: ThermalQubit, oracle: ThermalMachineOracle, mask_bits: tuple[int, ...]
 ) -> float:
     """Probe ground population after exchanging |0_S, X> with |1_S, X xor 1>."""
-    populations = reference_joint_populations(probe, oracle)
-    level_a = (0, tuple(mask_bits))
-    level_b = (1, tuple(1 - b for b in mask_bits))
-    populations[level_a], populations[level_b] = populations[level_b], populations[level_a]
-    return sum(p for (s_bit, _), p in populations.items() if s_bit == 0)
+    return reference_kickback(probe, oracle, mask_bits).p0_after
 
 
 def reference_swap_ground_population(

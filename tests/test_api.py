@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+from functools import cached_property
 from pathlib import Path
 
 import thermoquery
@@ -70,3 +71,32 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("thermoquery")):
                 private = [a.name for a in node.names if a.name.startswith("_") and a.name != "__version__"]
                 assert not private, f"{path.name} imports {private} from {'.' * node.level}{node.module or ''}"
+
+
+# Values built once per case or per query: slotted, so they hold no dict.
+SLOTTED = (
+    ("thermal", "ThermalQubit"),
+    ("thermal", "GapVector"),
+    ("thermal", "DJProblem"),
+    ("thermal", "BVProblem"),
+    ("query", "QueryMask"),
+    ("query", "QueryOutcome"),
+)
+
+
+def test_per_case_values_are_slotted_and_traced_attributes_kept():
+    """The per-case values have __slots__ and no instance dict. The oracle
+    keeps its dict, for its cached log Z_f: perfbench's traced mode wraps
+    that cached_property, the plain property GapVector.total and the
+    classmethod QueryMask.all_ones on their classes."""
+    from thermoquery.query import QueryMask
+    from thermoquery.thermal import GapVector, ThermalMachineOracle
+
+    for module, name in SLOTTED:
+        cls = getattr(importlib.import_module(f"thermoquery.{module}"), name)
+        assert "__slots__" in vars(cls), name
+        assert not any("__dict__" in vars(base) for base in cls.__mro__), name
+    assert "__dict__" in vars(ThermalMachineOracle)
+    assert isinstance(vars(ThermalMachineOracle)["log_partition_function"], cached_property)
+    assert type(vars(GapVector)["total"]) is property
+    assert isinstance(vars(QueryMask)["all_ones"], classmethod)

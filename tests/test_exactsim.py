@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import reference_joint_populations, reference_swap_ground_population
+from conftest import reference_joint_populations, reference_kickback, reference_swap_ground_population
 from thermoquery import exactsim, query, thermal
 from thermoquery.exactsim import (
     apply_level_exchange,
@@ -558,8 +558,8 @@ class TestKickbackBatch:
             )
 
     def test_rows_across_chunk_boundaries(self, rng):
-        """One chunk holds 2^15 machine levels: 128 rows of 8 machine qubits,
-        32 rows of 10 (300 and 70 rows need two full chunks and a part of the
+        """One chunk holds 2^16 machine levels: 256 rows of 8 machine qubits,
+        64 rows of 10 (300 and 70 rows need a full chunk and a part of the
         buffer)."""
         for n, rows in ((1, 20), (6, 20), (8, 300), (10, 70)):
             self.rows_against_single_states(rng, n, rows)
@@ -573,14 +573,14 @@ class TestKickbackBatch:
         self.rows_against_single_states(rng, 4, 9, rng.integers(0, 2, (9, 4)).astype(bool))
 
     # At |beta| = 500 the unshifted log weights pass the 709 at which exp
-    # overflows; 14 machine qubits make two rows a chunk.
+    # overflows; 14 machine qubits make four rows a chunk.
     @pytest.mark.parametrize("beta_s", (-500.0, -50.0, 50.0, 500.0))
     @pytest.mark.parametrize("beta_m", (-500.0, -50.0, 50.0, 500.0))
     def test_extreme_and_negative_temperatures(self, beta_s, beta_m, rng):
         self.rows_against_single_states(rng, 14, 5, beta_s=np.full(5, beta_s), beta_m=np.full(5, beta_m))
 
     def test_seventeen_qubit_rows_one_chunk_each(self, rng):
-        """A 17-qubit state exceeds a chunk: each row is written over the last."""
+        """A 17-qubit state fills a chunk: each row is written over the last."""
         self.rows_against_single_states(rng, 16, 3)
 
     def test_mask_rows_validated(self):
@@ -594,6 +594,56 @@ class TestKickbackBatch:
         n = exactsim.DEFAULT_MAX_QUBITS
         with pytest.raises(ValueError, match="exceed"):
             exactsim.kickback_batch(np.ones(1), np.ones(1), np.ones((1, n)), np.ones(1), np.ones((1, n)))
+
+
+class TestBatchesAgainstReference:
+    """kickback_batch, with its machine energies, and swap_batch against the
+    40-digit Decimal reference of conftest: no state-path call on either side."""
+
+    @staticmethod
+    def draw(rng, n, rows, scale=1.5):
+        """Probe gaps, beta_S, machine gaps and beta_M of ``rows`` states,
+        beta_M of alternating sign and |beta_M| up to ``scale``."""
+        omega = rng.uniform(0.25, 2.0, rows)
+        beta_s = rng.uniform(-1.2, 1.2, rows)
+        beta_m = rng.uniform(0.1, scale, rows) * np.resize([1.0, -1.0], rows)
+        return omega, beta_s, rng.uniform(0.2, 2.0, (rows, n)), beta_m
+
+    @staticmethod
+    def cases(omega, beta_s, gaps, beta_m):
+        for t in range(len(omega)):
+            yield t, ThermalQubit(omega[t], beta_s[t]), build_custom_oracle(gaps[t], beta_m[t])
+
+    def kickback_rows_against_reference(self, columns, masks):
+        outputs = exactsim.kickback_batch(*columns, masks, energies=True)
+        for t, probe, oracle in self.cases(*columns):
+            expected = reference_kickback(probe, oracle, tuple(masks[t].tolist()))
+            p0, p0_after, log_z, energy, energy_after = (values[t] for values in outputs)
+            assert p0 == pytest.approx(expected.p0, rel=0.0, abs=1e-14)
+            assert p0_after == pytest.approx(expected.p0_after, rel=0.0, abs=1e-14)
+            assert log_z == pytest.approx(expected.log_partition_sum, rel=1e-14, abs=1e-14)
+            assert energy == pytest.approx(expected.energy, rel=1e-13, abs=1e-14)
+            assert energy_after == pytest.approx(expected.energy_after, rel=1e-13, abs=1e-14)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_kickback_rows(self, n, rng):
+        self.kickback_rows_against_reference(self.draw(rng, n, 8), rng.integers(0, 2, (8, n)))
+
+    def test_kickback_rows_at_extreme_temperatures(self, rng):
+        """|beta_M| up to 50, so the weights span up to e^{+-500} and the
+        rows of negative beta_M scale their factors; the extreme masks and
+        random ones."""
+        columns = self.draw(rng, 5, 12, scale=50.0)
+        masks = np.vstack([np.ones((4, 5), dtype=int), np.zeros((4, 5), dtype=int), rng.integers(0, 2, (4, 5))])
+        self.kickback_rows_against_reference(columns, masks)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_swap_rows(self, n, rng):
+        columns = self.draw(rng, n, 6)
+        p0 = exactsim.swap_batch(*columns)
+        for t, probe, oracle in self.cases(*columns):
+            expected = [reference_swap_ground_population(probe, oracle, j) for j in range(n)]
+            assert p0[t] == pytest.approx(expected, rel=0.0, abs=1e-14)
 
 
 class TestSwapAndEnergyBatches:
@@ -645,7 +695,7 @@ class TestSwapAndEnergyBatches:
         self.energy_rows_against_states(self.draw(rng, n, 12), rng.integers(0, 2, (12, n)))
 
     def test_rows_across_chunk_boundaries(self, rng):
-        """128 rows of 8 machine qubits fill a chunk; 32 of 10 do."""
+        """256 rows of 8 machine qubits fill a chunk; 64 of 10 do."""
         for n, rows in ((8, 300), (10, 70)):
             columns = self.draw(rng, n, rows)
             self.swap_rows_against_states(columns)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thermoquery.problems import constant_functions, enumerate_balanced_functions
+from thermoquery.query import kickback_outcome
 from thermoquery.thermal import (
     BooleanFunctionTable,
     Classification,
@@ -156,6 +157,16 @@ class TestGapVector:
         with pytest.raises(ValueError):
             GapVector((1.0, -0.1))
 
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_bad_entry_among_repeats_rejected_by_one_message(self, bad):
+        """Each distinct gap is checked once; a bad one among thousands of
+        repeats is still found, with the same message."""
+        with pytest.raises(ValueError, match="^every gap must be finite and >= 0$"):
+            GapVector((0.5,) * 4096 + (bad,) + (0.0, 1.0) * 2048)
+
+    def test_repeated_gaps_accepted(self):
+        assert GapVector((0.25, 0.0, -0.0) * 1000).total == 250.0
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             GapVector(())
@@ -244,6 +255,27 @@ class TestDJOracle:
     def test_requires_positive_gaps(self):
         with pytest.raises(ValueError):
             build_dj_oracle(BooleanFunctionTable.constant(1, 0), 1.0, 0.0, 1.0)
+
+
+class TestNonFiniteLogPartition:
+    """A log Z_f that overflows a double is rejected by name when it is
+    first read, and the kickback that needs it raises instead of returning
+    p0' = NaN labelled NEUTRAL."""
+
+    @pytest.mark.parametrize("gaps, beta_m", [([1e308], -10.0), ([1e308] * 4, -2.0), ([2.0] * 3, -1e308)])
+    def test_rejected_by_name(self, gaps, beta_m):
+        oracle = build_custom_oracle(gaps, beta_m)
+        for _ in range(2):  # a failed cached_property stores nothing
+            with pytest.raises(ValueError, match="log partition function is not finite, got inf"):
+                oracle.log_partition_function
+
+    def test_kickback_raises(self):
+        with pytest.raises(ValueError, match="log partition function"):
+            kickback_outcome(ThermalQubit(1.0, 1.0), build_custom_oracle([1e308], -10.0))
+
+    def test_largest_finite_sums_kept(self):
+        assert build_custom_oracle([1e308] * 4, 1.0).log_partition_function == 0.0
+        assert build_custom_oracle([1e300] * 4, -1.0).log_partition_function == 4e300
 
 
 class TestBVOracle:
