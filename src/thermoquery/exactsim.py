@@ -10,14 +10,15 @@ factors k_g and k_e, so level (i_S, x) holds w(x) k_{i_S}. Building it costs
 2^N multiplications and 2(N + 1) exponentials: w is doubled one machine
 qubit at a time as a product of per-qubit factors, none above 1. Every read
 comes from w: the probe marginal is k_g times the sum of w the build takes.
-A level exchange and a SWAP are O(1) in time and memory: the new state shares
-its parent's weights and their sums and records the moved levels, each then
-read as w(x) k, or the machine bit that trades places with the probe bit,
-whose marginal is (k_g + k_e) times a strided sum over half of w. A mean
-energy sums w(x) E(x) with no 2^N energy array, over tables of the energies
-of x's high and low halves of bits. ``populations`` and the level energies
-are built only when read; a swap of a moved state and an exchange of a
-swapped state start from their parent's populations.
+A state is either built or a built state after one step. A level exchange
+or a SWAP of a built state is O(1) in time and memory: the new state shares
+its parent's weights and their sums and records the exchanged pair, each
+level then read as w(x) k, or the machine bit that trades places with the
+probe bit, whose marginal is (k_g + k_e) times a strided sum over half of w.
+A mean energy sums w(x) E(x) with no 2^N energy array, over tables of the
+energies of x's high and low halves of bits. Any later step, and the machine
+mean energy of a swapped state, start from a state built over the
+populations, at O(2^N). ``populations`` is built only when read.
 The weight kernel takes a leading batch axis of T states; a single state is
 its T = 1 row. :func:`kickback_batch` runs the kickback on T states at once,
 with the machine mean energies on request, and :func:`swap_batch` gives the
@@ -34,7 +35,7 @@ the leftmost, most significant machine bit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -64,15 +65,16 @@ _BATCH_LEVELS = 1 << 16
 
 class _WeightSums:
     """The sum of each row of a weight array, and the sum of its weights
-    times the machine energies, taken on first read and kept; shared by
-    every state exchanged from the one that holds the array."""
+    times the machine energies, taken on first read and kept; shared by a
+    built state and the state one step from it."""
 
-    def __init__(self, weights: np.ndarray, gaps: np.ndarray, total: np.ndarray):
-        self.total, self._weights, self._gaps = total, weights, gaps
+    def __init__(self, weights: np.ndarray, gaps: np.ndarray, total: np.ndarray | None = None):
+        self.weights, self._gaps = weights, gaps
+        self.total = weights.sum(axis=1) if total is None else total
 
     @cached_property
     def energy(self) -> np.ndarray:
-        return _weighted_energies(self._weights, self._gaps[None, :])
+        return _weighted_energies(self.weights, self._gaps[None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,18 +83,15 @@ class DiagonalJointState:
     product form, level (i_S, x) holds ``weights[i_S % len(weights), x]``
     times ``probe_factors[i_S]``.
 
-    ``weights`` is a read-only array of 2^N columns that the state shares
-    with the states exchanged or swapped from it: one row w with factors
-    (k_g, k_e) for a built state, or the probe's ground and excited halves
-    with factors (1, 1) for a state that starts from another's populations.
-    ``moved`` lists the (level, source) pairs, by level, at which this
-    state's populations differ from the product form: level holds its value
-    at source. ``swapped`` is the machine qubit whose bit trades places with
-    the probe bit, or None. A state moves levels or swaps a bit, never both.
-    ``populations`` (read-only) and ``level_energies`` are built on first
-    read and kept, as are the sums of the weights and of the weights times
-    the energies; a state exchanged from this one shares those sums, and any
-    other new state, ``replace`` included, takes its own.
+    ``weights`` is a read-only array of 2^N columns: one row w with factors
+    (k_g, k_e) for a state built from a probe and an oracle, or the probe's
+    ground and excited halves with factors (1, 1) for a state built over
+    another's populations. A built state records no step; a state one step
+    from it shares its weights and ``sums`` and records the step:
+    ``exchanged``, the two levels whose populations trade places, or
+    ``swapped``, the machine qubit whose bit trades places with the probe
+    bit. ``sums`` must hold this state's ``weights``. ``populations``
+    (read-only) is built on first read and kept.
 
     ``log_partition_sum`` is the log of the unnormalized weight sum at
     construction time and equals log(Z_S) + log(Z_f); it is carried through
@@ -104,8 +103,13 @@ class DiagonalJointState:
     machine_gaps: np.ndarray
     probe_gap: float
     log_partition_sum: float
-    moved: tuple[tuple[int, int], ...] = ()
+    exchanged: tuple[int, int] | None = None
     swapped: int | None = None
+    sums: _WeightSums = field(kw_only=True, repr=False)
+
+    def __post_init__(self):
+        if self.sums.weights is not self.weights:
+            raise ValueError("sums are not of this state's weights")
 
     @property
     def n_machine(self) -> int:
@@ -121,33 +125,26 @@ class DiagonalJointState:
         if self.swapped is not None:
             populations = populations.reshape(2, 1 << self.swapped, 2, -1).transpose(2, 1, 0, 3)
         populations = populations.reshape(-1)
-        if self.moved:
-            levels, sources = np.array(self.moved).T
-            populations[levels] = populations[sources]
+        if self.exchanged is not None:
+            a, b = self.exchanged
+            populations[[a, b]] = populations[[b, a]]
         populations.flags.writeable = False
         return populations
 
-    @cached_property
-    def level_energies(self) -> np.ndarray:
-        energies = np.empty((1, self.size))
-        _level_energies(np.array([[self.probe_gap, *self.machine_gaps]]), energies)
-        return energies[0]
-
-    @cached_property
-    def _sums(self) -> _WeightSums:
-        return _WeightSums(self.weights, self.machine_gaps, self.weights.sum(axis=1))
-
 
 def _population(state: DiagonalJointState, level: int) -> float:
-    """The product-form population of ``level``, before moves or a swap."""
+    """The product-form population of ``level``, before the step."""
     probe_bit, machine = divmod(level, 1 << state.n_machine)
     return state.weights[probe_bit % len(state.weights), machine] * state.probe_factors[probe_bit]
 
 
-def _materialised(state: DiagonalJointState) -> DiagonalJointState:
-    """A state that moves and swaps nothing, over ``state``'s populations."""
-    return replace(state, weights=state.populations.reshape(2, -1), probe_factors=(1.0, 1.0),
-                   moved=(), swapped=None)
+def _built(state: DiagonalJointState) -> DiagonalJointState:
+    """``state`` if it is built, or a state built over its populations."""
+    if state.exchanged is None and state.swapped is None:
+        return state
+    weights = state.populations.reshape(2, -1)
+    return DiagonalJointState(weights, (1.0, 1.0), state.machine_gaps, state.probe_gap,
+                              state.log_partition_sum, sums=_WeightSums(weights, state.machine_gaps))
 
 
 def _machine_levels(n_machine: int) -> int:
@@ -157,7 +154,7 @@ def _machine_levels(n_machine: int) -> int:
     return 1 << n_machine
 
 
-def _level_energies(gaps: np.ndarray, energies: np.ndarray) -> None:
+def _energy_table(gaps: np.ndarray, energies: np.ndarray) -> None:
     """Write the (T, 2^k) level energies of T rows of k gaps, by doubling. The
     last gap is added first, so column 0 becomes the most significant bit."""
     energies[:, 0] = 0.0
@@ -174,8 +171,8 @@ def _weighted_energies(weights: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     sum_h E_high(h) sum_l w(h, l) + sum_h sum_l w(h, l) E_low(l)."""
     high = gaps.shape[1] // 2
     e_high, e_low = (np.empty((len(gaps), 1 << k)) for k in (high, gaps.shape[1] - high))
-    _level_energies(gaps[:, :high], e_high)
-    _level_energies(gaps[:, high:], e_low)
+    _energy_table(gaps[:, :high], e_high)
+    _energy_table(gaps[:, high:], e_low)
     grid = weights.reshape(len(weights), e_high.shape[1], -1)
     return (e_high * (grid @ np.ones(e_low.shape[1]))).sum(axis=1) + (grid @ e_low[:, :, None]).sum(axis=(1, 2))
 
@@ -232,12 +229,10 @@ def build_joint_state(probe: ThermalQubit, oracle: ThermalMachineOracle) -> Diag
     _double(excited, ground, scaled, weights)
     total = weights.sum(axis=1)
     k_g, k_e, partition = _probe_factors(excited, ground, total)
-    weights.flags.writeable = False  # shared by every exchange of the state
-    state = DiagonalJointState(weights, (float(k_g[0]), float(k_e[0])), gaps[0, 1:], probe.gap,
-                               float((shift_sum + np.log(partition))[0]))
-    # Stored as cached_property stores it.
-    vars(state)["_sums"] = _WeightSums(weights, state.machine_gaps, total)
-    return state
+    weights.flags.writeable = False  # shared by the state one step from this one
+    return DiagonalJointState(weights, (float(k_g[0]), float(k_e[0])), gaps[0, 1:], probe.gap,
+                              float((shift_sum + np.log(partition))[0]),
+                              sums=_WeightSums(weights, gaps[0, 1:], total))
 
 
 def _weight_chunks(excited, ground, scaled):
@@ -331,54 +326,43 @@ def swap_batch(
 def apply_level_exchange(state: DiagonalJointState, level_a: int, level_b: int) -> DiagonalJointState:
     """Swap the populations of two distinct levels; everything else untouched.
 
-    O(1): the result shares ``state``'s weights and their sums, and records
-    where the two levels now read from; a level moved back to its own source
-    is dropped. An exchange of a swapped state starts from its populations.
+    O(1) from a built state: the result shares its weights and their sums
+    and records the pair. A later step starts from ``state``'s populations.
     """
     size = state.size
     if not (0 <= level_a < size and 0 <= level_b < size):
         raise IndexError(f"level indices ({level_a}, {level_b}) out of range for size {size}")
     if level_a == level_b:
         raise ValueError("level indices must be distinct")
-    if state.swapped is not None:
-        state = _materialised(state)
-    moved = dict(state.moved)
-    moved[level_a], moved[level_b] = moved.get(level_b, level_b), moved.get(level_a, level_a)
-    exchanged = replace(state, moved=tuple(sorted(pair for pair in moved.items() if pair[0] != pair[1])))
-    # Stored as cached_property stores it: the two states share one weight array.
-    vars(exchanged)["_sums"] = state._sums
-    return exchanged
+    return replace(_built(state), exchanged=(level_a, level_b))
 
 
 def apply_swap_with_machine_qubit(state: DiagonalJointState, machine_index: int) -> DiagonalJointState:
     """Permute populations exchanging the probe bit with machine bit ``machine_index``.
 
-    O(1): the result shares ``state``'s weights and records the swapped bit.
-    A swap of a state that already moves levels or swaps a bit starts from
-    its populations.
+    O(1) from a built state: the result shares its weights and records the
+    swapped bit. A later step starts from ``state``'s populations.
     """
     if not 0 <= machine_index < state.n_machine:
         raise IndexError(f"machine index {machine_index} out of range")
-    if state.moved or state.swapped is not None:
-        state = _materialised(state)
-    return replace(state, swapped=machine_index)
+    return replace(_built(state), swapped=machine_index)
 
 
 def probe_marginal(state: DiagonalJointState) -> BinaryDistribution:
     """Sum populations over the machine for each probe bit: k_g times the
-    sum of the weights, then p0 - p[level] + p[source] at each moved ground
-    level; for a swapped state, the weights whose swapped bit is 0 times
-    each probe factor. Rounding can carry the sum past 1 when nearly all
-    weight is in the probe's ground level."""
+    sum of the weights, then p0 - p[a] + p[b] for an exchange of a ground
+    level a with an excited level b; for a swapped state, the weights whose
+    swapped bit is 0 times each probe factor. Rounding can carry the sum
+    past 1 when nearly all weight is in the probe's ground level."""
     k_g, k_e = state.probe_factors
     if state.swapped is not None:
         zero = _bit_zero_sums(state.weights, state.swapped)
         return BinaryDistribution(min(1.0, float(zero[0] * k_g + zero[-1] * k_e)))
-    half = 1 << state.n_machine
-    p0 = state._sums.total[0] * k_g
-    for level, source in state.moved:
-        if level < half:
-            p0 = p0 - _population(state, level) + _population(state, source)
+    p0 = state.sums.total[0] * k_g
+    if state.exchanged is not None:
+        a, b = sorted(state.exchanged)
+        if a < 1 << state.n_machine <= b:
+            p0 = p0 - _population(state, a) + _population(state, b)
     return BinaryDistribution(min(1.0, float(p0)))
 
 
@@ -406,16 +390,17 @@ def probe_mean_energy(state: DiagonalJointState) -> float:
 
 
 def machine_mean_energy(state: DiagonalJointState) -> float:
-    """sum_x w(x) E(x) times each probe factor, plus the change of
-    population times energy at each moved level; a swapped state starts
-    from its populations."""
+    """sum_x w(x) E(x) times each probe factor; an exchange of levels a and
+    b adds (p[b] - p[a]) (E(a) - E(b)), with E the machine energy of a
+    level. A swapped state starts from its populations."""
     if state.swapped is not None:
-        state = _materialised(state)
+        state = _built(state)
     k_g, k_e = state.probe_factors
-    weighted = state._sums.energy
+    weighted = state.sums.energy
     energy = weighted[0] * k_g + weighted[-1] * k_e
-    n = state.n_machine
-    for level, source in state.moved:
-        bits = (level >> np.arange(n - 1, -1, -1)) & 1
-        energy += (_population(state, source) - _population(state, level)) * (bits @ state.machine_gaps)
+    if state.exchanged is not None:
+        a, b = state.exchanged
+        shifts = np.arange(state.n_machine - 1, -1, -1)
+        difference = (((a >> shifts) & 1) - ((b >> shifts) & 1)) @ state.machine_gaps
+        energy += (_population(state, b) - _population(state, a)) * difference
     return float(energy)

@@ -12,6 +12,7 @@ machines with exponentially many qubits never overflow or underflow.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -159,8 +160,16 @@ class GapVector:
     def __post_init__(self) -> None:
         if len(self.gaps) == 0:
             raise ValueError("gap vector must have at least one entry")
-        if any(not (g >= 0.0 and math.isfinite(g)) for g in set(self.gaps)):
+        distinct = set(self.gaps)
+        if any(not (g >= 0.0 and math.isfinite(g)) for g in distinct):
             raise ValueError("every gap must be finite and >= 0")
+        # Only a vector whose largest gap times its length passes the largest
+        # double can sum to inf: others skip the sum.
+        if float(max(distinct)) * len(self.gaps) > sys.float_info.max:
+            with np.errstate(over="ignore"):
+                total = self.total
+            if not math.isfinite(total):
+                raise ValueError(f"gap total must be finite, got {total}")
 
     def __len__(self) -> int:
         return len(self.gaps)

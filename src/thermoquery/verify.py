@@ -606,6 +606,8 @@ def run_verification(
     for name, value in sizes._asdict().items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     report = VerificationReport()
     for section, child in zip(_SECTIONS, np.random.SeedSequence(seed).spawn(len(_SECTIONS))):
         report.checks += section(np.random.default_rng(child), sizes)

@@ -102,6 +102,13 @@ def reference_swap_ground_population(
     return sum(p for (s_bit, _), p in swapped.items() if s_bit == 0)
 
 
+def reference_level_energies(gaps) -> np.ndarray:
+    """Energy of every bit string of the qubits with ``gaps``, big-endian:
+    index i holds the sum of the gaps of the 1 bits of i, the first gap's
+    bit the most significant. With the probe gap first, the joint levels."""
+    return np.array([sum(g for b, g in zip(bits, gaps) if b) for bits in product((0, 1), repeat=len(gaps))])
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20251015)

@@ -25,6 +25,8 @@ REMOVED_ATTRIBUTES = (
     ("query", "QueryMask", "from_string"),
     ("problems", "DJInstance", "from_table"),
     ("exactsim", "DiagonalJointState", "machine_energies"),
+    ("exactsim", "DiagonalJointState", "level_energies"),
+    ("exactsim", "DiagonalJointState", "moved"),
     ("readout", "HypothesisTestReport", "to_dict"),
     ("readout", "DistinguishabilityReport", "to_dict"),
 )

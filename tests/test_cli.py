@@ -682,6 +682,17 @@ class TestVerify:
         assert captured.err == f"thermoquery: error: {flag} must be >= 1, got {value}\n"
         assert not out.exists()
 
+    def test_negative_seed_exits_one_by_name(self, tmp_path, capsys):
+        """The seed is checked before any section runs: one stderr line naming
+        it, nothing printed, and an existing output keeps its bytes."""
+        out = tmp_path / "report.json"
+        out.write_bytes(b"old report\n")
+        assert main(["verify", "--seed", "-1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "thermoquery: error: seed must be >= 0, got -1\n"
+        assert out.read_bytes() == b"old report\n"
+
     def test_report_bytes_on_stdout_and_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         argv = ["verify", "--max-n", "1", "--bv-max-n", "2", "--trials", "3", "--seed", "5"]

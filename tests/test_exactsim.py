@@ -6,7 +6,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import reference_joint_populations, reference_kickback, reference_swap_ground_population
+from conftest import (
+    reference_joint_populations,
+    reference_kickback,
+    reference_level_energies,
+    reference_swap_ground_population,
+)
 from thermoquery import exactsim, query, thermal
 from thermoquery.exactsim import (
     apply_level_exchange,
@@ -68,7 +73,7 @@ class TestBuildJointState:
         probe = ThermalQubit(1.0, beta)
         oracle = build_custom_oracle([0.3, 1.1, 0.6], beta)
         state = build_joint_state(probe, oracle)
-        order = np.argsort(state.level_energies)
+        order = np.argsort(reference_level_energies((probe.gap, *oracle.gap_vector.gaps)))
         sorted_pops = state.populations[order]
         assert np.all(np.diff(sorted_pops) <= 1e-15)
 
@@ -212,9 +217,10 @@ def dense_swap(populations, n, index):
 
 
 def fresh_from_populations(state):
-    """A state that moves and swaps nothing, built from ``state``'s materialised populations."""
-    return replace(state, weights=state.populations.reshape(2, -1), probe_factors=(1.0, 1.0),
-                   moved=(), swapped=None)
+    """A state that exchanges and swaps nothing, built from ``state``'s populations."""
+    weights = state.populations.reshape(2, -1)
+    return replace(state, weights=weights, probe_factors=(1.0, 1.0), exchanged=None, swapped=None,
+                   sums=exactsim._WeightSums(weights, state.machine_gaps))
 
 
 def assert_reads_like_fresh(state):
@@ -228,8 +234,9 @@ def assert_reads_like_fresh(state):
 
 
 class TestSharedExchange:
-    """An exchange shares its parent's dense array and records the moved levels;
-    reading it must agree with the dense copy it replaces."""
+    """An exchange of a built state shares its dense array and records the
+    pair; a later one starts from the populations. Reading either must agree
+    with the dense copy it replaces."""
 
     @staticmethod
     def exchange_chains(rng, size):
@@ -250,10 +257,11 @@ class TestSharedExchange:
         for pairs in self.exchange_chains(rng, state.size):
             expected = dense_exchanges(state.populations, pairs)
             each = state
-            for pair, populations in zip(pairs, expected[1:]):
+            for step, (pair, populations) in enumerate(zip(pairs, expected[1:])):
                 each = apply_level_exchange(each, *pair)
-                assert each.weights is state.weights
-                assert each._sums is state._sums  # summed once for the chain
+                if step == 0:
+                    assert each.weights is state.weights
+                    assert each.sums is state.sums  # summed once for both
                 assert np.array_equal(each.populations, populations)
                 assert_reads_like_fresh(each)
                 fresh = fresh_from_populations(each)
@@ -261,13 +269,6 @@ class TestSharedExchange:
                     swapped = apply_swap_with_machine_qubit(each, index)
                     assert np.array_equal(swapped.populations,
                                           apply_swap_with_machine_qubit(fresh, index).populations)
-
-    def test_restored_levels_are_dropped(self):
-        _, _, state = worked_state()
-        once = apply_level_exchange(state, 1, 6)
-        assert once.moved == ((1, 6), (6, 1))
-        assert apply_level_exchange(once, 6, 1).moved == ()
-        assert apply_level_exchange(once, 6, 2).moved == ((1, 6), (2, 1), (6, 2))
 
     def test_shared_array_is_read_only(self):
         _, _, state = worked_state()
@@ -294,9 +295,11 @@ class TestSharedExchange:
 
     def test_fresh_state_takes_its_own_sums(self):
         """A fresh state over an exchanged state's populations sums that array,
-        whether or not the parent's sums were read before the exchange."""
+        whether or not the parent's sums were read before the exchange; new
+        weights with the old sums are refused."""
         probe, oracle = reference_case(5)
         half = 1 << 5
+        energies = reference_level_energies(oracle.gap_vector.gaps)
         for read_first in (True, False):
             state = build_joint_state(probe, oracle)
             if read_first:
@@ -305,10 +308,11 @@ class TestSharedExchange:
             probe_marginal(after), machine_mean_energy(after)
             fresh = fresh_from_populations(after)
             populations = fresh.populations
-            assert fresh._sums is not after._sums
+            assert fresh.sums is not after.sums
+            with pytest.raises(ValueError, match="sums"):
+                replace(after, weights=fresh.weights)
             assert probe_marginal(fresh).p0 == np.sum(populations[:half])
             assert probe_marginal(fresh).p0 != probe_marginal(state).p0
-            energies = state.level_energies[:half]
             assert machine_mean_energy(fresh) == pytest.approx(
                 np.dot(populations[:half], energies) + np.dot(populations[half:], energies), rel=1e-15)
             assert machine_mean_energy(fresh) != machine_mean_energy(state)
@@ -442,19 +446,28 @@ class TestAgainstReference:
         probe, oracle = reference_case(n)
         state = build_joint_state(probe, oracle)
         reference = reference_joint_populations(probe, oracle)
-        assert state.size == len(reference) == 1 << (n + 1)
+        energies = reference_level_energies((probe.gap, *oracle.gap_vector.gaps))
+        assert state.size == len(reference) == len(energies) == 1 << (n + 1)
         for (s_bit, machine), expected in reference.items():
             index = int("".join(str(b) for b in (s_bit, *machine)), 2)
             energy = s_bit * probe.gap + reference_machine_energy(machine, oracle.gap_vector.gaps)
             assert state.populations[index] == pytest.approx(expected, abs=1e-14)
-            assert state.level_energies[index] == pytest.approx(energy, abs=1e-13)
+            assert energies[index] == pytest.approx(energy, abs=1e-13)
+        mean = probe_mean_energy(state) + machine_mean_energy(state)
+        assert mean == pytest.approx(np.dot(state.populations, energies), abs=1e-13)
 
-    def test_excited_energies_add_the_probe_gap(self, n):
+    def test_excited_energies_add_the_probe_gap(self, n, rng):
+        """An exchange of a ground level a with an excited level b moves
+        (p[a] - p[b]) (E(b) - E(a)) of energy, E(b) holding the probe gap."""
         probe, oracle = reference_case(n)
-        energies = build_joint_state(probe, oracle).level_energies
+        state = build_joint_state(probe, oracle)
+        energies = reference_level_energies((probe.gap, *oracle.gap_vector.gaps))
         half = 1 << n
-        assert energies.size == 2 * half
-        assert np.array_equal(energies[half:], energies[:half] + probe.gap)
+        mean = probe_mean_energy(state) + machine_mean_energy(state)
+        for a, b in zip(rng.integers(0, half, 4).tolist(), rng.integers(half, 2 * half, 4).tolist()):
+            after = apply_level_exchange(state, a, b)
+            transferred = (state.populations[a] - state.populations[b]) * (energies[b] - energies[a])
+            assert probe_mean_energy(after) + machine_mean_energy(after) - mean == pytest.approx(transferred, abs=1e-13)
 
     def test_swap_with_every_machine_qubit(self, n):
         probe, oracle = reference_case(n)

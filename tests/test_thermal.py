@@ -157,6 +157,27 @@ class TestGapVector:
         with pytest.raises(ValueError):
             GapVector((1.0, -0.1))
 
+    def test_overflowing_total_rejected_at_construction(self):
+        """Finite gaps whose sum is not are refused by name, with no overflow
+        warning; the largest finite sum is kept."""
+        for gaps in ((1e308,) * 4, (1.7e308, 1.7e308)):
+            with pytest.raises(ValueError, match="^gap total must be finite, got inf$"):
+                GapVector(gaps)
+        with pytest.raises(ValueError, match="gap total"):
+            build_custom_oracle([1e308] * 4, 1.0)
+        assert GapVector((1e308, 7e307)).total == 1.7e308
+
+    def test_small_vectors_take_no_sum_at_construction(self, monkeypatch):
+        """Only a largest gap times the length past the largest double needs the sum."""
+        def forbidden(self):
+            raise AssertionError("the total was summed")
+
+        monkeypatch.setattr(GapVector, "total", property(forbidden))
+        GapVector((0.5, 1.0, 0.0) * 1000)
+        GapVector((8e307, 0.0))
+        with pytest.raises(AssertionError):
+            GapVector((1e308, 1e308))
+
     @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
     def test_bad_entry_among_repeats_rejected_by_one_message(self, bad):
         """Each distinct gap is checked once; a bad one among thousands of
@@ -262,7 +283,9 @@ class TestNonFiniteLogPartition:
     first read, and the kickback that needs it raises instead of returning
     p0' = NaN labelled NEUTRAL."""
 
-    @pytest.mark.parametrize("gaps, beta_m", [([1e308], -10.0), ([1e308] * 4, -2.0), ([2.0] * 3, -1e308)])
+    # Four gaps of 4e307 sum to a finite |G| (1.6e308); four of 1e308 do not
+    # and are refused by GapVector before log Z_f is read.
+    @pytest.mark.parametrize("gaps, beta_m", [([1e308], -10.0), ([4e307] * 4, -2.0), ([2.0] * 3, -1e308)])
     def test_rejected_by_name(self, gaps, beta_m):
         oracle = build_custom_oracle(gaps, beta_m)
         for _ in range(2):  # a failed cached_property stores nothing
@@ -274,7 +297,7 @@ class TestNonFiniteLogPartition:
             kickback_outcome(ThermalQubit(1.0, 1.0), build_custom_oracle([1e308], -10.0))
 
     def test_largest_finite_sums_kept(self):
-        assert build_custom_oracle([1e308] * 4, 1.0).log_partition_function == 0.0
+        assert build_custom_oracle([4e307] * 4, 1.0).log_partition_function == 0.0
         assert build_custom_oracle([1e300] * 4, -1.0).log_partition_function == 4e300
 
 
