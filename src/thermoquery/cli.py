@@ -405,6 +405,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                               ("--bv-max-n", args.bv_max_n, DEFAULT_MAX_QUBITS - 1)):
         if value > most:
             raise CliError(f"{flag} must be <= {most}, got {value}")
+    if args.seed < 0:
+        raise CliError(f"seed must be >= 0, got {args.seed}")
     # The report goes to standard output; --out adds it as JSON.
     to_file = args.out not in (None, "-")
     with (_open_out(args.out) if to_file else contextlib.nullcontext()) as start:

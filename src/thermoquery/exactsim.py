@@ -8,25 +8,26 @@ machine weights are dense.
 A state is stored in product form: 2^N machine weights w and two probe
 factors k_g and k_e, so level (i_S, x) holds w(x) k_{i_S}. Building it costs
 2^N multiplications and 2(N + 1) exponentials: w is doubled one machine
-qubit at a time as a product of per-qubit factors, none above 1. Every read
-comes from w: the probe marginal is k_g times the sum of w the build takes.
-A state is either built or a built state after one step. A level exchange
-or a SWAP of a built state is O(1) in time and memory: the new state shares
-its parent's weights and their sums and records the exchanged pair, each
-level then read as w(x) k, or the machine bit that trades places with the
-probe bit, whose marginal is (k_g + k_e) times a strided sum over half of w.
-A mean energy sums w(x) E(x) with no 2^N energy array, over tables of the
-energies of x's high and low halves of bits. Any later step, and the machine
-mean energy of a swapped state, start from a state built over the
-populations, at O(2^N). ``populations`` is built only when read.
-The weight kernel takes a leading batch axis of T states; a single state is
-its T = 1 row. :func:`kickback_batch` runs the kickback on T states at once,
-with the machine mean energies on request, and :func:`swap_batch` gives the
-probe marginal after a SWAP with each machine qubit of T states. Both take
-each row's factors, probe factors and results once per call over all T rows;
-only the weights are built a chunk of rows at a time. Nothing
-here calls the analytic kickback code in ``query`` or the closed-form
-partition functions of ``thermal``.
+qubit at a time as a product of per-qubit factors, none above 1. The weight
+kernel takes a leading batch axis of T states. :func:`kickback_batch` runs
+the kickback on T states at once, with the machine mean energies on request,
+and :func:`swap_batch` gives the probe marginal after a SWAP with each
+machine qubit of T states. Both take each row's factors, probe factors and
+results once per call over all T rows; only the weights are built a chunk of
+rows at a time.
+
+:func:`build_joint_state` builds the T = 1 row. A :class:`DiagonalJointState`
+is that row plus at most one step: a level exchange or a SWAP of a built
+state is O(1) in time and memory, shares the row and records the step, and a
+stepped state takes no further step. Every read comes from w with the batch
+kernels' code: the probe marginal is k_g times the sum of w the build takes,
+plus the two exchanged levels' change, or for a swapped state a strided sum
+over half of w. A mean energy sums w(x) E(x) once per row, with no 2^N energy
+array, over tables of the energies of x's high and low halves of bits; a
+swapped state's machine energy adds g_j (P(probe excited) - P(bit j
+excited)) to it, one more sum over half of w. Nothing here calls the
+analytic kickback code in ``query`` or the closed-form partition functions
+of ``thermal``.
 
 Index convention: the probe bit is the most significant bit; machine bit
 strings are big-endian, as in ``thermal.bits_to_index`` (machine qubit 0 is
@@ -35,7 +36,7 @@ the leftmost, most significant machine bit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -63,88 +64,63 @@ DEFAULT_MAX_QUBITS = 20
 _BATCH_LEVELS = 1 << 16
 
 
-class _WeightSums:
-    """The sum of each row of a weight array, and the sum of its weights
-    times the machine energies, taken on first read and kept; shared by a
-    built state and the state one step from it."""
+@dataclass(frozen=True, eq=False)
+class _Row:
+    """One built joint state: ``weights`` is w, a read-only (1, 2^N) array
+    as the batch kernels build it, level (i_S, x) holds w(x) times ``k_g``
+    or ``k_e``, and ``total`` is the sum of w. Its ``energy``, the sum of
+    w(x) E(x), is taken on first read and kept."""
 
-    def __init__(self, weights: np.ndarray, gaps: np.ndarray, total: np.ndarray | None = None):
-        self.weights, self._gaps = weights, gaps
-        self.total = weights.sum(axis=1) if total is None else total
+    weights: np.ndarray
+    k_g: float
+    k_e: float
+    total: float
+    log_partition_sum: float
+    machine_gaps: np.ndarray
+    probe_gap: float
 
     @cached_property
-    def energy(self) -> np.ndarray:
-        return _weighted_energies(self.weights, self._gaps[None, :])
+    def energy(self) -> float:
+        return float(_weighted_energies(self.weights, self.machine_gaps[None, :])[0])
 
 
 @dataclass(frozen=True, eq=False)
 class DiagonalJointState:
-    """Populations over the 2^(N+1) (probe bit, machine string) levels: in
-    product form, level (i_S, x) holds ``weights[i_S % len(weights), x]``
-    times ``probe_factors[i_S]``.
+    """Populations over the 2^(N+1) (probe bit, machine string) levels: a
+    built ``row`` in product form, plus at most one step. A built state
+    records no step; a state one step from it shares its row and records
+    the step: ``exchanged``, the two levels whose populations trade places,
+    or ``swapped``, the machine qubit whose bit trades places with the probe
+    bit. A stepped state takes no further step.
 
-    ``weights`` is a read-only array of 2^N columns: one row w with factors
-    (k_g, k_e) for a state built from a probe and an oracle, or the probe's
-    ground and excited halves with factors (1, 1) for a state built over
-    another's populations. A built state records no step; a state one step
-    from it shares its weights and ``sums`` and records the step:
-    ``exchanged``, the two levels whose populations trade places, or
-    ``swapped``, the machine qubit whose bit trades places with the probe
-    bit. ``sums`` must hold this state's ``weights``. ``populations``
-    (read-only) is built on first read and kept.
-
-    ``log_partition_sum`` is the log of the unnormalized weight sum at
-    construction time and equals log(Z_S) + log(Z_f); it is carried through
-    permutations unchanged (they preserve the trace).
+    ``row.log_partition_sum`` is the log of the unnormalized weight sum and
+    equals log(Z_S) + log(Z_f); a step preserves the trace.
     """
 
-    weights: np.ndarray
-    probe_factors: tuple[float, float]
-    machine_gaps: np.ndarray
-    probe_gap: float
-    log_partition_sum: float
+    row: _Row
     exchanged: tuple[int, int] | None = None
     swapped: int | None = None
-    sums: _WeightSums = field(kw_only=True, repr=False)
-
-    def __post_init__(self):
-        if self.sums.weights is not self.weights:
-            raise ValueError("sums are not of this state's weights")
 
     @property
     def n_machine(self) -> int:
-        return self.machine_gaps.size
+        return self.row.machine_gaps.size
 
     @property
     def size(self) -> int:
         return 2 << self.n_machine
 
-    @cached_property
-    def populations(self) -> np.ndarray:
-        populations = np.array(self.probe_factors)[:, None] * self.weights
-        if self.swapped is not None:
-            populations = populations.reshape(2, 1 << self.swapped, 2, -1).transpose(2, 1, 0, 3)
-        populations = populations.reshape(-1)
-        if self.exchanged is not None:
-            a, b = self.exchanged
-            populations[[a, b]] = populations[[b, a]]
-        populations.flags.writeable = False
-        return populations
-
 
 def _population(state: DiagonalJointState, level: int) -> float:
-    """The product-form population of ``level``, before the step."""
+    """The built population of ``level``, before the step."""
     probe_bit, machine = divmod(level, 1 << state.n_machine)
-    return state.weights[probe_bit % len(state.weights), machine] * state.probe_factors[probe_bit]
+    return state.row.weights[0, machine] * (state.row.k_e if probe_bit else state.row.k_g)
 
 
-def _built(state: DiagonalJointState) -> DiagonalJointState:
-    """``state`` if it is built, or a state built over its populations."""
-    if state.exchanged is None and state.swapped is None:
-        return state
-    weights = state.populations.reshape(2, -1)
-    return DiagonalJointState(weights, (1.0, 1.0), state.machine_gaps, state.probe_gap,
-                              state.log_partition_sum, sums=_WeightSums(weights, state.machine_gaps))
+def _built_row(state: DiagonalJointState) -> _Row:
+    """The row of ``state``, which must be built: a stepped state takes no step."""
+    if state.exchanged is not None or state.swapped is not None:
+        raise ValueError("a step starts from a built state")
+    return state.row
 
 
 def _machine_levels(n_machine: int) -> int:
@@ -177,9 +153,9 @@ def _weighted_energies(weights: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     return (e_high * (grid @ np.ones(e_low.shape[1]))).sum(axis=1) + (grid @ e_low[:, :, None]).sum(axis=(1, 2))
 
 
-def _bit_zero_sums(weights: np.ndarray, bit: int) -> np.ndarray:
-    """The sum of each row of ``weights`` over the machine levels whose ``bit`` is 0."""
-    return weights.reshape(len(weights), 1 << bit, 2, -1)[:, :, 0, :].sum(axis=(1, 2))
+def _bit_sums(weights: np.ndarray, bit: int, value: int) -> np.ndarray:
+    """The sum of each row of ``weights`` over the machine levels whose ``bit`` is ``value``."""
+    return weights.reshape(len(weights), 1 << bit, 2, -1)[:, :, value, :].sum(axis=(1, 2))
 
 
 def _factors(omega, beta_s, gaps, beta_m):
@@ -220,21 +196,6 @@ def _probe_factors(excited, ground, total):
     return ground[:, 0] / partition, excited[:, 0] / partition, partition
 
 
-def build_joint_state(probe: ThermalQubit, oracle: ThermalMachineOracle) -> DiagonalJointState:
-    """Normalized product populations e^{-beta_S*omega*i_S} e^{-beta_M*(i_M.G)} / (Z_S Z_f)."""
-    weights = np.empty((1, _machine_levels(oracle.n_machine_qubits)))
-    gaps = np.array([(probe.gap, *oracle.gap_vector.gaps)])
-    betas = np.array([[probe.inverse_temperature, oracle.machine_inverse_temperature]])
-    excited, ground, scaled, shift_sum = _factors(gaps[:, 0], betas[:, 0], gaps[:, 1:], betas[:, 1])
-    _double(excited, ground, scaled, weights)
-    total = weights.sum(axis=1)
-    k_g, k_e, partition = _probe_factors(excited, ground, total)
-    weights.flags.writeable = False  # shared by the state one step from this one
-    return DiagonalJointState(weights, (float(k_g[0]), float(k_e[0])), gaps[0, 1:], probe.gap,
-                              float((shift_sum + np.log(partition))[0]),
-                              sums=_WeightSums(weights, gaps[0, 1:], total))
-
-
 def _weight_chunks(excited, ground, scaled):
     """Machine weights of T joint states from their :func:`_factors`, a chunk
     of rows at a time, in one array of at most 2^16 machine levels or one
@@ -248,6 +209,20 @@ def _weight_chunks(excited, ground, scaled):
         weights = buffer[: chunk.stop - start]
         _double(excited[chunk], ground[chunk], scaled, weights)
         yield chunk, weights
+
+
+def build_joint_state(probe: ThermalQubit, oracle: ThermalMachineOracle) -> DiagonalJointState:
+    """Normalized product populations e^{-beta_S*omega*i_S} e^{-beta_M*(i_M.G)} / (Z_S Z_f),
+    built as the T = 1 row of the batch kernels."""
+    gaps = np.array([oracle.gap_vector.gaps])
+    excited, ground, scaled, shift_sum = _factors(np.array([probe.gap]), np.array([probe.inverse_temperature]),
+                                                  gaps, np.array([oracle.machine_inverse_temperature]))
+    _, weights = next(_weight_chunks(excited, ground, scaled))
+    total = weights.sum(axis=1)
+    k_g, k_e, partition = _probe_factors(excited, ground, total)
+    weights.flags.writeable = False  # shared by every state one step from this one
+    return DiagonalJointState(_Row(weights, float(k_g[0]), float(k_e[0]), float(total[0]),
+                                   float((shift_sum + np.log(partition))[0]), gaps[0], probe.gap))
 
 
 def kickback_batch(
@@ -318,34 +293,32 @@ def swap_batch(
     for chunk, weights in _weight_chunks(excited, ground, scaled):
         total[chunk] = weights.sum(axis=1)
         for j in range(n):
-            zero[chunk, j] = _bit_zero_sums(weights, j)
+            zero[chunk, j] = _bit_sums(weights, j, 0)
     k_g, k_e, _ = _probe_factors(excited, ground, total)
     return np.minimum(zero * k_g[:, None] + zero * k_e[:, None], 1.0)
 
 
 def apply_level_exchange(state: DiagonalJointState, level_a: int, level_b: int) -> DiagonalJointState:
-    """Swap the populations of two distinct levels; everything else untouched.
-
-    O(1) from a built state: the result shares its weights and their sums
-    and records the pair. A later step starts from ``state``'s populations.
-    """
+    """Swap the populations of two distinct levels of a built state;
+    everything else untouched. O(1): the result shares the row and records
+    the pair."""
+    row = _built_row(state)
     size = state.size
     if not (0 <= level_a < size and 0 <= level_b < size):
         raise IndexError(f"level indices ({level_a}, {level_b}) out of range for size {size}")
     if level_a == level_b:
         raise ValueError("level indices must be distinct")
-    return replace(_built(state), exchanged=(level_a, level_b))
+    return DiagonalJointState(row, exchanged=(level_a, level_b))
 
 
 def apply_swap_with_machine_qubit(state: DiagonalJointState, machine_index: int) -> DiagonalJointState:
-    """Permute populations exchanging the probe bit with machine bit ``machine_index``.
-
-    O(1) from a built state: the result shares its weights and records the
-    swapped bit. A later step starts from ``state``'s populations.
-    """
+    """Permute the populations of a built state, exchanging the probe bit with
+    machine bit ``machine_index``. O(1): the result shares the row and
+    records the swapped bit."""
+    row = _built_row(state)
     if not 0 <= machine_index < state.n_machine:
         raise IndexError(f"machine index {machine_index} out of range")
-    return replace(_built(state), swapped=machine_index)
+    return DiagonalJointState(row, swapped=machine_index)
 
 
 def probe_marginal(state: DiagonalJointState) -> BinaryDistribution:
@@ -354,11 +327,11 @@ def probe_marginal(state: DiagonalJointState) -> BinaryDistribution:
     level a with an excited level b; for a swapped state, the weights whose
     swapped bit is 0 times each probe factor. Rounding can carry the sum
     past 1 when nearly all weight is in the probe's ground level."""
-    k_g, k_e = state.probe_factors
+    row = state.row
     if state.swapped is not None:
-        zero = _bit_zero_sums(state.weights, state.swapped)
-        return BinaryDistribution(min(1.0, float(zero[0] * k_g + zero[-1] * k_e)))
-    p0 = state.sums.total[0] * k_g
+        zero = _bit_sums(row.weights, state.swapped, 0)[0]
+        return BinaryDistribution(min(1.0, float(zero * row.k_g + zero * row.k_e)))
+    p0 = row.total * row.k_g
     if state.exchanged is not None:
         a, b = sorted(state.exchanged)
         if a < 1 << state.n_machine <= b:
@@ -386,21 +359,23 @@ def kickback_level_indices(mask, n_machine: int):
 
 
 def probe_mean_energy(state: DiagonalJointState) -> float:
-    return state.probe_gap * (1.0 - probe_marginal(state).p0)
+    return state.row.probe_gap * (1.0 - probe_marginal(state).p0)
 
 
 def machine_mean_energy(state: DiagonalJointState) -> float:
-    """sum_x w(x) E(x) times each probe factor; an exchange of levels a and
+    """sum_x w(x) E(x) times each probe factor. An exchange of levels a and
     b adds (p[b] - p[a]) (E(a) - E(b)), with E the machine energy of a
-    level. A swapped state starts from its populations."""
-    if state.swapped is not None:
-        state = _built(state)
-    k_g, k_e = state.probe_factors
-    weighted = state.sums.energy
-    energy = weighted[0] * k_g + weighted[-1] * k_e
+    level; a SWAP with machine qubit j adds g_j (P(probe excited) - P(bit j
+    excited)), since bit j takes the probe's value, with an error of about
+    an ulp of the built state's energy."""
+    row = state.row
+    energy = row.energy * row.k_g + row.energy * row.k_e
     if state.exchanged is not None:
         a, b = state.exchanged
         shifts = np.arange(state.n_machine - 1, -1, -1)
-        difference = (((a >> shifts) & 1) - ((b >> shifts) & 1)) @ state.machine_gaps
+        difference = (((a >> shifts) & 1) - ((b >> shifts) & 1)) @ row.machine_gaps
         energy += (_population(state, b) - _population(state, a)) * difference
+    if state.swapped is not None:
+        one = _bit_sums(row.weights, state.swapped, 1)[0]
+        energy += row.machine_gaps[state.swapped] * (row.total * row.k_e - (one * row.k_g + one * row.k_e))
     return float(energy)

@@ -27,6 +27,8 @@ REMOVED_ATTRIBUTES = (
     ("exactsim", "DiagonalJointState", "machine_energies"),
     ("exactsim", "DiagonalJointState", "level_energies"),
     ("exactsim", "DiagonalJointState", "moved"),
+    ("exactsim", "DiagonalJointState", "populations"),
+    ("exactsim", "DiagonalJointState", "sums"),
     ("readout", "HypothesisTestReport", "to_dict"),
     ("readout", "DistinguishabilityReport", "to_dict"),
 )
@@ -73,6 +75,33 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("thermoquery")):
                 private = [a.name for a in node.names if a.name.startswith("_") and a.name != "__version__"]
                 assert not private, f"{path.name} imports {private} from {'.' * node.level}{node.module or ''}"
+
+
+def test_exact_simulator_reads_no_analytic_code():
+    """exactsim imports only the four value types it is given from the
+    package, and reads neither a closed-form log partition function, the
+    oracle's gap total nor any function of ``query`` or ``thermal``."""
+    package = Path(thermoquery.__file__).parent
+    tree = ast.parse((package / "exactsim.py").read_text())
+    analytic = {
+        node.name
+        for module in ("query", "thermal")
+        for node in ast.parse((package / f"{module}.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("thermoquery") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("thermoquery")):
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in analytic | {"log_partition_function"}, node.attr
+            assert not (node.attr == "total" and isinstance(node.value, ast.Attribute)
+                        and node.value.attr == "gap_vector"), "gap_vector.total"
+        elif isinstance(node, ast.Name):
+            assert node.id not in analytic, node.id
+    assert imported == {"QueryMask", "ThermalQubit", "ThermalMachineOracle", "BinaryDistribution"}
 
 
 # Values built once per case or per query: slotted, so they hold no dict.

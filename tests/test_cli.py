@@ -683,15 +683,18 @@ class TestVerify:
         assert not out.exists()
 
     def test_negative_seed_exits_one_by_name(self, tmp_path, capsys):
-        """The seed is checked before any section runs: one stderr line naming
-        it, nothing printed, and an existing output keeps its bytes."""
-        out = tmp_path / "report.json"
+        """The seed is checked before any section runs and before the output
+        is opened: one stderr line naming it, nothing printed, an existing
+        output keeps its bytes and a new one is not created."""
+        out, new = tmp_path / "report.json", tmp_path / "new.json"
         out.write_bytes(b"old report\n")
-        assert main(["verify", "--seed", "-1", "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "thermoquery: error: seed must be >= 0, got -1\n"
+        for path in (out, new):
+            assert main(["verify", "--seed", "-1", "--out", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "thermoquery: error: seed must be >= 0, got -1\n"
         assert out.read_bytes() == b"old report\n"
+        assert not new.exists()
 
     def test_report_bytes_on_stdout_and_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -1,7 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
-from itertools import product
 
 import numpy as np
 import pytest
@@ -10,6 +8,7 @@ from conftest import (
     reference_joint_populations,
     reference_kickback,
     reference_level_energies,
+    reference_swap,
     reference_swap_ground_population,
 )
 from thermoquery import exactsim, query, thermal
@@ -41,32 +40,39 @@ def worked_state():
     return probe, oracle, build_joint_state(probe, oracle)
 
 
+def built_populations(state):
+    """The 2^(N+1) populations of a built state: its weights times each probe factor."""
+    row = state.row
+    return np.concatenate((row.weights[0] * row.k_g, row.weights[0] * row.k_e))
+
+
 class TestBuildJointState:
     def test_infinite_temperature_is_uniform(self):
         probe = ThermalQubit(1.0, 0.0)
         oracle = build_custom_oracle([0.7], 0.0)
         state = build_joint_state(probe, oracle)
         assert state.size == 4
-        assert np.allclose(state.populations, 0.25, atol=1e-15)
+        assert np.allclose(built_populations(state), 0.25, atol=1e-15)
 
     def test_populations_match_reference_products(self):
         probe, oracle, state = worked_state()
         reference = reference_joint_populations(probe, oracle)
+        populations = built_populations(state)
         for (s_bit, machine), expected in reference.items():
             index = (s_bit << 2) | (machine[0] << 1) | machine[1]
-            assert state.populations[index] == pytest.approx(expected, abs=1e-14)
+            assert populations[index] == pytest.approx(expected, abs=1e-14)
 
     def test_normalization(self):
-        _, _, state = worked_state()
-        assert float(state.populations.sum()) == pytest.approx(1.0, abs=1e-12)
-        assert np.all(state.populations >= 0.0)
+        populations = built_populations(worked_state()[2])
+        assert float(populations.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(populations >= 0.0)
 
     def test_partition_sum_is_product_of_partition_functions(self):
         probe = ThermalQubit(0.8, 0.6)
         oracle = build_dj_oracle(BooleanFunctionTable(2, (0, 1, 1, 0)), 1.3, 0.4, 0.9)
         state = build_joint_state(probe, oracle)
         expected = probe.log_partition_function + oracle.log_partition_function
-        assert state.log_partition_sum == pytest.approx(expected, abs=1e-12)
+        assert state.row.log_partition_sum == pytest.approx(expected, abs=1e-12)
 
     def test_gibbs_ordering_at_common_temperature(self):
         beta = 0.8
@@ -74,7 +80,7 @@ class TestBuildJointState:
         oracle = build_custom_oracle([0.3, 1.1, 0.6], beta)
         state = build_joint_state(probe, oracle)
         order = np.argsort(reference_level_energies((probe.gap, *oracle.gap_vector.gaps)))
-        sorted_pops = state.populations[order]
+        sorted_pops = built_populations(state)[order]
         assert np.all(np.diff(sorted_pops) <= 1e-15)
 
     def test_size_limit(self):
@@ -100,11 +106,11 @@ class TestProductWeights:
         probe = ThermalQubit(0.8, beta_s)
         oracle = build_custom_oracle([0.0025, 2.0, 0.001, 0.0, 0.003], beta_m)
         state = build_joint_state(probe, oracle)
-        weights = state.weights[0]
+        weights = state.row.weights[0]
         assert weights.max() == 1.0 and np.all(weights >= 0.0)
         for (s_bit, machine), expected in reference_joint_populations(probe, oracle).items():
             level = int("".join(str(b) for b in machine), 2)
-            population = weights[level] * state.probe_factors[s_bit]
+            population = weights[level] * (state.row.k_g, state.row.k_e)[s_bit]
             assert population == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("beta_m", (-0.8, 0.8))
@@ -134,19 +140,14 @@ class TestProductWeights:
 
 
 class TestLevelExchange:
-    def test_swap_and_restore(self):
-        _, _, state = worked_state()
-        once = apply_level_exchange(state, 1, 6)
-        twice = apply_level_exchange(once, 1, 6)
-        assert np.array_equal(twice.populations, state.populations)
-        assert once.populations[1] == state.populations[6]
-
     def test_trace_preserved(self):
+        """An exchange across the halves moves p[b] - p[a] into the probe's
+        ground half, and what leaves it goes to the excited half."""
         _, _, state = worked_state()
-        after = apply_level_exchange(state, 0, 7)
-        assert float(after.populations.sum()) == pytest.approx(
-            float(state.populations.sum()), abs=1e-14
-        )
+        populations = built_populations(state)
+        after = probe_marginal(apply_level_exchange(state, 0, 7))
+        assert after.p0 == pytest.approx(populations[:4].sum() - populations[0] + populations[7], abs=1e-15)
+        assert after.p1 == pytest.approx(populations[4:].sum() - populations[7] + populations[0], abs=1e-15)
 
     def test_identical_indices_rejected(self):
         _, _, state = worked_state()
@@ -197,16 +198,6 @@ class TestLevelExchange:
             kickback_level_indices(masks + 1, 5)
 
 
-def dense_exchanges(populations, pairs):
-    """The populations after each prefix of ``pairs``, by a dense copy per exchange."""
-    chain = [populations]
-    for a, b in pairs:
-        after = chain[-1].copy()
-        after[[a, b]] = after[[b, a]]
-        chain.append(after)
-    return chain
-
-
 def dense_swap(populations, n, index):
     """The populations after swapping the probe bit with machine bit ``index``,
     by flipping both bits of every level where they differ."""
@@ -216,67 +207,60 @@ def dense_swap(populations, n, index):
     return populations[levels ^ (differ * both)]
 
 
-def fresh_from_populations(state):
-    """A state that exchanges and swaps nothing, built from ``state``'s populations."""
-    weights = state.populations.reshape(2, -1)
-    return replace(state, weights=weights, probe_factors=(1.0, 1.0), exchanged=None, swapped=None,
-                   sums=exactsim._WeightSums(weights, state.machine_gaps))
-
-
-def assert_reads_like_fresh(state):
-    """Marginals and mean energies of ``state`` agree with a fresh state over its populations."""
-    fresh = fresh_from_populations(state)
-    assert abs(probe_marginal(state).p0 - probe_marginal(fresh).p0) <= 1e-15
-    assert abs(probe_mean_energy(state) - probe_mean_energy(fresh)) <= 1e-15
-    # A dot product over reordered terms rounds differently: allow an ulp of
-    # the energy where it exceeds 1.
-    assert machine_mean_energy(state) == pytest.approx(machine_mean_energy(fresh), rel=1e-15, abs=1e-15)
+def assert_reads_like_dense(state, populations):
+    """The marginal and mean energies of ``state`` agree with sums over
+    ``populations``, a dense copy of its levels."""
+    half = populations.size // 2
+    energies = reference_level_energies(state.row.machine_gaps)
+    p0 = populations[:half].sum()
+    assert abs(probe_marginal(state).p0 - p0) <= 1e-15
+    assert abs(probe_mean_energy(state) - state.row.probe_gap * (1.0 - p0)) <= 1e-15
+    assert machine_mean_energy(state) == pytest.approx(
+        np.dot(populations[:half], energies) + np.dot(populations[half:], energies), rel=1e-14, abs=1e-15)
 
 
 class TestSharedExchange:
-    """An exchange of a built state shares its dense array and records the
-    pair; a later one starts from the populations. Reading either must agree
-    with the dense copy it replaces."""
+    """An exchange of a built state shares its row and records the pair;
+    reading it must agree with the dense copy it replaces. A chain's second
+    step is refused: a step starts from a built state."""
 
     @staticmethod
     def exchange_chains(rng, size):
+        """Two steps each: random levels in either order, two ground levels,
+        two excited levels, and the first and last levels, the second step
+        restoring the first."""
         a, b, c, d = (int(level) for level in rng.choice(size, 4, replace=False))
+        half = size // 2
         return (
-            [(a, b)],
             [(a, b), (b, c)],  # overlapping pairs
-            [(a, b), (b, c), (c, a)],
-            [(a, b), (c, d), (a, c)],
-            [(a, b), (a, b)],  # swap and restore
-            [(a, b), (b, a), (a, c)],
+            [(b, a), (a, b)],  # swap and restore
+            [(c, d), (a, c)],
+            [(0, 1), (0, 1)],
+            [(half, size - 1), (a, b)],
+            [(size - 1, 0), (0, size - 1)],
         )
 
     @pytest.mark.parametrize("n", (2, 3, 6))
     def test_chains_match_dense_copies(self, n, rng):
         probe, oracle = reference_case(n)
         state = build_joint_state(probe, oracle)
-        for pairs in self.exchange_chains(rng, state.size):
-            expected = dense_exchanges(state.populations, pairs)
-            each = state
-            for step, (pair, populations) in enumerate(zip(pairs, expected[1:])):
-                each = apply_level_exchange(each, *pair)
-                if step == 0:
-                    assert each.weights is state.weights
-                    assert each.sums is state.sums  # summed once for both
-                assert np.array_equal(each.populations, populations)
-                assert_reads_like_fresh(each)
-                fresh = fresh_from_populations(each)
-                for index in range(n):
-                    swapped = apply_swap_with_machine_qubit(each, index)
-                    assert np.array_equal(swapped.populations,
-                                          apply_swap_with_machine_qubit(fresh, index).populations)
+        for (a, b), second in self.exchange_chains(rng, state.size):
+            exchanged = apply_level_exchange(state, a, b)
+            assert exchanged.row is state.row
+            populations = built_populations(state)
+            populations[[a, b]] = populations[[b, a]]
+            assert_reads_like_dense(exchanged, populations)
+            with pytest.raises(ValueError, match="a step starts from a built state"):
+                apply_level_exchange(exchanged, *second)
+            with pytest.raises(ValueError, match="a step starts from a built state"):
+                apply_swap_with_machine_qubit(exchanged, 0)
 
     def test_shared_array_is_read_only(self):
         _, _, state = worked_state()
-        exchanged = apply_level_exchange(state, 1, 6)
-        for each in (state, apply_swap_with_machine_qubit(state, 0), exchanged,
-                     apply_swap_with_machine_qubit(exchanged, 0)):
+        for each in (state, apply_swap_with_machine_qubit(state, 0), apply_level_exchange(state, 1, 6)):
+            assert each.row is state.row
             with pytest.raises(ValueError):
-                each.populations[0] = 0.5
+                each.row.weights[0, 0] = 0.5
 
     def test_twenty_qubit_exchange_makes_no_copy(self):
         n = exactsim.DEFAULT_MAX_QUBITS - 1
@@ -291,65 +275,27 @@ class TestSharedExchange:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert after.populations[a] == state.populations[b]
-
-    def test_fresh_state_takes_its_own_sums(self):
-        """A fresh state over an exchanged state's populations sums that array,
-        whether or not the parent's sums were read before the exchange; new
-        weights with the old sums are refused."""
-        probe, oracle = reference_case(5)
-        half = 1 << 5
-        energies = reference_level_energies(oracle.gap_vector.gaps)
-        for read_first in (True, False):
-            state = build_joint_state(probe, oracle)
-            if read_first:
-                probe_marginal(state), machine_mean_energy(state)
-            after = apply_level_exchange(state, *kickback_level_indices(QueryMask.all_ones(5), 5))
-            probe_marginal(after), machine_mean_energy(after)
-            fresh = fresh_from_populations(after)
-            populations = fresh.populations
-            assert fresh.sums is not after.sums
-            with pytest.raises(ValueError, match="sums"):
-                replace(after, weights=fresh.weights)
-            assert probe_marginal(fresh).p0 == np.sum(populations[:half])
-            assert probe_marginal(fresh).p0 != probe_marginal(state).p0
-            assert machine_mean_energy(fresh) == pytest.approx(
-                np.dot(populations[:half], energies) + np.dot(populations[half:], energies), rel=1e-15)
-            assert machine_mean_energy(fresh) != machine_mean_energy(state)
+        assert after.row is state.row
 
 
 class TestLazySwap:
-    """A swap shares its parent's dense array and records the swapped bit;
-    reading it must agree with the dense copy it replaces."""
-
-    @staticmethod
-    def mixed_chains(rng, n, size):
-        a, b, c = (int(level) for level in rng.choice(size, 3, replace=False))
-        i, j = (int(index) for index in rng.choice(n, 2, replace=False))
-        return (
-            *([("swap", index)] for index in range(n)),
-            [("swap", i), ("exchange", a, b)],
-            [("exchange", a, b), ("swap", i)],
-            [("swap", i), ("swap", j)],
-            [("swap", i), ("swap", i)],
-            [("exchange", a, b), ("swap", i), ("exchange", b, c), ("swap", j)],
-        )
+    """A swap shares its parent's row and records the swapped bit; reading
+    it must agree with the dense copy it replaces. A chain's second step is
+    refused."""
 
     @pytest.mark.parametrize("n", (2, 3, 6))
     def test_chains_match_dense_copies(self, n, rng):
         probe, oracle = reference_case(n)
         state = build_joint_state(probe, oracle)
-        for steps in self.mixed_chains(rng, n, state.size):
-            each, populations = state, state.populations
-            for step in steps:
-                if step[0] == "swap":
-                    each = apply_swap_with_machine_qubit(each, step[1])
-                    populations = dense_swap(populations, n, step[1])
-                else:
-                    each = apply_level_exchange(each, *step[1:])
-                    populations = dense_exchanges(populations, [step[1:]])[-1]
-                assert np.array_equal(each.populations, populations)
-                assert_reads_like_fresh(each)
+        a, b = (int(level) for level in rng.choice(state.size, 2, replace=False))
+        for index in range(n):
+            swapped = apply_swap_with_machine_qubit(state, index)
+            assert swapped.row is state.row
+            assert_reads_like_dense(swapped, dense_swap(built_populations(state), n, index))
+            with pytest.raises(ValueError, match="a step starts from a built state"):
+                apply_swap_with_machine_qubit(swapped, index)  # swap back
+            with pytest.raises(ValueError, match="a step starts from a built state"):
+                apply_level_exchange(swapped, a, b)
 
     def test_twenty_qubit_swap_makes_no_copy(self):
         n = exactsim.DEFAULT_MAX_QUBITS - 1
@@ -363,7 +309,7 @@ class TestLazySwap:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20
-            assert swapped.weights is state.weights
+            assert swapped.row is state.row
             assert p0 == pytest.approx(ThermalQubit(0.5, 0.8).ground_population, abs=1e-12)
 
 
@@ -378,13 +324,7 @@ class TestSwapWithMachineQubit:
         probe = ThermalQubit(0.9, 0.7)
         oracle = build_custom_oracle([0.9, 1.4], 0.7)
         state = build_joint_state(probe, oracle)
-        after = apply_swap_with_machine_qubit(state, 0)
-        assert np.allclose(after.populations, state.populations, atol=1e-15)
-
-    def test_double_application_restores(self):
-        _, _, state = worked_state()
-        twice = apply_swap_with_machine_qubit(apply_swap_with_machine_qubit(state, 0), 0)
-        assert np.array_equal(twice.populations, state.populations)
+        assert_reads_like_dense(apply_swap_with_machine_qubit(state, 0), built_populations(state))
 
     def test_out_of_range(self):
         _, _, state = worked_state()
@@ -445,40 +385,42 @@ class TestAgainstReference:
     def test_levels_in_big_endian_order(self, n):
         probe, oracle = reference_case(n)
         state = build_joint_state(probe, oracle)
+        populations = built_populations(state)
         reference = reference_joint_populations(probe, oracle)
         energies = reference_level_energies((probe.gap, *oracle.gap_vector.gaps))
-        assert state.size == len(reference) == len(energies) == 1 << (n + 1)
+        assert state.size == len(reference) == len(energies) == len(populations) == 1 << (n + 1)
         for (s_bit, machine), expected in reference.items():
             index = int("".join(str(b) for b in (s_bit, *machine)), 2)
             energy = s_bit * probe.gap + reference_machine_energy(machine, oracle.gap_vector.gaps)
-            assert state.populations[index] == pytest.approx(expected, abs=1e-14)
+            assert populations[index] == pytest.approx(expected, abs=1e-14)
             assert energies[index] == pytest.approx(energy, abs=1e-13)
         mean = probe_mean_energy(state) + machine_mean_energy(state)
-        assert mean == pytest.approx(np.dot(state.populations, energies), abs=1e-13)
+        assert mean == pytest.approx(np.dot(populations, energies), abs=1e-13)
 
     def test_excited_energies_add_the_probe_gap(self, n, rng):
         """An exchange of a ground level a with an excited level b moves
         (p[a] - p[b]) (E(b) - E(a)) of energy, E(b) holding the probe gap."""
         probe, oracle = reference_case(n)
         state = build_joint_state(probe, oracle)
+        populations = built_populations(state)
         energies = reference_level_energies((probe.gap, *oracle.gap_vector.gaps))
         half = 1 << n
         mean = probe_mean_energy(state) + machine_mean_energy(state)
         for a, b in zip(rng.integers(0, half, 4).tolist(), rng.integers(half, 2 * half, 4).tolist()):
             after = apply_level_exchange(state, a, b)
-            transferred = (state.populations[a] - state.populations[b]) * (energies[b] - energies[a])
+            transferred = (populations[a] - populations[b]) * (energies[b] - energies[a])
             assert probe_mean_energy(after) + machine_mean_energy(after) - mean == pytest.approx(transferred, abs=1e-13)
 
     def test_swap_with_every_machine_qubit(self, n):
+        """The probe marginal and the machine mean energy, g_j (P(probe
+        excited) - P(bit j excited)) from the built state's, at 40 digits."""
         probe, oracle = reference_case(n)
         state = build_joint_state(probe, oracle)
         for index in range(n):
             once = apply_swap_with_machine_qubit(state, index)
-            expected = reference_swap_ground_population(probe, oracle, index)
-            assert probe_marginal(once).p0 == pytest.approx(expected, abs=1e-13)
-            assert not np.shares_memory(once.populations, state.populations)
-            twice = apply_swap_with_machine_qubit(once, index)
-            assert np.array_equal(twice.populations, state.populations)
+            p0, energy = reference_swap(probe, oracle, index)
+            assert probe_marginal(once).p0 == pytest.approx(p0, abs=1e-13)
+            assert machine_mean_energy(once) == pytest.approx(energy, rel=1e-13, abs=1e-13)
 
     def test_machine_mean_energy(self, n):
         probe, oracle = reference_case(n)
@@ -499,12 +441,12 @@ class TestExtremeTemperatures:
         probe = ThermalQubit(2.0, beta_s)
         oracle = build_custom_oracle(rng.uniform(0.2, 2.0, 12), beta_m)
         state = build_joint_state(probe, oracle)
-        populations = state.populations
+        populations = built_populations(state)
         assert np.all(np.isfinite(populations))
         assert np.all(populations >= 0.0)
         assert float(populations.sum()) == pytest.approx(1.0, abs=1e-12)
         expected = probe.log_partition_function + oracle.log_partition_function
-        assert abs(state.log_partition_sum - expected) <= 1e-12 * max(1.0, abs(expected))
+        assert abs(state.row.log_partition_sum - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 class TestIndependenceFromAnalyticCode:
@@ -546,29 +488,68 @@ class TestIndependenceFromAnalyticCode:
             )
 
 
+def draw(rng, n, rows, beta_s=None, beta_m=None, scale=1.5):
+    """Probe gaps, beta_S, machine gaps and beta_M of ``rows`` states: beta_S
+    in [-1.2, 1.2] and beta_M of alternating sign, |beta_M| up to ``scale``,
+    unless given."""
+    omega = rng.uniform(0.25, 2.0, rows)
+    if beta_s is None:
+        beta_s = rng.uniform(-1.2, 1.2, rows)
+    if beta_m is None:
+        beta_m = rng.uniform(0.1, scale, rows) * np.resize([1.0, -1.0], rows)
+    return omega, beta_s, rng.uniform(0.2, 2.0, (rows, n)), beta_m
+
+
+def cases(omega, beta_s, gaps, beta_m):
+    for t in range(len(omega)):
+        yield t, ThermalQubit(omega[t], beta_s[t]), build_custom_oracle(gaps[t], beta_m[t])
+
+
+def kickback_rows_against_reference(columns, masks):
+    """kickback_batch with its machine energies against the 40-digit
+    reference of conftest, row by row; the kickback outputs bit-identical
+    to a call without energies."""
+    outputs = exactsim.kickback_batch(*columns, masks, energies=True)
+    for plain, with_energies in zip(exactsim.kickback_batch(*columns, masks), outputs[:3], strict=True):
+        assert np.array_equal(plain, with_energies)
+    for t, probe, oracle in cases(*columns):
+        expected = reference_kickback(probe, oracle, tuple(masks[t].tolist()))
+        p0, p0_after, log_z, energy, energy_after = (values[t] for values in outputs)
+        assert p0 == pytest.approx(expected.p0, rel=0.0, abs=1e-14)
+        assert p0_after == pytest.approx(expected.p0_after, rel=0.0, abs=1e-14)
+        assert log_z == pytest.approx(expected.log_partition_sum, rel=1e-14, abs=1e-14)
+        assert energy == pytest.approx(expected.energy, rel=1e-13, abs=1e-14)
+        assert energy_after == pytest.approx(expected.energy_after, rel=1e-13, abs=1e-14)
+
+
+def swap_rows_against_reference(columns):
+    """swap_batch against the 40-digit reference of conftest, row by row."""
+    p0 = exactsim.swap_batch(*columns)
+    rows, n = columns[2].shape
+    assert p0.shape == (rows, n)
+    for t, probe, oracle in cases(*columns):
+        expected = [reference_swap_ground_population(probe, oracle, j) for j in range(n)]
+        assert p0[t] == pytest.approx(expected, rel=0.0, abs=1e-14)
+
+
 class TestKickbackBatch:
     @staticmethod
-    def rows_against_single_states(rng, n, rows, masks=None, beta_s=None, beta_m=None):
-        """Every row against build_joint_state and apply_level_exchange; a
-        random mask and random temperatures per row unless given."""
+    def rows_against_single_states(rng, n, rows):
+        """Every row of a random mask and random temperatures against
+        build_joint_state and apply_level_exchange: the same arithmetic,
+        whichever chunk holds the row."""
         omega = rng.uniform(0.25, 2.0, rows)
-        if beta_s is None:
-            beta_s = rng.uniform(-1.2, 1.2, rows)
-        if beta_m is None:
-            beta_m = rng.uniform(0.1, 1.5, rows)
+        beta_s = rng.uniform(-1.2, 1.2, rows)
+        beta_m = rng.uniform(0.1, 1.5, rows)
         gaps = rng.uniform(0.2, 2.0, (rows, n))
-        if masks is None:
-            masks = rng.integers(0, 2, (rows, n))
+        masks = rng.integers(0, 2, (rows, n))
         p0, p0_after, log_z = exactsim.kickback_batch(omega, beta_s, gaps, beta_m, masks)
-        assert np.all(np.isfinite(p0)) and np.all(np.isfinite(p0_after)) and np.all(np.isfinite(log_z))
         for t in range(rows):
             state = build_joint_state(ThermalQubit(omega[t], beta_s[t]), build_custom_oracle(gaps[t], beta_m[t]))
             a, b = kickback_level_indices(QueryMask(tuple(int(bit) for bit in masks[t])), n)
             assert p0[t] == probe_marginal(state).p0
-            assert log_z[t] == state.log_partition_sum
-            assert p0_after[t] == pytest.approx(
-                probe_marginal(apply_level_exchange(state, a, b)).p0, rel=0.0, abs=1e-15
-            )
+            assert log_z[t] == state.row.log_partition_sum
+            assert p0_after[t] == probe_marginal(apply_level_exchange(state, a, b)).p0
 
     def test_rows_across_chunk_boundaries(self, rng):
         """One chunk holds 2^16 machine levels: 256 rows of 8 machine qubits,
@@ -579,18 +560,18 @@ class TestKickbackBatch:
 
     def test_all_ones_and_all_zeros_rows(self, rng):
         """The extreme masks exchange the first and last levels of each half."""
-        masks = np.array([[1] * 5, [0] * 5] * 40)
-        self.rows_against_single_states(rng, 5, 80, masks)
+        kickback_rows_against_reference(draw(rng, 5, 8), np.array([[1] * 5, [0] * 5] * 4))
 
     def test_boolean_mask_rows(self, rng):
-        self.rows_against_single_states(rng, 4, 9, rng.integers(0, 2, (9, 4)).astype(bool))
+        kickback_rows_against_reference(draw(rng, 4, 9), rng.integers(0, 2, (9, 4)).astype(bool))
 
     # At |beta| = 500 the unshifted log weights pass the 709 at which exp
-    # overflows; 14 machine qubits make four rows a chunk.
+    # overflows.
     @pytest.mark.parametrize("beta_s", (-500.0, -50.0, 50.0, 500.0))
     @pytest.mark.parametrize("beta_m", (-500.0, -50.0, 50.0, 500.0))
     def test_extreme_and_negative_temperatures(self, beta_s, beta_m, rng):
-        self.rows_against_single_states(rng, 14, 5, beta_s=np.full(5, beta_s), beta_m=np.full(5, beta_m))
+        columns = draw(rng, 6, 5, beta_s=np.full(5, beta_s), beta_m=np.full(5, beta_m))
+        kickback_rows_against_reference(columns, rng.integers(0, 2, (5, 6)))
 
     def test_seventeen_qubit_rows_one_chunk_each(self, rng):
         """A 17-qubit state fills a chunk: each row is written over the last."""
@@ -613,117 +594,65 @@ class TestBatchesAgainstReference:
     """kickback_batch, with its machine energies, and swap_batch against the
     40-digit Decimal reference of conftest: no state-path call on either side."""
 
-    @staticmethod
-    def draw(rng, n, rows, scale=1.5):
-        """Probe gaps, beta_S, machine gaps and beta_M of ``rows`` states,
-        beta_M of alternating sign and |beta_M| up to ``scale``."""
-        omega = rng.uniform(0.25, 2.0, rows)
-        beta_s = rng.uniform(-1.2, 1.2, rows)
-        beta_m = rng.uniform(0.1, scale, rows) * np.resize([1.0, -1.0], rows)
-        return omega, beta_s, rng.uniform(0.2, 2.0, (rows, n)), beta_m
-
-    @staticmethod
-    def cases(omega, beta_s, gaps, beta_m):
-        for t in range(len(omega)):
-            yield t, ThermalQubit(omega[t], beta_s[t]), build_custom_oracle(gaps[t], beta_m[t])
-
-    def kickback_rows_against_reference(self, columns, masks):
-        outputs = exactsim.kickback_batch(*columns, masks, energies=True)
-        for t, probe, oracle in self.cases(*columns):
-            expected = reference_kickback(probe, oracle, tuple(masks[t].tolist()))
-            p0, p0_after, log_z, energy, energy_after = (values[t] for values in outputs)
-            assert p0 == pytest.approx(expected.p0, rel=0.0, abs=1e-14)
-            assert p0_after == pytest.approx(expected.p0_after, rel=0.0, abs=1e-14)
-            assert log_z == pytest.approx(expected.log_partition_sum, rel=1e-14, abs=1e-14)
-            assert energy == pytest.approx(expected.energy, rel=1e-13, abs=1e-14)
-            assert energy_after == pytest.approx(expected.energy_after, rel=1e-13, abs=1e-14)
-
     @pytest.mark.parametrize("n", range(1, 7))
     def test_kickback_rows(self, n, rng):
-        self.kickback_rows_against_reference(self.draw(rng, n, 8), rng.integers(0, 2, (8, n)))
+        kickback_rows_against_reference(draw(rng, n, 8), rng.integers(0, 2, (8, n)))
 
     def test_kickback_rows_at_extreme_temperatures(self, rng):
         """|beta_M| up to 50, so the weights span up to e^{+-500} and the
         rows of negative beta_M scale their factors; the extreme masks and
         random ones."""
-        columns = self.draw(rng, 5, 12, scale=50.0)
+        columns = draw(rng, 5, 12, scale=50.0)
         masks = np.vstack([np.ones((4, 5), dtype=int), np.zeros((4, 5), dtype=int), rng.integers(0, 2, (4, 5))])
-        self.kickback_rows_against_reference(columns, masks)
+        kickback_rows_against_reference(columns, masks)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_swap_rows(self, n, rng):
-        columns = self.draw(rng, n, 6)
-        p0 = exactsim.swap_batch(*columns)
-        for t, probe, oracle in self.cases(*columns):
-            expected = [reference_swap_ground_population(probe, oracle, j) for j in range(n)]
-            assert p0[t] == pytest.approx(expected, rel=0.0, abs=1e-14)
+        swap_rows_against_reference(draw(rng, n, 6))
 
 
 class TestSwapAndEnergyBatches:
-    """swap_batch and kickback_batch's machine energies against the state
-    path: build_joint_state, then apply_swap_with_machine_qubit or
-    apply_level_exchange, then probe_marginal or machine_mean_energy."""
+    """swap_batch and kickback_batch's machine energies against the 40-digit
+    reference up to 8 machine qubits, and against the state path
+    (build_joint_state, then a step and a read) where rows span chunks."""
 
     @staticmethod
-    def draw(rng, n, rows, beta_s=None, beta_m=None):
-        """Probe gaps, beta_S, machine gaps and beta_M of ``rows`` states;
-        both temperatures take either sign unless given."""
-        omega = rng.uniform(0.25, 2.0, rows)
-        beta_s = rng.uniform(-1.2, 1.2, rows) if beta_s is None else beta_s
-        beta_m = rng.uniform(-1.5, 1.5, rows) if beta_m is None else beta_m
-        return omega, beta_s, rng.uniform(0.2, 2.0, (rows, n)), beta_m
-
-    @staticmethod
-    def states(omega, beta_s, gaps, beta_m):
-        for t in range(len(omega)):
-            yield build_joint_state(ThermalQubit(omega[t], beta_s[t]), build_custom_oracle(gaps[t], beta_m[t]))
-
-    def swap_rows_against_states(self, columns):
+    def rows_against_states(columns, masks):
+        """The swap marginals, and the machine mean energy before and after
+        V(masks[t]), of every row against its state."""
         p0 = exactsim.swap_batch(*columns)
-        rows, n = columns[2].shape
-        assert p0.shape == (rows, n)
-        for t, state in enumerate(self.states(*columns)):
-            expected = [probe_marginal(apply_swap_with_machine_qubit(state, j)).p0 for j in range(n)]
+        *_, before, after = exactsim.kickback_batch(*columns, masks, energies=True)
+        for t, probe, oracle in cases(*columns):
+            state = build_joint_state(probe, oracle)
+            expected = [probe_marginal(apply_swap_with_machine_qubit(state, j)).p0 for j in range(masks.shape[1])]
             assert p0[t] == pytest.approx(expected, rel=0.0, abs=1e-15)
-
-    def energy_rows_against_states(self, columns, masks):
-        """The machine mean energy before and after V(masks[t]), and the
-        kickback outputs bit-identical to a call without energies."""
-        rows, n = columns[2].shape
-        plain = exactsim.kickback_batch(*columns, masks)
-        *kickback, before, after = exactsim.kickback_batch(*columns, masks, energies=True)
-        for a, b in zip(plain, kickback, strict=True):
-            assert np.array_equal(a, b)
-        for t, state in enumerate(self.states(*columns)):
-            exchanged = apply_level_exchange(state, *kickback_level_indices(QueryMask(tuple(masks[t])), n))
+            exchanged = apply_level_exchange(state, *kickback_level_indices(QueryMask(tuple(masks[t])), masks.shape[1]))
             assert before[t] == pytest.approx(machine_mean_energy(state), rel=1e-14, abs=1e-14)
             assert after[t] == pytest.approx(machine_mean_energy(exchanged), rel=1e-14, abs=1e-14)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_swap_rows(self, n, rng):
-        self.swap_rows_against_states(self.draw(rng, n, 12))
+        swap_rows_against_reference(draw(rng, n, 4))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_energy_rows(self, n, rng):
-        self.energy_rows_against_states(self.draw(rng, n, 12), rng.integers(0, 2, (12, n)))
+        kickback_rows_against_reference(draw(rng, n, 4), rng.integers(0, 2, (4, n)))
 
     def test_rows_across_chunk_boundaries(self, rng):
         """256 rows of 8 machine qubits fill a chunk; 64 of 10 do."""
         for n, rows in ((8, 300), (10, 70)):
-            columns = self.draw(rng, n, rows)
-            self.swap_rows_against_states(columns)
-            self.energy_rows_against_states(columns, rng.integers(0, 2, (rows, n)))
+            self.rows_against_states(draw(rng, n, rows), rng.integers(0, 2, (rows, n)))
 
     @pytest.mark.parametrize("beta_s", (-50.0, 50.0))
     @pytest.mark.parametrize("beta_m", (-50.0, 50.0))
     def test_extreme_and_negative_temperatures(self, beta_s, beta_m, rng):
-        columns = self.draw(rng, 6, 5, beta_s=np.full(5, beta_s), beta_m=np.full(5, beta_m))
-        self.swap_rows_against_states(columns)
-        self.energy_rows_against_states(columns, np.ones((5, 6), dtype=int))
+        columns = draw(rng, 6, 5, beta_s=np.full(5, beta_s), beta_m=np.full(5, beta_m))
+        swap_rows_against_reference(columns)
+        kickback_rows_against_reference(columns, np.ones((5, 6), dtype=int))
 
     def test_all_ones_exchange_energy_is_the_reset_cost(self, rng):
         """The all-ones exchange moves delta_p0 machine excitations of |G|."""
-        columns = self.draw(rng, 5, 20)
+        columns = draw(rng, 5, 20)
         p0, p0_after, _, before, after = exactsim.kickback_batch(*columns, np.ones((20, 5)), energies=True)
         assert after - before == pytest.approx((p0_after - p0) * columns[2].sum(axis=1), rel=1e-12, abs=1e-15)
 
@@ -734,7 +663,7 @@ class TestSwapAndEnergyBatches:
         for name in ("kickback_shift", "oracle_shift", "shift_outcome", "kickback_outcome"):
             monkeypatch.setattr(query, name, forbidden)
         monkeypatch.setattr(ThermalMachineOracle, "log_partition_function", property(forbidden))
-        columns = self.draw(rng, 4, 6)
+        columns = draw(rng, 4, 6)
         assert np.all(np.isfinite(exactsim.swap_batch(*columns)))
         outputs = exactsim.kickback_batch(*columns, np.ones((6, 4)), energies=True)
         assert len(outputs) == 5 and all(np.all(np.isfinite(values)) for values in outputs)
