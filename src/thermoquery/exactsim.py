@@ -17,17 +17,15 @@ results once per call over all T rows; only the weights are built a chunk of
 rows at a time.
 
 :func:`build_joint_state` builds the T = 1 row. A :class:`DiagonalJointState`
-is that row plus at most one step: a level exchange or a SWAP of a built
-state is O(1) in time and memory, shares the row and records the step, and a
-stepped state takes no further step. Every read comes from w with the batch
-kernels' code: the probe marginal is k_g times the sum of w the build takes,
-plus the two exchanged levels' change, or for a swapped state a strided sum
-over half of w. A mean energy sums w(x) E(x) once per row, with no 2^N energy
-array, over tables of the energies of x's high and low halves of bits; a
-swapped state's machine energy adds g_j (P(probe excited) - P(bit j
-excited)) to it, one more sum over half of w. Nothing here calls the
-analytic kickback code in ``query`` or the closed-form partition functions
-of ``thermal``.
+is that row plus at most one step, O(1) in time and memory: a SWAP with a
+machine qubit, or the exchange of a kickback pair, the only pair taken
+(:func:`kickback_level_indices`). A built or exchanged state is read with the
+one formula :func:`kickback_batch` reads a row with; a mean energy sums
+w(x) E(x) once, with no 2^N energy array. A swapped state's probe marginal is a strided sum
+over half of w, and its machine energy one more O(2^N) sum of w(x) E(x) with
+the swapped gap set to 0, so that no difference cancels. Nothing here calls
+the analytic kickback code in ``query`` or the closed-form partition
+functions of ``thermal``.
 
 Index convention: the probe bit is the most significant bit; machine bit
 strings are big-endian, as in ``thermal.bits_to_index`` (machine qubit 0 is
@@ -89,9 +87,9 @@ class DiagonalJointState:
     """Populations over the 2^(N+1) (probe bit, machine string) levels: a
     built ``row`` in product form, plus at most one step. A built state
     records no step; a state one step from it shares its row and records
-    the step: ``exchanged``, the two levels whose populations trade places,
-    or ``swapped``, the machine qubit whose bit trades places with the probe
-    bit. A stepped state takes no further step.
+    the step: ``exchanged``, the kickback pair (a, b) whose populations
+    trade places, or ``swapped``, the machine qubit whose bit trades places
+    with the probe bit. A stepped state takes no further step.
 
     ``row.log_partition_sum`` is the log of the unnormalized weight sum and
     equals log(Z_S) + log(Z_f); a step preserves the trace.
@@ -108,12 +106,6 @@ class DiagonalJointState:
     @property
     def size(self) -> int:
         return 2 << self.n_machine
-
-
-def _population(state: DiagonalJointState, level: int) -> float:
-    """The built population of ``level``, before the step."""
-    probe_bit, machine = divmod(level, 1 << state.n_machine)
-    return state.row.weights[0, machine] * (state.row.k_e if probe_bit else state.row.k_g)
 
 
 def _built_row(state: DiagonalJointState) -> _Row:
@@ -153,9 +145,24 @@ def _weighted_energies(weights: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     return (e_high * (grid @ np.ones(e_low.shape[1]))).sum(axis=1) + (grid @ e_low[:, :, None]).sum(axis=(1, 2))
 
 
-def _bit_sums(weights: np.ndarray, bit: int, value: int) -> np.ndarray:
-    """The sum of each row of ``weights`` over the machine levels whose ``bit`` is ``value``."""
-    return weights.reshape(len(weights), 1 << bit, 2, -1)[:, :, value, :].sum(axis=(1, 2))
+def _bit_sums(weights: np.ndarray, bit: int) -> np.ndarray:
+    """The sum of each row of ``weights`` over the machine levels whose ``bit`` is 0."""
+    return weights.reshape(len(weights), 1 << bit, 2, -1)[:, :, 0, :].sum(axis=(1, 2))
+
+
+def _exchange_reads(k_g, k_e, total, weight_a, weight_b, weighted=None, gaps=None, masks=None) -> tuple:
+    """p0 = k_g sum(w) and p0' = p0 - w[a] k_g + w[b - 2^N] k_e of rows
+    around the exchange of their kickback pairs a and b, clamped at 1, past
+    which rounding carries them when nearly all weight is in the probe's
+    ground level. With ``weighted`` (sum_x w(x) E(x)), ``gaps`` and 0/1
+    ``masks``, the machine mean energy before and after follow: the exchange
+    adds (p[b] - p[a]) (E(a) - E(b - 2^N)), b's machine bits a's flipped."""
+    ground_a, excited_b, ground_total = weight_a * k_g, weight_b * k_e, total * k_g
+    reads = (np.minimum(ground_total, 1.0), np.minimum(ground_total - ground_a + excited_b, 1.0))
+    if weighted is None:
+        return reads
+    energy = weighted * k_g + weighted * k_e
+    return (*reads, energy, energy + (excited_b - ground_a) * ((2 * masks - 1) * gaps).sum(axis=-1))
 
 
 def _factors(omega, beta_s, gaps, beta_m):
@@ -240,12 +247,8 @@ def kickback_batch(
     With ``energies``, the machine mean energy before and after follow.
 
     Each row's weights w and factors k_g, k_e are built as
-    :func:`build_joint_state` builds them: p0 = k_g sum(w), and the exchange
-    of levels a and b (:func:`kickback_level_indices`) gives
-    p0' = p0 - w[a] k_g + w[b - 2^N] k_e; both are clamped at 1 as
-    :func:`probe_marginal` is. The machine mean energy is that of
-    :func:`machine_mean_energy`, and the exchange adds
-    (p[b] - p[a]) (E(a) - E(b - 2^N)). Only the weights are built a chunk
+    :func:`build_joint_state` builds them, and read as a built or exchanged
+    state is (:func:`_exchange_reads`). Only the weights are built a chunk
     at a time; every other step runs once over all T rows.
     """
     rows, n = gaps.shape
@@ -264,15 +267,8 @@ def kickback_batch(
         if energies:
             weighted[chunk] = _weighted_energies(weights, gaps[chunk])
     k_g, k_e, partition = _probe_factors(excited, ground, total)
-    ground_a, excited_b, ground_total = weight_a * k_g, weight_b * k_e, total * k_g
-    outputs = (np.minimum(ground_total, 1.0), np.minimum(ground_total - ground_a + excited_b, 1.0),
-               shift_sum + np.log(partition))
-    if not energies:
-        return outputs
-    energy = weighted * k_g + weighted * k_e
-    # E(a) - E(b - 2^N): b's machine bits are a's flipped.
-    exchanged = ((2 * masks - 1) * gaps).sum(axis=1)
-    return (*outputs, energy, energy + (excited_b - ground_a) * exchanged)
+    reads = _exchange_reads(k_g, k_e, total, weight_a, weight_b, weighted if energies else None, gaps, masks)
+    return (*reads[:2], shift_sum + np.log(partition), *reads[2:])
 
 
 def swap_batch(
@@ -293,21 +289,23 @@ def swap_batch(
     for chunk, weights in _weight_chunks(excited, ground, scaled):
         total[chunk] = weights.sum(axis=1)
         for j in range(n):
-            zero[chunk, j] = _bit_sums(weights, j, 0)
+            zero[chunk, j] = _bit_sums(weights, j)
     k_g, k_e, _ = _probe_factors(excited, ground, total)
     return np.minimum(zero * k_g[:, None] + zero * k_e[:, None], 1.0)
 
 
 def apply_level_exchange(state: DiagonalJointState, level_a: int, level_b: int) -> DiagonalJointState:
-    """Swap the populations of two distinct levels of a built state;
+    """Swap the populations of the kickback pair of a built state, as
+    :func:`kickback_level_indices` gives it: ``level_a`` = |0_S, X> in the
+    probe's ground half and ``level_b`` = 2^(N+1) - 1 - ``level_a``;
     everything else untouched. O(1): the result shares the row and records
-    the pair."""
+    the pair, and is read with :func:`kickback_batch`'s formula."""
     row = _built_row(state)
     size = state.size
     if not (0 <= level_a < size and 0 <= level_b < size):
         raise IndexError(f"level indices ({level_a}, {level_b}) out of range for size {size}")
-    if level_a == level_b:
-        raise ValueError("level indices must be distinct")
+    if level_a >= size // 2 or level_b != size - 1 - level_a:
+        raise ValueError(f"levels ({level_a}, {level_b}) are not a kickback pair (|0_S, X>, |1_S, X xor 1>)")
     return DiagonalJointState(row, exchanged=(level_a, level_b))
 
 
@@ -321,22 +319,27 @@ def apply_swap_with_machine_qubit(state: DiagonalJointState, machine_index: int)
     return DiagonalJointState(row, swapped=machine_index)
 
 
+def _reads(state: DiagonalJointState, energies: bool = False) -> tuple:
+    """p0, and with ``energies`` the machine mean energy, of a built or
+    exchanged state: its row's :func:`_exchange_reads` after the recorded
+    exchange, or before the all-zeros mask's for a built state."""
+    row, n = state.row, state.n_machine
+    a = state.exchanged[0] if state.exchanged is not None else 0
+    mask = (a >> np.arange(n - 1, -1, -1)) & 1 if energies else None
+    reads = _exchange_reads(row.k_g, row.k_e, row.total, row.weights[0, a], row.weights[0, (1 << n) - 1 - a],
+                            row.energy if energies else None, row.machine_gaps, mask)
+    return reads[int(state.exchanged is not None)::2]
+
+
 def probe_marginal(state: DiagonalJointState) -> BinaryDistribution:
-    """Sum populations over the machine for each probe bit: k_g times the
-    sum of the weights, then p0 - p[a] + p[b] for an exchange of a ground
-    level a with an excited level b; for a swapped state, the weights whose
-    swapped bit is 0 times each probe factor. Rounding can carry the sum
-    past 1 when nearly all weight is in the probe's ground level."""
+    """Sum populations over the machine for each probe bit, clamped at 1 as
+    :func:`_exchange_reads` is; for a swapped state, the weights whose
+    swapped bit is 0 times each probe factor."""
     row = state.row
     if state.swapped is not None:
-        zero = _bit_sums(row.weights, state.swapped, 0)[0]
+        zero = _bit_sums(row.weights, state.swapped)[0]
         return BinaryDistribution(min(1.0, float(zero * row.k_g + zero * row.k_e)))
-    p0 = row.total * row.k_g
-    if state.exchanged is not None:
-        a, b = sorted(state.exchanged)
-        if a < 1 << state.n_machine <= b:
-            p0 = p0 - _population(state, a) + _population(state, b)
-    return BinaryDistribution(min(1.0, float(p0)))
+    return BinaryDistribution(float(_reads(state)[0]))
 
 
 def kickback_level_indices(mask, n_machine: int):
@@ -363,19 +366,14 @@ def probe_mean_energy(state: DiagonalJointState) -> float:
 
 
 def machine_mean_energy(state: DiagonalJointState) -> float:
-    """sum_x w(x) E(x) times each probe factor. An exchange of levels a and
-    b adds (p[b] - p[a]) (E(a) - E(b)), with E the machine energy of a
-    level; a SWAP with machine qubit j adds g_j (P(probe excited) - P(bit j
-    excited)), since bit j takes the probe's value, with an error of about
-    an ulp of the built state's energy."""
+    """sum_x w(x) E(x) times each probe factor, read as :func:`kickback_batch`
+    reads a row; after a SWAP with machine qubit j, whose bit then holds the
+    probe's, sum_x w(x) E_j(x) (k_g + k_e) + g_j P(probe excited), E_j with
+    g_j set to 0: O(2^N), every term nonnegative."""
     row = state.row
-    energy = row.energy * row.k_g + row.energy * row.k_e
-    if state.exchanged is not None:
-        a, b = state.exchanged
-        shifts = np.arange(state.n_machine - 1, -1, -1)
-        difference = (((a >> shifts) & 1) - ((b >> shifts) & 1)) @ row.machine_gaps
-        energy += (_population(state, b) - _population(state, a)) * difference
-    if state.swapped is not None:
-        one = _bit_sums(row.weights, state.swapped, 1)[0]
-        energy += row.machine_gaps[state.swapped] * (row.total * row.k_e - (one * row.k_g + one * row.k_e))
-    return float(energy)
+    if state.swapped is None:
+        return float(_reads(state, energies=True)[1])
+    others = row.machine_gaps.copy()
+    others[state.swapped] = 0.0
+    swapped = _weighted_energies(row.weights, others[None, :])[0] * (row.k_g + row.k_e)
+    return float(swapped + row.machine_gaps[state.swapped] * row.total * row.k_e)

@@ -36,6 +36,7 @@ import numpy as np
 from . import exactsim
 from .detuning import detuned_probe_temperature, flip_probability, suppression_factor
 from .problems import (
+    MAX_EXHAUSTIVE_N,
     BVInstance,
     constant_functions,
     enumerate_balanced_functions,
@@ -606,6 +607,12 @@ def run_verification(
     for name, value in sizes._asdict().items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    # Tables are enumerated up to MAX_EXHAUSTIVE_N bits; an n-bit secret and
+    # the probe take n + 1 qubits of the exact simulator.
+    for name, value, most in (("max_dj_n", max_dj_n, MAX_EXHAUSTIVE_N),
+                              ("max_bv_n", max_bv_n, exactsim.DEFAULT_MAX_QUBITS - 1)):
+        if value > most:
+            raise ValueError(f"{name} must be <= {most}, got {value}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     report = VerificationReport()

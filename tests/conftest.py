@@ -88,31 +88,33 @@ def reference_kickback_ground_population(
     return reference_kickback(probe, oracle, mask_bits).p0_after
 
 
-def reference_swap(
-    probe: ThermalQubit, oracle: ThermalMachineOracle, machine_index: int
-) -> tuple[float, float]:
+def reference_swap(probe: ThermalQubit, oracle: ThermalMachineOracle) -> list[tuple[float, float]]:
     """Probe ground population and machine mean energy after a full SWAP
-    with one machine qubit, at 40 digits: the probe takes the machine bit's
-    value and the machine bit the probe's."""
+    with each machine qubit, at 40 digits from one build of the
+    populations: the probe takes the machine bit's value and the machine
+    bit the probe's."""
     populations, _ = _reference_populations(probe, oracle)
     gaps = [Decimal(g) for g in oracle.gap_vector.gaps]
-    p0 = energy = Decimal(0)
+    swaps = []
     with localcontext() as context:
         context.prec = 40
-        for (s_bit, machine), p in populations.items():
-            swapped = list(machine)
-            swapped[machine_index] = s_bit
-            if machine[machine_index] == 0:
-                p0 += p
-            energy += p * sum((g for b, g in zip(swapped, gaps) if b), Decimal(0))
-    return float(p0), float(energy)
+        for machine_index in range(len(gaps)):
+            p0 = energy = Decimal(0)
+            for (s_bit, machine), p in populations.items():
+                swapped = list(machine)
+                swapped[machine_index] = s_bit
+                if machine[machine_index] == 0:
+                    p0 += p
+                energy += p * sum((g for b, g in zip(swapped, gaps) if b), Decimal(0))
+            swaps.append((float(p0), float(energy)))
+    return swaps
 
 
 def reference_swap_ground_population(
     probe: ThermalQubit, oracle: ThermalMachineOracle, machine_index: int
 ) -> float:
     """Probe ground population after a full SWAP with one machine qubit."""
-    return reference_swap(probe, oracle, machine_index)[0]
+    return reference_swap(probe, oracle)[machine_index][0]
 
 
 def reference_level_energies(gaps) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,6 @@ from conftest import (
     reference_kickback,
     reference_level_energies,
     reference_swap,
-    reference_swap_ground_population,
 )
 from thermoquery import exactsim, query, thermal
 from thermoquery.exactsim import (
@@ -151,8 +151,18 @@ class TestLevelExchange:
 
     def test_identical_indices_rejected(self):
         _, _, state = worked_state()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("levels (3, 3) are not a kickback pair")):
             apply_level_exchange(state, 3, 3)
+
+    # Two machine qubits: the kickback pairs are (0, 7), (1, 6), (2, 5) and (3, 4).
+    @pytest.mark.parametrize("pair", ((0, 1), (4, 7), (7, 0), (4, 3), (1, 5)),
+                             ids=("two-ground", "two-excited", "reversed", "excited-first", "not-partners"))
+    def test_other_pairs_rejected(self, pair):
+        """Two ground levels, two excited levels, a kickback pair in reverse
+        order, and an excited level that is not the ground level's partner."""
+        _, _, state = worked_state()
+        with pytest.raises(ValueError, match=re.escape(f"levels {pair} are not a kickback pair")):
+            apply_level_exchange(state, *pair)
 
     def test_out_of_range(self):
         _, _, state = worked_state()
@@ -220,31 +230,19 @@ def assert_reads_like_dense(state, populations):
 
 
 class TestSharedExchange:
-    """An exchange of a built state shares its row and records the pair;
-    reading it must agree with the dense copy it replaces. A chain's second
-    step is refused: a step starts from a built state."""
-
-    @staticmethod
-    def exchange_chains(rng, size):
-        """Two steps each: random levels in either order, two ground levels,
-        two excited levels, and the first and last levels, the second step
-        restoring the first."""
-        a, b, c, d = (int(level) for level in rng.choice(size, 4, replace=False))
-        half = size // 2
-        return (
-            [(a, b), (b, c)],  # overlapping pairs
-            [(b, a), (a, b)],  # swap and restore
-            [(c, d), (a, c)],
-            [(0, 1), (0, 1)],
-            [(half, size - 1), (a, b)],
-            [(size - 1, 0), (0, size - 1)],
-        )
+    """An exchange of a built state's kickback pair shares its row and
+    records the pair; reading it must agree with the dense copy it replaces.
+    A chain's second step is refused: a step starts from a built state."""
 
     @pytest.mark.parametrize("n", (2, 3, 6))
     def test_chains_match_dense_copies(self, n, rng):
+        """The pairs of the all-ones, the all-zeros and four random masks,
+        each followed by another's, the first last."""
         probe, oracle = reference_case(n)
         state = build_joint_state(probe, oracle)
-        for (a, b), second in self.exchange_chains(rng, state.size):
+        masks = np.vstack([np.ones((1, n), dtype=int), np.zeros((1, n), dtype=int), rng.integers(0, 2, (4, n))])
+        pairs = [(int(a), int(b)) for a, b in zip(*kickback_level_indices(masks, n))]
+        for (a, b), second in zip(pairs, pairs[1:] + pairs[:1]):
             exchanged = apply_level_exchange(state, a, b)
             assert exchanged.row is state.row
             populations = built_populations(state)
@@ -287,7 +285,7 @@ class TestLazySwap:
     def test_chains_match_dense_copies(self, n, rng):
         probe, oracle = reference_case(n)
         state = build_joint_state(probe, oracle)
-        a, b = (int(level) for level in rng.choice(state.size, 2, replace=False))
+        a, b = kickback_level_indices(QueryMask(tuple(int(bit) for bit in rng.integers(0, 2, n))), n)
         for index in range(n):
             swapped = apply_swap_with_machine_qubit(state, index)
             assert swapped.row is state.row
@@ -398,29 +396,39 @@ class TestAgainstReference:
         assert mean == pytest.approx(np.dot(populations, energies), abs=1e-13)
 
     def test_excited_energies_add_the_probe_gap(self, n, rng):
-        """An exchange of a ground level a with an excited level b moves
-        (p[a] - p[b]) (E(b) - E(a)) of energy, E(b) holding the probe gap."""
+        """The kickback exchange of a ground level a with the excited level b
+        of a random mask moves (p[a] - p[b]) (E(b) - E(a)) of energy, E(b)
+        holding the probe gap."""
         probe, oracle = reference_case(n)
         state = build_joint_state(probe, oracle)
         populations = built_populations(state)
         energies = reference_level_energies((probe.gap, *oracle.gap_vector.gaps))
-        half = 1 << n
         mean = probe_mean_energy(state) + machine_mean_energy(state)
-        for a, b in zip(rng.integers(0, half, 4).tolist(), rng.integers(half, 2 * half, 4).tolist()):
+        for a, b in zip(*(levels.tolist() for levels in kickback_level_indices(rng.integers(0, 2, (4, n)), n))):
             after = apply_level_exchange(state, a, b)
             transferred = (populations[a] - populations[b]) * (energies[b] - energies[a])
             assert probe_mean_energy(after) + machine_mean_energy(after) - mean == pytest.approx(transferred, abs=1e-13)
 
     def test_swap_with_every_machine_qubit(self, n):
-        """The probe marginal and the machine mean energy, g_j (P(probe
-        excited) - P(bit j excited)) from the built state's, at 40 digits."""
+        """The probe marginal and the machine mean energy, at 40 digits."""
         probe, oracle = reference_case(n)
         state = build_joint_state(probe, oracle)
-        for index in range(n):
+        for index, (p0, energy) in enumerate(reference_swap(probe, oracle)):
             once = apply_swap_with_machine_qubit(state, index)
-            p0, energy = reference_swap(probe, oracle, index)
             assert probe_marginal(once).p0 == pytest.approx(p0, abs=1e-13)
             assert machine_mean_energy(once) == pytest.approx(energy, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("beta_s", (-50.0, 50.0))
+    def test_swapped_machine_energy_to_relative_precision(self, n, beta_s, rng):
+        """After a SWAP with qubit j the machine holds the probe's excitation
+        at gap j: at beta_S = 50 a one-qubit machine holds about e^{-50} of
+        energy, which a difference of energies of order 1 would lose."""
+        probe = ThermalQubit(1.0, beta_s)
+        oracle = build_custom_oracle(rng.uniform(0.2, 2.0, n), 1.0)
+        state = build_joint_state(probe, oracle)
+        for index, (_, energy) in enumerate(reference_swap(probe, oracle)):
+            swapped = apply_swap_with_machine_qubit(state, index)
+            assert machine_mean_energy(swapped) == pytest.approx(energy, rel=1e-12, abs=0.0)
 
     def test_machine_mean_energy(self, n):
         probe, oracle = reference_case(n)
@@ -528,7 +536,7 @@ def swap_rows_against_reference(columns):
     rows, n = columns[2].shape
     assert p0.shape == (rows, n)
     for t, probe, oracle in cases(*columns):
-        expected = [reference_swap_ground_population(probe, oracle, j) for j in range(n)]
+        expected = [swapped_p0 for swapped_p0, _ in reference_swap(probe, oracle)]
         assert p0[t] == pytest.approx(expected, rel=0.0, abs=1e-14)
 
 
@@ -594,7 +602,7 @@ class TestBatchesAgainstReference:
     """kickback_batch, with its machine energies, and swap_batch against the
     40-digit Decimal reference of conftest: no state-path call on either side."""
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_kickback_rows(self, n, rng):
         kickback_rows_against_reference(draw(rng, n, 8), rng.integers(0, 2, (8, n)))
 
@@ -606,15 +614,15 @@ class TestBatchesAgainstReference:
         masks = np.vstack([np.ones((4, 5), dtype=int), np.zeros((4, 5), dtype=int), rng.integers(0, 2, (4, 5))])
         kickback_rows_against_reference(columns, masks)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_swap_rows(self, n, rng):
         swap_rows_against_reference(draw(rng, n, 6))
 
 
 class TestSwapAndEnergyBatches:
-    """swap_batch and kickback_batch's machine energies against the 40-digit
-    reference up to 8 machine qubits, and against the state path
-    (build_joint_state, then a step and a read) where rows span chunks."""
+    """swap_batch and kickback_batch's machine energies against the state
+    path (build_joint_state, then a step and a read) where rows span chunks,
+    and against the 40-digit reference at extreme temperatures."""
 
     @staticmethod
     def rows_against_states(columns, masks):
@@ -629,14 +637,6 @@ class TestSwapAndEnergyBatches:
             exchanged = apply_level_exchange(state, *kickback_level_indices(QueryMask(tuple(masks[t])), masks.shape[1]))
             assert before[t] == pytest.approx(machine_mean_energy(state), rel=1e-14, abs=1e-14)
             assert after[t] == pytest.approx(machine_mean_energy(exchanged), rel=1e-14, abs=1e-14)
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_swap_rows(self, n, rng):
-        swap_rows_against_reference(draw(rng, n, 4))
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_energy_rows(self, n, rng):
-        kickback_rows_against_reference(draw(rng, n, 4), rng.integers(0, 2, (4, n)))
 
     def test_rows_across_chunk_boundaries(self, rng):
         """256 rows of 8 machine qubits fill a chunk; 64 of 10 do."""

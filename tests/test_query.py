@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_kickback_ground_population, reference_swap_ground_population
+from conftest import reference_kickback_ground_population, reference_swap, reference_swap_ground_population
 from thermoquery.problems import constant_functions, enumerate_balanced_functions
 from thermoquery.query import (
     NEUTRAL_TOLERANCE,
@@ -132,10 +132,7 @@ class TestMixedInputQuery:
     def test_matches_reference_swap_average(self, rng):
         for _ in range(10):
             probe, oracle = random_dj_case(rng)
-            branches = [
-                reference_swap_ground_population(probe, oracle, x)
-                for x in range(oracle.n_machine_qubits)
-            ]
+            branches = [p0 for p0, _ in reference_swap(probe, oracle)]
             assert mixed_input_query(probe, oracle).p0 == pytest.approx(
                 float(np.mean(branches)), abs=1e-12
             )

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thermoquery import cli, exactsim, verify
+from thermoquery import cli, exactsim, problems, verify
 from thermoquery.query import QueryMask, ResetCosts
 from thermoquery.readout import BinaryDistribution
 from thermoquery.thermal import GapVector, ThermalMachineOracle, ThermalQubit
@@ -304,6 +304,21 @@ def test_sizes_below_one_are_rejected(name, value):
     """A size below 1 would leave its checks with no cases, reported as passed."""
     with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
         verify.run_verification(**{**SMALL_RUN, name: value})
+
+
+@pytest.mark.parametrize("name, most", (("max_dj_n", problems.MAX_EXHAUSTIVE_N),
+                                        ("max_bv_n", exactsim.DEFAULT_MAX_QUBITS - 1)))
+def test_sizes_past_the_tables_and_the_simulator_are_rejected_before_any_section(name, most, monkeypatch):
+    """Tables are enumerated up to MAX_EXHAUSTIVE_N bits, and an n-bit
+    secret takes n + 1 qubits of the exact simulator: one past either is
+    refused before any section runs, and the limit itself is accepted."""
+    ran = []
+    monkeypatch.setattr(verify, "_SECTIONS", (lambda rng, sizes: ran.append(sizes) or [],) * len(verify._SECTIONS))
+    with pytest.raises(ValueError, match=f"^{name} must be <= {most}, got {most + 1}$"):
+        verify.run_verification(**{**SMALL_RUN, name: most + 1})
+    assert ran == []
+    assert verify.run_verification(**{**SMALL_RUN, name: most}).checks == []
+    assert len(ran) == len(verify._SECTIONS)
 
 
 @pytest.mark.parametrize("section, changed", [
