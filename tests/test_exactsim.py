@@ -625,23 +625,46 @@ class TestSwapAndEnergyBatches:
     and against the 40-digit reference at extreme temperatures."""
 
     @staticmethod
-    def rows_against_states(columns, masks):
-        """The swap marginals, and the machine mean energy before and after
-        V(masks[t]), of every row against its state."""
+    def swap_rows_against_states(columns):
+        """The swap marginals of every row against its state."""
         p0 = exactsim.swap_batch(*columns)
-        *_, before, after = exactsim.kickback_batch(*columns, masks, energies=True)
+        rows, n = columns[2].shape
+        assert p0.shape == (rows, n)
         for t, probe, oracle in cases(*columns):
             state = build_joint_state(probe, oracle)
-            expected = [probe_marginal(apply_swap_with_machine_qubit(state, j)).p0 for j in range(masks.shape[1])]
+            expected = [probe_marginal(apply_swap_with_machine_qubit(state, j)).p0 for j in range(n)]
             assert p0[t] == pytest.approx(expected, rel=0.0, abs=1e-15)
-            exchanged = apply_level_exchange(state, *kickback_level_indices(QueryMask(tuple(masks[t])), masks.shape[1]))
+
+    @staticmethod
+    def energy_rows_against_states(columns, masks):
+        """The machine mean energy before and after V(masks[t]) of every row
+        against its state, and the kickback outputs bit-identical to a call
+        without energies."""
+        n = masks.shape[1]
+        plain = exactsim.kickback_batch(*columns, masks)
+        *kickback, before, after = exactsim.kickback_batch(*columns, masks, energies=True)
+        for a, b in zip(plain, kickback, strict=True):
+            assert np.array_equal(a, b)
+        for t, probe, oracle in cases(*columns):
+            state = build_joint_state(probe, oracle)
+            exchanged = apply_level_exchange(state, *kickback_level_indices(QueryMask(tuple(masks[t])), n))
             assert before[t] == pytest.approx(machine_mean_energy(state), rel=1e-14, abs=1e-14)
             assert after[t] == pytest.approx(machine_mean_energy(exchanged), rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_swap_rows(self, n, rng):
+        self.swap_rows_against_states(draw(rng, n, 12))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_energy_rows(self, n, rng):
+        self.energy_rows_against_states(draw(rng, n, 12), rng.integers(0, 2, (12, n)))
 
     def test_rows_across_chunk_boundaries(self, rng):
         """256 rows of 8 machine qubits fill a chunk; 64 of 10 do."""
         for n, rows in ((8, 300), (10, 70)):
-            self.rows_against_states(draw(rng, n, rows), rng.integers(0, 2, (rows, n)))
+            columns = draw(rng, n, rows)
+            self.swap_rows_against_states(columns)
+            self.energy_rows_against_states(columns, rng.integers(0, 2, (rows, n)))
 
     @pytest.mark.parametrize("beta_s", (-50.0, 50.0))
     @pytest.mark.parametrize("beta_m", (-50.0, 50.0))
