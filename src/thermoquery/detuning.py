@@ -186,6 +186,8 @@ def bv3_sweep(config: ExperimentConfig, beta_s_grid: Sequence[float]) -> Detunin
     beta_s = np.array(grid)
     if not np.isfinite(beta_s).all():
         raise ValueError("every probe inverse temperature must be finite")
+    if not math.isfinite(float(np.abs(beta_s).max()) * config.omega):
+        raise ValueError(f"every probe inverse temperature times the probe gap {config.omega} must be finite")
     delta_s = [config.detuning_for_secret(secret) for secret in _SECRETS]
     eta = [suppression_factor(config.coupling, delta) for delta in delta_s]
     curves = np.array([

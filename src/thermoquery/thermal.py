@@ -139,8 +139,12 @@ class ThermalQubit:
 
     def __post_init__(self) -> None:
         _check_gap(self.gap)
-        if not math.isfinite(self.inverse_temperature):
-            raise ValueError(f"inverse temperature must be finite, got {self.inverse_temperature}")
+        # A finite beta * gap needs a finite beta, so beta is tested only when the product fails.
+        if not math.isfinite(self.inverse_temperature * self.gap):
+            if not math.isfinite(self.inverse_temperature):
+                raise ValueError(f"inverse temperature must be finite, got {self.inverse_temperature}")
+            raise ValueError("inverse temperature times gap must be finite, got "
+                             f"{self.inverse_temperature} * {self.gap}")
 
     @property
     def ground_population(self) -> float:

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 from scipy.stats import binom
 
 import thermoquery.exactsim as exactsim
-from thermoquery.cli import DEFAULTS, parse_values
+from thermoquery.cli import build_parser, parse_int_list, parse_values
 from thermoquery.detuning import (
     ExperimentConfig,
     bv3_sweep,
@@ -283,18 +283,19 @@ def test_criterion_06_classical_baseline_identities():
 
 
 def test_criterion_07_distinguishability_figure():
-    e1_values = parse_values(DEFAULTS["disting_e1"])
-    e2_values = parse_values(DEFAULTS["disting_e2"])
-    t = DEFAULTS["disting_t"]
+    defaults = build_parser().parse_args(["distinguishability"])
+    e1_values = parse_values(defaults.e1_grid)
+    e2_values = parse_values(defaults.e2_grid)
+    t = defaults.t
     max_lhs = 0.0
     worst_chi_ratio = 0.0
     satisfied_cells = 0
-    for n in DEFAULTS["disting_n"]:
+    for n in parse_int_list(defaults.n_qubits):
         for e1 in e1_values:
             for e2 in e2_values:
                 if e1 < e2:
                     continue
-                report = distinguishability_report(e1, e2, DEFAULTS["disting_beta_m"], n, t)
+                report = distinguishability_report(e1, e2, defaults.beta_m, n, t)
                 max_lhs = max(max_lhs, report.lhs)
                 if report.satisfied:
                     satisfied_cells += 1
@@ -344,11 +345,12 @@ def test_criterion_09_detuning_model():
             for t in np.linspace(0.0, 20.0, 41):
                 assert flip_probability(g, float(delta), float(t)) <= eta + 1e-12
 
+    defaults = build_parser().parse_args(["detuning-sweep"])
     config = ExperimentConfig(
-        machine_gaps=DEFAULTS["detuning_gamma"],
-        bias=DEFAULTS["detuning_epsilon"],
-        coupling=DEFAULTS["detuning_g"],
-        machine_inverse_temperature=DEFAULTS["detuning_beta_m"],
+        machine_gaps=tuple(parse_values(defaults.gamma)),
+        bias=defaults.epsilon,
+        coupling=defaults.g,
+        machine_inverse_temperature=defaults.beta_m,
     )
     sweep = bv3_sweep(config, np.linspace(0.0, 3.0, 61))
     assert len(sweep.secrets()) == 8

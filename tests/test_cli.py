@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -501,7 +502,7 @@ class TestDetuningSweep:
         ],
     )
     def test_config_error_is_one_stderr_line(self, tmp_path, capsys, argv, message):
-        """ExperimentConfig's ValueError reaches main, which prints it as it prints a CliError."""
+        """ExperimentConfig's ValueError reaches main, which prints it as it prints a rejected flag."""
         out = tmp_path / "x.csv"
         assert main(["detuning-sweep", *argv, "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", f"thermoquery: error: {message}\n")
@@ -558,6 +559,25 @@ def test_rejected_input_leaves_the_out_path_alone(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 1
     assert out.read_bytes() == b"kept\n"
     assert capsys.readouterr().err.startswith("thermoquery: error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dj-kickback", "--omega", "1e308", "--beta-s=-10"],
+        ["dj-kickback", "--omega", "1e308", "--beta-s", "10"],
+        ["detuning-sweep", "--omega", "1e308", "--beta-s", "0:3:5"],
+    ],
+)
+def test_overflowing_probe_exponent_exits_one(tmp_path, capsys, argv):
+    """A --beta-s value whose product with --omega passes the largest double
+    exits 1 naming both flags, before the output is opened: no NaN rows and
+    no numpy overflow warning."""
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"kept\n")
+    assert main(argv + ["--out", str(out)]) == 1
+    assert out.read_bytes() == b"kept\n"
+    assert capsys.readouterr() == ("", "thermoquery: error: --beta-s times --omega must be finite, got inf\n")
 
 
 @pytest.mark.parametrize(
@@ -627,6 +647,20 @@ def test_out_path_holds_exactly_the_new_bytes(tmp_path, old):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_SHA256[("sample-complexity", "csv")]
 
 
+def test_failure_before_writing_keeps_the_out_path_bytes(tmp_path, capsys, monkeypatch):
+    """A run that fails before it writes its first byte leaves an existing
+    file's bytes as they were: the file is cut only once it was written to."""
+    def failing_emit(stream, *args):
+        raise ValueError("the writing failed")
+
+    monkeypatch.setattr(cli, "_emit", failing_emit)
+    out = tmp_path / "grid.csv"
+    out.write_bytes(b"old bytes\n" * 1000)
+    assert main(["distinguishability", "--out", str(out)]) == 1
+    assert out.read_bytes() == b"old bytes\n" * 1000
+    assert capsys.readouterr().err == "thermoquery: error: the writing failed\n"
+
+
 def test_failure_while_writing_leaves_the_new_prefix_only(tmp_path, capsys, monkeypatch):
     """A run that fails after it started writing cuts the file at the last
     byte written: the new prefix stays, the old tail does not."""
@@ -670,6 +704,28 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("thermoquery: error:") and captured.err.count("\n") == 1
+
+    def test_format_flag_is_refused(self, tmp_path, capsys, monkeypatch):
+        """The report file is always JSON, so verify takes no --format:
+        argparse exits 1 before the output is opened or the run starts."""
+        self.forbid_run(monkeypatch)
+        out = tmp_path / "report.csv"
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", "--format", "json", "--out", str(out)])
+        assert exited.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("thermoquery: error: unrecognized arguments: --format json\n")
+        assert not out.exists()
+
+    def test_defaults_are_run_verifications(self):
+        """--max-n, --bv-max-n, --trials and --seed default to run_verification's
+        own defaults, whose case counts perfbench's verify-suite expects."""
+        args = cli.build_parser().parse_args(["verify"])
+        defaults = inspect.signature(thermoquery.verify.run_verification).parameters
+        names = ("max_dj_n", "max_bv_n", "tuples_per_instance", "seed")
+        assert (args.max_n, args.bv_max_n, args.trials, args.seed) == tuple(defaults[n].default for n in names)
+        assert (args.max_n, args.bv_max_n, args.trials, args.seed) == (3, 6, 100, 1234)
 
     @pytest.mark.parametrize("flag", ["--max-n", "--bv-max-n", "--trials"])
     @pytest.mark.parametrize("value", ["0", "-1"])

@@ -258,6 +258,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="probe inverse temperature must be finite"):
             bv3_sweep(DEFAULT_CONFIG, [0.0, value, 1.0])
 
+    @pytest.mark.parametrize("beta_s", [10.0, -10.0])
+    def test_grid_times_probe_gap_overflow_rejected(self, beta_s):
+        """A grid value whose product with the probe gap passes the largest
+        double is refused, not carried into the kernel as an overflow."""
+        config = ExperimentConfig(machine_gaps=(1.0, 1.13, 1.31), bias=0.05, coupling=4.0, probe_gap=1e308)
+        with pytest.raises(ValueError, match="times the probe gap 1e\\+308 must be finite"):
+            bv3_sweep(config, [0.0, beta_s])
+
     def test_points_curves_and_secrets_agree(self):
         """curves, delta_s and eta hold one entry per secret of secrets(), in
         lexicographic order, with the secret's own detuning and suppression."""

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoquery import readout
-from thermoquery.cli import DEFAULTS, main, parse_values
+from thermoquery.cli import build_parser, main, parse_int_list, parse_values
 from thermoquery.query import kickback_outcome
 from thermoquery.readout import (
     BinaryDistribution,
@@ -225,12 +225,13 @@ class TestDistinguishability:
     @pytest.mark.parametrize("beta_m", [1.0, -1.0])
     def test_array_call_equals_scalar_calls(self, beta_m):
         """One call over the default figure grid gives each cell's scalar report bit for bit."""
-        e1_values = parse_values(DEFAULTS["disting_e1"])
-        e2_values = parse_values(DEFAULTS["disting_e2"])
-        n, e1, e2 = np.meshgrid(DEFAULTS["disting_n"], e1_values, e2_values, indexing="ij")
+        defaults = build_parser().parse_args(["distinguishability"])
+        e1_values = parse_values(defaults.e1_grid)
+        e2_values = parse_values(defaults.e2_grid)
+        n, e1, e2 = np.meshgrid(parse_int_list(defaults.n_qubits), e1_values, e2_values, indexing="ij")
         keep = e1 >= e2
         n, e1, e2 = n[keep], e1[keep], e2[keep]
-        t = DEFAULTS["disting_t"]
+        t = defaults.t
         report = distinguishability_report(e1, e2, beta_m, n, t)
         assert report.t_threshold == t
         scalar = [distinguishability_report(a, b, beta_m, int(m), t)

@@ -135,6 +135,17 @@ class TestThermalQubit:
         with pytest.raises(ValueError, match="finite"):
             ThermalQubit(1.0, value)
 
+    @pytest.mark.parametrize("beta", [10.0, -10.0])
+    def test_overflowing_exponent_rejected_by_name(self, beta):
+        """A beta * gap past the largest double is refused by name, where a
+        kickback used to return a NaN population labelled NEUTRAL."""
+        with pytest.raises(ValueError, match=rf"^inverse temperature times gap must be finite, got {beta} \* 1e\+308$"):
+            ThermalQubit(1e308, beta)
+
+    @pytest.mark.parametrize("beta, p0", [(1.5, 1.0), (-1.5, 0.0)])
+    def test_largest_finite_exponent_kept(self, beta, p0):
+        assert ThermalQubit(1e308, beta).ground_population == p0
+
 
 class TestNonFiniteMachineTemperature:
     @pytest.mark.parametrize("beta_m", [math.nan, math.inf, -math.inf])
