@@ -6,26 +6,40 @@ capped at ``DEFAULT_MAX_QUBITS`` = 20 qubits, probe included, since the 2^N
 machine weights are dense.
 
 A state is stored in product form: 2^N machine weights w and two probe
-factors k_g and k_e, so level (i_S, x) holds w(x) k_{i_S}. Building it costs
-2^N multiplications and 2(N + 1) exponentials: w is doubled one machine
-qubit at a time as a product of per-qubit factors, none above 1. The weight
-kernel takes a leading batch axis of T states. :func:`kickback_batch` runs
-the kickback on T states at once, with the machine mean energies on request,
+factors k_g and k_e, so level (i_S, x) holds w(x) k_{i_S}. The weights are
+doubled one machine qubit at a time as a product of per-qubit factors, none
+above 1: 2^N multiplications and 2(N + 1) exponentials. The weight kernel
+takes a leading batch axis of T states. :func:`kickback_batch` runs the
+kickback on T states at once, with the machine mean energies on request,
 and :func:`swap_batch` gives the probe marginal after a SWAP with each
 machine qubit of T states. Both take each row's factors, probe factors and
 results once per call over all T rows; only the weights are built a chunk of
 rows at a time.
 
+Every sum over a row's weights views them as a grid of 2^h rows, the h most
+significant machine bits, by 2^l columns, with l = min(N, max(8, ceil(N/2)))
+and h = N - l: 256 x 256 at 16 machine qubits, 512 x 1024 at 19. Machines of
+up to 8 qubits, which verify runs by the thousand, keep the whole row as one
+plain sum (h = 0); up to 9, the grid rows are the halves in which numpy's
+pairwise sum takes a row, so the total is the same double as a plain sum. A
+build is the doubling plus one row-sum pass, whose sum is the total. An
+energy or a SWAP read adds one column-sum pass, taken once per row and kept,
+and O(2^(N/2)) further work: the mean energy is sum_i E_high(i) s_i +
+sum_j E_low(j) c_j over the row sums s and the column sums c, with two
+half-width energy tables, and bit j's zero-sum comes from s for a high bit
+and from c for a low one, so all N marginals of :func:`swap_batch` come from
+the two passes. Each row is reduced along its own axes, so its reads do not
+depend on the other rows of its chunk.
+
 :func:`build_joint_state` builds the T = 1 row. A :class:`DiagonalJointState`
 is that row plus at most one step, O(1) in time and memory: a SWAP with a
 machine qubit, or the exchange of a kickback pair, the only pair taken
 (:func:`kickback_level_indices`). A built or exchanged state is read with the
-one formula :func:`kickback_batch` reads a row with; a mean energy sums
-w(x) E(x) once, with no 2^N energy array. A swapped state's probe marginal is a strided sum
-over half of w, and its machine energy one more O(2^N) sum of w(x) E(x) with
-the swapped gap set to 0, so that no difference cancels. Nothing here calls
-the analytic kickback code in ``query`` or the closed-form partition
-functions of ``thermal``.
+one formula :func:`kickback_batch` reads a row with. A swapped state's probe
+marginal is one bit's zero-sum, and its machine energy the grid energy with
+the swapped gap set to 0 in its half table, so that no difference cancels.
+Nothing here calls the analytic kickback code in ``query`` or the
+closed-form partition functions of ``thermal``.
 
 Index convention: the probe bit is the most significant bit; machine bit
 strings are big-endian, as in ``thermal.bits_to_index`` (machine qubit 0 is
@@ -66,10 +80,12 @@ _BATCH_LEVELS = 1 << 16
 class _Row:
     """One built joint state: ``weights`` is w, a read-only (1, 2^N) array
     as the batch kernels build it, level (i_S, x) holds w(x) times ``k_g``
-    or ``k_e``, and ``total`` is the sum of w. Its ``energy``, the sum of
-    w(x) E(x), is taken on first read and kept."""
+    or ``k_e``, ``sums`` is w's (1, 2^h) row sums over its weight grid
+    (:func:`_row_sums`) and ``total`` their sum. The column sums and the
+    ``energy``, the sum of w(x) E(x), are taken on first read and kept."""
 
     weights: np.ndarray
+    sums: np.ndarray
     k_g: float
     k_e: float
     total: float
@@ -77,9 +93,17 @@ class _Row:
     machine_gaps: np.ndarray
     probe_gap: float
 
+    @property
+    def high(self) -> int:
+        return _high_bits(self.machine_gaps.size)
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        return _column_sums(self.weights, self.high)
+
     @cached_property
     def energy(self) -> float:
-        return float(_weighted_energies(self.weights, self.machine_gaps[None, :])[0])
+        return float(_mean_energies(self.sums, self.columns, self.machine_gaps[None, :], self.high)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,32 +146,56 @@ def _machine_levels(n_machine: int) -> int:
     return 1 << n_machine
 
 
-def _energy_table(gaps: np.ndarray, energies: np.ndarray) -> None:
-    """Write the (T, 2^k) level energies of T rows of k gaps, by doubling. The
-    last gap is added first, so column 0 becomes the most significant bit."""
-    energies[:, 0] = 0.0
+def _high_bits(n_machine: int) -> int:
+    """h of the 2^h by 2^l grid of a row's weights, l = min(N, max(8, ceil(N/2)))."""
+    return n_machine - min(n_machine, max(8, (n_machine + 1) // 2))
+
+
+def _row_sums(weights: np.ndarray, high: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's row sums s of each row of ``weights``, (rows, 2^high), and
+    their totals: one pass, a plain sum where h = 0."""
+    if high == 0:
+        total = weights.sum(axis=1)
+        return total[:, None], total
+    sums = weights.reshape(len(weights), 1 << high, -1).sum(axis=2)
+    return sums, sums.sum(axis=1)
+
+
+def _column_sums(weights: np.ndarray, high: int) -> np.ndarray:
+    """The grid's column sums c of each row of ``weights``, (rows, 2^l): one
+    pass, or the weights themselves where h = 0."""
+    return weights if high == 0 else weights.reshape(len(weights), 1 << high, -1).sum(axis=1)
+
+
+def _mean_energies(sums: np.ndarray, columns: np.ndarray, gaps: np.ndarray, high: int) -> np.ndarray:
+    """sum_x w(x) E(x) of each row from its grid sums, with a row of
+    machine gaps for each or one for all: with x's high bits i and low bits
+    j, sum_i E_high(i) s_i + sum_j E_low(j) c_j, every term nonnegative.
+
+    Both energy tables are doubled at once, the last gap added first so
+    that column 0 becomes the most significant bit. The h high gaps fill the
+    last columns of a row of l, whose leading zero gaps only repeat its
+    first 2^h energies."""
+    rows, n = gaps.shape
+    low = n - high
+    halves = np.zeros((rows, 2, low))
+    halves[:, 0, low - high:] = gaps[:, :high]
+    halves[:, 1] = gaps[:, high:]
+    tables = np.empty((rows, 2, 1 << low))
+    tables[..., 0] = 0.0
     size = 1
-    for column in range(gaps.shape[1] - 1, -1, -1):
-        np.add(energies[:, :size], gaps[:, column:column + 1], out=energies[:, size:2 * size])
+    for column in range(low - 1, -1, -1):
+        np.add(tables[..., :size], halves[..., column:column + 1], out=tables[..., size:2 * size])
         size *= 2
+    return (tables[:, 0, :1 << high] * sums).sum(axis=1) + (tables[:, 1] * columns).sum(axis=1)
 
 
-def _weighted_energies(weights: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """sum_x w(x) E(x) of each row of ``weights``, with a row of machine gaps
-    for each or one for all, and no 2^N energy array: with h and l the high
-    and low halves of x's bits, it is two matrix-vector products over w,
-    sum_h E_high(h) sum_l w(h, l) + sum_h sum_l w(h, l) E_low(l)."""
-    high = gaps.shape[1] // 2
-    e_high, e_low = (np.empty((len(gaps), 1 << k)) for k in (high, gaps.shape[1] - high))
-    _energy_table(gaps[:, :high], e_high)
-    _energy_table(gaps[:, high:], e_low)
-    grid = weights.reshape(len(weights), e_high.shape[1], -1)
-    return (e_high * (grid @ np.ones(e_low.shape[1]))).sum(axis=1) + (grid @ e_low[:, :, None]).sum(axis=(1, 2))
-
-
-def _bit_sums(weights: np.ndarray, bit: int) -> np.ndarray:
-    """The sum of each row of ``weights`` over the machine levels whose ``bit`` is 0."""
-    return weights.reshape(len(weights), 1 << bit, 2, -1)[:, :, 0, :].sum(axis=(1, 2))
+def _zero_sums(grid_sums: np.ndarray, bit: int) -> np.ndarray:
+    """The sum of each row of ``grid_sums`` over the entries whose ``bit``,
+    counted from the most significant, is 0: the weight of the machine
+    levels whose bit is 0, from the row sums for a high bit (``bit`` < h)
+    and from the column sums for a low one (``bit`` - h)."""
+    return grid_sums.reshape(len(grid_sums), 1 << bit, 2, -1)[:, :, 0, :].sum(axis=(1, 2))
 
 
 def _exchange_reads(k_g, k_e, total, weight_a, weight_b, weighted=None, gaps=None, masks=None) -> tuple:
@@ -225,10 +273,10 @@ def build_joint_state(probe: ThermalQubit, oracle: ThermalMachineOracle) -> Diag
     excited, ground, scaled, shift_sum = _factors(np.array([probe.gap]), np.array([probe.inverse_temperature]),
                                                   gaps, np.array([oracle.machine_inverse_temperature]))
     _, weights = next(_weight_chunks(excited, ground, scaled))
-    total = weights.sum(axis=1)
+    sums, total = _row_sums(weights, _high_bits(gaps.shape[1]))
     k_g, k_e, partition = _probe_factors(excited, ground, total)
     weights.flags.writeable = False  # shared by every state one step from this one
-    return DiagonalJointState(_Row(weights, float(k_g[0]), float(k_e[0]), float(total[0]),
+    return DiagonalJointState(_Row(weights, sums, float(k_g[0]), float(k_e[0]), float(total[0]),
                                    float((shift_sum + np.log(partition))[0]), gaps[0], probe.gap))
 
 
@@ -258,14 +306,15 @@ def kickback_batch(
     level_a, level_b = kickback_level_indices(masks, n)
     level_b = level_b - (1 << n)  # the machine level of b
     excited, ground, scaled, shift_sum = _factors(omega, beta_s, gaps, beta_m)
+    high = _high_bits(n)
     total, weight_a, weight_b, weighted = (np.empty(rows) for _ in range(4))
     for chunk, weights in _weight_chunks(excited, ground, scaled):
         row = np.arange(len(weights))
-        total[chunk] = weights.sum(axis=1)
+        sums, total[chunk] = _row_sums(weights, high)
         weight_a[chunk] = weights[row, level_a[chunk]]
         weight_b[chunk] = weights[row, level_b[chunk]]
         if energies:
-            weighted[chunk] = _weighted_energies(weights, gaps[chunk])
+            weighted[chunk] = _mean_energies(sums, _column_sums(weights, high), gaps[chunk], high)
     k_g, k_e, partition = _probe_factors(excited, ground, total)
     reads = _exchange_reads(k_g, k_e, total, weight_a, weight_b, weighted if energies else None, gaps, masks)
     return (*reads[:2], shift_sum + np.log(partition), *reads[2:])
@@ -281,15 +330,18 @@ def swap_batch(
 
     The probe takes machine bit j's value, so its p0 is the population of
     the levels whose bit j is 0 in both probe halves: the machine weights w
-    summed over them, times k_g plus the same times k_e.
+    summed over them (:func:`_zero_sums`, every bit from one row-sum and
+    one column-sum pass), times k_g plus the same times k_e.
     """
     rows, n = gaps.shape
     excited, ground, scaled, _ = _factors(omega, beta_s, gaps, beta_m)
+    high = _high_bits(n)
     total, zero = np.empty(rows), np.empty((rows, n))
     for chunk, weights in _weight_chunks(excited, ground, scaled):
-        total[chunk] = weights.sum(axis=1)
+        sums, total[chunk] = _row_sums(weights, high)
+        columns = _column_sums(weights, high)
         for j in range(n):
-            zero[chunk, j] = _bit_sums(weights, j)
+            zero[chunk, j] = _zero_sums(sums, j) if j < high else _zero_sums(columns, j - high)
     k_g, k_e, _ = _probe_factors(excited, ground, total)
     return np.minimum(zero * k_g[:, None] + zero * k_e[:, None], 1.0)
 
@@ -336,8 +388,9 @@ def probe_marginal(state: DiagonalJointState) -> BinaryDistribution:
     :func:`_exchange_reads` is; for a swapped state, the weights whose
     swapped bit is 0 times each probe factor."""
     row = state.row
-    if state.swapped is not None:
-        zero = _bit_sums(row.weights, state.swapped)[0]
+    if state.swapped is not None:  # the column sums are taken for a low bit only
+        bit, high = state.swapped, row.high
+        zero = (_zero_sums(row.sums, bit) if bit < high else _zero_sums(row.columns, bit - high))[0]
         return BinaryDistribution(min(1.0, float(zero * row.k_g + zero * row.k_e)))
     return BinaryDistribution(float(_reads(state)[0]))
 
@@ -349,16 +402,20 @@ def kickback_level_indices(mask, n_machine: int):
     0/1 mask rows shaped (T, n_machine), which gives two index arrays: the
     big-endian machine index a of every row and b = 2^(N+1) - 1 - a.
     """
-    single = isinstance(mask, QueryMask)
-    masks = np.array(mask.bits) if single else np.asarray(mask)
-    if masks.ndim != (1 if single else 2) or masks.shape[-1] != n_machine:
+    if isinstance(mask, QueryMask):
+        if len(mask.bits) != n_machine:
+            raise ValueError("mask length does not match the machine")
+        level_a = 0
+        for bit in mask.bits:  # a QueryMask has checked its own bits
+            level_a = 2 * level_a + (1 if bit else 0)
+        return level_a, (2 << n_machine) - 1 - level_a
+    masks = np.asarray(mask)
+    if masks.ndim != 2 or masks.shape[-1] != n_machine:
         raise ValueError("mask length does not match the machine")
-    # A QueryMask has checked its own bits.
-    if not single and np.any((masks != 0) & (masks != 1)):
+    if np.any((masks != 0) & (masks != 1)):
         raise ValueError("mask bits must be 0/1")
     level_a = masks.astype(np.int64) @ (1 << np.arange(n_machine - 1, -1, -1, dtype=np.int64))
-    level_b = (2 << n_machine) - 1 - level_a
-    return (int(level_a), int(level_b)) if single else (level_a, level_b)
+    return level_a, (2 << n_machine) - 1 - level_a
 
 
 def probe_mean_energy(state: DiagonalJointState) -> float:
@@ -369,11 +426,11 @@ def machine_mean_energy(state: DiagonalJointState) -> float:
     """sum_x w(x) E(x) times each probe factor, read as :func:`kickback_batch`
     reads a row; after a SWAP with machine qubit j, whose bit then holds the
     probe's, sum_x w(x) E_j(x) (k_g + k_e) + g_j P(probe excited), E_j with
-    g_j set to 0: O(2^N), every term nonnegative."""
+    g_j set to 0: from the row's grid sums, every term nonnegative."""
     row = state.row
     if state.swapped is None:
         return float(_reads(state, energies=True)[1])
     others = row.machine_gaps.copy()
     others[state.swapped] = 0.0
-    swapped = _weighted_energies(row.weights, others[None, :])[0] * (row.k_g + row.k_e)
+    swapped = _mean_energies(row.sums, row.columns, others[None, :], row.high)[0] * (row.k_g + row.k_e)
     return float(swapped + row.machine_gaps[state.swapped] * row.total * row.k_e)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
@@ -139,8 +139,10 @@ class ThermalQubit:
 
     def __post_init__(self) -> None:
         _check_gap(self.gap)
-        # A finite beta * gap needs a finite beta, so beta is tested only when the product fails.
-        if not math.isfinite(self.inverse_temperature * self.gap):
+        # A finite beta * gap needs a finite beta, so beta is tested only when
+        # the product fails. math.fabs gives Python floats, whose product
+        # overflows to inf silently where numpy scalars' warns.
+        if not math.isfinite(math.fabs(self.inverse_temperature) * math.fabs(self.gap)):
             if not math.isfinite(self.inverse_temperature):
                 raise ValueError(f"inverse temperature must be finite, got {self.inverse_temperature}")
             raise ValueError("inverse temperature times gap must be finite, got "
@@ -157,9 +159,11 @@ class ThermalQubit:
 
 @dataclass(frozen=True, slots=True)
 class GapVector:
-    """Ordered machine-qubit energy gaps. Entries may be zero but not negative."""
+    """Ordered machine-qubit energy gaps. Entries may be zero but not negative.
+    The largest gap is kept for the oracle's check of beta_M times it."""
 
     gaps: tuple[float, ...]
+    _largest: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.gaps) == 0:
@@ -167,9 +171,11 @@ class GapVector:
         distinct = set(self.gaps)
         if any(not (g >= 0.0 and math.isfinite(g)) for g in distinct):
             raise ValueError("every gap must be finite and >= 0")
+        largest = float(max(distinct))
+        object.__setattr__(self, "_largest", largest)
         # Only a vector whose largest gap times its length passes the largest
         # double can sum to inf: others skip the sum.
-        if float(max(distinct)) * len(self.gaps) > sys.float_info.max:
+        if largest * len(self.gaps) > sys.float_info.max:
             with np.errstate(over="ignore"):
                 total = self.total
             if not math.isfinite(total):
@@ -261,10 +267,13 @@ class ThermalMachineOracle:
     problem: DJProblem | BVProblem | CustomProblem
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.machine_inverse_temperature):
-            raise ValueError(
-                f"machine inverse temperature must be finite, got {self.machine_inverse_temperature}"
-            )
+        # Each machine qubit must be a ThermalQubit: beta_M times every gap
+        # finite. As there, beta_M is tested only when the product fails.
+        beta, largest = self.machine_inverse_temperature, self.gap_vector._largest
+        if not math.isfinite(math.fabs(beta) * largest):
+            if not math.isfinite(beta):
+                raise ValueError(f"machine inverse temperature must be finite, got {beta}")
+            raise ValueError(f"inverse temperature times gap must be finite, got {beta} * {largest}")
 
     @property
     def n_machine_qubits(self) -> int:

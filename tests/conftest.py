@@ -110,6 +110,16 @@ def reference_swap(probe: ThermalQubit, oracle: ThermalMachineOracle) -> list[tu
     return swaps
 
 
+def reference_machine_ground_populations(oracle: ThermalMachineOracle) -> list[float]:
+    """Each machine qubit's ground population 1/(1 + e^{-beta_M g}) at 40
+    digits: in a product state, the probe's p0 after a SWAP with that qubit,
+    for machines too large for the populations of :func:`reference_swap`."""
+    beta_m = Decimal(oracle.machine_inverse_temperature)
+    with localcontext() as context:
+        context.prec = 40
+        return [float(1 / (1 + (-beta_m * Decimal(g)).exp())) for g in oracle.gap_vector.gaps]
+
+
 def reference_swap_ground_population(
     probe: ThermalQubit, oracle: ThermalMachineOracle, machine_index: int
 ) -> float:

@@ -9,6 +9,7 @@ from conftest import (
     reference_joint_populations,
     reference_kickback,
     reference_level_energies,
+    reference_machine_ground_populations,
     reference_swap,
 )
 from thermoquery import exactsim, query, thermal
@@ -204,6 +205,8 @@ class TestLevelExchange:
             kickback_level_indices(masks, 4)
         with pytest.raises(ValueError, match="does not match"):
             kickback_level_indices(QueryMask.all_ones(3), 4)
+        a, b = kickback_level_indices(QueryMask((True, 0, 1.0, False, 1)), 5)
+        assert (type(a), type(b), a, b) == (int, int, 0b10101, 0b101010)
         with pytest.raises(ValueError, match="0/1"):
             kickback_level_indices(masks + 1, 5)
 
@@ -378,6 +381,18 @@ def reference_machine_energy(machine, gaps):
     return sum(b * g for b, g in zip(machine, gaps))
 
 
+def assert_swapped_energies_to_relative_precision(n, beta_s, rng):
+    """After a SWAP with qubit j the machine holds the probe's excitation
+    at gap j: at beta_S = 50 a one-qubit machine holds about e^{-50} of
+    energy, which a difference of energies of order 1 would lose."""
+    probe = ThermalQubit(1.0, beta_s)
+    oracle = build_custom_oracle(rng.uniform(0.2, 2.0, n), 1.0)
+    state = build_joint_state(probe, oracle)
+    for index, (_, energy) in enumerate(reference_swap(probe, oracle)):
+        swapped = apply_swap_with_machine_qubit(state, index)
+        assert machine_mean_energy(swapped) == pytest.approx(energy, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 class TestAgainstReference:
     def test_levels_in_big_endian_order(self, n):
@@ -420,15 +435,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("beta_s", (-50.0, 50.0))
     def test_swapped_machine_energy_to_relative_precision(self, n, beta_s, rng):
-        """After a SWAP with qubit j the machine holds the probe's excitation
-        at gap j: at beta_S = 50 a one-qubit machine holds about e^{-50} of
-        energy, which a difference of energies of order 1 would lose."""
-        probe = ThermalQubit(1.0, beta_s)
-        oracle = build_custom_oracle(rng.uniform(0.2, 2.0, n), 1.0)
-        state = build_joint_state(probe, oracle)
-        for index, (_, energy) in enumerate(reference_swap(probe, oracle)):
-            swapped = apply_swap_with_machine_qubit(state, index)
-            assert machine_mean_energy(swapped) == pytest.approx(energy, rel=1e-12, abs=0.0)
+        assert_swapped_energies_to_relative_precision(n, beta_s, rng)
 
     def test_machine_mean_energy(self, n):
         probe, oracle = reference_case(n)
@@ -695,3 +702,112 @@ class TestSwapAndEnergyBatches:
         n = exactsim.DEFAULT_MAX_QUBITS
         with pytest.raises(ValueError, match="exceed"):
             exactsim.swap_batch(np.ones(1), np.ones(1), np.ones((1, n)), np.ones(1))
+
+
+def dense_machine_energies(gaps):
+    """E(x) of every machine level x, big-endian, as an explicit 2^N array."""
+    n = len(gaps)
+    levels = np.arange(1 << n)
+    energies = np.zeros(1 << n)
+    for j, gap in enumerate(gaps):
+        energies += gap * ((levels >> (n - 1 - j)) & 1)
+    return energies
+
+
+def strided_zero_sum(weights, bit):
+    """A row's weights summed directly over the machine levels whose ``bit`` is 0."""
+    return weights.reshape(1 << bit, 2, -1)[:, 0, :].sum()
+
+
+# Up to 8 machine qubits the weight grid has one row (h = 0), at 9 two and at
+# 12 sixteen. 16 and 19 machine qubits, 256 x 256 and 512 x 1024 grids, are the
+# 17- and 20-qubit states of the exact benchmark, too large for the Decimal
+# populations.
+GRID_SIZES = (*range(1, 13), 16, 19)
+
+
+@pytest.mark.parametrize("n", GRID_SIZES)
+class TestGridReads:
+    """The reads taken from the row and column sums of the 2^h by 2^l
+    weight grid, by swap_batch and kickback_batch and by the state path,
+    against direct sums over the dense weights and 40-digit references."""
+
+    @staticmethod
+    def draw_rows(rng, n):
+        return draw(rng, n, 3 if n <= 8 else 1)
+
+    def test_bit_marginals(self, n, rng):
+        columns = self.draw_rows(rng, n)
+        p0 = exactsim.swap_batch(*columns)
+        for t, probe, oracle in cases(*columns):
+            state = build_joint_state(probe, oracle)
+            factor = state.row.k_g + state.row.k_e
+            if n <= 12:
+                reference = [swapped_p0 for swapped_p0, _ in reference_swap(probe, oracle)]
+            else:  # a product state: the probe takes bit j's ground population
+                reference = reference_machine_ground_populations(oracle)
+            for j in range(n):
+                direct = strided_zero_sum(state.row.weights[0], j) * factor
+                read = probe_marginal(apply_swap_with_machine_qubit(state, j)).p0
+                for value in (p0[t, j], read):
+                    assert value == pytest.approx(direct, rel=1e-13, abs=1e-15)
+                    assert value == pytest.approx(reference[j], rel=0.0, abs=1e-14)
+
+    def test_mean_energies(self, n, rng):
+        """Before and after a random mask's exchange and after a SWAP with
+        each machine qubit, against dense dot products with the level energies."""
+        columns = self.draw_rows(rng, n)
+        masks = rng.integers(0, 2, (len(columns[0]), n))
+        *_, before, after = exactsim.kickback_batch(*columns, masks, energies=True)
+        for t, probe, oracle in cases(*columns):
+            state = build_joint_state(probe, oracle)
+            energies = np.tile(dense_machine_energies(oracle.gap_vector.gaps), 2)
+            populations = built_populations(state)
+            a, b = kickback_level_indices(QueryMask(tuple(masks[t].tolist())), n)
+            exchanged = populations.copy()
+            exchanged[[a, b]] = populations[[b, a]]
+            expected = np.dot(populations, energies), np.dot(exchanged, energies)
+            reads = machine_mean_energy(state), machine_mean_energy(apply_level_exchange(state, a, b))
+            for batch, read, dense in zip((before[t], after[t]), reads, expected):
+                assert batch == pytest.approx(dense, rel=1e-12)
+                assert read == pytest.approx(dense, rel=1e-12)
+            for j in (range(n) if n <= 12 else (0, n // 2, n - 1)):
+                swapped = apply_swap_with_machine_qubit(state, j)
+                dense = np.dot(dense_swap(populations, n, j), energies)
+                assert machine_mean_energy(swapped) == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+@pytest.mark.parametrize("beta_s", (-50.0, 50.0))
+def test_swapped_machine_energy_to_relative_precision_on_grids(n, beta_s, rng):
+    """The relative precision pinned for 1-8 machine qubits, on grids of 2 to 32 rows."""
+    assert_swapped_energies_to_relative_precision(n, beta_s, rng)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_small_machines_total_their_row_in_one_pairwise_sum(n, rng):
+    """Up to 9 machine qubits the grid has at most two rows, the halves in
+    which numpy's pairwise sum of a row takes it: the total is bit-identical
+    to a plain sum of the weights."""
+    for t, probe, oracle in cases(*draw(rng, n, 3)):
+        row = build_joint_state(probe, oracle).row
+        assert row.sums.shape == (1, 2 if n == 9 else 1)
+        assert row.total == row.weights.sum()
+
+
+def test_column_sums_taken_only_for_a_read_that_needs_them():
+    """A 20-qubit build takes the row sums alone; p0, an exchange and a SWAP
+    with a high bit read them. A SWAP with a low bit or an energy read takes
+    the column sums, once per built row."""
+    n = exactsim.DEFAULT_MAX_QUBITS - 1
+    state = build_joint_state(ThermalQubit(1.0, 0.5), build_custom_oracle([0.5] * n, 0.8))
+    high = state.row.high
+    assert state.row.sums.shape == (1, 1 << high) and high == 9
+    a, b = kickback_level_indices(QueryMask.all_ones(n), n)
+    for each in (state, apply_level_exchange(state, a, b), apply_swap_with_machine_qubit(state, high - 1)):
+        probe_marginal(each)
+    assert "columns" not in vars(state.row)
+    probe_marginal(apply_swap_with_machine_qubit(state, high))
+    columns = vars(state.row)["columns"]
+    machine_mean_energy(state)
+    assert vars(state.row)["columns"] is columns and columns.shape == (1, 1 << (n - high))

@@ -142,6 +142,15 @@ class TestThermalQubit:
         with pytest.raises(ValueError, match=rf"^inverse temperature times gap must be finite, got {beta} \* 1e\+308$"):
             ThermalQubit(1e308, beta)
 
+    @pytest.mark.parametrize("beta", [10.0, -10.0])
+    def test_overflowing_numpy_scalars_rejected_by_name(self, beta):
+        """numpy scalars whose product overflows get the same ValueError, not
+        numpy's overflow RuntimeWarning (an error under the test filter)."""
+        with pytest.raises(ValueError, match=rf"^inverse temperature times gap must be finite, got {beta} \* 1e\+308$"):
+            ThermalQubit(np.float64(1e308), np.float64(beta))
+        with pytest.raises(ValueError, match=r"^inverse temperature must be finite, got nan$"):
+            ThermalQubit(np.float64(1.0), np.float64(math.nan))
+
     @pytest.mark.parametrize("beta, p0", [(1.5, 1.0), (-1.5, 0.0)])
     def test_largest_finite_exponent_kept(self, beta, p0):
         assert ThermalQubit(1e308, beta).ground_population == p0
@@ -295,8 +304,10 @@ class TestNonFiniteLogPartition:
     p0' = NaN labelled NEUTRAL."""
 
     # Four gaps of 4e307 sum to a finite |G| (1.6e308); four of 1e308 do not
-    # and are refused by GapVector before log Z_f is read.
-    @pytest.mark.parametrize("gaps, beta_m", [([1e308], -10.0), ([4e307] * 4, -2.0), ([2.0] * 3, -1e308)])
+    # and are refused by GapVector before log Z_f is read. Every beta_M * g
+    # is finite, or the oracle is refused at construction
+    # (TestMachineQubitDomain).
+    @pytest.mark.parametrize("gaps, beta_m", [([1e307] * 4, -10.0), ([4e307] * 4, -2.0), ([1.0] * 3, -1e308)])
     def test_rejected_by_name(self, gaps, beta_m):
         oracle = build_custom_oracle(gaps, beta_m)
         for _ in range(2):  # a failed cached_property stores nothing
@@ -305,11 +316,44 @@ class TestNonFiniteLogPartition:
 
     def test_kickback_raises(self):
         with pytest.raises(ValueError, match="log partition function"):
-            kickback_outcome(ThermalQubit(1.0, 1.0), build_custom_oracle([1e308], -10.0))
+            kickback_outcome(ThermalQubit(1.0, 1.0), build_custom_oracle([4e307] * 4, -2.0))
 
     def test_largest_finite_sums_kept(self):
         assert build_custom_oracle([4e307] * 4, 1.0).log_partition_function == 0.0
         assert build_custom_oracle([1e300] * 4, -1.0).log_partition_function == 4e300
+
+
+class TestMachineQubitDomain:
+    """An oracle accepts exactly the beta_M and gaps its machine qubits
+    accept: beta_M times its largest gap must be finite, refused with the
+    wording of ThermalQubit."""
+
+    @pytest.mark.parametrize("gaps, beta_m", [([1e308, 1.0], 10.0), ([1.0, 1e308], -10.0), ([2.0] * 3, -1e308)])
+    def test_overflowing_product_refused_at_construction(self, gaps, beta_m):
+        largest = max(gaps)
+        message = rf"^inverse temperature times gap must be finite, got {beta_m} \* {largest}$".replace("+", r"\+")
+        with pytest.raises(ValueError, match=message):
+            build_custom_oracle(gaps, beta_m)
+        with pytest.raises(ValueError, match=message):
+            build_custom_oracle(gaps, np.float64(beta_m))
+        with pytest.raises(ValueError, match=message):
+            ThermalQubit(largest, beta_m)
+
+    def test_every_builder_refuses_it(self):
+        with pytest.raises(ValueError, match="inverse temperature times gap"):
+            build_dj_oracle(BooleanFunctionTable(1, (0, 1)), 1e308, 0.5, 10.0)
+        with pytest.raises(ValueError, match="inverse temperature times gap"):
+            build_bv_oracle("100", 1e308, -10.0)
+
+    def test_kickback_and_machine_qubit_agree(self):
+        """The largest finite product is kept by the oracle, its machine
+        qubits and the kickback alike."""
+        oracle = build_custom_oracle([1e308, 1.0], 1.5)
+        assert oracle.machine_qubit(0) == ThermalQubit(1e308, 1.5)
+        assert math.isfinite(kickback_outcome(ThermalQubit(1.0, 1.0), oracle).p0_after)
+
+    def test_zero_gaps_take_any_finite_beta(self):
+        assert build_custom_oracle([0.0, 0.0], 1e308).n_machine_qubits == 2
 
 
 class TestBVOracle:
