@@ -1,15 +1,15 @@
 """Command-line surface: figure-data emitters and the verification suite.
 
-Grammar: ``thermoquery <subcommand> [--param value]... --out PATH --format csv|json --seed INT``;
-``verify`` takes no ``--format``: its ``--out`` report is JSON.
+Grammar: ``thermoquery <subcommand> [--param value]... --out PATH --format csv|json``;
+``verify`` takes ``--seed INT`` and no ``--format``: its ``--out`` report is JSON.
 Exit codes: 0 success, 1 validation error, 2 verification failure. A value
 grid that starts with a minus sign may follow its flag after a space or an
 ``=`` (``--beta-s -1:1:5`` or ``--beta-s=-1:1:5``).
 
 Every output starts with a config echo (CSV comment lines / a JSON "config"
-object) so runs are reproducible from their artifacts alone. All subcommands
-are deterministic under a fixed seed and config; sweep rows are emitted in
-canonical sorted order.
+object) so runs are reproducible from their artifacts alone. The figure
+subcommands are deterministic under their config, and ``verify`` under its
+seed and config; sweep rows are emitted in canonical sorted order.
 
 Each subcommand passes its table by columns, not row tuples: a list of
 computed values, or a grid axis (values, picks) whose values are rendered once
@@ -240,7 +240,6 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
         "omega": args.omega,
         "beta_M": beta_m_values,
         "beta_S": args.beta_s,
-        "seed": args.seed,
     }
     # Rows run over (beta_M, beta_S, case): one kickback call broadcasts over all three.
     a = (np.array(beta_s_values) * args.omega)[:, None]
@@ -276,7 +275,6 @@ def cmd_distinguishability(args: argparse.Namespace) -> int:
         "E1_grid": args.e1_grid,
         "E2_grid": args.e2_grid,
         "t": args.t,
-        "seed": args.seed,
     }
     # The (N, E1, E2) grid's indices in row order, with the cells E1 < E2 dropped.
     n_grid, e1_grid, e2_grid = (np.array(v, dtype=float) for v in (n_values, e1_values, e2_values))
@@ -303,7 +301,6 @@ def cmd_sample_complexity(args: argparse.Namespace) -> int:
         "delta_grid": args.delta_grid,
         "t_grid": args.t_grid,
         "mixed_query_divergence": MIXED_QUERY_DIVERGENCE,
-        "seed": args.seed,
     }
     with _open_out(args.out) as stream:
         table = crossover_analysis(deltas, ts)
@@ -351,7 +348,6 @@ def cmd_detuning_sweep(args: argparse.Namespace) -> int:
             "beta_M": args.beta_m,
             "beta_S": args.beta_s,
             "min_pairwise_separation": sweep.min_pairwise_separation,
-            "seed": args.seed,
         }
         _emit(stream, args.format, config,
               ["secret", "beta_S", "delta_s", "eta", "beta_S_prime"], columns)
@@ -386,15 +382,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 2
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output path ('-' or omitted for stdout)")
-    parser.add_argument("--seed", type=int, default=1234)
 
 
 def _add_figure_common(parser: argparse.ArgumentParser) -> None:
-    """The common flags and ``--format``, which only the figure subcommands take."""
+    """``--out`` and ``--format``, which only the figure subcommands take;
+    none of them draws a random number, so none takes ``--seed``."""
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(parser)
+    _add_out(parser)
 
 
 @functools.cache
@@ -455,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=3, help="largest Deutsch-Jozsa bit count")
     p.add_argument("--bv-max-n", type=int, default=6, help="largest secret-string length")
     p.add_argument("--trials", type=int, default=100, help="random tuples per instance")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=1234)
+    _add_out(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -8,13 +8,13 @@ machine weights are dense.
 A state is stored in product form: 2^N machine weights w and two probe
 factors k_g and k_e, so level (i_S, x) holds w(x) k_{i_S}. The weights are
 doubled one machine qubit at a time as a product of per-qubit factors, none
-above 1: 2^N multiplications and 2(N + 1) exponentials. The weight kernel
-takes a leading batch axis of T states. :func:`kickback_batch` runs the
-kickback on T states at once, with the machine mean energies on request,
-and :func:`swap_batch` gives the probe marginal after a SWAP with each
-machine qubit of T states. Both take each row's factors, probe factors and
-results once per call over all T rows; only the weights are built a chunk of
-rows at a time.
+above 1: 2^N multiplications and 2(N + 1) exponentials. Every kernel takes
+one row as 1-D arrays or a chunk of rows as 2-D ones, a row's values on the
+last axis. :func:`kickback_batch` runs the kickback on T states at once,
+with the machine mean energies on request, and :func:`swap_batch` gives the
+probe marginal after a SWAP with each machine qubit of T states; both take
+each row's factors and results once per call over all T rows, and build
+only the weights a chunk of rows at a time.
 
 Every sum over a row's weights views them as a grid of 2^h rows, the h most
 significant machine bits, by 2^l columns, with l = min(N, max(8, ceil(N/2)))
@@ -31,11 +31,13 @@ and from c for a low one, so all N marginals of :func:`swap_batch` come from
 the two passes. Each row is reduced along its own axes, so its reads do not
 depend on the other rows of its chunk.
 
-:func:`build_joint_state` builds the T = 1 row. A :class:`DiagonalJointState`
-is that row plus at most one step, O(1) in time and memory: a SWAP with a
-machine qubit, or the exchange of a kickback pair, the only pair taken
-(:func:`kickback_level_indices`). A built or exchanged state is read with the
-one formula :func:`kickback_batch` reads a row with. A swapped state's probe
+:func:`build_joint_state` builds one 1-D row with the same kernels. A
+:class:`DiagonalJointState` is that row plus at most one step, O(1) in time
+and memory: a SWAP with a machine qubit, or the exchange of a kickback pair,
+the only pair taken (:func:`kickback_level_indices`). A built or exchanged
+state is read with the one formula :func:`kickback_batch` reads a row with,
+in Python floats, and numpy only for the exponentials, the logarithm and the
+sums whose rounding must match the batch's. A swapped state's probe
 marginal is one bit's zero-sum, and its machine energy the grid energy with
 the swapped gap set to 0 in its half table, so that no difference cancels.
 Nothing here calls the analytic kickback code in ``query`` or the
@@ -78,11 +80,11 @@ _BATCH_LEVELS = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class _Row:
-    """One built joint state: ``weights`` is w, a read-only (1, 2^N) array
-    as the batch kernels build it, level (i_S, x) holds w(x) times ``k_g``
-    or ``k_e``, ``sums`` is w's (1, 2^h) row sums over its weight grid
+    """One built joint state: ``weights`` is w, a read-only 2^N array, one
+    row of the batch kernels, level (i_S, x) holds w(x) times ``k_g`` or
+    ``k_e``, ``sums`` is w's 2^h row sums over its weight grid
     (:func:`_row_sums`) and ``total`` their sum. The column sums and the
-    ``energy``, the sum of w(x) E(x), are taken on first read and kept."""
+    ``energy``, sum_x w(x) E(x), are taken on first read and kept."""
 
     weights: np.ndarray
     sums: np.ndarray
@@ -103,7 +105,7 @@ class _Row:
 
     @cached_property
     def energy(self) -> float:
-        return float(_mean_energies(self.sums, self.columns, self.machine_gaps[None, :], self.high)[0])
+        return float(_mean_energies(self.sums, self.columns, self.machine_gaps, self.high))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,103 +154,106 @@ def _high_bits(n_machine: int) -> int:
 
 
 def _row_sums(weights: np.ndarray, high: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's row sums s of each row of ``weights``, (rows, 2^high), and
-    their totals: one pass, a plain sum where h = 0."""
-    if high == 0:
-        total = weights.sum(axis=1)
-        return total[:, None], total
-    sums = weights.reshape(len(weights), 1 << high, -1).sum(axis=2)
-    return sums, sums.sum(axis=1)
+    """The grid's row sums s of a row of ``weights`` or of each row of a
+    chunk, (..., 2^high), and their totals: one pass, a plain sum where h = 0."""
+    sums = weights.reshape(*weights.shape[:-1], 1 << high, -1).sum(axis=-1)
+    return sums, sums.sum(axis=-1)
 
 
 def _column_sums(weights: np.ndarray, high: int) -> np.ndarray:
-    """The grid's column sums c of each row of ``weights``, (rows, 2^l): one
-    pass, or the weights themselves where h = 0."""
-    return weights if high == 0 else weights.reshape(len(weights), 1 << high, -1).sum(axis=1)
+    """The grid's column sums c of a row of ``weights`` or of each row of a
+    chunk, (..., 2^l): one pass, or the weights themselves where h = 0."""
+    return weights if high == 0 else weights.reshape(*weights.shape[:-1], 1 << high, -1).sum(axis=-2)
+
+
+def _energy_table(gaps: np.ndarray) -> np.ndarray:
+    """E(x) of every level of the qubits of ``gaps`` (..., k), (..., 2^k),
+    doubled as :func:`_double` doubles the weights, with sums for products."""
+    table = np.empty((*gaps.shape[:-1], 1 << gaps.shape[-1]))
+    levels, gaps = table.T, gaps.T
+    levels[0] = 0.0
+    size = 1
+    for column in range(len(gaps) - 1, -1, -1):
+        np.add(levels[:size], gaps[column], out=levels[size:2 * size])
+        size *= 2
+    return table
 
 
 def _mean_energies(sums: np.ndarray, columns: np.ndarray, gaps: np.ndarray, high: int) -> np.ndarray:
-    """sum_x w(x) E(x) of each row from its grid sums, with a row of
-    machine gaps for each or one for all: with x's high bits i and low bits
-    j, sum_i E_high(i) s_i + sum_j E_low(j) c_j, every term nonnegative.
-
-    Both energy tables are doubled at once, the last gap added first so
-    that column 0 becomes the most significant bit. The h high gaps fill the
-    last columns of a row of l, whose leading zero gaps only repeat its
-    first 2^h energies."""
-    rows, n = gaps.shape
-    low = n - high
-    halves = np.zeros((rows, 2, low))
-    halves[:, 0, low - high:] = gaps[:, :high]
-    halves[:, 1] = gaps[:, high:]
-    tables = np.empty((rows, 2, 1 << low))
-    tables[..., 0] = 0.0
-    size = 1
-    for column in range(low - 1, -1, -1):
-        np.add(tables[..., :size], halves[..., column:column + 1], out=tables[..., size:2 * size])
-        size *= 2
-    return (tables[:, 0, :1 << high] * sums).sum(axis=1) + (tables[:, 1] * columns).sum(axis=1)
+    """sum_x w(x) E(x) of a row or of each row of a chunk from its grid sums:
+    with x's high bits i and low bits j, sum_i E_high(i) s_i + sum_j
+    E_low(j) c_j, every term nonnegative, from one energy table per half."""
+    return ((_energy_table(gaps[..., :high]) * sums).sum(axis=-1)
+            + (_energy_table(gaps[..., high:]) * columns).sum(axis=-1))
 
 
 def _zero_sums(grid_sums: np.ndarray, bit: int) -> np.ndarray:
-    """The sum of each row of ``grid_sums`` over the entries whose ``bit``,
-    counted from the most significant, is 0: the weight of the machine
-    levels whose bit is 0, from the row sums for a high bit (``bit`` < h)
-    and from the column sums for a low one (``bit`` - h)."""
-    return grid_sums.reshape(len(grid_sums), 1 << bit, 2, -1)[:, :, 0, :].sum(axis=(1, 2))
+    """The sum of a row of ``grid_sums``, or of each row, over the entries
+    whose ``bit``, from the most significant, is 0: the weight of the levels
+    whose machine bit is 0, from s for a high bit and c for a low one (bit - h)."""
+    return grid_sums.reshape(*grid_sums.shape[:-1], 1 << bit, 2, -1)[..., 0, :].sum(axis=(-2, -1))
 
 
-def _exchange_reads(k_g, k_e, total, weight_a, weight_b, weighted=None, gaps=None, masks=None) -> tuple:
-    """p0 = k_g sum(w) and p0' = p0 - w[a] k_g + w[b - 2^N] k_e of rows
-    around the exchange of their kickback pairs a and b, clamped at 1, past
-    which rounding carries them when nearly all weight is in the probe's
-    ground level. With ``weighted`` (sum_x w(x) E(x)), ``gaps`` and 0/1
-    ``masks``, the machine mean energy before and after follow: the exchange
-    adds (p[b] - p[a]) (E(a) - E(b - 2^N)), b's machine bits a's flipped."""
+def _exchange_reads(k_g, k_e, total, weight_a, weight_b, weighted=None, signed_gaps=None) -> tuple:
+    """p0 = k_g sum(w) and p0' = p0 - w[a] k_g + w[b - 2^N] k_e around the
+    exchange of the kickback pair a and b, in Python floats or arrays,
+    unclamped: the caller clamps them at 1, past which rounding carries them
+    when nearly all weight is in the probe's ground level. With ``weighted``
+    (sum_x w(x) E(x)), the machine mean energy before follows, and with
+    ``signed_gaps``, E(a) - E(b - 2^N) = sum_j (2 m_j - 1) g_j over a's mask
+    bits m, the energy after: the exchange adds (p[b] - p[a]) times it."""
     ground_a, excited_b, ground_total = weight_a * k_g, weight_b * k_e, total * k_g
-    reads = (np.minimum(ground_total, 1.0), np.minimum(ground_total - ground_a + excited_b, 1.0))
+    reads = (ground_total, ground_total - ground_a + excited_b)
     if weighted is None:
         return reads
     energy = weighted * k_g + weighted * k_e
-    return (*reads, energy, energy + (excited_b - ground_a) * ((2 * masks - 1) * gaps).sum(axis=-1))
+    return (*reads, energy, None if signed_gaps is None else energy + (excited_b - ground_a) * signed_gaps)
 
 
 def _factors(omega, beta_s, gaps, beta_m):
-    """Per-qubit factors of T joint states: the excited and ground factors,
-    each (T, N + 1) with the probe in column 0, the columns whose factors
-    are scaled in some row, and each row's sum of the scale exponents.
+    """Per-qubit factors of one joint state or of T: the excited and ground
+    factors, each (..., N + 1) with the probe first, the qubits whose
+    factors are scaled in some row, and each row's sum of the scale exponents.
 
-    Row t is a probe with gap ``omega[t]`` at ``beta_s[t]`` and machine gaps
-    ``gaps[t]`` at ``beta_m[t]``. Qubit j, the probe first, has the log
-    weight x_j = -beta g_j when excited and factors e^{-s_j} (ground) and
-    e^{x_j - s_j} (excited), both at most 1 with s_j = max(0, x_j): 2(N + 1)
-    exponentials a row, not 2^N.
+    A row is a probe with gap ``omega`` at ``beta_s`` and machine gaps
+    ``gaps`` (..., N) at ``beta_m``: floats and a 1-D array for one state,
+    (T,) arrays and a (T, N) array for T. Qubit j, the probe first, has the
+    log weight x_j = -beta g_j when excited and factors e^{-s_j} (ground)
+    and e^{x_j - s_j} (excited), both at most 1 with s_j = max(0, x_j):
+    2(N + 1) exponentials a row, not 2^N.
     """
-    exponent = -np.column_stack((beta_s * omega, beta_m[:, None] * gaps))
-    shift = np.maximum(0.0, exponent)
-    return np.exp(exponent - shift), np.exp(-shift), np.any(shift > 0.0, axis=0).tolist(), shift.sum(axis=1)
+    exponent = np.empty((*gaps.shape[:-1], gaps.shape[-1] + 1))
+    exponent[..., 0] = beta_s * omega
+    np.multiply(gaps.T, beta_m, out=exponent.T[1:])  # see _double
+    np.negative(exponent, out=exponent)
+    shift = np.maximum(exponent, 0.0)
+    scaled = shift.reshape(-1, shift.shape[-1]).any(axis=0).tolist()
+    return np.exp(exponent - shift), np.exp(-shift), scaled, shift.sum(axis=-1)
 
 
 def _double(excited, ground, scaled, weights):
-    """Write the machine weights w of the rows of ``excited`` and ``ground``
-    into ``weights``, a (rows, 2^N) array: w(x) is doubled as a product of
+    """Write the machine weights w of the row, or rows, of ``excited`` and
+    ``ground`` into ``weights``, (..., 2^N): w(x) is doubled as a product of
     the machine qubits' factors, the last qubit first so that qubit 0
-    becomes the most significant bit. A column not ``scaled`` has ground
-    factor 1 in every row and is not multiplied."""
-    weights[:, 0] = 1.0
+    becomes the most significant bit. A qubit not ``scaled`` has ground
+    factor 1 in every row and is not multiplied. The transposed views put
+    the level axis first: a factor, a float for one row and a (rows,) array
+    for a chunk, broadcasts over it."""
+    levels, excited, ground = weights.T, excited.T, ground.T
+    levels[0] = 1.0
     size = 1
-    for column in range(excited.shape[1] - 1, 0, -1):
-        np.multiply(weights[:, :size], excited[:, column:column + 1], out=weights[:, size:2 * size])
+    for column in range(len(excited) - 1, 0, -1):
+        np.multiply(levels[:size], excited[column], out=levels[size:2 * size])
         if scaled[column]:
-            weights[:, :size] *= ground[:, column:column + 1]
+            levels[:size] *= ground[column]
         size *= 2
 
 
 def _probe_factors(excited, ground, total):
-    """k_g and k_e of each row, with populations w k_g and w k_e, and the
-    partition sum they divide by, from the probe's factors and the sums of w."""
-    partition = total * (ground[:, 0] + excited[:, 0])
-    return ground[:, 0] / partition, excited[:, 0] / partition, partition
+    """k_g and k_e of a row or of each row, with populations w k_g and w k_e,
+    and the partition sum they divide by, from the probe's factors and sum(w)."""
+    partition = total * (ground[..., 0] + excited[..., 0])
+    return ground[..., 0] / partition, excited[..., 0] / partition, partition
 
 
 def _weight_chunks(excited, ground, scaled):
@@ -268,26 +273,21 @@ def _weight_chunks(excited, ground, scaled):
 
 def build_joint_state(probe: ThermalQubit, oracle: ThermalMachineOracle) -> DiagonalJointState:
     """Normalized product populations e^{-beta_S*omega*i_S} e^{-beta_M*(i_M.G)} / (Z_S Z_f),
-    built as the T = 1 row of the batch kernels."""
-    gaps = np.array([oracle.gap_vector.gaps])
-    excited, ground, scaled, shift_sum = _factors(np.array([probe.gap]), np.array([probe.inverse_temperature]),
-                                                  gaps, np.array([oracle.machine_inverse_temperature]))
-    _, weights = next(_weight_chunks(excited, ground, scaled))
-    sums, total = _row_sums(weights, _high_bits(gaps.shape[1]))
+    built as one 1-D row by the batch kernels."""
+    gaps = np.array(oracle.gap_vector.gaps, dtype=float)
+    excited, ground, scaled, shift_sum = _factors(probe.gap, probe.inverse_temperature,
+                                                  gaps, oracle.machine_inverse_temperature)
+    weights = np.empty(_machine_levels(gaps.size))
+    _double(excited, ground, scaled, weights)
+    sums, total = _row_sums(weights, _high_bits(gaps.size))
     k_g, k_e, partition = _probe_factors(excited, ground, total)
     weights.flags.writeable = False  # shared by every state one step from this one
-    return DiagonalJointState(_Row(weights, sums, float(k_g[0]), float(k_e[0]), float(total[0]),
-                                   float((shift_sum + np.log(partition))[0]), gaps[0], probe.gap))
+    return DiagonalJointState(_Row(weights, sums, float(k_g), float(k_e), float(total),
+                                   float(shift_sum + np.log(partition)), gaps, probe.gap))
 
 
-def kickback_batch(
-    omega: np.ndarray,
-    beta_s: np.ndarray,
-    gaps: np.ndarray,
-    beta_m: np.ndarray,
-    masks: np.ndarray,
-    energies: bool = False,
-) -> tuple[np.ndarray, ...]:
+def kickback_batch(omega: np.ndarray, beta_s: np.ndarray, gaps: np.ndarray, beta_m: np.ndarray,
+                   masks: np.ndarray, energies: bool = False) -> tuple[np.ndarray, ...]:
     """Probe ground population before and after the kickback V(masks[t]), and
     the log weight sum, of T joint states: row t is a probe with gap
     ``omega[t]`` at ``beta_s[t]`` and machine gaps ``gaps[t]`` at ``beta_m[t]``,
@@ -316,13 +316,12 @@ def kickback_batch(
         if energies:
             weighted[chunk] = _mean_energies(sums, _column_sums(weights, high), gaps[chunk], high)
     k_g, k_e, partition = _probe_factors(excited, ground, total)
-    reads = _exchange_reads(k_g, k_e, total, weight_a, weight_b, weighted if energies else None, gaps, masks)
-    return (*reads[:2], shift_sum + np.log(partition), *reads[2:])
+    terms = (weighted, ((2 * masks - 1) * gaps).sum(axis=-1)) if energies else ()
+    p0, p0_after, *energy = _exchange_reads(k_g, k_e, total, weight_a, weight_b, *terms)
+    return (np.minimum(p0, 1.0), np.minimum(p0_after, 1.0), shift_sum + np.log(partition), *energy)
 
 
-def swap_batch(
-    omega: np.ndarray, beta_s: np.ndarray, gaps: np.ndarray, beta_m: np.ndarray
-) -> np.ndarray:
+def swap_batch(omega: np.ndarray, beta_s: np.ndarray, gaps: np.ndarray, beta_m: np.ndarray) -> np.ndarray:
     """Probe ground population after a SWAP with each machine qubit, of T
     joint states laid out as in :func:`kickback_batch`: entry (t, j) is row
     t's after a SWAP with machine qubit j, clamped at 1 as
@@ -343,7 +342,7 @@ def swap_batch(
         for j in range(n):
             zero[chunk, j] = _zero_sums(sums, j) if j < high else _zero_sums(columns, j - high)
     k_g, k_e, _ = _probe_factors(excited, ground, total)
-    return np.minimum(zero * k_g[:, None] + zero * k_e[:, None], 1.0)
+    return np.minimum(zero * k_g[..., None] + zero * k_e[..., None], 1.0)
 
 
 def apply_level_exchange(state: DiagonalJointState, level_a: int, level_b: int) -> DiagonalJointState:
@@ -373,26 +372,27 @@ def apply_swap_with_machine_qubit(state: DiagonalJointState, machine_index: int)
 
 def _reads(state: DiagonalJointState, energies: bool = False) -> tuple:
     """p0, and with ``energies`` the machine mean energy, of a built or
-    exchanged state: its row's :func:`_exchange_reads` after the recorded
-    exchange, or before the all-zeros mask's for a built state."""
-    row, n = state.row, state.n_machine
-    a = state.exchanged[0] if state.exchanged is not None else 0
-    mask = (a >> np.arange(n - 1, -1, -1)) & 1 if energies else None
-    reads = _exchange_reads(row.k_g, row.k_e, row.total, row.weights[0, a], row.weights[0, (1 << n) - 1 - a],
-                            row.energy if energies else None, row.machine_gaps, mask)
-    return reads[int(state.exchanged is not None)::2]
+    exchanged state in Python floats: its row's :func:`_exchange_reads`
+    after the recorded exchange, or before any exchange for a built state."""
+    row, n, exchanged = state.row, state.n_machine, state.exchanged is not None
+    a = state.exchanged[0] if exchanged else 0
+    mask = (a >> np.arange(n - 1, -1, -1)) & 1 if energies and exchanged else None
+    signed_gaps = None if mask is None else float(((2 * mask - 1) * row.machine_gaps).sum())
+    reads = _exchange_reads(row.k_g, row.k_e, row.total, row.weights.item(a), row.weights.item((1 << n) - 1 - a),
+                            row.energy if energies else None, signed_gaps)
+    return reads[int(exchanged)::2]
 
 
 def probe_marginal(state: DiagonalJointState) -> BinaryDistribution:
     """Sum populations over the machine for each probe bit, clamped at 1 as
-    :func:`_exchange_reads` is; for a swapped state, the weights whose
+    :func:`kickback_batch` clamps it; for a swapped state, the weights whose
     swapped bit is 0 times each probe factor."""
     row = state.row
     if state.swapped is not None:  # the column sums are taken for a low bit only
         bit, high = state.swapped, row.high
-        zero = (_zero_sums(row.sums, bit) if bit < high else _zero_sums(row.columns, bit - high))[0]
-        return BinaryDistribution(min(1.0, float(zero * row.k_g + zero * row.k_e)))
-    return BinaryDistribution(float(_reads(state)[0]))
+        zero = float(_zero_sums(row.sums, bit) if bit < high else _zero_sums(row.columns, bit - high))
+        return BinaryDistribution(min(1.0, zero * row.k_g + zero * row.k_e))
+    return BinaryDistribution(min(_reads(state)[0], 1.0))
 
 
 def kickback_level_indices(mask, n_machine: int):
@@ -429,8 +429,8 @@ def machine_mean_energy(state: DiagonalJointState) -> float:
     g_j set to 0: from the row's grid sums, every term nonnegative."""
     row = state.row
     if state.swapped is None:
-        return float(_reads(state, energies=True)[1])
+        return _reads(state, energies=True)[1]
     others = row.machine_gaps.copy()
     others[state.swapped] = 0.0
-    swapped = _mean_energies(row.sums, row.columns, others[None, :], row.high)[0] * (row.k_g + row.k_e)
-    return float(swapped + row.machine_gaps[state.swapped] * row.total * row.k_e)
+    swapped = float(_mean_energies(row.sums, row.columns, others, row.high)) * (row.k_g + row.k_e)
+    return swapped + row.machine_gaps.item(state.swapped) * row.total * row.k_e

@@ -47,6 +47,9 @@ class PureStatePopulationError(ValueError):
     """A ground population of exactly 0 or 1 has no finite inverse temperature."""
 
 
+_LOG_2 = math.log(2.0)
+
+
 def _log1pexp(x: float) -> float:
     """log(1 + e^x), stable for any finite x."""
     if x > 0.0:
@@ -270,10 +273,16 @@ class ThermalMachineOracle:
         # Each machine qubit must be a ThermalQubit: beta_M times every gap
         # finite. As there, beta_M is tested only when the product fails.
         beta, largest = self.machine_inverse_temperature, self.gap_vector._largest
-        if not math.isfinite(math.fabs(beta) * largest):
+        scale = math.fabs(beta) * largest
+        if not math.isfinite(scale):
             if not math.isfinite(beta):
                 raise ValueError(f"machine inverse temperature must be finite, got {beta}")
             raise ValueError(f"inverse temperature times gap must be finite, got {beta} * {largest}")
+        # Each term of log Z_f is at most |beta_M g| + log 2: only an oracle
+        # whose bound passes the largest double can overflow, and it is
+        # refused here, by log Z_f's own check, rather than on first read.
+        if len(self.gap_vector) * (scale + _LOG_2) > sys.float_info.max:
+            self.log_partition_function  # raises when log Z_f is not finite
 
     @property
     def n_machine_qubits(self) -> int:

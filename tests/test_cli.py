@@ -97,41 +97,41 @@ SUBCOMMAND_ARGVS = [
 
 OUTPUT_SHA256 = {
     ("dj-kickback", "csv"):
-        "d47eb1b389c4704b23a2e10573c2715f8f438ea41cd738d7de18fe1b23c5a195",
+        "726298767cfd9596698e0c79c5b0a1f39a1dcc83663b8ba1c07e0e80b34dab2f",
     ("dj-kickback", "json"):
-        "30a85b4d0ea54096321d7dc71d35f7c2ced6d92ee129683a818187a21e5d5d16",
+        "fe90ddb42ea64300aa411dcc64be3dabe93752bd31a6b76be7a0b421749494ac",
     ("dj-kickback --beta-m=-2:2:5 --beta-s=-300:300:61 --omega 3", "csv"):
-        "102b7cf29fd5ef6919cb1bb5bdc2da1181c8700422fe8f5ed7166dce7682fe15",
+        "f8de6f95e4254c74b35ed4ff37e5f91a35c3ae1ab58c3ce32b01367e893c44a7",
     ("dj-kickback --beta-m=-2:2:5 --beta-s=-300:300:61 --omega 3", "json"):
-        "6e440f2ebe508ee9336ca57538094eb36a50f0fac9139823cc87b33fa36ed615",
+        "4c50295fa8609edd83bff0d2eeb535c8306c6c2481acb03c8b52b131fde6ed2c",
     ("distinguishability", "csv"):
-        "9b11a57227897a3fb0b101ff2f0c66408a3750ef7542c2a993a100ed02a16d66",
+        "fd48812de6ca07b6b4f152acf20a68e3b3c36edbd91421e188efda1240d588f3",
     ("distinguishability", "json"):
-        "f6a0f645a63e348ab1afaf1c32e9baa1e23c0a27d0a69582ea53bd2a90dbfb22",
+        "51f11e0ef214ef3d92f2a31561386a6939ad319717f71f4083cbf7d89c686beb",
     ("distinguishability --n-qubits 2,4,8 --e1-grid 0.5:3:30 --e2-grid 0.4:2:30", "csv"):
-        "7c47f341fa87dd688c6f45f9b24a2e1e98a9d1cf01772e1ff9d799915cd5d008",
+        "e9806ab4c617efe6c6cbf6a770f77c93a4e73823d12916e3a8cea3c064b93ca9",
     ("distinguishability --n-qubits 2,4,8 --e1-grid 0.5:3:30 --e2-grid 0.4:2:30", "json"):
-        "b345c91648c59448214512e837c1ffe989727101eccf1a4be0329ccfd0306a43",
+        "3cb0e69094619ed18f5d6f87c0b8075145b5ee42f670da2b210809e81319bfbe",
     ("distinguishability --e1-grid 0.1 --e2-grid 1,2", "csv"):
-        "a125375a4e7b992d3a689ce21e0d8f1d407365069fcd63a87404c6771288ff81",
+        "a9cf596549f395f017b473adb5eb4a1de036263bb69479127dcffdc1bae243e8",
     ("distinguishability --e1-grid 0.1 --e2-grid 1,2", "json"):
-        "bbe43b012d6e99f71af7ae7bd2b12d81de210cd994eb0e297764d513c333bb1d",
+        "c06e44d5f9ca75c59a232f50f49f89865fd617587e5728ed087fe0a02b9b7045",
     ("sample-complexity", "csv"):
-        "6abc19e7a9af725e7d08b2204a6756badf916a5cf712fe5268421cc4f915c82d",
+        "fd880b70e0fb810ec4b2f2e2f529098d212327670f2a7cb15437a18e9838db43",
     ("sample-complexity", "json"):
-        "ad314c44aeeffb986eefa131702c77d84e626be58b5f265092a5ef517c573983",
+        "fc51c9fb518dc826e877921713469331bea849608c2ee6a2d26573da49833d03",
     ("sample-complexity --delta-grid 0.001:0.999:40 --t-grid 0.001:0.99:15", "csv"):
-        "622e529f332324f2fe169f4bdba3685482d91d9f08318982b83f378f5ee8d15c",
+        "dc44be26cb4133196faeba8070dc54f7ed75e708ddeeb0d3b6bf10002bacc5ed",
     ("sample-complexity --delta-grid 0.001:0.999:40 --t-grid 0.001:0.99:15", "json"):
-        "192bad5ced39489228e981495207276fe87e53a3580ef083edf4f3ae1b33ed86",
+        "50dbb36944bb638a33b04f01fc1b150ff54f2dca8d16c70ccd97bb634936136f",
     ("detuning-sweep", "csv"):
-        "1d592ec3ad068e1c9134b349ef302ac744a1a0a208756acb42f8f88943983e95",
+        "4f1e47aa7cb9f4b261efba1f90c098b3123fbc85077ec5f26ece69abd52490dd",
     ("detuning-sweep", "json"):
-        "dd4378b5044465b1e9a319cd0cfac4c19dc8ea3c9dde9bd5532084f1c42e4c21",
+        "bd1cd1b5e62ea9c46a8949124e1f62bda5ef40f20fcb669d38bbebb6b3b64cb2",
     ("detuning-sweep --beta-s=-0.5:3.5:201 --epsilon 0.08", "csv"):
-        "d926b98cd3bb6f0ba5b43f42e56ebee0cf8ab24b62afba0f13362df461750167",
+        "32959b0edf0c21839911cd21769c608ca9ae5f6d32b4e2b21841b8784b941c67",
     ("detuning-sweep --beta-s=-0.5:3.5:201 --epsilon 0.08", "json"):
-        "04951c368186a9e6f71e68eee61417207b0e999aba99d905986fba571df97d02",
+        "434a67ebfadfe0d059e163756717b8e9c3a6a3c37206b250c2ccc7438d0be9cc",
 }
 
 
@@ -278,7 +278,7 @@ class TestDJKickback:
                      "--out", str(out)]) == 0
         comments, rows = read_csv(out)
         assert any("subcommand = dj-kickback" in c for c in comments)
-        assert any("seed = " in c for c in comments)
+        assert not any("seed" in c for c in comments)  # no figure draws a random number
         by_beta_s = {}
         for row in rows:
             by_beta_s.setdefault(row["beta_S"], {})[row["case"]] = float(row["beta_S_prime"])
@@ -811,3 +811,14 @@ class TestConsoleEntry:
             capture_output=True, text=True,
         )
         assert result.returncode == 1
+
+    @pytest.mark.parametrize("sub", ["dj-kickback", "distinguishability", "sample-complexity", "detuning-sweep"])
+    def test_figures_take_no_seed(self, tmp_path, capsys, sub):
+        """Only verify draws random numbers: a figure subcommand refuses
+        --seed as argparse refuses any unknown flag, before --out is opened."""
+        out = tmp_path / "figure.csv"
+        with pytest.raises(SystemExit) as exited:
+            main([sub, "--seed", "1234", "--out", str(out)])
+        assert exited.value.code == 1
+        assert capsys.readouterr().err.endswith("thermoquery: error: unrecognized arguments: --seed 1234\n")
+        assert not out.exists()

@@ -44,7 +44,7 @@ def worked_state():
 def built_populations(state):
     """The 2^(N+1) populations of a built state: its weights times each probe factor."""
     row = state.row
-    return np.concatenate((row.weights[0] * row.k_g, row.weights[0] * row.k_e))
+    return np.concatenate((row.weights * row.k_g, row.weights * row.k_e))
 
 
 class TestBuildJointState:
@@ -107,7 +107,7 @@ class TestProductWeights:
         probe = ThermalQubit(0.8, beta_s)
         oracle = build_custom_oracle([0.0025, 2.0, 0.001, 0.0, 0.003], beta_m)
         state = build_joint_state(probe, oracle)
-        weights = state.row.weights[0]
+        weights = state.row.weights
         assert weights.max() == 1.0 and np.all(weights >= 0.0)
         for (s_bit, machine), expected in reference_joint_populations(probe, oracle).items():
             level = int("".join(str(b) for b in machine), 2)
@@ -261,7 +261,7 @@ class TestSharedExchange:
         for each in (state, apply_swap_with_machine_qubit(state, 0), apply_level_exchange(state, 1, 6)):
             assert each.row is state.row
             with pytest.raises(ValueError):
-                each.row.weights[0, 0] = 0.5
+                each.row.weights[0] = 0.5
 
     def test_twenty_qubit_exchange_makes_no_copy(self):
         n = exactsim.DEFAULT_MAX_QUBITS - 1
@@ -627,36 +627,39 @@ class TestBatchesAgainstReference:
 
 
 class TestSwapAndEnergyBatches:
-    """swap_batch and kickback_batch's machine energies against the state
-    path (build_joint_state, then a step and a read) where rows span chunks,
-    and against the 40-digit reference at extreme temperatures."""
+    """swap_batch and kickback_batch with its machine energies against the
+    state path (build_joint_state, then a step and a read), bit for bit:
+    the same kernels on one row, whichever chunk holds it, at every grid
+    width; and against the 40-digit reference at extreme temperatures."""
 
     @staticmethod
     def swap_rows_against_states(columns):
-        """The swap marginals of every row against its state."""
+        """The swap marginals of every row equal to its state's."""
         p0 = exactsim.swap_batch(*columns)
         rows, n = columns[2].shape
         assert p0.shape == (rows, n)
         for t, probe, oracle in cases(*columns):
             state = build_joint_state(probe, oracle)
             expected = [probe_marginal(apply_swap_with_machine_qubit(state, j)).p0 for j in range(n)]
-            assert p0[t] == pytest.approx(expected, rel=0.0, abs=1e-15)
+            assert p0[t].tolist() == expected
 
     @staticmethod
     def energy_rows_against_states(columns, masks):
-        """The machine mean energy before and after V(masks[t]) of every row
-        against its state, and the kickback outputs bit-identical to a call
-        without energies."""
+        """p0, p0', the log weight sum and the machine mean energy before and
+        after V(masks[t]) of every row equal to its state's, and the kickback
+        outputs bit-identical to a call without energies."""
         n = masks.shape[1]
         plain = exactsim.kickback_batch(*columns, masks)
         *kickback, before, after = exactsim.kickback_batch(*columns, masks, energies=True)
         for a, b in zip(plain, kickback, strict=True):
             assert np.array_equal(a, b)
+        p0, p0_after, log_z = kickback
         for t, probe, oracle in cases(*columns):
             state = build_joint_state(probe, oracle)
             exchanged = apply_level_exchange(state, *kickback_level_indices(QueryMask(tuple(masks[t])), n))
-            assert before[t] == pytest.approx(machine_mean_energy(state), rel=1e-14, abs=1e-14)
-            assert after[t] == pytest.approx(machine_mean_energy(exchanged), rel=1e-14, abs=1e-14)
+            assert (p0[t], p0_after[t], log_z[t]) == (probe_marginal(state).p0, probe_marginal(exchanged).p0,
+                                                      state.row.log_partition_sum)
+            assert (before[t], after[t]) == (machine_mean_energy(state), machine_mean_energy(exchanged))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_swap_rows(self, n, rng):
@@ -679,6 +682,19 @@ class TestSwapAndEnergyBatches:
         columns = draw(rng, 6, 5, beta_s=np.full(5, beta_s), beta_m=np.full(5, beta_m))
         swap_rows_against_reference(columns)
         kickback_rows_against_reference(columns, np.ones((5, 6), dtype=int))
+        self.swap_rows_against_states(columns)
+        self.energy_rows_against_states(columns, rng.integers(0, 2, (5, 6)))
+
+    # Grids of 2 (h = 1) and 16 rows, and the 17- and 20-qubit states of the
+    # exact benchmark: random rows, then rows at |beta_S| = |beta_M| = 50 of
+    # both signs, whose weights span up to e^{+-50 g}.
+    @pytest.mark.parametrize("n", (9, 12, 16, 19))
+    def test_grid_widths(self, n, rng):
+        rows = 4 if n <= 12 else 2
+        signs = np.resize([1.0, -1.0], rows)
+        for columns in (draw(rng, n, rows), draw(rng, n, rows, beta_s=50.0 * signs, beta_m=-50.0 * signs[::-1])):
+            self.swap_rows_against_states(columns)
+            self.energy_rows_against_states(columns, rng.integers(0, 2, (rows, n)))
 
     def test_all_ones_exchange_energy_is_the_reset_cost(self, rng):
         """The all-ones exchange moves delta_p0 machine excitations of |G|."""
@@ -747,7 +763,7 @@ class TestGridReads:
             else:  # a product state: the probe takes bit j's ground population
                 reference = reference_machine_ground_populations(oracle)
             for j in range(n):
-                direct = strided_zero_sum(state.row.weights[0], j) * factor
+                direct = strided_zero_sum(state.row.weights, j) * factor
                 read = probe_marginal(apply_swap_with_machine_qubit(state, j)).p0
                 for value in (p0[t, j], read):
                     assert value == pytest.approx(direct, rel=1e-13, abs=1e-15)
@@ -791,7 +807,7 @@ def test_small_machines_total_their_row_in_one_pairwise_sum(n, rng):
     to a plain sum of the weights."""
     for t, probe, oracle in cases(*draw(rng, n, 3)):
         row = build_joint_state(probe, oracle).row
-        assert row.sums.shape == (1, 2 if n == 9 else 1)
+        assert row.sums.shape == (2 if n == 9 else 1,)
         assert row.total == row.weights.sum()
 
 
@@ -802,7 +818,7 @@ def test_column_sums_taken_only_for_a_read_that_needs_them():
     n = exactsim.DEFAULT_MAX_QUBITS - 1
     state = build_joint_state(ThermalQubit(1.0, 0.5), build_custom_oracle([0.5] * n, 0.8))
     high = state.row.high
-    assert state.row.sums.shape == (1, 1 << high) and high == 9
+    assert state.row.sums.shape == (1 << high,) and high == 9
     a, b = kickback_level_indices(QueryMask.all_ones(n), n)
     for each in (state, apply_level_exchange(state, a, b), apply_swap_with_machine_qubit(state, high - 1)):
         probe_marginal(each)
@@ -810,4 +826,4 @@ def test_column_sums_taken_only_for_a_read_that_needs_them():
     probe_marginal(apply_swap_with_machine_qubit(state, high))
     columns = vars(state.row)["columns"]
     machine_mean_energy(state)
-    assert vars(state.row)["columns"] is columns and columns.shape == (1, 1 << (n - high))
+    assert vars(state.row)["columns"] is columns and columns.shape == (1 << (n - high),)

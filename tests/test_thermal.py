@@ -299,20 +299,27 @@ class TestDJOracle:
 
 
 class TestNonFiniteLogPartition:
-    """A log Z_f that overflows a double is rejected by name when it is
-    first read, and the kickback that needs it raises instead of returning
+    """A log Z_f that overflows a double is rejected by name when the oracle
+    is built, and the kickback that needs it raises instead of returning
     p0' = NaN labelled NEUTRAL."""
 
     # Four gaps of 4e307 sum to a finite |G| (1.6e308); four of 1e308 do not
     # and are refused by GapVector before log Z_f is read. Every beta_M * g
-    # is finite, or the oracle is refused at construction
+    # is finite, or the oracle is refused for that first
     # (TestMachineQubitDomain).
-    @pytest.mark.parametrize("gaps, beta_m", [([1e307] * 4, -10.0), ([4e307] * 4, -2.0), ([1.0] * 3, -1e308)])
+    @pytest.mark.parametrize("gaps, beta_m", [([1e307] * 4, -10.0), ([4e307] * 4, -2.0), ([1.0] * 3, -1e308),
+                                              ([1.0] * 4, -1e308)])
     def test_rejected_by_name(self, gaps, beta_m):
-        oracle = build_custom_oracle(gaps, beta_m)
         for _ in range(2):  # a failed cached_property stores nothing
             with pytest.raises(ValueError, match="log partition function is not finite, got inf"):
-                oracle.log_partition_function
+                build_custom_oracle(gaps, beta_m)
+
+    def test_bound_passes_only_near_the_float_maximum(self):
+        """log Z_f <= N (|beta_M| g_max + log 2): below the largest double the
+        oracle is built without evaluating it, and its first read is finite."""
+        oracle = build_custom_oracle([4e307] * 4, -1.0)
+        assert "log_partition_function" not in vars(oracle)
+        assert oracle.log_partition_function == 1.6e308
 
     def test_kickback_raises(self):
         with pytest.raises(ValueError, match="log partition function"):
