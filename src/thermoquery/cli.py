@@ -45,6 +45,7 @@ from .readout import (
     chernoff_stein_samples,
     crossover_analysis,
     distinguishability_report,
+    sample_bound_from_threshold,
 )
 from .thermal import two_gap_machine
 from .verify import run_verification
@@ -296,6 +297,9 @@ def cmd_sample_complexity(args: argparse.Namespace) -> int:
     ts = parse_values(args.t_grid)
     if any(not 0.0 < v < 1.0 for v in deltas + ts):
         raise ValueError("delta and t values must lie in (0, 1)")
+    # Every count is largest at the smallest delta and t, where the library
+    # refuses an n* that is not a finite float; a t past 0.5 only lowers it.
+    sample_bound_from_threshold(min(deltas), min(*ts, 0.5))
     config = {
         "subcommand": "sample-complexity",
         "delta_grid": args.delta_grid,

@@ -48,7 +48,10 @@ def flip_probability(g: float, detuning: float, time: float) -> float:
     _check_coupling(g, detuning=detuning, time=time)
     rabi = math.hypot(g, detuning)
     amplitude = (g / rabi) ** 2
-    return amplitude * math.sin(0.5 * rabi * time) ** 2
+    phase = 0.5 * rabi * time
+    if not math.isfinite(phase):
+        raise ValueError(f"time must keep the phase sqrt(g^2 + d^2) * time / 2 finite, got {time}")
+    return amplitude * math.sin(phase) ** 2
 
 
 def suppression_factor(g: float, detuning: float) -> float:

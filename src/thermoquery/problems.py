@@ -104,8 +104,12 @@ def hamming_weight_population(
     """
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    if not math.isfinite(beta_m):
-        raise ValueError(f"machine inverse temperature must be finite, got {beta_m}")
+    # As the oracle: beta_M alone is tested only when beta_M * gamma fails.
+    largest = gamma if instance.hamming_weight else 0.0
+    if not math.isfinite(math.fabs(beta_m) * largest):
+        if not math.isfinite(beta_m):
+            raise ValueError(f"machine inverse temperature must be finite, got {beta_m}")
+        raise ValueError(f"inverse temperature times gap must be finite, got {beta_m} * {largest}")
     total, log_zf = two_gap_machine(instance.hamming_weight, len(instance.secret), gamma, 0.0, beta_m)
     a = probe.inverse_temperature * probe.gap
     delta = kickback_shift(a, beta_m, total, 0.0, log_zf)

@@ -40,7 +40,6 @@ import numpy as np
 
 from .readout import BinaryDistribution
 from .thermal import (
-    DJProblem,
     ThermalMachineOracle,
     ThermalQubit,
     logistic,
@@ -168,13 +167,17 @@ def swap_query(probe: ThermalQubit, oracle: ThermalMachineOracle, x: int | str) 
 def mixed_input_query(probe: ThermalQubit, oracle: ThermalMachineOracle) -> BinaryDistribution:
     """Probe ground-population after a uniform classical mixture of swaps.
 
-    For a constant function the mixture collapses to the single machine-qubit
-    distribution; for a balanced one it averages the two.
+    Defined for any oracle whose every machine qubit is a thermal qubit,
+    that is, has a positive gap: each swap in the mixture takes one. A zero
+    gap is refused as :meth:`ThermalMachineOracle.machine_qubit` refuses it.
+    For a constant Deutsch-Jozsa function the mixture collapses to the single
+    machine-qubit distribution; for a balanced one it averages the two.
     """
-    if not isinstance(oracle.problem, DJProblem):
-        raise ValueError("mixed-input query is defined for Deutsch-Jozsa oracles only")
+    gaps = oracle.gap_vector.gaps
+    if 0.0 in gaps:
+        oracle.machine_qubit(gaps.index(0.0))  # raises: a zero gap is no thermal qubit
     beta_m = oracle.machine_inverse_temperature
-    p0 = float(np.mean([logistic(beta_m * g) for g in oracle.gap_vector.gaps]))
+    p0 = float(np.mean([logistic(beta_m * g) for g in gaps]))
     return BinaryDistribution(p0)
 
 

@@ -88,7 +88,9 @@ def chernoff_stein_samples(delta: float, divergence: float) -> int | float:
 
     Returns ``math.inf`` when the divergence is zero (the hypotheses are
     indistinguishable and no sample count suffices) and 1 when it is infinite
-    (one sample can rule a hypothesis out, but none decides nothing).
+    (one sample can rule a hypothesis out, but none decides nothing). A
+    positive divergence so small that the quotient is not a finite float
+    raises a ValueError naming it.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -100,12 +102,16 @@ def chernoff_stein_samples(delta: float, divergence: float) -> int | float:
         return math.inf
     if divergence == math.inf:
         return 1
-    return math.ceil(math.log(1.0 / delta) / divergence)
+    return _sample_bound(delta, divergence, "divergence", divergence)
 
 
-def _pinsker_bound(delta: float, t: float) -> int:
-    # Chernoff-Stein with the divergence replaced by its Pinsker lower bound 2 t^2.
-    return math.ceil(math.log(1.0 / delta) / (2.0 * t * t))
+def _sample_bound(delta: float, divergence: float, name: str, value: float) -> int:
+    # ceil(log(1/delta)/divergence), where a quotient that is not a finite
+    # float (a divergence that underflowed to 0 included) names ``name``.
+    bound = math.log(1.0 / delta) / divergence if divergence else math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"{name} {value} with delta {delta} gives a sample bound that is not a finite float")
+    return math.ceil(bound)
 
 
 def sample_bound_from_threshold(delta: float, t: float) -> int:
@@ -118,7 +124,8 @@ def sample_bound_from_threshold(delta: float, t: float) -> int:
         raise ValueError("delta must lie in (0, 1)")
     if not 0.0 < t <= 0.5:
         raise ValueError("t must lie in (0, 0.5]")
-    return _pinsker_bound(delta, t)
+    # Chernoff-Stein with the divergence replaced by its Pinsker lower bound 2 t^2.
+    return _sample_bound(delta, 2.0 * t * t, "t", t)
 
 
 @dataclass(frozen=True)
@@ -358,7 +365,7 @@ def crossover_analysis(delta_grid: Iterable[float], t_grid: Iterable[float]) -> 
     for delta in deltas:
         k = classical_sample_complexity(delta)
         for t in ts:
-            n_star = _pinsker_bound(delta, t)
+            n_star = _sample_bound(delta, 2.0 * t * t, "t", t)
             rows.append(
                 CrossoverRow(
                     delta=delta,

@@ -26,9 +26,6 @@ __all__ = [
     "BooleanFunctionTable",
     "ThermalQubit",
     "GapVector",
-    "DJProblem",
-    "BVProblem",
-    "CustomProblem",
     "ThermalMachineOracle",
     "two_gap_machine",
     "logistic",
@@ -234,40 +231,18 @@ class BooleanFunctionTable:
         return Classification.OTHER
 
 
-@dataclass(frozen=True, slots=True)
-class DJProblem:
-    """Deutsch-Jozsa encoding: machine qubit x gets ``gap_one`` if f(x)=1 else ``gap_zero``."""
-
-    function: BooleanFunctionTable
-    gap_one: float
-    gap_zero: float
-
-
-@dataclass(frozen=True, slots=True)
-class BVProblem:
-    """Hamming-weight encoding: machine qubit i gets gap ``secret[i] * gamma``."""
-
-    secret: str
-    gamma: float
-
-
-@dataclass(frozen=True)
-class CustomProblem:
-    """Marker for an oracle built from an explicit gap vector."""
-
-
 @dataclass(frozen=True)
 class ThermalMachineOracle:
-    """Product of thermal qubits at a common machine temperature, plus problem metadata.
+    """Product of thermal qubits at a common machine temperature.
 
     Stored in product form (gap vector + inverse temperature); the full
     2^N-entry population vector is only ever materialized by the exact
-    simulator.
+    simulator. Which problem's gaps these are is known only to the caller
+    that built the oracle.
     """
 
     gap_vector: GapVector
     machine_inverse_temperature: float
-    problem: DJProblem | BVProblem | CustomProblem
 
     def __post_init__(self) -> None:
         # Each machine qubit must be a ThermalQubit: beta_M times every gap
@@ -316,9 +291,7 @@ def build_dj_oracle(
     if not (gap_one > 0.0 and gap_zero > 0.0):
         raise ValueError("both encoding gaps must be positive")
     gaps = tuple(gap_one if out else gap_zero for out in function.outputs)
-    return ThermalMachineOracle(
-        GapVector(gaps), beta_m, DJProblem(function, gap_one, gap_zero)
-    )
+    return ThermalMachineOracle(GapVector(gaps), beta_m)
 
 
 def build_bv_oracle(secret: str, gamma: float, beta_m: float) -> ThermalMachineOracle:
@@ -328,8 +301,8 @@ def build_bv_oracle(secret: str, gamma: float, beta_m: float) -> ThermalMachineO
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     gaps = tuple(gamma if c == "1" else 0.0 for c in secret)
-    return ThermalMachineOracle(GapVector(gaps), beta_m, BVProblem(secret, gamma))
+    return ThermalMachineOracle(GapVector(gaps), beta_m)
 
 
 def build_custom_oracle(gaps: Sequence[float], beta_m: float) -> ThermalMachineOracle:
-    return ThermalMachineOracle(GapVector(tuple(float(g) for g in gaps)), beta_m, CustomProblem())
+    return ThermalMachineOracle(GapVector(tuple(float(g) for g in gaps)), beta_m)

@@ -205,7 +205,9 @@ def _promise_ones(u: np.ndarray, n: np.ndarray) -> np.ndarray:
 class _Machines:
     """Drawn machines and probes, row t the t-th case: ``gaps[t, :sizes[t]]``
     are its machine gaps (entries past them are not read), ``oracles[t]``
-    its oracle, and ``probes[t]`` its probe, built on first read."""
+    its oracle, ``sources[t]`` what the oracle was built from (a truth
+    table, or a secret and gamma), and ``probes[t]`` its probe, built on
+    first read."""
 
     sizes: np.ndarray
     gaps: np.ndarray
@@ -213,6 +215,7 @@ class _Machines:
     omega: np.ndarray
     beta_s: np.ndarray
     oracles: list[ThermalMachineOracle]
+    sources: list
 
     @cached_property
     def probes(self) -> list[ThermalQubit]:
@@ -262,15 +265,16 @@ def _random_dj_machines(rng: np.random.Generator, rows: int, max_n: int) -> _Mac
     gap_one, gap_zero, beta_m, omega, beta_s = _scaled(
         rng.random((rows, 5)), ("gap", "gap", "beta_m", "omega", "beta_s")
     )
+    functions = [
+        BooleanFunctionTable(k, tuple(table[:size]))
+        for k, size, table in zip(n.tolist(), sizes.tolist(), tables.astype(int).tolist())
+    ]
     oracles = [
-        build_dj_oracle(BooleanFunctionTable(k, tuple(table[:size])), one, zero, beta)
-        for k, size, table, one, zero, beta in zip(
-            n.tolist(), sizes.tolist(), tables.astype(int).tolist(),
-            gap_one.tolist(), gap_zero.tolist(), beta_m.tolist(),
-        )
+        build_dj_oracle(function, one, zero, beta)
+        for function, one, zero, beta in zip(functions, gap_one.tolist(), gap_zero.tolist(), beta_m.tolist())
     ]
     gaps = np.where(tables, gap_one[:, None], gap_zero[:, None])
-    return _Machines(sizes, gaps, beta_m, omega, beta_s, oracles)
+    return _Machines(sizes, gaps, beta_m, omega, beta_s, oracles, functions)
 
 
 def _random_bv_machines(rng: np.random.Generator, n: np.ndarray, nonzero: bool) -> _Machines:
@@ -283,11 +287,11 @@ def _random_bv_machines(rng: np.random.Generator, n: np.ndarray, nonzero: bool) 
         empty = np.flatnonzero(~bits.any(axis=1))
         bits[empty, n[empty] - 1] = 1
     gamma, beta_m, omega, beta_s = _scaled(rng.random((n.size, 4)), ("gamma", "beta_m", "omega", "beta_s"))
-    oracles = [
-        build_bv_oracle("".join(map(str, secret[:k])), g, beta)
-        for k, secret, g, beta in zip(n.tolist(), bits.tolist(), gamma.tolist(), beta_m.tolist())
+    sources = [
+        ("".join(map(str, secret[:k])), g) for k, secret, g in zip(n.tolist(), bits.tolist(), gamma.tolist())
     ]
-    return _Machines(n, bits * gamma[:, None], beta_m, omega, beta_s, oracles)
+    oracles = [build_bv_oracle(secret, g, beta) for (secret, g), beta in zip(sources, beta_m.tolist())]
+    return _Machines(n, bits * gamma[:, None], beta_m, omega, beta_s, oracles, sources)
 
 
 def _mask_draws(rng: np.random.Generator, cases: int, max_dj_n: int, max_bv_n: int):
@@ -428,15 +432,14 @@ def _hamming_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckResul
     machines = _random_bv_machines(rng, np.repeat(np.arange(1, sizes.max_bv_n + 1), per_n), nonzero=False)
     analytic, kickback = _library_columns(
         [
-            (hamming_weight_population(BVInstance(oracle.problem.secret), oracle.problem.gamma,
-                                       probe, oracle.machine_inverse_temperature),
+            (hamming_weight_population(BVInstance(secret), gamma, probe, oracle.machine_inverse_temperature),
              kickback_outcome(probe, oracle, QueryMask.all_ones(oracle.n_machine_qubits)).p0_after)
-            for oracle, probe in machines.cases()
+            for (secret, gamma), (oracle, probe) in zip(machines.sources, machines.cases())
         ],
         2,
     )
     _, exact_p0, _ = machines.exact_kickback()
-    secrets = [oracle.problem.secret for oracle in machines.oracles]
+    secrets = [secret for secret, _ in machines.sources]
     hamming.record_block(np.abs(analytic - exact_p0), lambda i: f"secret={secrets[i]}")
     hamming_vs_kickback.record_block(np.abs(analytic - kickback), lambda i: f"secret={secrets[i]}")
     return [hamming, hamming_vs_kickback]

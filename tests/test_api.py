@@ -8,10 +8,12 @@ import thermoquery
 
 MODULES = ("cli", "detuning", "exactsim", "problems", "query", "readout", "thermal", "verify")
 
-# Names that were removed because only their own tests called them, and
-# cli's copy of its parser's defaults and its ValueError subclass.
+# Names that were removed because only their own tests called them, cli's
+# copy of its parser's defaults and its ValueError subclass, and the problem
+# records an oracle carried: a query reads only its gaps and beta_M.
 REMOVED = {
-    "thermal": ("prepare_via_conditional_thermalization", "ConditionalThermalizationTrace", "log1pexp"),
+    "thermal": ("prepare_via_conditional_thermalization", "ConditionalThermalizationTrace", "log1pexp",
+                "DJProblem", "BVProblem", "CustomProblem"),
     "problems": ("solve_dj_deterministic_classical", "ClassicalSolveResult", "dj_gap_magnitude"),
     "query": ("temperature_well_defined",),
     "detuning": ("SweepPoint",),
@@ -109,8 +111,6 @@ def test_exact_simulator_reads_no_analytic_code():
 SLOTTED = (
     ("thermal", "ThermalQubit"),
     ("thermal", "GapVector"),
-    ("thermal", "DJProblem"),
-    ("thermal", "BVProblem"),
     ("query", "QueryMask"),
     ("query", "QueryOutcome"),
 )

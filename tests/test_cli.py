@@ -464,6 +464,19 @@ class TestSampleComplexity:
         _, rows = read_csv(out)
         assert len(rows) == 20 * 7
 
+    @pytest.mark.parametrize(
+        "argv", [["--t-grid", "1e-200"], ["--t-grid", "0.3,1e-160"], ["--delta-grid", "0.1,1e-320"]]
+    )
+    def test_count_past_the_float_range_exits_one(self, tmp_path, capsys, argv):
+        """A grid whose n* is not a finite float is one stderr line and exit 1,
+        before the output is opened: no traceback and no file left behind."""
+        out = tmp_path / "new.csv"
+        assert main(["sample-complexity", *argv, "--out", str(out)]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("thermoquery: error: t ") and captured.err.count("\n") == 1
+
 
 class TestDetuningSweep:
     def test_default_sweep(self, tmp_path):

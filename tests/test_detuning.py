@@ -52,6 +52,13 @@ class TestFlipProbability:
     def test_zero_time(self):
         assert flip_probability(1.0, 0.5, 0.0) == 0.0
 
+    def test_phase_past_the_float_range_rejected_by_name(self):
+        """A finite time whose phase overflows is a ValueError naming time,
+        not math.sin's domain error."""
+        with pytest.raises(ValueError, match=r"time must keep the phase .* finite, got 1e\+308"):
+            flip_probability(4.0, 0.0, 1e308)
+        assert 0.0 <= flip_probability(4.0, 0.0, 1e307) <= 1.0
+
     def test_detuned_peak_touches_envelope(self):
         g = delta = 1.0
         time = math.pi / math.sqrt(2.0)

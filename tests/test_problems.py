@@ -125,6 +125,12 @@ class TestHammingWeightPopulation:
             outcome = kickback_outcome(probe, oracle, QueryMask.all_ones(n))
             assert abs(analytic - outcome.p0_after) <= 1e-14
 
+    def test_zero_secret_takes_any_finite_beta(self):
+        """As its oracle does: a zero secret has no gap for beta_M to multiply."""
+        probe, oracle = ThermalQubit(1.0, 1.0), build_bv_oracle("0", 10.0, 1e308)
+        value = hamming_weight_population(BVInstance("0"), 10.0, probe, 1e308)
+        assert value == kickback_outcome(probe, oracle).p0_after
+
     def test_requires_positive_gamma(self):
         with pytest.raises(ValueError):
             hamming_weight_population(BVInstance("1"), 0.0, ThermalQubit(1.0, 0.0), 1.0)
@@ -137,6 +143,7 @@ class TestHammingWeightPopulation:
             (1.0, math.nan, "inverse temperature"),
             (1.0, math.inf, "inverse temperature"),
             (1.0, -math.inf, "inverse temperature"),
+            (10.0, -1e308, r"^inverse temperature times gap must be finite, got -1e\+308 \* 10.0$"),
         ],
     )
     def test_non_finite_input_rejected(self, gamma, beta_m, name):

@@ -137,9 +137,18 @@ class TestMixedInputQuery:
                 float(np.mean(branches)), abs=1e-12
             )
 
-    def test_rejects_non_dj(self):
-        with pytest.raises(ValueError):
-            mixed_input_query(ThermalQubit(1.0, 0.0), build_bv_oracle("11", 1.0, 1.0))
+    def test_any_positive_gap_oracle_matches_reference_swap_average(self):
+        """A secret-string oracle without a zero bit, and a custom one, are
+        mixtures of thermal qubits as a Deutsch-Jozsa oracle is."""
+        probe = ThermalQubit(0.9, 0.4)
+        for oracle in (build_bv_oracle("111", 1.3, 0.7), build_custom_oracle([0.3, 1.7, 0.8], -1.1)):
+            branches = [p0 for p0, _ in reference_swap(probe, oracle)]
+            assert mixed_input_query(probe, oracle).p0 == pytest.approx(float(np.mean(branches)), abs=1e-12)
+
+    @pytest.mark.parametrize("oracle", [build_bv_oracle("101", 1.0, 1.0), build_custom_oracle([1.0, 0.0], 0.5)])
+    def test_zero_gap_machine_qubit_refused(self, oracle):
+        with pytest.raises(ValueError, match="machine qubit 1 has zero gap; it is not a valid thermal qubit"):
+            mixed_input_query(ThermalQubit(1.0, 0.0), oracle)
 
 
 class TestKickbackOutcome:

@@ -167,6 +167,19 @@ class TestSampleBounds:
         # Nothing in the bound depends on n; spot-check it is a pure (delta, t) function.
         assert sample_bound_from_threshold(0.2, 0.3) == math.ceil(math.log(5.0) / 0.18)
 
+    @pytest.mark.parametrize("t", [1e-200, 1e-160])
+    def test_threshold_whose_bound_passes_the_float_range_rejected_by_name(self, t):
+        """2 t^2 underflowing to 0, or a quotient past the largest double, is
+        a ValueError naming t, not a ZeroDivisionError or an OverflowError."""
+        with pytest.raises(ValueError, match=f"^t {t} with delta 0.1 gives"):
+            sample_bound_from_threshold(0.1, t)
+        with pytest.raises(ValueError, match=f"^t {t} with delta 0.1 gives"):
+            crossover_analysis([0.1], [0.3, t])
+
+    def test_divergence_whose_bound_passes_the_float_range_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^divergence 1e-320 with delta 0.1 gives"):
+            chernoff_stein_samples(0.1, 1e-320)
+
     @given(delta=st.floats(0.01, 0.9), tv=st.floats(0.01, 0.5))
     def test_two_bound_paths_consistent(self, delta, tv):
         assert chernoff_stein_samples(delta, 2.0 * tv * tv) == sample_bound_from_threshold(delta, tv)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from itertools import product
 
 import numpy as np
@@ -399,3 +400,22 @@ class TestBVOracle:
         oracle.machine_qubit(0)
         with pytest.raises(ValueError):
             oracle.machine_qubit(1)
+
+
+class TestOracleIsItsGapsAndTemperature:
+    def test_two_fields(self):
+        oracle = build_custom_oracle([1.0], 0.5)
+        assert [f.name for f in fields(oracle)] == ["gap_vector", "machine_inverse_temperature"]
+
+    def test_equal_gaps_and_beta_compare_and_hash_equal(self):
+        """Oracles built from different inputs but with the same gaps and
+        beta_M are one oracle."""
+        balanced = build_dj_oracle(BooleanFunctionTable(1, (0, 1)), 1.0, 1.0, 0.8)
+        constant = build_dj_oracle(BooleanFunctionTable.constant(1, 0), 1.0, 1.0, 0.8)
+        custom = build_custom_oracle([1.0, 1.0], 0.8)
+        assert balanced == constant == custom
+        assert len({balanced, constant, custom}) == 1
+        secret = build_bv_oracle("101", 2.0, -0.3)
+        assert secret == build_custom_oracle([2.0, 0.0, 2.0], -0.3)
+        assert hash(secret) == hash(build_custom_oracle([2.0, 0.0, 2.0], -0.3))
+        assert secret != build_custom_oracle([2.0, 0.0, 2.0], 0.3)

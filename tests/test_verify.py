@@ -225,7 +225,7 @@ def test_promise_law():
     law(sizes, ones)
 
     machines = verify._random_dj_machines(np.random.default_rng(11), 60_000, 3)
-    tables = [oracle.problem.function.outputs for oracle in machines.oracles]
+    tables = [function.outputs for function in machines.sources]
     law(machines.sizes, np.array([sum(table) for table in tables]))
     for size, count in ((2, 2), (4, 6)):
         balanced = [table for table in tables if len(table) == size and 2 * sum(table) == size]
@@ -252,7 +252,7 @@ def test_secret_string_draws():
     its last bit set, so no secret is all zero and every 1-bit secret is 1."""
     rng = np.random.default_rng(7)
     n = rng.integers(1, 7, 20_000)
-    secrets = [oracle.problem.secret for oracle in verify._random_bv_machines(rng, n, nonzero=True).oracles]
+    secrets = [secret for secret, _ in verify._random_bv_machines(rng, n, nonzero=True).sources]
     assert [len(secret) for secret in secrets] == n.tolist()
     assert all("1" in secret for secret in secrets)
     assert {secret for secret in secrets if len(secret) == 1} == {"1"}
@@ -260,8 +260,8 @@ def test_secret_string_draws():
     assert set(two_bits) == {"01", "10", "11"}
     within(two_bits.count("01"), len(two_bits), 1 / 2)  # "00" becomes "01"
 
-    unrestricted = verify._random_bv_machines(rng, np.full(4000, 3), nonzero=False).oracles
-    within(sum(oracle.problem.secret == "000" for oracle in unrestricted), 4000, 1 / 8)
+    unrestricted = verify._random_bv_machines(rng, np.full(4000, 3), nonzero=False).sources
+    within(sum(secret == "000" for secret, _ in unrestricted), 4000, 1 / 8)
 
 
 def test_mask_and_swap_draws_are_in_range():
