@@ -1,20 +1,29 @@
 """Brute-force verification oracle over the full diagonal joint state.
 
-Holds every population of probe + machine, applies exchanges as exact
-permutations, and extracts marginals. Ground truth for the analytic formulas;
-capped at ``DEFAULT_MAX_QUBITS`` = 20 qubits, probe included, since the 2^N
-machine weights are dense.
+Every population of probe + machine is defined by product weights, exchanges
+are exact permutations, and marginals are exact sums. Ground truth for the
+analytic formulas; capped at ``DEFAULT_MAX_QUBITS`` = 20 qubits, probe
+included, since every read sums all 2^N machine weights.
 
-A state is stored in product form: 2^N machine weights w and two probe
-factors k_g and k_e, so level (i_S, x) holds w(x) k_{i_S}. The weights are
-doubled one machine qubit at a time as a product of per-qubit factors, none
-above 1: 2^N multiplications and 2(N + 1) exponentials. Every kernel takes
+A state is in product form: 2^N machine weights w and two probe factors
+k_g and k_e, so level (i_S, x) holds w(x) k_{i_S}. The weights are doubled
+one machine qubit at a time as a product of per-qubit factors, none above
+1: about 2^N multiplications and 2(N + 1) exponentials. Every kernel takes
 one row as 1-D arrays or a chunk of rows as 2-D ones, a row's values on the
 last axis. :func:`kickback_batch` runs the kickback on T states at once,
 with the machine mean energies on request, and :func:`swap_batch` gives the
 probe marginal after a SWAP with each machine qubit of T states; both take
-each row's factors and results once per call over all T rows, and build
-only the weights a chunk of rows at a time.
+each row's factors and results once per call over all T rows.
+
+Memory does not grow with 2^N. Weights are built in blocks of at most 2^16
+machine levels, 512 KiB: a chunk of rows of up to 16 machine qubits in one
+reused array, and a wider row (17 to 19) one block at a time. Block m of a
+wide row is its first block, the doubling of its last 16 machine qubits,
+times the factors of m's top bits in the doubling's order, so each weight is
+the same double as a doubling of the whole row. Each block is written, half
+at a time, into one reused array whose first row carries the running column
+sums, and its row sums, column sums and the gathers of w[a] and w[b] are
+taken there: one sweep, at most one and a half blocks held.
 
 Every sum over a row's weights views them as a grid of 2^h rows, the h most
 significant machine bits, by 2^l columns, with l = min(N, max(8, ceil(N/2)))
@@ -23,25 +32,29 @@ up to 8 qubits, which verify runs by the thousand, keep the whole row as one
 plain sum (h = 0); up to 9, the grid rows are the halves in which numpy's
 pairwise sum takes a row, so the total is the same double as a plain sum. A
 build is the doubling plus one row-sum pass, whose sum is the total. An
-energy or a SWAP read adds one column-sum pass, taken once per row and kept,
-and O(2^(N/2)) further work: the mean energy is sum_i E_high(i) s_i +
-sum_j E_low(j) c_j over the row sums s and the column sums c, with two
-half-width energy tables, and bit j's zero-sum comes from s for a high bit
-and from c for a low one, so all N marginals of :func:`swap_batch` come from
-the two passes. Each row is reduced along its own axes, so its reads do not
-depend on the other rows of its chunk.
+energy or a SWAP read adds one column-sum pass, taken once per row and kept
+(a wide row's sweep takes it at once), and O(2^(N/2)) further work: the
+mean energy is sum_i E_high(i) s_i + sum_j E_low(j) c_j over the row sums s
+and the column sums c, with two half-width energy tables, and bit j's
+zero-sum comes from s for a high bit and from c for a low one, so all N
+marginals of :func:`swap_batch` come from the two passes. Each row is
+reduced along its own axes, so its reads do not depend on the other rows of
+its chunk.
 
 :func:`build_joint_state` builds one 1-D row with the same kernels. A
 :class:`DiagonalJointState` is that row plus at most one step, O(1) in time
 and memory: a SWAP with a machine qubit, or the exchange of a kickback pair,
-the only pair taken (:func:`kickback_level_indices`). A built or exchanged
-state is read with the one formula :func:`kickback_batch` reads a row with,
-in Python floats, and numpy only for the exponentials, the logarithm and the
-sums whose rounding must match the batch's. A swapped state's probe
-marginal is one bit's zero-sum, and its machine energy the grid energy with
-the swapped gap set to 0 in its half table, so that no difference cancels.
-Nothing here calls the analytic kickback code in ``query`` or the
-closed-form partition functions of ``thermal``.
+the only pair taken (:func:`kickback_level_indices`). The row keeps its
+first block and its grid sums, not its weights: a weight past the first
+block is formed from it with at most N - 16 multiplies, in the doubling's order.
+A built or exchanged state is read with the one formula
+:func:`kickback_batch` reads a row with, in Python floats, and numpy only
+for the exponentials, the logarithm and the sums whose rounding must match
+the batch's. A swapped state's probe marginal is one bit's zero-sum, and its
+machine energy the grid energy with the swapped gap set to 0 in its half
+table, so that no difference cancels. Nothing here calls the analytic
+kickback code in ``query`` or the closed-form partition functions of
+``thermal``.
 
 Index convention: the probe bit is the most significant bit; machine bit
 strings are big-endian, as in ``thermal.bits_to_index`` (machine qubit 0 is
@@ -74,19 +87,23 @@ __all__ = [
 ]
 
 DEFAULT_MAX_QUBITS = 20
-# Machine levels built at once by kickback_batch and swap_batch: one 512 KiB array.
+# Machine levels built at once, a chunk of rows or a block of one wide row: 512 KiB.
 _BATCH_LEVELS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
 class _Row:
-    """One built joint state: ``weights`` is w, a read-only 2^N array, one
-    row of the batch kernels, level (i_S, x) holds w(x) times ``k_g`` or
-    ``k_e``, ``sums`` is w's 2^h row sums over its weight grid
-    (:func:`_row_sums`) and ``total`` their sum. The column sums and the
-    ``energy``, sum_x w(x) E(x), are taken on first read and kept."""
+    """One built joint state: level (i_S, x) holds w(x) times ``k_g`` or
+    ``k_e``. ``block`` is w's first block, read-only: the whole row up to
+    2^16 machine levels, and for a wider row the doubling of its last 16
+    machine qubits, which ``factors`` carries to every block
+    (:func:`_block_factors`, :meth:`weight`; None for a row of one block).
+    ``sums`` is w's 2^h row sums over its weight grid and ``total`` their
+    sum. ``swept`` holds a wide row's column sums, which its build's sweep
+    takes; a row of one block takes them on first read. The ``energy``,
+    sum_x w(x) E(x), is taken on first read and kept."""
 
-    weights: np.ndarray
+    block: np.ndarray
     sums: np.ndarray
     k_g: float
     k_e: float
@@ -94,14 +111,28 @@ class _Row:
     log_partition_sum: float
     machine_gaps: np.ndarray
     probe_gap: float
+    factors: tuple | None
+    swept: np.ndarray | None
 
     @property
     def high(self) -> int:
         return _high_bits(self.machine_gaps.size)
 
+    def weight(self, level: int) -> float:
+        """w at machine ``level``: its entry of the first block times its
+        block's factors, in the doubling's order, so the same double as the
+        whole row's doubling gives; at most N - 16 multiplies."""
+        if self.factors is None:  # one block: the whole row
+            return self.block.item(level)
+        index, offset = divmod(level, self.block.size)
+        value = self.block.item(offset)
+        for factor in self.factors[index]:
+            value *= factor
+        return value
+
     @cached_property
     def columns(self) -> np.ndarray:
-        return _column_sums(self.weights, self.high)
+        return _column_sums(self.block, self.high) if self.swept is None else self.swept
 
     @cached_property
     def energy(self) -> float:
@@ -153,11 +184,11 @@ def _high_bits(n_machine: int) -> int:
     return n_machine - min(n_machine, max(8, (n_machine + 1) // 2))
 
 
-def _row_sums(weights: np.ndarray, high: int) -> tuple[np.ndarray, np.ndarray]:
+def _row_sums(weights: np.ndarray, high: int) -> np.ndarray:
     """The grid's row sums s of a row of ``weights`` or of each row of a
-    chunk, (..., 2^high), and their totals: one pass, a plain sum where h = 0."""
-    sums = weights.reshape(*weights.shape[:-1], 1 << high, -1).sum(axis=-1)
-    return sums, sums.sum(axis=-1)
+    chunk, (..., 2^high): one pass, a plain sum where h = 0. Their sum over
+    the last axis is the total."""
+    return weights.reshape(*weights.shape[:-1], 1 << high, -1).sum(axis=-1)
 
 
 def _column_sums(weights: np.ndarray, high: int) -> np.ndarray:
@@ -232,21 +263,22 @@ def _factors(omega, beta_s, gaps, beta_m):
 
 
 def _double(excited, ground, scaled, weights):
-    """Write the machine weights w of the row, or rows, of ``excited`` and
-    ``ground`` into ``weights``, (..., 2^N): w(x) is doubled as a product of
-    the machine qubits' factors, the last qubit first so that qubit 0
-    becomes the most significant bit. A qubit not ``scaled`` has ground
-    factor 1 in every row and is not multiplied. The transposed views put
-    the level axis first: a factor, a float for one row and a (rows,) array
-    for a chunk, broadcasts over it."""
+    """Write the weights of the last k machine qubits of the row, or rows,
+    of ``excited`` and ``ground`` into ``weights``, (..., 2^k): the whole
+    row's w where k = N. w(x) is doubled as a product of the machine
+    qubits' factors, the last qubit first so that qubit 0 becomes the most
+    significant bit. A qubit not ``scaled`` has ground factor 1 in every row
+    and is not multiplied. The transposed views put the level axis first: a
+    factor, a float for one row and a (rows,) array for a chunk, broadcasts
+    over it."""
     levels, excited, ground = weights.T, excited.T, ground.T
     levels[0] = 1.0
-    size = 1
-    for column in range(len(excited) - 1, 0, -1):
+    size, column = 1, len(excited) - 1
+    while size < len(levels):
         np.multiply(levels[:size], excited[column], out=levels[size:2 * size])
         if scaled[column]:
             levels[:size] *= ground[column]
-        size *= 2
+        size, column = 2 * size, column - 1
 
 
 def _probe_factors(excited, ground, total):
@@ -256,34 +288,112 @@ def _probe_factors(excited, ground, total):
     return ground[..., 0] / partition, excited[..., 0] / partition, partition
 
 
-def _weight_chunks(excited, ground, scaled):
-    """Machine weights of T joint states from their :func:`_factors`, a chunk
-    of rows at a time, in one array of at most 2^16 machine levels or one
-    row: yields the chunk's slice and its (rows, 2^N) weights w."""
-    rows, columns = excited.shape
-    levels = _machine_levels(columns - 1)
-    step = max(1, min(rows, _BATCH_LEVELS // levels))
-    buffer = np.empty((step, levels))
+def _block_factors(excited, ground, scaled, blocks: int) -> tuple:
+    """The factors that carry a row's first block to each of its ``blocks``
+    blocks of 2^16 machine levels, from the row's :func:`_factors`: block m
+    holds the levels whose t top machine bits spell m, t = log2(blocks),
+    and its factors are those of its top qubits in the doubling's order,
+    qubit t - 1 first: e_q for a set bit, and g_q for a clear one only where
+    qubit q is ``scaled``."""
+    top = blocks.bit_length() - 1
+    return tuple(tuple(float(excited[top - bit] if m >> bit & 1 else ground[top - bit])
+                       for bit in range(top) if m >> bit & 1 or scaled[top - bit])
+                 for m in range(blocks))
+
+
+def _sweep_buffer(n_machine: int) -> np.ndarray:
+    """The reused array of :func:`_sweep`: half a block of a wide row as grid
+    rows 1:, (2^15 / 2^l + 1, 2^l), and the running column sums in row 0.
+    With the first block, a build holds one and a half blocks: below the two
+    past which malloc hands freed arrays back to the system, so that each
+    build would fault them in again, page by page."""
+    width = 1 << (n_machine - _high_bits(n_machine))
+    return np.empty((_BATCH_LEVELS // 2 // width + 1, width))
+
+
+def _sweep(first, buffer, factors, high, columns: bool, levels=()) -> tuple:
+    """The grid sums of a wide row, in one pass over its blocks of 2^16
+    machine levels: block m is ``first``, the row's first block, times
+    ``factors[m]`` in order (:func:`_block_factors`), so every weight is the
+    same double as the whole row's doubling gives. Each half block is
+    written into rows 1: of ``buffer`` (:func:`_sweep_buffer`), whose row 0
+    carries the running column sums, so that summing the buffer's rows
+    continues the whole grid's sequential sum. Returns the row sums s
+    (2^h), the column sums c (2^l) if ``columns`` else None, and the
+    weights at the machine ``levels``, Python ints, as floats."""
+    grid = buffer[1:]
+    piece = grid.reshape(-1)
+    step, size = len(grid), piece.size
+    halves = first.reshape(-1, size)
+    sums = np.empty(1 << high)
+    carried = np.zeros(buffer.shape[-1]) if columns else None
+    found = [0.0] * len(levels)
+    for p in range(len(factors) * len(halves)):
+        multipliers, source = factors[p // len(halves)], halves[p % len(halves)]
+        if multipliers:
+            np.multiply(source, multipliers[0], out=piece)
+            for factor in multipliers[1:]:
+                piece *= factor
+        else:
+            piece[...] = source
+        np.sum(grid, axis=-1, out=sums[p * step:(p + 1) * step])
+        if columns:
+            buffer[0] = carried
+            np.sum(buffer, axis=-2, out=carried)
+        for index, level in enumerate(levels):
+            if level // size == p:
+                found[index] = piece.item(level % size)
+    return sums, carried, found
+
+
+def _grids(excited, ground, scaled, columns: bool, *levels):
+    """The grid sums of T rows from their :func:`_factors`, a chunk of rows
+    at a time: yields the chunk's slice, its row sums s (rows, 2^h), its
+    column sums c (rows, 2^l) if ``columns`` else None, and its weights at
+    each of the (T,) arrays of machine ``levels``. A chunk is built in one
+    reused array of at most 2^16 machine levels; a wider row is a chunk of
+    its own, built and reduced a block of 2^16 levels at a time
+    (:func:`_sweep`)."""
+    rows, n = excited.shape[0], excited.shape[1] - 1
+    size, high = _machine_levels(n), _high_bits(n)
+    if size > _BATCH_LEVELS:
+        first, buffer = np.empty(_BATCH_LEVELS), _sweep_buffer(n)
+        for t in range(rows):
+            _double(excited[t], ground[t], scaled, first)
+            factors = _block_factors(excited[t], ground[t], scaled, size // _BATCH_LEVELS)
+            sums, carried, found = _sweep(first, buffer, factors, high, columns, [int(each[t]) for each in levels])
+            yield slice(t, t + 1), sums[None], None if carried is None else carried[None], found
+        return
+    step = max(1, min(rows, _BATCH_LEVELS // size))
+    buffer = np.empty((step, size))
     for start in range(0, rows, step):
         chunk = slice(start, min(start + step, rows))
         weights = buffer[: chunk.stop - start]
         _double(excited[chunk], ground[chunk], scaled, weights)
-        yield chunk, weights
+        row = np.arange(len(weights))
+        yield (chunk, _row_sums(weights, high), _column_sums(weights, high) if columns else None,
+               [weights[row, each[chunk]] for each in levels])
 
 
 def build_joint_state(probe: ThermalQubit, oracle: ThermalMachineOracle) -> DiagonalJointState:
     """Normalized product populations e^{-beta_S*omega*i_S} e^{-beta_M*(i_M.G)} / (Z_S Z_f),
     built as one 1-D row by the batch kernels."""
     gaps = np.array(oracle.gap_vector.gaps, dtype=float)
+    n, high = gaps.size, _high_bits(gaps.size)
     excited, ground, scaled, shift_sum = _factors(probe.gap, probe.inverse_temperature,
                                                   gaps, oracle.machine_inverse_temperature)
-    weights = np.empty(_machine_levels(gaps.size))
-    _double(excited, ground, scaled, weights)
-    sums, total = _row_sums(weights, _high_bits(gaps.size))
+    block = np.empty(min(_machine_levels(n), _BATCH_LEVELS))
+    _double(excited, ground, scaled, block)
+    if block.size < 1 << n:  # the weights past the first block are not kept
+        factors = _block_factors(excited, ground, scaled, (1 << n) // block.size)
+        sums, swept, _ = _sweep(block, _sweep_buffer(n), factors, high, True)
+    else:
+        factors, sums, swept = None, _row_sums(block, high), None
+    total = sums.sum()
     k_g, k_e, partition = _probe_factors(excited, ground, total)
-    weights.flags.writeable = False  # shared by every state one step from this one
-    return DiagonalJointState(_Row(weights, sums, float(k_g), float(k_e), float(total),
-                                   float(shift_sum + np.log(partition)), gaps, probe.gap))
+    block.flags.writeable = False  # shared by every state one step from this one
+    return DiagonalJointState(_Row(block, sums, float(k_g), float(k_e), float(total),
+                                   float(shift_sum + np.log(partition)), gaps, probe.gap, factors, swept))
 
 
 def kickback_batch(omega: np.ndarray, beta_s: np.ndarray, gaps: np.ndarray, beta_m: np.ndarray,
@@ -296,8 +406,9 @@ def kickback_batch(omega: np.ndarray, beta_s: np.ndarray, gaps: np.ndarray, beta
 
     Each row's weights w and factors k_g, k_e are built as
     :func:`build_joint_state` builds them, and read as a built or exchanged
-    state is (:func:`_exchange_reads`). Only the weights are built a chunk
-    at a time; every other step runs once over all T rows.
+    state is (:func:`_exchange_reads`). Only the weights are built and
+    reduced piecewise, a chunk of rows or a block of a wide row at a time
+    (:func:`_grids`); every other step runs once over all T rows.
     """
     rows, n = gaps.shape
     masks = np.asarray(masks)
@@ -308,13 +419,11 @@ def kickback_batch(omega: np.ndarray, beta_s: np.ndarray, gaps: np.ndarray, beta
     excited, ground, scaled, shift_sum = _factors(omega, beta_s, gaps, beta_m)
     high = _high_bits(n)
     total, weight_a, weight_b, weighted = (np.empty(rows) for _ in range(4))
-    for chunk, weights in _weight_chunks(excited, ground, scaled):
-        row = np.arange(len(weights))
-        sums, total[chunk] = _row_sums(weights, high)
-        weight_a[chunk] = weights[row, level_a[chunk]]
-        weight_b[chunk] = weights[row, level_b[chunk]]
+    for chunk, sums, columns, (at_a, at_b) in _grids(excited, ground, scaled, energies, level_a, level_b):
+        total[chunk] = sums.sum(axis=-1)
+        weight_a[chunk], weight_b[chunk] = at_a, at_b
         if energies:
-            weighted[chunk] = _mean_energies(sums, _column_sums(weights, high), gaps[chunk], high)
+            weighted[chunk] = _mean_energies(sums, columns, gaps[chunk], high)
     k_g, k_e, partition = _probe_factors(excited, ground, total)
     terms = (weighted, ((2 * masks - 1) * gaps).sum(axis=-1)) if energies else ()
     p0, p0_after, *energy = _exchange_reads(k_g, k_e, total, weight_a, weight_b, *terms)
@@ -336,9 +445,8 @@ def swap_batch(omega: np.ndarray, beta_s: np.ndarray, gaps: np.ndarray, beta_m: 
     excited, ground, scaled, _ = _factors(omega, beta_s, gaps, beta_m)
     high = _high_bits(n)
     total, zero = np.empty(rows), np.empty((rows, n))
-    for chunk, weights in _weight_chunks(excited, ground, scaled):
-        sums, total[chunk] = _row_sums(weights, high)
-        columns = _column_sums(weights, high)
+    for chunk, sums, columns, _ in _grids(excited, ground, scaled, True):
+        total[chunk] = sums.sum(axis=-1)
         for j in range(n):
             zero[chunk, j] = _zero_sums(sums, j) if j < high else _zero_sums(columns, j - high)
     k_g, k_e, _ = _probe_factors(excited, ground, total)
@@ -378,8 +486,8 @@ def _reads(state: DiagonalJointState, energies: bool = False) -> tuple:
     a = state.exchanged[0] if exchanged else 0
     mask = (a >> np.arange(n - 1, -1, -1)) & 1 if energies and exchanged else None
     signed_gaps = None if mask is None else float(((2 * mask - 1) * row.machine_gaps).sum())
-    reads = _exchange_reads(row.k_g, row.k_e, row.total, row.weights.item(a), row.weights.item((1 << n) - 1 - a),
-                            row.energy if energies else None, signed_gaps)
+    pair = (row.weight(a), row.weight((1 << n) - 1 - a)) if exchanged else (0.0, 0.0)  # unread when built
+    reads = _exchange_reads(row.k_g, row.k_e, row.total, *pair, row.energy if energies else None, signed_gaps)
     return reads[int(exchanged)::2]
 
 

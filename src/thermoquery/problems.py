@@ -7,10 +7,13 @@ in :mod:`thermoquery.readout`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterator
+
+import numpy as np
 
 from .query import kickback_shift, shift_outcome
 from .thermal import (
@@ -36,7 +39,7 @@ class PromiseViolationError(ValueError):
     """The function is neither balanced nor constant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DJInstance:
     """A truth table that keeps the promise: constant or balanced."""
 
@@ -106,11 +109,18 @@ def hamming_weight_population(
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     # As the oracle: beta_M alone is tested only when beta_M * gamma fails.
     largest = gamma if instance.hamming_weight else 0.0
-    if not math.isfinite(math.fabs(beta_m) * largest):
+    scale = math.fabs(beta_m) * largest
+    if not math.isfinite(scale):
         if not math.isfinite(beta_m):
             raise ValueError(f"machine inverse temperature must be finite, got {beta_m}")
         raise ValueError(f"inverse temperature times gap must be finite, got {beta_m} * {largest}")
-    total, log_zf = two_gap_machine(instance.hamming_weight, len(instance.secret), gamma, 0.0, beta_m)
+    # As the oracle: log Z_f can overflow only where N (|beta_M| gamma + log 2)
+    # passes the largest double, and is then refused in the oracle's words.
+    overflows = len(instance.secret) * (scale + math.log(2.0)) > sys.float_info.max
+    with np.errstate(over="ignore" if overflows else None):
+        total, log_zf = two_gap_machine(instance.hamming_weight, len(instance.secret), gamma, 0.0, beta_m)
+    if overflows and not math.isfinite(log_zf):
+        raise ValueError(f"log partition function is not finite, got {log_zf}")
     a = probe.inverse_temperature * probe.gap
     delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
     return float(shift_outcome(a, probe.gap, delta)[1])

@@ -197,7 +197,7 @@ class Classification(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BooleanFunctionTable:
     """Truth table of an n-bit Boolean function, indexed by the big-endian input string."""
 
@@ -218,7 +218,7 @@ class BooleanFunctionTable:
     def constant(cls, n: int, value: int) -> "BooleanFunctionTable":
         return cls(n, tuple([int(value)] * (1 << n)))
 
-    @cached_property
+    @property
     def classification(self) -> Classification:
         ones = sum(self.outputs)
         size = len(self.outputs)

@@ -107,12 +107,15 @@ def test_exact_simulator_reads_no_analytic_code():
     assert imported == {"QueryMask", "ThermalQubit", "ThermalMachineOracle", "BinaryDistribution"}
 
 
-# Values built once per case or per query: slotted, so they hold no dict.
+# Values built once per case or per query, and the truth tables the
+# Deutsch-Jozsa enumeration builds by the thousand: slotted, so they hold no dict.
 SLOTTED = (
     ("thermal", "ThermalQubit"),
     ("thermal", "GapVector"),
+    ("thermal", "BooleanFunctionTable"),
     ("query", "QueryMask"),
     ("query", "QueryOutcome"),
+    ("problems", "DJInstance"),
 )
 
 

@@ -42,9 +42,32 @@ def worked_state():
 
 
 def built_populations(state):
-    """The 2^(N+1) populations of a built state: its weights times each probe factor."""
+    """The 2^(N+1) populations of a built state of at most 2^16 machine
+    levels, whose first block is its whole row: its weights times each
+    probe factor."""
     row = state.row
-    return np.concatenate((row.weights * row.k_g, row.weights * row.k_e))
+    assert row.block.size == 1 << state.n_machine
+    return np.concatenate((row.block * row.k_g, row.block * row.k_e))
+
+
+def dense_weights(probe, oracle):
+    """The machine weights w of all 2^N levels, doubled over the whole row
+    from exactsim's per-qubit factors, one machine qubit at a time, the last
+    first: the dense row that a row built in blocks must match bit for bit."""
+    gaps = np.array(oracle.gap_vector.gaps, dtype=float)
+    excited, ground, scaled, _ = exactsim._factors(probe.gap, probe.inverse_temperature, gaps,
+                                                   oracle.machine_inverse_temperature)
+    weights = np.ones(1)
+    for column in range(gaps.size, 0, -1):
+        cleared = weights * ground[column] if scaled[column] else weights
+        weights = np.concatenate((cleared, weights * excited[column]))
+    return weights
+
+
+def dense_populations(probe, oracle, state):
+    """The 2^(N+1) populations of ``state`` from the dense row of its machine."""
+    weights = dense_weights(probe, oracle)
+    return np.concatenate((weights * state.row.k_g, weights * state.row.k_e))
 
 
 class TestBuildJointState:
@@ -96,6 +119,12 @@ class TestBuildJointState:
         assert probe_marginal(state).p0 == pytest.approx(probe.ground_population, abs=1e-14)
 
 
+# A 20-qubit build or batch row: its first block of 2^16 machine levels, the
+# half block it sweeps the row in, and 64 KiB for the grid sums, the sweep's
+# column-sum row and small arrays.
+SWEEP_BYTES = (8 << 16) + (8 << 15) + (1 << 16)
+
+
 class TestProductWeights:
     """The weights doubled as a product of per-qubit factors."""
 
@@ -107,7 +136,7 @@ class TestProductWeights:
         probe = ThermalQubit(0.8, beta_s)
         oracle = build_custom_oracle([0.0025, 2.0, 0.001, 0.0, 0.003], beta_m)
         state = build_joint_state(probe, oracle)
-        weights = state.row.weights
+        weights = state.row.block
         assert weights.max() == 1.0 and np.all(weights >= 0.0)
         for (s_bit, machine), expected in reference_joint_populations(probe, oracle).items():
             level = int("".join(str(b) for b in machine), 2)
@@ -116,6 +145,9 @@ class TestProductWeights:
 
     @pytest.mark.parametrize("beta_m", (-0.8, 0.8))
     def test_nineteen_qubit_build_holds_only_its_weights(self, beta_m):
+        """The 20-qubit build holds its first block of 2^16 machine levels
+        (512 KiB), half a block to sweep the row and the grid sums, not the
+        4 MiB of 2^19 weights; the state keeps the first block."""
         n = exactsim.DEFAULT_MAX_QUBITS - 1
         probe, oracle = ThermalQubit(1.0, 0.5), build_custom_oracle([0.5] * n, beta_m)
         tracemalloc.start()
@@ -124,19 +156,21 @@ class TestProductWeights:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (8 << n) + (1 << 20)
+        assert peak <= SWEEP_BYTES
+        assert state.row.block.nbytes == 8 << 16
         assert probe_marginal(state).p0 == pytest.approx(probe.ground_population, abs=1e-14)
 
     def test_nineteen_qubit_mean_energy_makes_no_copy(self):
+        """The build and the energy read together stay within the build's bound."""
         n = exactsim.DEFAULT_MAX_QUBITS - 1
-        state = build_joint_state(ThermalQubit(1.0, 0.5), build_custom_oracle([0.5] * n, 0.8))
         tracemalloc.start()
         try:
+            state = build_joint_state(ThermalQubit(1.0, 0.5), build_custom_oracle([0.5] * n, 0.8))
             energy = machine_mean_energy(state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak <= SWEEP_BYTES
         assert energy == pytest.approx(n * 0.5 * (1.0 - ThermalQubit(0.5, 0.8).ground_population), rel=1e-13)
 
 
@@ -261,21 +295,22 @@ class TestSharedExchange:
         for each in (state, apply_swap_with_machine_qubit(state, 0), apply_level_exchange(state, 1, 6)):
             assert each.row is state.row
             with pytest.raises(ValueError):
-                each.row.weights[0] = 0.5
+                each.row.block[0] = 0.5
 
     def test_twenty_qubit_exchange_makes_no_copy(self):
+        """The build, the exchange and its reads together stay within the build's bound."""
         n = exactsim.DEFAULT_MAX_QUBITS - 1
-        state = build_joint_state(ThermalQubit(1.0, 0.5), build_custom_oracle([0.5] * n, 0.8))
         a, b = kickback_level_indices(QueryMask.all_ones(n), n)
         tracemalloc.start()
         try:
+            state = build_joint_state(ThermalQubit(1.0, 0.5), build_custom_oracle([0.5] * n, 0.8))
             after = apply_level_exchange(state, a, b)
             probe_marginal(after)
             machine_mean_energy(after)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak <= SWEEP_BYTES
         assert after.row is state.row
 
 
@@ -762,8 +797,9 @@ class TestGridReads:
                 reference = [swapped_p0 for swapped_p0, _ in reference_swap(probe, oracle)]
             else:  # a product state: the probe takes bit j's ground population
                 reference = reference_machine_ground_populations(oracle)
+            weights = dense_weights(probe, oracle)
             for j in range(n):
-                direct = strided_zero_sum(state.row.weights, j) * factor
+                direct = strided_zero_sum(weights, j) * factor
                 read = probe_marginal(apply_swap_with_machine_qubit(state, j)).p0
                 for value in (p0[t, j], read):
                     assert value == pytest.approx(direct, rel=1e-13, abs=1e-15)
@@ -778,7 +814,7 @@ class TestGridReads:
         for t, probe, oracle in cases(*columns):
             state = build_joint_state(probe, oracle)
             energies = np.tile(dense_machine_energies(oracle.gap_vector.gaps), 2)
-            populations = built_populations(state)
+            populations = dense_populations(probe, oracle, state)
             a, b = kickback_level_indices(QueryMask(tuple(masks[t].tolist())), n)
             exchanged = populations.copy()
             exchanged[[a, b]] = populations[[b, a]]
@@ -808,17 +844,18 @@ def test_small_machines_total_their_row_in_one_pairwise_sum(n, rng):
     for t, probe, oracle in cases(*draw(rng, n, 3)):
         row = build_joint_state(probe, oracle).row
         assert row.sums.shape == (2 if n == 9 else 1,)
-        assert row.total == row.weights.sum()
+        assert row.total == row.block.sum()
 
 
 def test_column_sums_taken_only_for_a_read_that_needs_them():
-    """A 20-qubit build takes the row sums alone; p0, an exchange and a SWAP
-    with a high bit read them. A SWAP with a low bit or an energy read takes
-    the column sums, once per built row."""
-    n = exactsim.DEFAULT_MAX_QUBITS - 1
+    """A 17-qubit build, one block, takes the row sums alone; p0, an
+    exchange and a SWAP with a high bit read them. A SWAP with a low bit or
+    an energy read takes the column sums, once per built row. A 20-qubit
+    build keeps only its first block, so its one sweep takes both."""
+    n = 16
     state = build_joint_state(ThermalQubit(1.0, 0.5), build_custom_oracle([0.5] * n, 0.8))
     high = state.row.high
-    assert state.row.sums.shape == (1 << high,) and high == 9
+    assert state.row.sums.shape == (1 << high,) and high == 8 and state.row.swept is None
     a, b = kickback_level_indices(QueryMask.all_ones(n), n)
     for each in (state, apply_level_exchange(state, a, b), apply_swap_with_machine_qubit(state, high - 1)):
         probe_marginal(each)
@@ -827,3 +864,97 @@ def test_column_sums_taken_only_for_a_read_that_needs_them():
     columns = vars(state.row)["columns"]
     machine_mean_energy(state)
     assert vars(state.row)["columns"] is columns and columns.shape == (1 << (n - high),)
+
+    n = exactsim.DEFAULT_MAX_QUBITS - 1
+    state = build_joint_state(ThermalQubit(1.0, 0.5), build_custom_oracle([0.5] * n, 0.8))
+    high = state.row.high
+    assert state.row.sums.shape == (1 << high,) and high == 9
+    assert state.row.swept.shape == (1 << (n - high),)
+    machine_mean_energy(state)
+    probe_marginal(apply_swap_with_machine_qubit(state, n - 1))
+    assert vars(state.row)["columns"] is state.row.swept
+
+
+# 17 to 19 machine qubits: rows of 2, 4 and 8 blocks of 2^16 levels. beta_M
+# of either sign, negative ones scaling every factor, and |beta_M| = 400,
+# whose weights reach e^{-800} past the smallest double at the 2.0 gap.
+@pytest.mark.parametrize("beta_m", (0.9, -0.7, 400.0, -400.0))
+@pytest.mark.parametrize("n", (17, 18, 19))
+class TestBlockSweep:
+    """A row past 2^16 machine levels is built and reduced in blocks, from
+    its first block: its sums, its weights and every read must equal, bit
+    for bit, those of a dense doubling of the whole row."""
+
+    @staticmethod
+    def rows(rng, n, beta_m):
+        """One row per block, with gaps up to 2.0, and each row's mask puts
+        a in that block and b in the mirror one."""
+        blocks = 1 << (n - 16)
+        omega, beta_s, gaps, _ = draw(rng, n, blocks)
+        gaps[:, n // 2] = 2.0
+        masks = rng.integers(0, 2, (blocks, n))
+        masks[:, : n - 16] = (np.arange(blocks)[:, None] >> np.arange(n - 17, -1, -1)) & 1
+        return (omega, beta_s, gaps, np.full(blocks, beta_m)), masks
+
+    def test_state_matches_dense_row(self, n, beta_m, rng):
+        columns, masks = self.rows(rng, n, beta_m)
+        high = exactsim._high_bits(n)
+        for t, probe, oracle in cases(*columns):
+            weights = dense_weights(probe, oracle)
+            grid = weights.reshape(1 << high, -1)
+            sums = grid.sum(axis=-1)
+            row = build_joint_state(probe, oracle).row
+            assert np.array_equal(row.sums, sums) and row.total == sums.sum()
+            assert np.array_equal(row.columns, grid.sum(axis=-2))
+            if not row.factors[0]:  # no top qubit scaled: the first block is w's first 2^16 levels
+                assert np.array_equal(row.block, weights[: 1 << 16])
+            levels = np.concatenate([np.arange(m << 16, (m << 16) + 4) for m in range(len(row.factors))])
+            levels = np.concatenate((levels, rng.integers(0, 1 << n, 64), (1 << np.arange(n)) - 1))
+            assert [row.weight(int(x)) for x in levels] == weights[levels].tolist()
+
+    def test_kickback_batch_matches_dense_rows(self, n, beta_m, rng):
+        """p0 and p0' of masks whose a and b fall in every block, from the
+        dense row's total and weights; the energies equal the state path's."""
+        columns, masks = self.rows(rng, n, beta_m)
+        p0, p0_after, log_z, before, after = exactsim.kickback_batch(*columns, masks, energies=True)
+        level_a, level_b = kickback_level_indices(masks, n)
+        for t, probe, oracle in cases(*columns):
+            weights = dense_weights(probe, oracle)
+            state = build_joint_state(probe, oracle)
+            k_g, k_e, total = state.row.k_g, state.row.k_e, state.row.total
+            assert total == weights.reshape(1 << exactsim._high_bits(n), -1).sum(axis=-1).sum()
+            ground_total = total * k_g
+            expected = ground_total - weights[level_a[t]] * k_g + weights[level_b[t] - (1 << n)] * k_e
+            assert (p0[t], p0_after[t]) == (min(ground_total, 1.0), min(expected, 1.0))
+            exchanged = apply_level_exchange(state, int(level_a[t]), int(level_b[t]))
+            assert (log_z[t], before[t], after[t]) == (state.row.log_partition_sum, machine_mean_energy(state),
+                                                       machine_mean_energy(exchanged))
+            assert probe_marginal(exchanged).p0 == p0_after[t]
+
+    def test_swap_batch_matches_dense_rows(self, n, beta_m, rng):
+        """Every bit's marginal from the dense row's grid sums."""
+        columns, _ = self.rows(rng, n, beta_m)
+        p0 = exactsim.swap_batch(*columns)
+        high = exactsim._high_bits(n)
+        for t, probe, oracle in cases(*columns):
+            grid = dense_weights(probe, oracle).reshape(1 << high, -1)
+            sums, column_sums = grid.sum(axis=-1), grid.sum(axis=-2)
+            state = build_joint_state(probe, oracle)
+            row = state.row
+            for j in range(n):
+                zero = exactsim._zero_sums(sums, j) if j < high else exactsim._zero_sums(column_sums, j - high)
+                assert p0[t, j] == min(zero * row.k_g + zero * row.k_e, 1.0)
+                assert probe_marginal(apply_swap_with_machine_qubit(state, j)).p0 == p0[t, j]
+
+
+def test_twenty_qubit_batch_rows_sweep_in_bounded_memory(rng):
+    """kickback_batch and swap_batch on 20-qubit rows hold the build's bound, not 4 MiB."""
+    columns = draw(rng, 19, 2)
+    tracemalloc.start()
+    try:
+        exactsim.kickback_batch(*columns, rng.integers(0, 2, (2, 19)), energies=True)
+        exactsim.swap_batch(*columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SWEEP_BYTES

@@ -131,6 +131,20 @@ class TestHammingWeightPopulation:
         value = hamming_weight_population(BVInstance("0"), 10.0, probe, 1e308)
         assert value == kickback_outcome(probe, oracle).p0_after
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_log_partition_refused_as_the_oracle_does(self):
+        """N (|beta_M| gamma + log 2) past the largest double: log Z_f
+        overflows at beta_M < 0 and is refused in the oracle's words, with no
+        RuntimeWarning on the way; at beta_M > 0 it is finite and accepted."""
+        probe, message = ThermalQubit(1.0, 1.0), "^log partition function is not finite, got inf$"
+        with pytest.raises(ValueError, match=message):
+            build_bv_oracle("11", 10.0, -1e307)
+        with pytest.raises(ValueError, match=message):
+            hamming_weight_population(BVInstance("11"), 10.0, probe, -1e307)
+        oracle = build_bv_oracle("11", 10.0, 1e307)
+        value = hamming_weight_population(BVInstance("11"), 10.0, probe, 1e307)
+        assert value == kickback_outcome(probe, oracle).p0_after
+
     def test_requires_positive_gamma(self):
         with pytest.raises(ValueError):
             hamming_weight_population(BVInstance("1"), 0.0, ThermalQubit(1.0, 0.0), 1.0)
