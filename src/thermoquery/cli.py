@@ -38,8 +38,6 @@ import numpy as np
 
 from . import __version__
 from .detuning import ExperimentConfig, bv3_sweep
-from .exactsim import DEFAULT_MAX_QUBITS
-from .problems import MAX_EXHAUSTIVE_N
 from .query import kickback_shift, shift_outcome
 from .readout import (
     chernoff_stein_samples,
@@ -47,8 +45,8 @@ from .readout import (
     distinguishability_report,
     sample_bound_from_threshold,
 )
-from .thermal import two_gap_machine
-from .verify import run_verification
+from .thermal import check_machine_totals, check_positive, two_gap_machine
+from .verify import check_run_sizes, run_verification
 
 __all__ = ["main"]
 
@@ -217,22 +215,22 @@ def _check_finite(grids: dict[str, Sequence[float]]) -> None:
 def cmd_dj_kickback(args: argparse.Namespace) -> int:
     beta_m_values = sorted(parse_values(args.beta_m))
     beta_s_values = parse_values(args.beta_s)
-    _check_finite({"--e1": [args.e1], "--e2": [args.e2], "--omega": [args.omega],
-                   "--beta-m": beta_m_values, "--beta-s": beta_s_values})
-    if args.e1 <= 0 or args.e2 <= 0 or args.omega <= 0:
-        raise ValueError("gaps and omega must be positive")
-    _check_finite({"--beta-s times --omega": [max(map(abs, beta_s_values)) * args.omega]})
+    for flag, value in (("--e1", args.e1), ("--e2", args.e2), ("--omega", args.omega)):
+        check_positive(flag, value)
+    _check_finite({"--beta-m": beta_m_values, "--beta-s": beta_s_values,
+                   "--beta-s times --omega": [max(map(abs, beta_s_values)) * args.omega]})
     if not 1 <= args.n < sys.float_info.max_exp:
         raise ValueError(f"n = {args.n} is outside [1, {sys.float_info.max_exp - 1}], "
                          "where 2^n is a finite float")
     # Each class's 2^n qubits enter only through |G| and log Z_f (one per beta_M),
-    # taken from gap counts; an overflow leaves a non-finite value, rejected below.
-    size = 2.0 ** args.n
+    # taken from gap counts and refused as an oracle refuses them.
+    size, cases = 2.0 ** args.n, ["balanced", "constant0", "constant1"]
     with np.errstate(over="ignore", invalid="ignore"):
-        machines = [(name, two_gap_machine(ones, size, args.e1, args.e2, np.array(beta_m_values)))
-                    for name, ones in (("balanced", size / 2), ("constant0", 0.0), ("constant1", size))]
-    if not all(np.isfinite(total) and np.isfinite(log_zf).all() for _, (total, log_zf) in machines):
-        raise ValueError(f"n = {args.n} gives a machine whose |G| or log Z_f is not a finite float")
+        totals, log_zfs = two_gap_machine(np.array([size / 2, 0.0, size]), size, args.e1, args.e2,
+                                          np.array(beta_m_values)[:, None])
+    gap_flag = "--e1" if args.e1 >= args.e2 else "--e2"
+    check_machine_totals(size, max(args.e1, args.e2), max(beta_m_values, key=abs), total=totals, log_zf=log_zfs,
+                         beta_name="--beta-m", product_name=f"--beta-m times {gap_flag}")
     config = {
         "subcommand": "dj-kickback",
         "n": args.n,
@@ -244,14 +242,12 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
     }
     # Rows run over (beta_M, beta_S, case): one kickback call broadcasts over all three.
     a = (np.array(beta_s_values) * args.omega)[:, None]
-    totals = np.array([total for _, (total, _) in machines])
-    log_zfs = np.stack([log_zf for _, (_, log_zf) in machines], axis=-1)[:, None, :]
     with _open_out(args.out) as stream:
-        delta = kickback_shift(a, np.array(beta_m_values)[:, None, None], totals, 0.0, log_zfs)
+        delta = kickback_shift(a, np.array(beta_m_values)[:, None, None], totals, 0.0, log_zfs[:, None, :])
         picks = np.indices(delta.shape).reshape(3, -1).tolist()
         _, p0_after, beta_after = shift_outcome(a, args.omega, delta)
         delta, p0_after, beta_after = (v.ravel().tolist() for v in (delta, p0_after, beta_after))
-        columns = [(beta_m_values, picks[0]), (beta_s_values, picks[1]), ([name for name, _ in machines], picks[2]),
+        columns = [(beta_m_values, picks[0]), (beta_s_values, picks[1]), (cases, picks[2]),
                    delta, p0_after, [None if b != b else b for b in beta_after]]
         _emit(stream, args.format, config,
               ["beta_M", "beta_S", "case", "delta_p0", "p0_after", "beta_S_prime"], columns)
@@ -359,17 +355,7 @@ def cmd_detuning_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    for flag, value in (("--max-n", args.max_n), ("--bv-max-n", args.bv_max_n), ("--trials", args.trials)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
-    # Tables are enumerated up to MAX_EXHAUSTIVE_N bits; an n-bit secret and
-    # the probe take n + 1 qubits of the exact simulator.
-    for flag, value, most in (("--max-n", args.max_n, MAX_EXHAUSTIVE_N),
-                              ("--bv-max-n", args.bv_max_n, DEFAULT_MAX_QUBITS - 1)):
-        if value > most:
-            raise ValueError(f"{flag} must be <= {most}, got {value}")
-    if args.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {args.seed}")
+    check_run_sizes({"--max-n": args.max_n, "--bv-max-n": args.bv_max_n, "--trials": args.trials}, args.seed)
     # The report goes to standard output; --out adds it as JSON.
     with _open_out(args.out) as stream:
         report = run_verification(

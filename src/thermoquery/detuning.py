@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .query import oracle_shift, shift_outcome
-from .thermal import ThermalMachineOracle, ThermalQubit, build_custom_oracle
+from .thermal import ThermalMachineOracle, ThermalQubit, build_custom_oracle, check_positive
 
 __all__ = [
     "ExperimentConfig",
@@ -33,19 +33,17 @@ __all__ = [
 ]
 
 
-def _check_coupling(g: float, **finite: float) -> None:
-    """Reject a coupling ``g`` that is not positive and finite, and any other
-    named argument that is not finite."""
-    if not (g > 0.0 and math.isfinite(g)):
-        raise ValueError(f"coupling g must be positive and finite, got {g}")
-    for name, value in finite.items():
+def _check_finite(**values: float) -> None:
+    """Reject the first named argument that is not finite."""
+    for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
 def flip_probability(g: float, detuning: float, time: float) -> float:
     """Rabi flip-flop probability g^2/(g^2+d^2) * sin^2(sqrt(g^2+d^2)*t/2)."""
-    _check_coupling(g, detuning=detuning, time=time)
+    check_positive("coupling g", g)
+    _check_finite(detuning=detuning, time=time)
     rabi = math.hypot(g, detuning)
     amplitude = (g / rabi) ** 2
     phase = 0.5 * rabi * time
@@ -62,7 +60,8 @@ def suppression_factor(g: float, detuning: float) -> float:
     where |d| <= g, s^2/(1 + s^2) with s = g/d otherwise. Only a ratio below
     about 1e-154 rounds eta to 1 or to 0.
     """
-    _check_coupling(g, detuning=detuning)
+    check_positive("coupling g", g)
+    _check_finite(detuning=detuning)
     if abs(detuning) <= g:
         r = detuning / g
         return 1.0 / (1.0 + r * r)
@@ -109,16 +108,13 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if len(self.machine_gaps) != 3:
             raise ValueError("the experiment models exactly three machine qubits")
-        if any(not (g > 0.0 and math.isfinite(g)) for g in self.machine_gaps):
-            raise ValueError("machine gaps must be positive and finite")
+        check_positive("machine gaps", *self.machine_gaps)
         if not math.isfinite(self.machine_inverse_temperature):
             raise ValueError("machine inverse temperature must be finite")
         if not 0.0 <= self.bias < 1.0:
             raise ValueError("bias must lie in [0, 1) so both multipliers stay positive")
-        if not (self.coupling > 0.0 and math.isfinite(self.coupling)):
-            raise ValueError(f"coupling must be positive and finite, got {self.coupling}")
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
-            raise ValueError(f"probe gap must be positive and finite, got {self.omega}")
+        check_positive("coupling", self.coupling)
+        check_positive("probe gap", self.omega)
 
     @property
     def omega(self) -> float:

@@ -6,8 +6,6 @@ in :mod:`thermoquery.readout`.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -20,6 +18,8 @@ from .thermal import (
     BooleanFunctionTable,
     Classification,
     ThermalQubit,
+    check_machine_totals,
+    check_positive,
     two_gap_machine,
 )
 
@@ -105,22 +105,12 @@ def hamming_weight_population(
     p0' = (1 + Z_f^{-1}(e^{-beta_S*omega} - e^{-beta_M*#(s)*gamma})) / Z_S,
     so the probe temperature reveals the Hamming weight #(s).
     """
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    # As the oracle: beta_M alone is tested only when beta_M * gamma fails.
-    largest = gamma if instance.hamming_weight else 0.0
-    scale = math.fabs(beta_m) * largest
-    if not math.isfinite(scale):
-        if not math.isfinite(beta_m):
-            raise ValueError(f"machine inverse temperature must be finite, got {beta_m}")
-        raise ValueError(f"inverse temperature times gap must be finite, got {beta_m} * {largest}")
-    # As the oracle: log Z_f can overflow only where N (|beta_M| gamma + log 2)
-    # passes the largest double, and is then refused in the oracle's words.
-    overflows = len(instance.secret) * (scale + math.log(2.0)) > sys.float_info.max
-    with np.errstate(over="ignore" if overflows else None):
-        total, log_zf = two_gap_machine(instance.hamming_weight, len(instance.secret), gamma, 0.0, beta_m)
-    if overflows and not math.isfinite(log_zf):
-        raise ValueError(f"log partition function is not finite, got {log_zf}")
+    check_positive("gamma", gamma)
+    # The oracle's refusals, in its words, with no RuntimeWarning on the way.
+    size, weight = len(instance.secret), instance.hamming_weight
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, log_zf = two_gap_machine(weight, size, gamma, 0.0, beta_m)
+    check_machine_totals(size, gamma if weight else 0.0, beta_m, total=total, log_zf=log_zf)
     a = probe.inverse_temperature * probe.gap
     delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
     return float(shift_outcome(a, probe.gap, delta)[1])

@@ -45,6 +45,7 @@ class PureStatePopulationError(ValueError):
 
 
 _LOG_2 = math.log(2.0)
+_FLOAT_MAX = sys.float_info.max
 
 
 def _log1pexp(x: float) -> float:
@@ -88,9 +89,52 @@ def bits_to_index(bits: str) -> int:
     return int(bits, 2)
 
 
-def _check_gap(gap: float) -> None:
-    if not (gap > 0.0 and math.isfinite(gap)):
-        raise ValueError(f"gap must be positive and finite, got {gap}")
+def check_positive(name: str, *values: float) -> None:
+    """The gap rule: refuse a gap or coupling that is not positive and finite,
+    as ``{name} must be positive and finite``, followed by ``, got {value}``
+    when ``name`` names one value."""
+    for value in values:
+        if not (value > 0.0 and math.isfinite(value)):
+            got = f", got {value}" if len(values) == 1 else ""
+            raise ValueError(f"{name} must be positive and finite{got}")
+
+
+def check_scale(beta: float, gap: float, beta_name: str = "inverse temperature",
+                product_name: str = "inverse temperature times gap") -> float:
+    """The scale rule: refuse a ``beta * gap`` that is not a finite float, naming beta
+    alone only when it is not finite itself; return |beta * gap|. math.fabs gives
+    Python floats, whose product overflows to inf silently where numpy scalars' warns."""
+    scale = math.fabs(beta) * math.fabs(gap)
+    if not math.isfinite(scale):
+        if not math.isfinite(beta):
+            raise ValueError(f"{beta_name} must be finite, got {beta}")
+        raise ValueError(f"{product_name} must be finite, got {beta} * {gap}")
+    return scale
+
+
+def check_machine_totals(size, largest: float, beta: float = 0.0, *, total=None, log_zf=None,
+                         beta_name: str = "machine inverse temperature",
+                         product_name: str = "inverse temperature times gap") -> None:
+    """The machine-totals rule: refuse a machine of ``size`` qubits, largest gap
+    ``largest``, whose |G|, beta times ``largest`` (by :func:`check_scale`) or
+    log Z_f is not a finite float, in that order. ``total`` and ``log_zf`` are
+    the sums (floats, arrays, or callables giving them), taken and tested only
+    past their bounds: |G| <= size * largest, log Z_f <= size * (|beta| largest + log 2)."""
+    if total is not None and size * largest > _FLOAT_MAX:
+        _refuse_non_finite(total, "gap total must be finite")
+    scale = check_scale(beta, largest, beta_name, product_name)
+    if log_zf is not None and size * (scale + _LOG_2) > _FLOAT_MAX:
+        _refuse_non_finite(log_zf, "log partition function is not finite")
+
+
+def _refuse_non_finite(value, message: str) -> None:
+    if callable(value):
+        with np.errstate(over="ignore"):
+            value = value()
+    values = np.asarray(value, dtype=float)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"{message}, got {bad[0]}")
 
 
 def ground_state_population(gap: float, beta: float) -> float:
@@ -99,11 +143,10 @@ def ground_state_population(gap: float, beta: float) -> float:
     Parameters
     ----------
     gap : positive, finite energy splitting between the two levels.
-    beta : inverse temperature; any finite value is allowed.
+    beta : inverse temperature; beta * gap must be a finite float.
     """
-    _check_gap(gap)
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
+    check_positive("gap", gap)
+    check_scale(beta, gap, "beta")
     return logistic(beta * gap)
 
 
@@ -114,7 +157,7 @@ def inverse_temperature_from_population(p0: float, gap: float) -> float:
     0 or 1 corresponds to an infinite temperature parameter and raises
     :class:`PureStatePopulationError`.
     """
-    _check_gap(gap)
+    check_positive("gap", gap)
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"population must lie in [0, 1], got {p0}")
     if p0 == 0.0 or p0 == 1.0:
@@ -138,15 +181,8 @@ class ThermalQubit:
     inverse_temperature: float
 
     def __post_init__(self) -> None:
-        _check_gap(self.gap)
-        # A finite beta * gap needs a finite beta, so beta is tested only when
-        # the product fails. math.fabs gives Python floats, whose product
-        # overflows to inf silently where numpy scalars' warns.
-        if not math.isfinite(math.fabs(self.inverse_temperature) * math.fabs(self.gap)):
-            if not math.isfinite(self.inverse_temperature):
-                raise ValueError(f"inverse temperature must be finite, got {self.inverse_temperature}")
-            raise ValueError("inverse temperature times gap must be finite, got "
-                             f"{self.inverse_temperature} * {self.gap}")
+        check_positive("gap", self.gap)
+        check_scale(self.inverse_temperature, self.gap)
 
     @property
     def ground_population(self) -> float:
@@ -173,13 +209,7 @@ class GapVector:
             raise ValueError("every gap must be finite and >= 0")
         largest = float(max(distinct))
         object.__setattr__(self, "_largest", largest)
-        # Only a vector whose largest gap times its length passes the largest
-        # double can sum to inf: others skip the sum.
-        if largest * len(self.gaps) > sys.float_info.max:
-            with np.errstate(over="ignore"):
-                total = self.total
-            if not math.isfinite(total):
-                raise ValueError(f"gap total must be finite, got {total}")
+        check_machine_totals(len(self.gaps), largest, total=lambda: self.total)
 
     def __len__(self) -> int:
         return len(self.gaps)
@@ -245,19 +275,10 @@ class ThermalMachineOracle:
     machine_inverse_temperature: float
 
     def __post_init__(self) -> None:
-        # Each machine qubit must be a ThermalQubit: beta_M times every gap
-        # finite. As there, beta_M is tested only when the product fails.
-        beta, largest = self.machine_inverse_temperature, self.gap_vector._largest
-        scale = math.fabs(beta) * largest
-        if not math.isfinite(scale):
-            if not math.isfinite(beta):
-                raise ValueError(f"machine inverse temperature must be finite, got {beta}")
-            raise ValueError(f"inverse temperature times gap must be finite, got {beta} * {largest}")
-        # Each term of log Z_f is at most |beta_M g| + log 2: only an oracle
-        # whose bound passes the largest double can overflow, and it is
-        # refused here, by log Z_f's own check, rather than on first read.
-        if len(self.gap_vector) * (scale + _LOG_2) > sys.float_info.max:
-            self.log_partition_function  # raises when log Z_f is not finite
+        # Each machine qubit must be a ThermalQubit, and log Z_f a finite
+        # float: refused here rather than on first read.
+        check_machine_totals(len(self.gap_vector), self.gap_vector._largest, self.machine_inverse_temperature,
+                             log_zf=lambda: self.log_partition_function)
 
     @property
     def n_machine_qubits(self) -> int:
@@ -265,13 +286,9 @@ class ThermalMachineOracle:
 
     @cached_property
     def log_partition_function(self) -> float:
-        """log Z_f; a sum that overflows a double (gaps near the float
-        maximum, or |beta_M g| past it) raises instead of returning inf."""
+        """log Z_f, a finite float: an oracle whose sum overflows is refused at construction."""
         beta = self.machine_inverse_temperature
-        log_zf = float(sum(_log1pexp(-beta * g) for g in self.gap_vector.gaps))
-        if not math.isfinite(log_zf):
-            raise ValueError(f"log partition function is not finite, got {log_zf}")
-        return log_zf
+        return float(sum(_log1pexp(-beta * g) for g in self.gap_vector.gaps))
 
     def machine_qubit(self, index: int | str) -> ThermalQubit:
         """Thermal qubit at machine position ``index`` (big-endian bit string or integer)."""
@@ -288,8 +305,7 @@ def build_dj_oracle(
     function: BooleanFunctionTable, gap_one: float, gap_zero: float, beta_m: float
 ) -> ThermalMachineOracle:
     """Oracle with one machine qubit per input string x, gap chosen by f(x)."""
-    if not (gap_one > 0.0 and gap_zero > 0.0):
-        raise ValueError("both encoding gaps must be positive")
+    check_positive("both encoding gaps", gap_one, gap_zero)
     gaps = tuple(gap_one if out else gap_zero for out in function.outputs)
     return ThermalMachineOracle(GapVector(gaps), beta_m)
 
@@ -298,8 +314,7 @@ def build_bv_oracle(secret: str, gamma: float, beta_m: float) -> ThermalMachineO
     """Oracle with one machine qubit per secret bit, gap secret[i]*gamma."""
     if not secret or secret.strip("01"):
         raise ValueError(f"secret must be a nonempty bit string, got {secret!r}")
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
+    check_positive("gamma", gamma)
     gaps = tuple(gamma if c == "1" else 0.0 for c in secret)
     return ThermalMachineOracle(GapVector(gaps), beta_m)
 

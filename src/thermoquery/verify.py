@@ -598,6 +598,22 @@ _SECTIONS = (
 )
 
 
+def check_run_sizes(sizes: dict[str, int], seed: int) -> None:
+    """The run-size rule: refuse a verify run with a size in ``sizes`` (name to
+    value) below 1 or a seed below 0. The first two sizes, the Deutsch-Jozsa
+    and the secret-string size, are bounded too: tables are enumerated up to
+    MAX_EXHAUSTIVE_N bits, and an n-bit secret and the probe take n + 1
+    qubits of the exact simulator."""
+    for name, value in sizes.items():
+        if not value >= 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    for (name, value), most in zip(sizes.items(), (MAX_EXHAUSTIVE_N, exactsim.DEFAULT_MAX_QUBITS - 1)):
+        if value > most:
+            raise ValueError(f"{name} must be <= {most}, got {value}")
+    if not seed >= 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def run_verification(
     max_dj_n: int = 3,
     max_bv_n: int = 6,
@@ -607,17 +623,7 @@ def run_verification(
     seed: int = 1234,
 ) -> VerificationReport:
     sizes = _Sizes(max_dj_n, max_bv_n, tuples_per_instance, mask_cases, regime_cases)
-    for name, value in sizes._asdict().items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    # Tables are enumerated up to MAX_EXHAUSTIVE_N bits; an n-bit secret and
-    # the probe take n + 1 qubits of the exact simulator.
-    for name, value, most in (("max_dj_n", max_dj_n, MAX_EXHAUSTIVE_N),
-                              ("max_bv_n", max_bv_n, exactsim.DEFAULT_MAX_QUBITS - 1)):
-        if value > most:
-            raise ValueError(f"{name} must be <= {most}, got {value}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_run_sizes(sizes._asdict(), seed)
     report = VerificationReport()
     for section, child in zip(_SECTIONS, np.random.SeedSequence(seed).spawn(len(_SECTIONS))):
         report.checks += section(np.random.default_rng(child), sizes)

@@ -70,14 +70,27 @@ def test_balanced_enumeration_takes_only_the_size():
 
 
 def test_no_module_imports_a_private_name_of_another():
-    """No thermoquery module imports a ``_``-prefixed name from another;
-    ``__version__`` is the one exception."""
+    """No thermoquery module imports a ``_``-prefixed name from another, nor
+    reads one off a thermoquery module it imported (``thermal._check`` after
+    ``from . import thermal``); ``__version__`` is the one exception."""
     package = Path(thermoquery.__file__).parent
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        modules = set()  # the names a thermoquery module is bound to
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("thermoquery")):
                 private = [a.name for a in node.names if a.name.startswith("_") and a.name != "__version__"]
                 assert not private, f"{path.name} imports {private} from {'.' * node.level}{node.module or ''}"
+                modules |= {a.asname or a.name for a in node.names if a.name in MODULES}
+            elif isinstance(node, ast.Import):
+                modules |= {a.asname or a.name.split(".")[0] for a in node.names if a.name.startswith("thermoquery")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_") and node.attr != "__version__":
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                assert not (isinstance(root, ast.Name) and root.id in modules), (
+                    f"{path.name} reads {ast.unparse(node)}")
 
 
 def test_exact_simulator_reads_no_analytic_code():
