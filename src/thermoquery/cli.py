@@ -38,14 +38,14 @@ import numpy as np
 
 from . import __version__
 from .detuning import ExperimentConfig, bv3_sweep
-from .query import kickback_shift, shift_outcome
+from .query import kickback
 from .readout import (
     chernoff_stein_samples,
     crossover_analysis,
     distinguishability_report,
     sample_bound_from_threshold,
 )
-from .thermal import check_machine_totals, check_positive, two_gap_machine
+from .thermal import check_finite, check_machine_totals, check_positive, check_scale, two_gap_machine
 from .verify import check_run_sizes, run_verification
 
 __all__ = ["main"]
@@ -204,21 +204,14 @@ def _emit(stream: IO[str], fmt: str, config: dict, fieldnames: Sequence[str], co
         stream.write("\n  ]\n}\n" if n_rows else "]\n}\n")
 
 
-def _check_finite(grids: dict[str, Sequence[float]]) -> None:
-    """Reject the first value that is not finite, naming its flag."""
-    for flag, values in grids.items():
-        for value in values:
-            if not math.isfinite(value):
-                raise ValueError(f"{flag} must be finite, got {value}")
-
-
 def cmd_dj_kickback(args: argparse.Namespace) -> int:
     beta_m_values = sorted(parse_values(args.beta_m))
     beta_s_values = parse_values(args.beta_s)
     for flag, value in (("--e1", args.e1), ("--e2", args.e2), ("--omega", args.omega)):
         check_positive(flag, value)
-    _check_finite({"--beta-m": beta_m_values, "--beta-s": beta_s_values,
-                   "--beta-s times --omega": [max(map(abs, beta_s_values)) * args.omega]})
+    check_finite("--beta-m", *beta_m_values)
+    check_finite("--beta-s", *beta_s_values)
+    check_scale(max(beta_s_values, key=abs), args.omega, "--beta-s", "--beta-s times --omega")
     if not 1 <= args.n < sys.float_info.max_exp:
         raise ValueError(f"n = {args.n} is outside [1, {sys.float_info.max_exp - 1}], "
                          "where 2^n is a finite float")
@@ -243,9 +236,9 @@ def cmd_dj_kickback(args: argparse.Namespace) -> int:
     # Rows run over (beta_M, beta_S, case): one kickback call broadcasts over all three.
     a = (np.array(beta_s_values) * args.omega)[:, None]
     with _open_out(args.out) as stream:
-        delta = kickback_shift(a, np.array(beta_m_values)[:, None, None], totals, 0.0, log_zfs[:, None, :])
+        delta, _, p0_after, beta_after = kickback(a, args.omega, np.array(beta_m_values)[:, None, None],
+                                                  totals, 0.0, log_zfs[:, None, :])
         picks = np.indices(delta.shape).reshape(3, -1).tolist()
-        _, p0_after, beta_after = shift_outcome(a, args.omega, delta)
         delta, p0_after, beta_after = (v.ravel().tolist() for v in (delta, p0_after, beta_after))
         columns = [(beta_m_values, picks[0]), (beta_s_values, picks[1]), (cases, picks[2]),
                    delta, p0_after, [None if b != b else b for b in beta_after]]
@@ -260,7 +253,9 @@ def cmd_distinguishability(args: argparse.Namespace) -> int:
     e2_values = sorted(parse_values(args.e2_grid))
     if any(n < 2 or n % 2 for n in n_values):
         raise ValueError("machine sizes must be even and >= 2")
-    _check_finite({"--e1-grid": e1_values, "--e2-grid": e2_values, "--t": [args.t], "--beta-m": [args.beta_m]})
+    for flag, values in (("--e1-grid", e1_values), ("--e2-grid", e2_values), ("--t", [args.t]),
+                         ("--beta-m", [args.beta_m])):
+        check_finite(flag, *values)
     if any(v <= 0 for v in e1_values + e2_values):
         raise ValueError("grid energies must be positive")
     if not args.t > 0:
@@ -331,8 +326,8 @@ def cmd_detuning_sweep(args: argparse.Namespace) -> int:
         probe_gap=args.omega,
         machine_inverse_temperature=args.beta_m,
     )
-    _check_finite({"--beta-s": beta_s_values,
-                   "--beta-s times --omega": [max(map(abs, beta_s_values)) * config_obj.omega]})
+    check_finite("--beta-s", *beta_s_values)
+    check_scale(max(beta_s_values, key=abs), config_obj.omega, "--beta-s", "--beta-s times --omega")
     with _open_out(args.out) as stream:
         sweep = bv3_sweep(config_obj, sorted(beta_s_values))
         # Rows run over (secret, beta_S); delta_s and eta are the secret's.

@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .query import oracle_shift, shift_outcome
-from .thermal import ThermalMachineOracle, ThermalQubit, build_custom_oracle, check_positive
+from .query import oracle_kickback
+from .thermal import ThermalMachineOracle, ThermalQubit, build_custom_oracle, check_finite, check_positive, check_scale
 
 __all__ = [
     "ExperimentConfig",
@@ -33,17 +33,11 @@ __all__ = [
 ]
 
 
-def _check_finite(**values: float) -> None:
-    """Reject the first named argument that is not finite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def flip_probability(g: float, detuning: float, time: float) -> float:
     """Rabi flip-flop probability g^2/(g^2+d^2) * sin^2(sqrt(g^2+d^2)*t/2)."""
     check_positive("coupling g", g)
-    _check_finite(detuning=detuning, time=time)
+    check_finite("detuning", detuning)
+    check_finite("time", time)
     rabi = math.hypot(g, detuning)
     amplitude = (g / rabi) ** 2
     phase = 0.5 * rabi * time
@@ -61,7 +55,7 @@ def suppression_factor(g: float, detuning: float) -> float:
     about 1e-154 rounds eta to 1 or to 0.
     """
     check_positive("coupling g", g)
-    _check_finite(detuning=detuning)
+    check_finite("detuning", detuning)
     if abs(detuning) <= g:
         r = detuning / g
         return 1.0 / (1.0 + r * r)
@@ -80,14 +74,8 @@ def detuned_probe_temperature(
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
-    beta_after = float(_detuned_inverse_temperatures(oracle, probe.gap, probe.inverse_temperature, eta))
+    beta_after = float(oracle_kickback(oracle, probe.gap, probe.inverse_temperature, eta=eta)[3])
     return None if math.isnan(beta_after) else beta_after
-
-
-def _detuned_inverse_temperatures(oracle: ThermalMachineOracle, omega: float, beta_s, eta: float):
-    """detuned_probe_temperature for a float or an array of ``beta_s``, NaN where undefined."""
-    delta = oracle_shift(oracle, omega, beta_s)
-    return shift_outcome(beta_s * omega, omega, eta * delta)[2]
 
 
 @dataclass(frozen=True)
@@ -182,15 +170,14 @@ def bv3_sweep(config: ExperimentConfig, beta_s_grid: Sequence[float]) -> Detunin
     grid = tuple(float(b) for b in beta_s_grid)
     if len(grid) == 0:
         raise ValueError("beta_s grid must be nonempty")
+    check_finite("every probe inverse temperature", *grid)
+    check_scale(max(grid, key=abs), config.omega,
+                product_name="every probe inverse temperature times the probe gap")
     beta_s = np.array(grid)
-    if not np.isfinite(beta_s).all():
-        raise ValueError("every probe inverse temperature must be finite")
-    if not math.isfinite(float(np.abs(beta_s).max()) * config.omega):
-        raise ValueError(f"every probe inverse temperature times the probe gap {config.omega} must be finite")
     delta_s = [config.detuning_for_secret(secret) for secret in _SECRETS]
     eta = [suppression_factor(config.coupling, delta) for delta in delta_s]
     curves = np.array([
-        _detuned_inverse_temperatures(config.oracle_for_secret(secret), config.omega, beta_s, factor)
+        oracle_kickback(config.oracle_for_secret(secret), config.omega, beta_s, eta=factor)[3]
         for secret, factor in zip(_SECRETS, eta)
     ])
     return DetuningSweep(

@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .query import kickback_shift, shift_outcome
+from .query import kickback
 from .thermal import (
     BooleanFunctionTable,
     Classification,
@@ -112,5 +112,4 @@ def hamming_weight_population(
         total, log_zf = two_gap_machine(weight, size, gamma, 0.0, beta_m)
     check_machine_totals(size, gamma if weight else 0.0, beta_m, total=total, log_zf=log_zf)
     a = probe.inverse_temperature * probe.gap
-    delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
-    return float(shift_outcome(a, probe.gap, delta)[1])
+    return float(kickback(a, probe.gap, beta_m, total, 0.0, log_zf)[2])

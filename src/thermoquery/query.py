@@ -8,25 +8,24 @@ swaps, and the level-exchange kickback V(X) which swaps the joint level
     delta_p0(X) = (e^{-beta_S*omega - beta_M*(|G| - X.G)} - e^{-beta_M*X.G}) / (Z_S Z_f)
 
 which for the all-ones mask (the virtual-qubit subspace swap) reduces to
-(e^{-beta_S*omega} - e^{-beta_M*|G|}) / (Z_S Z_f). :func:`kickback_shift`,
-which the detuned and Hamming-weight closed forms call too, takes log Z_f
-and the exponent sums, but exponentiates the two terms separately and
-subtracts them: where they nearly cancel the difference keeps few correct
-digits, and where both underflow (700 unit gaps at beta_M = 1 and a probe
-near resonance) the shift is 0.0. :func:`shift_outcome` turns a shift into
-the post-query population and temperature.
+(e^{-beta_S*omega} - e^{-beta_M*|G|}) / (Z_S Z_f). :func:`kickback` is the one
+kernel of this exchange: from a = beta_S*omega, omega, beta_M, the exponent
+sums and log Z_f it gives delta_p0, p0, p0' and beta'. It exponentiates the two terms
+separately and subtracts them: where they nearly cancel the difference keeps
+few correct digits, and where both underflow (700 unit gaps at beta_M = 1 and
+a probe near resonance) the shift is 0.0.
 
-The arithmetic is written once, over numpy arrays: :func:`kickback_shift`,
-:func:`shift_outcome`, :func:`regime_sign`, :func:`sensitivity_bound` and
+The arithmetic is written once, over numpy arrays: :func:`kickback`,
+:func:`regime_sign`, :func:`sensitivity_bound` and
 :func:`temperature_defined` take floats or arrays that broadcast together,
-and an undefined temperature is NaN; :func:`oracle_shift` evaluates one
+and an undefined temperature is NaN; :func:`oracle_kickback` evaluates one
 oracle for an array of probe temperatures. The functions on probe and oracle
 objects (:func:`kickback_outcome`, :func:`classify_regime`,
 :func:`sensitivity_check`) read scalars off the objects, call them, and
 convert the result to ``float``, ``None``, ``bool`` and :class:`Regime`; a
 probe has a post-query temperature exactly where ``beta_after`` is not None.
-The verify suite and the figure sweeps call the array functions on whole
-arrays.
+The verify suite, the detuned and Hamming-weight closed forms and the figure
+sweeps call the array functions.
 """
 
 from __future__ import annotations
@@ -56,9 +55,8 @@ __all__ = [
     "SensitivityReport",
     "swap_query",
     "mixed_input_query",
-    "kickback_shift",
-    "oracle_shift",
-    "shift_outcome",
+    "kickback",
+    "oracle_kickback",
     "regime_sign",
     "sensitivity_bound",
     "temperature_defined",
@@ -128,20 +126,6 @@ class QueryOutcome:
     beta_after: float | None
     regime: Regime
 
-    @classmethod
-    def from_shift(cls, a: float, omega: float, delta: float) -> "QueryOutcome":
-        """Outcome of moving ``delta`` into the ground level of a probe with
-        gap ``omega`` and a = beta_S*omega."""
-        p0, p0_after, beta_after = shift_outcome(a, omega, delta)
-        delta, beta_after = float(delta), float(beta_after)
-        return cls(
-            float(p0),
-            float(p0_after),
-            delta,
-            None if math.isnan(beta_after) else beta_after,
-            Regime.from_sign(delta),
-        )
-
 
 class SwapResult(NamedTuple):
     probe: ThermalQubit
@@ -181,37 +165,31 @@ def mixed_input_query(probe: ThermalQubit, oracle: ThermalMachineOracle) -> Bina
     return BinaryDistribution(p0)
 
 
-def kickback_shift(a, beta_m, masked_sum, remainder, log_zf):
-    """Probe ground-population change of the kickback, from floats or arrays.
+def kickback(a, omega, beta_m, masked_sum, remainder, log_zf, eta=1.0):
+    """(delta_p0, p0, p0', beta') of the kickback on a probe with gap ``omega``
+    and a = beta_S*omega, from floats or arrays that broadcast.
 
-    (e^{-a - beta_M*remainder} - e^{-beta_M*X.G}) / (Z_S Z_f) with
-    a = beta_S*omega, X.G = ``masked_sum``, remainder = |G| - X.G and
-    log Z_f = ``log_zf``. A product beta_M*X.G or beta_M*remainder that
-    overflows to inf gives e^{-inf} = 0 as meant, with no warning for floats
-    and arrays alike.
+    delta_p0 = eta * (e^{-a - beta_M*remainder} - e^{-beta_M*X.G}) / (Z_S Z_f)
+    with X.G = ``masked_sum``, remainder = |G| - X.G and log Z_f = ``log_zf``;
+    eta in (0, 1] is the fraction of the exchange that moves, 1 for the full
+    kickback. p0 = 1/Z_S and p1 = e^{-a}/Z_S, and beta' = (log p0' - log p1')/omega
+    is NaN where p0' = p0 + delta_p0 or p1' = p1 - delta_p0 is not positive.
+    A product beta_M*X.G or beta_M*remainder that overflows to inf gives
+    e^{-inf} = 0 as meant, with no warning for floats and arrays alike.
     """
-    log_norm = np.logaddexp(0.0, -a) + log_zf
+    log_zs = np.logaddexp(0.0, -a)
+    log_norm = log_zs + log_zf
     with np.errstate(over="ignore"):
         gained = np.exp(-(a + beta_m * remainder) - log_norm)
         lost = np.exp(-beta_m * masked_sum - log_norm)
-    return gained - lost
-
-
-def shift_outcome(a, omega, delta):
-    """(p0, p0', beta') of a probe with a = beta_S*omega and gap ``omega``
-    after ``delta`` moves into its ground level; floats or arrays.
-
-    p0 = 1/Z_S and p1 = e^{-a}/Z_S, and beta' = (log p0' - log p1')/omega is
-    NaN where p0' or p1' = p1 - delta is not positive.
-    """
-    log_zs = np.logaddexp(0.0, -a)
+    delta = eta * (gained - lost)
     p0 = np.exp(-log_zs)
     p0_after = p0 + delta
     excited_after = np.exp(-a - log_zs) - delta
     defined = (p0_after > 0.0) & (excited_after > 0.0)
     undefined = _NAN_UNLESS[defined.astype(np.intp)]
     beta_after = (np.log(p0_after + undefined) - np.log(excited_after + undefined)) / omega
-    return p0, p0_after, beta_after
+    return delta, p0, p0_after, beta_after
 
 
 def regime_sign(a, b):
@@ -250,27 +228,21 @@ def temperature_defined(a, delta):
     return np.where(delta >= 0.0, boltzmann > scaled_delta, 1.0 + scaled_delta > 0.0)
 
 
-def oracle_shift(
-    oracle: ThermalMachineOracle, omega, beta_s, mask: QueryMask | None = None
-):
-    """Kickback shift delta_p0 of ``oracle`` under V(mask) for probes of gap
-    ``omega`` at inverse temperatures ``beta_s``, floats or arrays.
+def oracle_kickback(oracle: ThermalMachineOracle, omega, beta_s, mask: QueryMask | None = None, eta=1.0):
+    """:func:`kickback` of ``oracle`` under V(mask) for probes of gap ``omega``
+    at inverse temperatures ``beta_s``, floats or arrays.
 
     The default mask is all ones, with X.G = |G| and no remainder; an
     explicit mask contributes X.G and |G| - X.G.
     """
+    total = oracle.gap_vector.total
     if mask is None:
-        masked_sum, remainder = oracle.gap_vector.total, 0.0
+        masked_sum, remainder = total, 0.0
     else:
         masked_sum = mask.dot(oracle.gap_vector.gaps)
-        remainder = oracle.gap_vector.total - masked_sum
-    return kickback_shift(
-        beta_s * omega,
-        oracle.machine_inverse_temperature,
-        masked_sum,
-        remainder,
-        oracle.log_partition_function,
-    )
+        remainder = total - masked_sum
+    return kickback(beta_s * omega, omega, oracle.machine_inverse_temperature, masked_sum, remainder,
+                    oracle.log_partition_function, eta)
 
 
 def kickback_outcome(
@@ -280,8 +252,10 @@ def kickback_outcome(
     (the virtual-qubit subspace swap). An undefined post-query temperature is
     flagged, not raised.
     """
-    delta = oracle_shift(oracle, probe.gap, probe.inverse_temperature, mask)
-    return QueryOutcome.from_shift(probe.inverse_temperature * probe.gap, probe.gap, delta)
+    delta, p0, p0_after, beta_after = oracle_kickback(oracle, probe.gap, probe.inverse_temperature, mask)
+    delta, beta_after = float(delta), float(beta_after)
+    return QueryOutcome(float(p0), float(p0_after), delta, None if math.isnan(beta_after) else beta_after,
+                        Regime.from_sign(delta))
 
 
 def classify_regime(probe: ThermalQubit, oracle: ThermalMachineOracle) -> Regime:

@@ -99,6 +99,14 @@ def check_positive(name: str, *values: float) -> None:
             raise ValueError(f"{name} must be positive and finite{got}")
 
 
+def check_finite(name: str, *values: float) -> None:
+    """The finite rule: refuse the first of ``values`` that is not a finite
+    float, as ``{name} must be finite, got {value}``."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def check_scale(beta: float, gap: float, beta_name: str = "inverse temperature",
                 product_name: str = "inverse temperature times gap") -> float:
     """The scale rule: refuse a ``beta * gap`` that is not a finite float, naming beta
@@ -106,8 +114,7 @@ def check_scale(beta: float, gap: float, beta_name: str = "inverse temperature",
     Python floats, whose product overflows to inf silently where numpy scalars' warns."""
     scale = math.fabs(beta) * math.fabs(gap)
     if not math.isfinite(scale):
-        if not math.isfinite(beta):
-            raise ValueError(f"{beta_name} must be finite, got {beta}")
+        check_finite(beta_name, beta)
         raise ValueError(f"{product_name} must be finite, got {beta} * {gap}")
     return scale
 

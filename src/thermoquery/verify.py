@@ -26,6 +26,7 @@ the exact side through :func:`exactsim.kickback_batch` and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -45,13 +46,12 @@ from .problems import (
 from .query import (
     QueryMask,
     Regime,
+    kickback,
     kickback_outcome,
-    kickback_shift,
     mixed_input_query,
     regime_sign,
     reset_costs,
     sensitivity_bound,
-    shift_outcome,
     swap_query,
     temperature_defined,
 )
@@ -323,7 +323,7 @@ def _general_mask_errors(machines: _Machines, masks: np.ndarray) -> tuple[np.nda
 
     The library gives each case's X.G (:meth:`QueryMask.dot`), |G|
     (``GapVector.total``), log Z_f and all-ones X.G, which the kernel takes
-    as ``oracle_shift`` passes them: X.G and |G| - X.G. The general-mask
+    as ``oracle_kickback`` passes them: X.G and |G| - X.G. The general-mask
     error is the larger of the p0' and beta' errors against the exact
     simulator (the p0' error alone where beta' is undefined); the reduction
     compares the kernel with |G| and no remainder against the kernel with an
@@ -341,8 +341,7 @@ def _general_mask_errors(machines: _Machines, masks: np.ndarray) -> tuple[np.nda
     a = machines.beta_s * omega
 
     def outcome(masked_sum, remainder):
-        delta = kickback_shift(a, beta_m, masked_sum, remainder, log_zf)
-        return shift_outcome(a, omega, delta)[1:]
+        return kickback(a, omega, beta_m, masked_sum, remainder, log_zf)[2:]
 
     p0_after, beta_after = outcome(masked_sum, total - masked_sum)
     _, exact_p0, _ = machines.exact_kickback(masks)
@@ -385,8 +384,7 @@ def _dj_kickback_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckR
         )
         total, log_zf = two_gap_machine(np.count_nonzero(outputs, axis=1), size, gap_one, gap_zero, beta_m)
         a = beta_s * omega
-        delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
-        _, p0_after, beta_after = shift_outcome(a, omega, delta)
+        delta, _, p0_after, beta_after = kickback(a, omega, beta_m, total, 0.0, log_zf)
         gaps = np.where(outputs, gap_one[:, None], gap_zero[:, None])
         exact_before, exact_p0, log_partition_sum = exactsim.kickback_batch(
             omega, beta_s, gaps, beta_m, np.ones_like(outputs)
@@ -499,8 +497,7 @@ def _regime_section(rng: np.random.Generator, sizes: _Sizes) -> list[CheckResult
         gap_one, gap_zero, beta_m, omega, beta_s = _scaled(draws, ("gap", "gap", "beta_m", "omega", "beta_s"))
         total, log_zf = two_gap_machine(ones, size, gap_one, gap_zero, beta_m)
         a, b = beta_s * omega, beta_m * total
-        delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
-        p0, p0_after, beta_after = shift_outcome(a, omega, delta)
+        delta, p0, p0_after, beta_after = kickback(a, omega, beta_m, total, 0.0, log_zf)
 
         label = regime_sign(a, b)
         regime.record_block(
@@ -603,7 +600,8 @@ def check_run_sizes(sizes: dict[str, int], seed: int) -> None:
     value) below 1 or a seed below 0. The first two sizes, the Deutsch-Jozsa
     and the secret-string size, are bounded too: tables are enumerated up to
     MAX_EXHAUSTIVE_N bits, and an n-bit secret and the probe take n + 1
-    qubits of the exact simulator."""
+    qubits of the exact simulator. Last, a size that is not an integer (a
+    bool is none; a numpy integer is one) is refused."""
     for name, value in sizes.items():
         if not value >= 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -612,6 +610,9 @@ def check_run_sizes(sizes: dict[str, int], seed: int) -> None:
             raise ValueError(f"{name} must be <= {most}, got {value}")
     if not seed >= 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def run_verification(

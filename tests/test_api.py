@@ -15,7 +15,7 @@ REMOVED = {
     "thermal": ("prepare_via_conditional_thermalization", "ConditionalThermalizationTrace", "log1pexp",
                 "DJProblem", "BVProblem", "CustomProblem"),
     "problems": ("solve_dj_deterministic_classical", "ClassicalSolveResult", "dj_gap_magnitude"),
-    "query": ("temperature_well_defined",),
+    "query": ("temperature_well_defined", "kickback_shift", "shift_outcome", "oracle_shift"),
     "detuning": ("SweepPoint",),
     "readout": ("CrossoverTable",),
     "cli": ("_csv_lone_text", "DEFAULTS", "CliError"),
@@ -26,6 +26,7 @@ REMOVED_ATTRIBUTES = (
     ("detuning", "DetuningSweep", "points"),
     ("detuning", "DetuningSweep", "curve"),
     ("query", "QueryMask", "from_string"),
+    ("query", "QueryOutcome", "from_shift"),
     ("problems", "DJInstance", "from_table"),
     ("exactsim", "DiagonalJointState", "machine_energies"),
     ("exactsim", "DiagonalJointState", "level_energies"),

@@ -525,7 +525,7 @@ class TestDetuningSweep:
 @pytest.mark.parametrize(
     "argv, work",
     [
-        (["dj-kickback"], "kickback_shift"),
+        (["dj-kickback"], "kickback"),
         (["distinguishability"], "distinguishability_report"),
         (["sample-complexity"], "crossover_analysis"),
         (["detuning-sweep"], "bv3_sweep"),
@@ -575,22 +575,23 @@ def test_rejected_input_leaves_the_out_path_alone(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, largest",
     [
-        ["dj-kickback", "--omega", "1e308", "--beta-s=-10"],
-        ["dj-kickback", "--omega", "1e308", "--beta-s", "10"],
-        ["detuning-sweep", "--omega", "1e308", "--beta-s", "0:3:5"],
+        (["dj-kickback", "--omega", "1e308", "--beta-s=-10"], "-10.0"),
+        (["dj-kickback", "--omega", "1e308", "--beta-s", "10"], "10.0"),
+        (["detuning-sweep", "--omega", "1e308", "--beta-s", "0:3:5"], "3.0"),
     ],
 )
-def test_overflowing_probe_exponent_exits_one(tmp_path, capsys, argv):
+def test_overflowing_probe_exponent_exits_one(tmp_path, capsys, argv, largest):
     """A --beta-s value whose product with --omega passes the largest double
-    exits 1 naming both flags, before the output is opened: no NaN rows and
-    no numpy overflow warning."""
+    exits 1 naming both flags and quoting the largest |--beta-s| and --omega,
+    before the output is opened: no NaN rows and no numpy overflow warning."""
     out = tmp_path / "x.csv"
     out.write_bytes(b"kept\n")
     assert main(argv + ["--out", str(out)]) == 1
     assert out.read_bytes() == b"kept\n"
-    assert capsys.readouterr() == ("", "thermoquery: error: --beta-s times --omega must be finite, got inf\n")
+    assert capsys.readouterr() == (
+        "", f"thermoquery: error: --beta-s times --omega must be finite, got {largest} * 1e+308\n")
 
 
 @pytest.mark.parametrize(
@@ -611,7 +612,7 @@ def test_dj_kickback_size_limit_is_the_float_range(tmp_path, capsys, monkeypatch
     def forbidden(*args, **kwargs):
         raise AssertionError("a kickback was evaluated")
 
-    monkeypatch.setattr(cli, "kickback_shift", forbidden)
+    monkeypatch.setattr(cli, "kickback", forbidden)
     out = tmp_path / "p"
     out.write_bytes(b"kept\n")
     assert main(["dj-kickback", *argv, "--out", str(out)]) == 1
@@ -644,7 +645,7 @@ def test_failed_work_never_removes_the_out_path(tmp_path, monkeypatch):
     def failing(*args, **kwargs):
         raise ValueError("the work failed")
 
-    monkeypatch.setattr(cli, "kickback_shift", failing)
+    monkeypatch.setattr(cli, "kickback", failing)
     target = tmp_path / "target.csv"
     target.write_bytes(b"")
     link = tmp_path / "link.csv"

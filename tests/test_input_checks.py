@@ -1,18 +1,19 @@
 """The 0/1 entry checks of truth tables and masks, the bit-string checks of
 the five functions that take a string of 0s and 1s, and one table for each
-refusal rule: the gap rule, the scale rule, the machine-totals rule and
-verify's run sizes. Each table names every site of its rule, the CLI's
+refusal rule: the gap rule, the finite rule, the scale rule, the
+machine-totals rule and verify's run sizes. Each table names every site of its rule, the CLI's
 flags included, with the message it gives."""
 
 import contextlib
 import io
 import math
 
+import numpy as np
 import pytest
 
 from thermoquery import exactsim, problems, verify
 from thermoquery.cli import main
-from thermoquery.detuning import ExperimentConfig, flip_probability, suppression_factor
+from thermoquery.detuning import ExperimentConfig, bv3_sweep, flip_probability, suppression_factor
 from thermoquery.problems import BVInstance, hamming_weight_population
 from thermoquery.query import QueryMask, swap_query
 from thermoquery.thermal import (
@@ -135,16 +136,48 @@ def test_positive_gap_or_coupling_is_accepted(check):
     check(1.0)
 
 
+# The finite rule, thermal.check_finite: a detuning, a time or a grid value
+# must be a finite float, and the message quotes the first that is not.
+FINITE_CHECKS = [
+    (lambda v: flip_probability(1.0, v, 1.0), "detuning"),
+    (lambda v: flip_probability(1.0, 0.1, v), "time"),
+    (lambda v: suppression_factor(1.0, v), "detuning"),
+    (lambda v: bv3_sweep(ExperimentConfig((1.0, 1.13, 1.31), 0.05, 4.0), [0.0, v]), "every probe inverse temperature"),
+    (cli("dj-kickback", "--beta-m=1,{}"), "--beta-m"),
+    (cli("dj-kickback", "--beta-s=0,{}"), "--beta-s"),
+    (cli("detuning-sweep", "--beta-s=0,{}"), "--beta-s"),
+    (cli("distinguishability", "--e1-grid=1,{}"), "--e1-grid"),
+    (cli("distinguishability", "--e2-grid=0.5,{}"), "--e2-grid"),
+    (cli("distinguishability", "--t={}"), "--t"),
+    (cli("distinguishability", "--beta-m={}"), "--beta-m"),
+]
+FINITE_SITES = ["flip_probability.detuning", "flip_probability.time", "suppression_factor", "bv3_sweep",
+                "dj-kickback --beta-m", "dj-kickback --beta-s", "detuning-sweep --beta-s",
+                "distinguishability --e1-grid", "distinguishability --e2-grid", "distinguishability --t",
+                "distinguishability --beta-m"]
+
+
+@pytest.mark.parametrize("check, name", FINITE_CHECKS, ids=FINITE_SITES)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+def test_value_not_finite_is_refused(check, name, value):
+    assert refusal(check, value) == f"{name} must be finite, got {value}"
+
+
 # The scale rule, thermal.check_scale: beta times a gap must be a finite
 # float, and beta is named alone only when it is not finite itself. Every
-# site takes the gap 8e307 (two of them sum to a finite |G|), so beta = 10
-# puts the product past the largest double; beta = 0 and -1 are accepted.
+# site takes the gap 8e307 (two of them sum to a finite |G|; the probe-grid
+# sites take it as the probe gap), so beta = 10 puts the product past the
+# largest double; beta = 0 and -1 are accepted.
 GAP = 8e307
 SCALE_CHECKS = [
     (lambda b: ThermalQubit(GAP, b), "inverse temperature", "inverse temperature times gap"),
     (lambda b: ground_state_population(GAP, b), "beta", "inverse temperature times gap"),
+    (lambda b: bv3_sweep(ExperimentConfig((1.0, 1.13, 1.31), 0.05, 4.0, GAP), [0.0, b]),
+     "every probe inverse temperature", "every probe inverse temperature times the probe gap"),
+    (cli("dj-kickback", f"--omega={GAP}", "--beta-s={}"), "--beta-s", "--beta-s times --omega"),
+    (cli("detuning-sweep", f"--omega={GAP}", "--beta-s={}"), "--beta-s", "--beta-s times --omega"),
 ]
-SCALE_SITES = ["ThermalQubit", "ground_state_population"]
+SCALE_SITES = ["ThermalQubit", "ground_state_population", "bv3_sweep", "dj-kickback", "detuning-sweep"]
 
 # The machine-totals rule, thermal.check_machine_totals: a machine's |G|,
 # beta_M times its largest gap (by the scale rule) and log Z_f must be
@@ -204,8 +237,9 @@ def test_finite_scale_and_machine_totals_are_accepted(beta):
 
 # The run-size rule, verify.check_run_sizes: every size is at least 1, the
 # Deutsch-Jozsa and secret-string sizes are at most what the enumeration and
-# the exact simulator take, and the seed is at least 0. The CLI's flags parse
-# as integers, so its rows are integers.
+# the exact simulator take, the seed is at least 0, and every size is an
+# integer, tested last. The CLI's flags parse as integers, so its rows are
+# integers.
 RUN = dict(max_dj_n=1, max_bv_n=1, tuples_per_instance=1, mask_cases=1, regime_cases=1, seed=0)
 LIMITS = {"max_dj_n": problems.MAX_EXHAUSTIVE_N, "max_bv_n": exactsim.DEFAULT_MAX_QUBITS - 1,
           "--max-n": problems.MAX_EXHAUSTIVE_N, "--bv-max-n": exactsim.DEFAULT_MAX_QUBITS - 1}
@@ -217,6 +251,8 @@ PAST_LIMIT = [(check, name, value) for check, name in RUN_CHECKS if name in LIMI
               for value in ([LIMITS[name] + 1] if name.startswith("--") else [LIMITS[name] + 1, math.inf])]
 BELOW_ZERO = [(lambda v: verify.run_verification(**{**RUN, "seed": v}), "seed", value)
               for value in (-1, math.nan, -math.inf)] + [(cli("verify", "--seed", "{}"), "seed", -1)]
+NOT_INTEGER = [(check, name, value) for check, name in RUN_CHECKS if not name.startswith("--")
+               for value in ([2.5, True] if name in LIMITS else [2.5, True, math.inf])]
 
 
 def row_id(row):
@@ -236,3 +272,13 @@ def test_run_size_past_its_limit_is_refused(check, name, value):
 @pytest.mark.parametrize("check, name, value", BELOW_ZERO, ids=["seed=-1", "seed=nan", "seed=-inf", "--seed=-1"])
 def test_seed_below_zero_is_refused(check, name, value):
     assert refusal(check, value) == f"{name} must be >= 0, got {value}"
+
+
+@pytest.mark.parametrize("check, name, value", NOT_INTEGER, ids=map(row_id, NOT_INTEGER))
+def test_run_size_not_an_integer_is_refused(check, name, value):
+    assert refusal(check, value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_numpy_integer_run_sizes_are_accepted():
+    sizes = {name: np.int64(value) for name, value in RUN.items()}
+    assert verify.run_verification(**sizes).passed

@@ -7,20 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_kickback_ground_population, reference_swap, reference_swap_ground_population
+from thermoquery.detuning import detuned_probe_temperature
 from thermoquery.problems import constant_functions, enumerate_balanced_functions
 from thermoquery.query import (
     NEUTRAL_TOLERANCE,
     QueryMask,
     Regime,
     classify_regime,
+    kickback,
     kickback_outcome,
-    kickback_shift,
     mixed_input_query,
     regime_sign,
     reset_costs,
     sensitivity_bound,
     sensitivity_check,
-    shift_outcome,
     swap_query,
     temperature_defined,
 )
@@ -429,8 +429,7 @@ class TestArrayKernel:
     def test_kickback_outcome(self, rng):
         cases = self.cases(rng)
         omega, a, beta_m, total, log_zf = self.columns(cases)
-        delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
-        p0, p0_after, beta_after = shift_outcome(a, omega, delta)
+        delta, p0, p0_after, beta_after = kickback(a, omega, beta_m, total, 0.0, log_zf)
         assert np.isnan(beta_after[-1]) and delta[-1] == 0.0
         for i, (probe, oracle) in enumerate(cases):
             outcome = kickback_outcome(probe, oracle)
@@ -443,12 +442,25 @@ class TestArrayKernel:
                 assert outcome.beta_after == beta_after[i]
             assert outcome.regime is Regime.from_sign(delta[i])
 
+    def test_float_and_array_calls_agree_at_any_eta(self, rng):
+        """All four outputs of an array call equal the float calls element by
+        element, with eta = 1 and eta < 1 rows; beta' is the detuned
+        temperature of the same probe, oracle and eta, NaN where it is None."""
+        cases = self.cases(rng)
+        omega, a, beta_m, total, log_zf = self.columns(cases)
+        eta = np.where(np.arange(len(cases)) % 2, 1.0, 1.0 - rng.random(len(cases)))
+        outputs = kickback(a, omega, beta_m, total, 0.0, log_zf, eta)
+        floats = [kickback(*map(float, row)) for row in zip(a, omega, beta_m, total, [0.0] * len(cases), log_zf, eta)]
+        for output, column in zip(outputs, zip(*floats)):
+            np.testing.assert_array_equal(output, column)
+        detuned = [detuned_probe_temperature(probe, oracle, factor) for (probe, oracle), factor in zip(cases, eta)]
+        np.testing.assert_array_equal(outputs[3], np.array(detuned, dtype=float))
+
     def test_regime_sensitivity_and_well_definedness(self, rng):
         cases = self.cases(rng)
         omega, a, beta_m, total, log_zf = self.columns(cases)
         b = beta_m * total
-        delta = kickback_shift(a, beta_m, total, 0.0, log_zf)
-        p0, _, _ = shift_outcome(a, omega, delta)
+        delta, p0, _, _ = kickback(a, omega, beta_m, total, 0.0, log_zf)
         c = (0.25 + 0.5 * rng.random(len(cases))) * (1.0 - p0)
         labels = regime_sign(a, b)
         closed, precondition = sensitivity_bound(a, b, log_zf, c, delta)
@@ -464,22 +476,25 @@ class TestArrayKernel:
             assert temperature_defined(probe.inverse_temperature * probe.gap, outcome.delta_p0) == flags[i]
 
     def test_scalar_arguments_give_scalars(self):
-        delta = kickback_shift(0.5, 1.0, 2.0, 0.0, 1.2)
-        assert np.ndim(delta) == 0
-        assert all(np.ndim(x) == 0 for x in shift_outcome(0.5, 1.0, delta))
+        assert all(np.ndim(x) == 0 for x in kickback(0.5, 1.0, 1.0, 2.0, 0.0, 1.2))
+        assert all(np.ndim(x) == 0 for x in kickback(0.5, 1.0, 1.0, 2.0, 0.0, 1.2, 0.5))
 
     def test_overflowing_exponents_give_the_float_values_silently(self):
         """beta_M*X.G or beta_M*(|G| - X.G) overflowing to inf is meant, as
         e^{-inf} = 0: an array call returns each float call's value and, like
         the float calls, raises no overflow warning."""
         a = np.array([0.5, 1.0, 2.0])
+        omega = np.array([1.0, 0.5, 2.0])
         beta_m = np.array([1e300, 2.0, 1e308])
         masked_sum = np.array([1e10, 1.0, 0.0])
         remainder = np.array([0.0, 0.0, 1e10])
         log_zf = np.array([0.0, math.log1p(math.exp(-2.0)), 0.0])
+        rows = list(zip(a, omega, beta_m, masked_sum, remainder, log_zf))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            delta = kickback_shift(a, beta_m, masked_sum, remainder, log_zf)
-            floats = [kickback_shift(*map(float, row)) for row in zip(a, beta_m, masked_sum, remainder, log_zf)]
-        assert delta.tolist() == floats
+            outputs = kickback(a, omega, beta_m, masked_sum, remainder, log_zf)
+            floats = [kickback(*map(float, row)) for row in rows]
+        for output, column in zip(outputs, zip(*floats)):
+            np.testing.assert_array_equal(output, column)
+        delta = outputs[0]
         assert delta[0] > 0.0 and delta[2] < 0.0
