@@ -97,8 +97,7 @@ class ExperimentConfig:
         if len(self.machine_gaps) != 3:
             raise ValueError("the experiment models exactly three machine qubits")
         check_positive("machine gaps", *self.machine_gaps)
-        if not math.isfinite(self.machine_inverse_temperature):
-            raise ValueError("machine inverse temperature must be finite")
+        check_finite("machine inverse temperature", self.machine_inverse_temperature)
         if not 0.0 <= self.bias < 1.0:
             raise ValueError("bias must lie in [0, 1) so both multipliers stay positive")
         check_positive("coupling", self.coupling)

@@ -1,70 +1,66 @@
 """Brute-force verification oracle over the full diagonal joint state.
 
-Every population of probe + machine is defined by product weights, exchanges
-are exact permutations, and marginals are exact sums. Ground truth for the
-analytic formulas; capped at ``DEFAULT_MAX_QUBITS`` = 20 qubits, probe
-included, since every read sums all 2^N machine weights.
-
-A state is in product form: 2^N machine weights w and two probe factors
-k_g and k_e, so level (i_S, x) holds w(x) k_{i_S}. The weights are doubled
-one machine qubit at a time as a product of per-qubit factors, none above
-1: about 2^N multiplications and 2(N + 1) exponentials. Every kernel takes
-one row as 1-D arrays or a chunk of rows as 2-D ones, a row's values on the
-last axis. :func:`kickback_batch` runs the kickback on T states at once,
-with the machine mean energies on request, and :func:`swap_batch` gives the
-probe marginal after a SWAP with each machine qubit of T states; both take
-each row's factors and results once per call over all T rows.
-
-Memory does not grow with 2^N. Weights are built in blocks of at most 2^16
-machine levels, 512 KiB: a chunk of rows of up to 16 machine qubits in one
-reused array, and a wider row (17 to 19) one block at a time. Block m of a
-wide row is its first block, the doubling of its last 16 machine qubits,
-times the factors of m's top bits in the doubling's order, so each weight is
-the same double as a doubling of the whole row. Each block is written, half
-at a time, into one reused array whose first row carries the running column
-sums, and its row sums, column sums and the gathers of w[a] and w[b] are
-taken there: one sweep, at most one and a half blocks held.
-
-Every sum over a row's weights views them as a grid of 2^h rows, the h most
-significant machine bits, by 2^l columns, with l = min(N, max(8, ceil(N/2)))
-and h = N - l: 256 x 256 at 16 machine qubits, 512 x 1024 at 19. Machines of
-up to 8 qubits, which verify runs by the thousand, keep the whole row as one
-plain sum (h = 0); up to 9, the grid rows are the halves in which numpy's
-pairwise sum takes a row, so the total is the same double as a plain sum. A
-build is the doubling plus one row-sum pass, whose sum is the total. An
-energy or a SWAP read adds one column-sum pass, taken once per row and kept
-(a wide row's sweep takes it at once), and O(2^(N/2)) further work: the
-mean energy is sum_i E_high(i) s_i + sum_j E_low(j) c_j over the row sums s
-and the column sums c, with two half-width energy tables, and bit j's
-zero-sum comes from s for a high bit and from c for a low one, so all N
-marginals of :func:`swap_batch` come from the two passes. Each row is
-reduced along its own axes, so its reads do not depend on the other rows of
-its chunk.
-
-:func:`build_joint_state` builds one 1-D row with the same kernels. A
-:class:`DiagonalJointState` is that row plus at most one step, O(1) in time
-and memory: a SWAP with a machine qubit, or the exchange of a kickback pair,
-the only pair taken (:func:`kickback_level_indices`). The row keeps its
-first block and its grid sums, not its weights: a weight past the first
-block is formed from it with at most N - 16 multiplies, in the doubling's order.
-A built or exchanged state is read with the one formula
-:func:`kickback_batch` reads a row with, in Python floats, and numpy only
-for the exponentials, the logarithm and the sums whose rounding must match
-the batch's. A swapped state's probe marginal is one bit's zero-sum, and its
-machine energy the grid energy with the swapped gap set to 0 in its half
-table, so that no difference cancels. Nothing here calls the analytic
+Every population of probe + machine is a product of per-qubit Boltzmann
+weights, an exchange is an exact permutation and a marginal an exact sum:
+the ground truth for the analytic formulas. Nothing here calls the analytic
 kickback code in ``query`` or the closed-form partition functions of
-``thermal``.
+``thermal``; the module imports only the value types it is given.
 
 Index convention: the probe bit is the most significant bit; machine bit
 strings are big-endian, as in ``thermal.bits_to_index`` (machine qubit 0 is
 the leftmost, most significant machine bit).
+
+Batches. :func:`kickback_batch` takes T states, each a probe gap, beta_S,
+a row of N machine gaps and beta_M, of either sign, and one 0/1 mask row
+per state; it returns p0 before and after the kickback V(mask), the log
+weight sum log(Z_S Z_f) and, on request, the machine mean energy before
+and after. :func:`swap_batch` returns p0 after a SWAP with each machine
+qubit. A state past ``DEFAULT_MAX_QUBITS`` = 20 qubits, probe included, a
+mask row of another shape or an entry other than 0/1 is a ValueError. A
+row's reads are the same doubles whichever batch or chunk holds it.
+
+Single states. :func:`build_joint_state` builds a probe and an oracle as a
+batch of one row. A :class:`DiagonalJointState` is that row plus at most
+one step from it: :func:`apply_level_exchange` of the kickback pair of
+:func:`kickback_level_indices` (a level out of range is an IndexError, any
+other pair a ValueError) or :func:`apply_swap_with_machine_qubit` (an index
+out of range is an IndexError). A stepped state refuses a further step with
+a ValueError. Each state computes its reads when it is made and keeps them,
+its row's grid sums and its factors: O(2^(N/2)) floats, never the 2^N
+weights. :func:`probe_marginal` and :func:`probe_mean_energy` of any state,
+and :func:`machine_mean_energy` of a built or exchanged one, are bit for
+bit the batches' reads of the same row. A swapped state's machine energy is
+a ValueError: no kernel computes it.
+
+Precision. Every sum is of nonnegative products in double precision, at
+any sign and size of beta: each qubit's factors are scaled to at most 1, so
+no weight overflows, and a weight below the smallest double is 0. An
+exchange adds one signed term to p0 and to the machine energy. p0 is
+clamped at 1, past which rounding can carry it when nearly all weight is in
+the probe's ground level. The tests hold p0 and p0' to 1e-14 absolute, the
+log weight sum to 1e-14 and the machine energies to 1e-13 relative of a
+40-digit reference.
+
+Method. A row is 2^N machine weights w and two probe factors k_g and k_e,
+level (i_S, x) holding w(x) k_{i_S}. w is doubled one machine qubit at a
+time, the last first, as a product of per-qubit factors: about 2^N
+multiplications and 2(N + 1) exponentials. Weights are built in blocks of
+at most 2^16 machine levels: a chunk of rows of up to 16 machine qubits in
+one reused array, and a wider row (17 to 19) one block at a time, block m
+being the row's first block times the factors of m's top bits in the
+doubling's order, so that every weight is the same double as a doubling of
+the whole row. Every sum views a row as a grid of 2^h rows, the h most
+significant machine bits, by 2^l columns, l = min(N, max(8, ceil(N/2))):
+one pass gives the row sums s, whose sum is the total, and one the column
+sums c. The mean energy is sum_i E_high(i) s_i + sum_j E_low(j) c_j, and the
+weight of the levels whose bit j is 0 comes from s for a high bit and from c
+for a low one. Up to 9 machine qubits the total is the same double as a
+plain sum of the row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -93,66 +89,53 @@ _BATCH_LEVELS = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class _Row:
-    """One built joint state: level (i_S, x) holds w(x) times ``k_g`` or
-    ``k_e``. ``block`` is w's first block, read-only: the whole row up to
-    2^16 machine levels, and for a wider row the doubling of its last 16
-    machine qubits, which ``factors`` carries to every block
-    (:func:`_block_factors`, :meth:`weight`; None for a row of one block).
-    ``sums`` is w's 2^h row sums over its weight grid and ``total`` their
-    sum. ``swept`` holds a wide row's column sums, which its build's sweep
-    takes; a row of one block takes them on first read. The ``energy``,
-    sum_x w(x) E(x), is taken on first read and kept."""
+    """One built joint state in product form, level (i_S, x) holding w(x)
+    times ``k_g`` or ``k_e``, kept as w's grid sums, not as w: the 2^h row
+    sums ``sums``, the 2^l column sums ``columns``, their ``total``, the
+    ``weighted`` sum_x w(x) E(x), and each machine qubit's (ground, excited)
+    factor pair in ``qubit_factors``, the last qubit first."""
 
-    block: np.ndarray
     sums: np.ndarray
+    columns: np.ndarray
     k_g: float
     k_e: float
     total: float
+    weighted: float
     log_partition_sum: float
     machine_gaps: np.ndarray
     probe_gap: float
-    factors: tuple | None
-    swept: np.ndarray | None
-
-    @property
-    def high(self) -> int:
-        return _high_bits(self.machine_gaps.size)
+    qubit_factors: tuple
 
     def weight(self, level: int) -> float:
-        """w at machine ``level``: its entry of the first block times its
-        block's factors, in the doubling's order, so the same double as the
-        whole row's doubling gives; at most N - 16 multiplies."""
-        if self.factors is None:  # one block: the whole row
-            return self.block.item(level)
-        index, offset = divmod(level, self.block.size)
-        value = self.block.item(offset)
-        for factor in self.factors[index]:
-            value *= factor
+        """w at machine ``level``: 1.0 times its qubits' factors one after
+        another in :func:`_double`'s order, the last qubit first, so the
+        same double as the doubling gives (an unscaled qubit's ground factor
+        is exactly 1.0). A loop fixes that order; ``np.prod`` would not."""
+        value = 1.0
+        for pair in self.qubit_factors:
+            value *= pair[level & 1]
+            level >>= 1
         return value
-
-    @cached_property
-    def columns(self) -> np.ndarray:
-        return _column_sums(self.block, self.high) if self.swept is None else self.swept
-
-    @cached_property
-    def energy(self) -> float:
-        return float(_mean_energies(self.sums, self.columns, self.machine_gaps, self.high))
 
 
 @dataclass(frozen=True, eq=False)
 class DiagonalJointState:
     """Populations over the 2^(N+1) (probe bit, machine string) levels: a
-    built ``row`` in product form, plus at most one step. A built state
-    records no step; a state one step from it shares its row and records
-    the step: ``exchanged``, the kickback pair (a, b) whose populations
-    trade places, or ``swapped``, the machine qubit whose bit trades places
-    with the probe bit. A stepped state takes no further step.
+    built ``row`` in product form, plus at most one step, and the reads
+    taken when the state was made: ``p0``, the probe's ground population,
+    and ``machine_energy``, the machine mean energy (None after a SWAP). A
+    built state records no step; a state one step from it shares its row
+    and records the step: ``exchanged``, the kickback pair (a, b) whose
+    populations trade places, or ``swapped``, the machine qubit whose bit
+    trades places with the probe bit. A stepped state takes no further step.
 
     ``row.log_partition_sum`` is the log of the unnormalized weight sum and
     equals log(Z_S) + log(Z_f); a step preserves the trace.
     """
 
     row: _Row
+    p0: float
+    machine_energy: float | None
     exchanged: tuple[int, int] | None = None
     swapped: int | None = None
 
@@ -218,10 +201,11 @@ def _mean_energies(sums: np.ndarray, columns: np.ndarray, gaps: np.ndarray, high
             + (_energy_table(gaps[..., high:]) * columns).sum(axis=-1))
 
 
-def _zero_sums(grid_sums: np.ndarray, bit: int) -> np.ndarray:
-    """The sum of a row of ``grid_sums``, or of each row, over the entries
-    whose ``bit``, from the most significant, is 0: the weight of the levels
-    whose machine bit is 0, from s for a high bit and c for a low one (bit - h)."""
+def _zero_sums(sums: np.ndarray, columns: np.ndarray, bit: int, high: int) -> np.ndarray:
+    """The weight of the levels whose machine ``bit`` is 0, of a row or of
+    each row: its grid sums summed over the entries whose bit is 0, the row
+    sums s for a high bit (bit < h) and the column sums c for a low one."""
+    grid_sums, bit = (sums, bit) if bit < high else (columns, bit - high)
     return grid_sums.reshape(*grid_sums.shape[:-1], 1 << bit, 2, -1)[..., 0, :].sum(axis=(-2, -1))
 
 
@@ -369,7 +353,10 @@ def _grids(excited, ground, scaled, columns: bool, *levels):
     for start in range(0, rows, step):
         chunk = slice(start, min(start + step, rows))
         weights = buffer[: chunk.stop - start]
-        _double(excited[chunk], ground[chunk], scaled, weights)
+        if len(weights) == 1:  # on the row's 1-D views, a factor is a scalar, not a (1,) array
+            _double(excited[start], ground[start], scaled, weights[0])
+        else:
+            _double(excited[chunk], ground[chunk], scaled, weights)
         row = np.arange(len(weights))
         yield (chunk, _row_sums(weights, high), _column_sums(weights, high) if columns else None,
                [weights[row, each[chunk]] for each in levels])
@@ -377,23 +364,22 @@ def _grids(excited, ground, scaled, columns: bool, *levels):
 
 def build_joint_state(probe: ThermalQubit, oracle: ThermalMachineOracle) -> DiagonalJointState:
     """Normalized product populations e^{-beta_S*omega*i_S} e^{-beta_M*(i_M.G)} / (Z_S Z_f),
-    built as one 1-D row by the batch kernels."""
+    built as a batch of one row: one pass of :func:`_grids` gives its grid
+    sums, and p0 and the machine mean energy are read as :func:`kickback_batch`
+    reads a row before its exchange."""
     gaps = np.array(oracle.gap_vector.gaps, dtype=float)
-    n, high = gaps.size, _high_bits(gaps.size)
-    excited, ground, scaled, shift_sum = _factors(probe.gap, probe.inverse_temperature,
-                                                  gaps, oracle.machine_inverse_temperature)
-    block = np.empty(min(_machine_levels(n), _BATCH_LEVELS))
-    _double(excited, ground, scaled, block)
-    if block.size < 1 << n:  # the weights past the first block are not kept
-        factors = _block_factors(excited, ground, scaled, (1 << n) // block.size)
-        sums, swept, _ = _sweep(block, _sweep_buffer(n), factors, high, True)
-    else:
-        factors, sums, swept = None, _row_sums(block, high), None
+    excited, ground, scaled, shift_sum = _factors(probe.gap, probe.inverse_temperature, gaps[None],
+                                                  oracle.machine_inverse_temperature)
+    (_, sums, columns, _), = _grids(excited, ground, scaled, True)
+    sums, columns, excited, ground = sums[0], columns[0], excited[0], ground[0]
     total = sums.sum()
     k_g, k_e, partition = _probe_factors(excited, ground, total)
-    block.flags.writeable = False  # shared by every state one step from this one
-    return DiagonalJointState(_Row(block, sums, float(k_g), float(k_e), float(total),
-                                   float(shift_sum + np.log(partition)), gaps, probe.gap, factors, swept))
+    weighted = _mean_energies(sums, columns, gaps, _high_bits(gaps.size))
+    row = _Row(sums, columns, float(k_g), float(k_e), float(total), float(weighted),
+               float(shift_sum[0] + np.log(partition)), gaps, probe.gap,
+               tuple(zip(ground[:0:-1].tolist(), excited[:0:-1].tolist())))
+    p0, _, energy, _ = _exchange_reads(row.k_g, row.k_e, row.total, 0.0, 0.0, row.weighted)
+    return DiagonalJointState(row, min(p0, 1.0), energy)
 
 
 def kickback_batch(omega: np.ndarray, beta_s: np.ndarray, gaps: np.ndarray, beta_m: np.ndarray,
@@ -448,7 +434,7 @@ def swap_batch(omega: np.ndarray, beta_s: np.ndarray, gaps: np.ndarray, beta_m: 
     for chunk, sums, columns, _ in _grids(excited, ground, scaled, True):
         total[chunk] = sums.sum(axis=-1)
         for j in range(n):
-            zero[chunk, j] = _zero_sums(sums, j) if j < high else _zero_sums(columns, j - high)
+            zero[chunk, j] = _zero_sums(sums, columns, j, high)
     k_g, k_e, _ = _probe_factors(excited, ground, total)
     return np.minimum(zero * k_g[..., None] + zero * k_e[..., None], 1.0)
 
@@ -457,50 +443,38 @@ def apply_level_exchange(state: DiagonalJointState, level_a: int, level_b: int) 
     """Swap the populations of the kickback pair of a built state, as
     :func:`kickback_level_indices` gives it: ``level_a`` = |0_S, X> in the
     probe's ground half and ``level_b`` = 2^(N+1) - 1 - ``level_a``;
-    everything else untouched. O(1): the result shares the row and records
-    the pair, and is read with :func:`kickback_batch`'s formula."""
+    everything else untouched. The result shares the row and records the
+    pair; its p0 and machine energy are read with :func:`kickback_batch`'s
+    formula from the pair's two weights."""
     row = _built_row(state)
     size = state.size
     if not (0 <= level_a < size and 0 <= level_b < size):
         raise IndexError(f"level indices ({level_a}, {level_b}) out of range for size {size}")
     if level_a >= size // 2 or level_b != size - 1 - level_a:
         raise ValueError(f"levels ({level_a}, {level_b}) are not a kickback pair (|0_S, X>, |1_S, X xor 1>)")
-    return DiagonalJointState(row, exchanged=(level_a, level_b))
+    mask = (level_a >> np.arange(state.n_machine - 1, -1, -1)) & 1
+    signed_gaps = float(((2 * mask - 1) * row.machine_gaps).sum())
+    pair = row.weight(level_a), row.weight(size // 2 - 1 - level_a)  # w[a] and w[b - 2^N]
+    _, p0, _, energy = _exchange_reads(row.k_g, row.k_e, row.total, *pair, row.weighted, signed_gaps)
+    return DiagonalJointState(row, min(p0, 1.0), energy, exchanged=(level_a, level_b))
 
 
 def apply_swap_with_machine_qubit(state: DiagonalJointState, machine_index: int) -> DiagonalJointState:
     """Permute the populations of a built state, exchanging the probe bit with
-    machine bit ``machine_index``. O(1): the result shares the row and
-    records the swapped bit."""
+    machine bit ``machine_index``. The result shares the row and records the
+    swapped bit; its p0 is the weights whose swapped bit is 0 times each
+    probe factor, clamped at 1 as :func:`swap_batch` clamps it."""
     row = _built_row(state)
     if not 0 <= machine_index < state.n_machine:
         raise IndexError(f"machine index {machine_index} out of range")
-    return DiagonalJointState(row, swapped=machine_index)
-
-
-def _reads(state: DiagonalJointState, energies: bool = False) -> tuple:
-    """p0, and with ``energies`` the machine mean energy, of a built or
-    exchanged state in Python floats: its row's :func:`_exchange_reads`
-    after the recorded exchange, or before any exchange for a built state."""
-    row, n, exchanged = state.row, state.n_machine, state.exchanged is not None
-    a = state.exchanged[0] if exchanged else 0
-    mask = (a >> np.arange(n - 1, -1, -1)) & 1 if energies and exchanged else None
-    signed_gaps = None if mask is None else float(((2 * mask - 1) * row.machine_gaps).sum())
-    pair = (row.weight(a), row.weight((1 << n) - 1 - a)) if exchanged else (0.0, 0.0)  # unread when built
-    reads = _exchange_reads(row.k_g, row.k_e, row.total, *pair, row.energy if energies else None, signed_gaps)
-    return reads[int(exchanged)::2]
+    zero = float(_zero_sums(row.sums, row.columns, machine_index, _high_bits(state.n_machine)))
+    return DiagonalJointState(row, min(1.0, zero * row.k_g + zero * row.k_e), None, swapped=machine_index)
 
 
 def probe_marginal(state: DiagonalJointState) -> BinaryDistribution:
     """Sum populations over the machine for each probe bit, clamped at 1 as
-    :func:`kickback_batch` clamps it; for a swapped state, the weights whose
-    swapped bit is 0 times each probe factor."""
-    row = state.row
-    if state.swapped is not None:  # the column sums are taken for a low bit only
-        bit, high = state.swapped, row.high
-        zero = float(_zero_sums(row.sums, bit) if bit < high else _zero_sums(row.columns, bit - high))
-        return BinaryDistribution(min(1.0, zero * row.k_g + zero * row.k_e))
-    return BinaryDistribution(min(_reads(state)[0], 1.0))
+    :func:`kickback_batch` and :func:`swap_batch` clamp it."""
+    return BinaryDistribution(state.p0)
 
 
 def kickback_level_indices(mask, n_machine: int):
@@ -527,18 +501,13 @@ def kickback_level_indices(mask, n_machine: int):
 
 
 def probe_mean_energy(state: DiagonalJointState) -> float:
-    return state.row.probe_gap * (1.0 - probe_marginal(state).p0)
+    return state.row.probe_gap * (1.0 - state.p0)
 
 
 def machine_mean_energy(state: DiagonalJointState) -> float:
-    """sum_x w(x) E(x) times each probe factor, read as :func:`kickback_batch`
-    reads a row; after a SWAP with machine qubit j, whose bit then holds the
-    probe's, sum_x w(x) E_j(x) (k_g + k_e) + g_j P(probe excited), E_j with
-    g_j set to 0: from the row's grid sums, every term nonnegative."""
-    row = state.row
-    if state.swapped is None:
-        return _reads(state, energies=True)[1]
-    others = row.machine_gaps.copy()
-    others[state.swapped] = 0.0
-    swapped = float(_mean_energies(row.sums, row.columns, others, row.high)) * (row.k_g + row.k_e)
-    return swapped + row.machine_gaps.item(state.swapped) * row.total * row.k_e
+    """sum_x w(x) E(x) times each probe factor, of a built or an exchanged
+    state, as :func:`kickback_batch` reads it with ``energies``. A swapped
+    state raises ValueError: no kernel computes its machine energy."""
+    if state.machine_energy is None:
+        raise ValueError("a swapped state has no machine mean energy: only its probe marginal is read")
+    return state.machine_energy

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .thermal import two_gap_machine
+from .thermal import check_finite, two_gap_machine
 
 __all__ = [
     "BinaryDistribution",
@@ -159,9 +159,11 @@ def distinguishability_report(e1, e2, beta_m: float, n_machine, t: float) -> Dis
     """
     if np.any((n_machine < 2) | (n_machine % 2 != 0)):
         raise ValueError("machine size must be even and >= 2")
-    for name, value in (("e1", e1), ("e2", e2), ("beta_m", beta_m), ("t", t)):
+    for name, value in (("e1", e1), ("e2", e2)):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite")
+    check_finite("beta_m", beta_m)
+    check_finite("t", t)
     if not (np.all(e2 > 0.0) and np.all(e1 > 0.0)):
         raise ValueError("gaps must be positive")
     if np.any(e1 < e2):

@@ -510,7 +510,7 @@ class TestDetuningSweep:
             (["--epsilon", "1.5"], "bias must lie in [0, 1) so both multipliers stay positive"),
             (["--g", "0"], "coupling must be positive and finite, got 0.0"),
             (["--omega=-1"], "probe gap must be positive and finite, got -1.0"),
-            (["--beta-m=nan"], "machine inverse temperature must be finite"),
+            (["--beta-m=nan"], "machine inverse temperature must be finite, got nan"),
             (["--gamma=1,0,1"], "machine gaps must be positive and finite"),
         ],
     )

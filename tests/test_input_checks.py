@@ -16,6 +16,7 @@ from thermoquery.cli import main
 from thermoquery.detuning import ExperimentConfig, bv3_sweep, flip_probability, suppression_factor
 from thermoquery.problems import BVInstance, hamming_weight_population
 from thermoquery.query import QueryMask, swap_query
+from thermoquery.readout import distinguishability_report
 from thermoquery.thermal import (
     BooleanFunctionTable,
     Classification,
@@ -143,6 +144,10 @@ FINITE_CHECKS = [
     (lambda v: flip_probability(1.0, 0.1, v), "time"),
     (lambda v: suppression_factor(1.0, v), "detuning"),
     (lambda v: bv3_sweep(ExperimentConfig((1.0, 1.13, 1.31), 0.05, 4.0), [0.0, v]), "every probe inverse temperature"),
+    (lambda v: ExperimentConfig((1.0, 1.0, 1.0), 0.05, 4.0, machine_inverse_temperature=v),
+     "machine inverse temperature"),
+    (lambda v: distinguishability_report(1.0, 0.5, v, 4, 0.1), "beta_m"),
+    (lambda v: distinguishability_report(1.0, 0.5, 1.0, 4, v), "t"),
     (cli("dj-kickback", "--beta-m=1,{}"), "--beta-m"),
     (cli("dj-kickback", "--beta-s=0,{}"), "--beta-s"),
     (cli("detuning-sweep", "--beta-s=0,{}"), "--beta-s"),
@@ -152,6 +157,8 @@ FINITE_CHECKS = [
     (cli("distinguishability", "--beta-m={}"), "--beta-m"),
 ]
 FINITE_SITES = ["flip_probability.detuning", "flip_probability.time", "suppression_factor", "bv3_sweep",
+                "ExperimentConfig.machine_inverse_temperature", "distinguishability_report.beta_m",
+                "distinguishability_report.t",
                 "dj-kickback --beta-m", "dj-kickback --beta-s", "detuning-sweep --beta-s",
                 "distinguishability --e1-grid", "distinguishability --e2-grid", "distinguishability --t",
                 "distinguishability --beta-m"]
